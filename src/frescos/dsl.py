@@ -418,27 +418,39 @@ def xi_to_json(x):
     }
 
 
+def _json_int(value, what):
+    # bool is an int subclass, but true and false count nothing
+    if type(value) is not int:
+        raise SemanticError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 def xi_from_json(d):
-    if not isinstance(d, dict) or "lambda" not in d or "terms" not in d:
+    if not isinstance(d, dict) or "lambda" not in d or \
+            not isinstance(d.get("terms"), (list, tuple)):
         raise SemanticError("expansion payload needs 'lambda' and 'terms'")
     try:
         lam = rat(d["lambda"])
     except (TypeError, ValueError) as exc:
         raise SemanticError("bad class representative: %s" % exc)
-    depth = d.get("depth", DEFAULT_PARSE_DEPTH)
+    depth = _json_int(d.get("depth", DEFAULT_PARSE_DEPTH), "depth")
+    if depth < 4:
+        raise SemanticError("truncation depth must be at least 4")
     terms = {}
     top_comp = 1
     for quad in d["terms"]:
         if not isinstance(quad, (list, tuple)) or len(quad) != 4:
             raise SemanticError("terms are [component, shift, logpow, coeff]")
-        comp, m, j, c = quad
+        comp, m, j = (_json_int(v, what) for v, what in
+                      zip(quad, ("component", "shift", "log power")))
         try:
-            c = rat(c)
+            c = rat(quad[3])
         except (TypeError, ValueError) as exc:
             raise SemanticError("bad coefficient: %s" % exc)
         terms[(comp, m, j)] = terms.get((comp, m, j), Fraction(0)) + c
         top_comp = max(top_comp, comp)
-    return XiExpansion(lam, depth, d.get("ncomp", top_comp), terms)
+    ncomp = _json_int(d.get("ncomp", top_comp), "ncomp")
+    return XiExpansion(lam, depth, ncomp, terms)
 
 
 def to_json(obj):

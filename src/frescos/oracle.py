@@ -5,7 +5,9 @@ space over the rationals with basis b^m e_j (m < M, j = 1..k).  The
 action of a and b is stored as explicit sparse columns, so everything
 downstream is plain exact linear algebra with no series machinery
 involved.  Both a and b only ever raise the b-level m, which is why
-coordinates below the truncation stay exact.
+coordinates below the truncation stay exact.  The elimination itself
+lives in linalg.py, the only module the oracle shares with the
+expansion side; it holds no engine code.
 """
 
 from fractions import Fraction
@@ -13,6 +15,9 @@ from fractions import Fraction
 from .algebra import AbElement
 from .errors import DegenerateTruncation, TruncationTooSmall
 from .fresco import AdaptedModel, validate_presentation
+from .linalg import axpy, certified_rank, solve
+# perfbench/tracer.py counts span_closure's inserts through oracle._Echelon
+from .linalg import Echelon as _Echelon
 from .series import SeriesB
 
 
@@ -70,14 +75,8 @@ def _matvec(cols, vec):
     out = {}
     for i, x in vec.items():
         col = cols.get(i)
-        if not col:
-            continue
-        for r, y in col.items():
-            v = out.get(r, Fraction(0)) + x * y
-            if v:
-                out[r] = v
-            elif r in out:
-                del out[r]
+        if col:
+            axpy(out, x, col)
     return out
 
 
@@ -129,20 +128,10 @@ def rep_apply(rep, u, vec):
         cur = {}
         for t in range(min(c.order, rep.M - 1) + 1):
             if c.coeffs[t]:
-                for r, x in _shift(rep, vec, t).items():
-                    w = cur.get(r, Fraction(0)) + c.coeffs[t] * x
-                    if w:
-                        cur[r] = w
-                    elif r in cur:
-                        del cur[r]
+                axpy(cur, c.coeffs[t], _shift(rep, vec, t))
         for _ in range(m):
             cur = rep.apply_a(cur)
-        for r, x in cur.items():
-            w = out.get(r, Fraction(0)) + x
-            if w:
-                out[r] = w
-            elif r in out:
-                del out[r]
+        axpy(out, 1, cur)
     return out
 
 
@@ -151,23 +140,13 @@ def commutation_defect(rep):
     defects = {}
     for i in range(rep.dim):
         v = {i: Fraction(1)}
-        d = _sub(_sub(rep.apply_a(rep.apply_b(v)), rep.apply_b(rep.apply_a(v))),
-                 rep.apply_b(rep.apply_b(v)))
+        d = axpy(axpy(rep.apply_a(rep.apply_b(v)), -1,
+                      rep.apply_b(rep.apply_a(v))),
+                 -1, rep.apply_b(rep.apply_b(v)))
         d = {r: x for r, x in d.items() if rep.level(r) < rep.M - 1}
         if d:
             defects[i] = d
     return defects
-
-
-def _sub(u, v):
-    out = dict(u)
-    for r, x in v.items():
-        w = out.get(r, Fraction(0)) - x
-        if w:
-            out[r] = w
-        elif r in out:
-            del out[r]
-    return out
 
 
 def minimal_annihilator(rep, x, dmax=None):
@@ -223,14 +202,6 @@ def _solve_layers(rep, x, d, v):
             chain.append(rep.apply_a(chain[-1]))
         w.append(chain)
     top = rep.apply_a(w[0][d - 1])
-    # the constant block: level-v entries of x, ax, ..., a^{d-1} x;
-    # a^m b^t = b^t (a + t b)^m makes every later layer reuse it
-    g = [[w[0][m].get(rep.idx(j, v), Fraction(0)) for m in range(d)]
-         for j in range(1, rep.k + 1)]
-    if _rank(g) < d:
-        raise DegenerateTruncation(
-            "level-%d block has rank < %d at depth %d" % (v, d, M)
-        )
     coeffs = [[] for _ in range(d)]
     for t in range(ordc + 1):
         rhs = []
@@ -242,9 +213,16 @@ def _solve_layers(rep, x, d, v):
                         acc -= coeffs[m][i] * w[i][m].get(
                             rep.idx(j, v + t), Fraction(0))
             rhs.append(acc)
+        # the level-(v+t) block of b^t x, ..., a^{d-1} b^t x equals the
+        # level-v block of x, ax, ..., a^{d-1} x because
+        # a^m b^t = b^t (a + t b)^m, so its rank is the same for every t
         gt = [[w[t][m].get(rep.idx(j, v + t), Fraction(0))
                for m in range(d)] for j in range(1, rep.k + 1)]
-        sol = _solve_exact(gt, rhs)
+        pivots, sol = solve(gt, rhs)
+        if len(pivots) < d:
+            raise DegenerateTruncation(
+                "level-%d block has rank < %d at depth %d" % (v, d, M)
+            )
         if sol is None:
             return None
         for m in range(d):
@@ -252,118 +230,17 @@ def _solve_layers(rep, x, d, v):
     return coeffs
 
 
-def _rank(g):
-    work = [list(row) for row in g]
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        sel = next((rr for rr in range(r, rows) if work[rr][c]), None)
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for rr in range(rows):
-            if rr != r and work[rr][c]:
-                f = work[rr][c]
-                work[rr] = [x - f * y for x, y in zip(work[rr], work[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-class _Echelon:
-    """Reduced echelon span of sparse vectors, pivots in rep.key order."""
-
-    def __init__(self, rep):
-        self.rep = rep
-        self.pivots = {}
-
-    def _lead(self, vec):
-        return min(vec, key=self.rep.key)
-
-    def reduce(self, vec):
-        vec = dict(vec)
-        while vec:
-            lead = self._lead(vec)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                return vec
-            f = vec[lead]
-            for r, y in hit.items():
-                w = vec.get(r, Fraction(0)) - f * y
-                if w:
-                    vec[r] = w
-                elif r in vec:
-                    del vec[r]
-        return vec
-
-    def insert(self, vec):
-        """Reduce and insert; returns the new pivot index or None."""
-        vec = self.reduce(vec)
-        if not vec:
-            return None
-        lead = self._lead(vec)
-        inv = 1 / vec[lead]
-        vec = {r: x * inv for r, x in vec.items()}
-        for piv, old in self.pivots.items():
-            if lead in old:
-                f = old[lead]
-                for r, y in vec.items():
-                    w = old.get(r, Fraction(0)) - f * y
-                    if w:
-                        old[r] = w
-                    elif r in old:
-                        del old[r]
-        self.pivots[lead] = vec
-        return lead
-
-    def vectors(self):
-        return [self.pivots[i] for i in sorted(self.pivots, key=self.rep.key)]
-
-
 def span_closure(rep, gens):
     """Smallest truncated subspace containing gens and stable under a, b."""
-    ech = _Echelon(rep)
-    queue = []
-    for g in gens:
-        piv = ech.insert(g)
-        if piv is not None:
-            queue.append(ech.pivots[piv])
+    ech = _Echelon(rep.key)
+    queue = list(gens)
     while queue:
-        v = queue.pop()
-        for img in (rep.apply_a(v), rep.apply_b(v)):
-            if img:
-                piv = ech.insert(img)
-                if piv is not None:
-                    queue.append(ech.pivots[piv])
+        piv = ech.insert(queue.pop())
+        if piv is not None:
+            row = ech.pivots[piv]
+            queue += [img for img in (rep.apply_a(row), rep.apply_b(row))
+                      if img]
     return ech
-
-
-def _stable_rank(rep, ech):
-    """Pivot count per b-level must plateau; the plateau is the rank."""
-    per_level = [0] * rep.M
-    for piv in ech.pivots:
-        per_level[rep.level(piv)] += 1
-    rank = per_level[rep.M - 1]
-    if rank == 0:
-        raise TruncationTooSmall("empty top level at depth %d" % rep.M)
-    # the count grows while new chain directions surface and then sits
-    # at the rank; demand the last growth happens early enough that a
-    # straggler direction would still have been visible
-    last_growth = 0
-    prev = 0
-    for m in range(rep.M):
-        if per_level[m] > prev:
-            last_growth = m
-        prev = per_level[m]
-    if last_growth > rep.M - rank - 2:
-        raise TruncationTooSmall(
-            "pivot count per level has not stabilised at depth %d" % rep.M
-        )
-    return rank
 
 
 def submodule_analysis(rep, gens):
@@ -371,13 +248,23 @@ def submodule_analysis(rep, gens):
 
     Returns a dict with keys rank, normal, codim, dim.  Normality is
     the condition span(F) meet b E = b F, tested on levels below M-1
-    where the truncated image of b is faithful.
+    where the truncated image of b is faithful.  The rank is the pivot
+    count per b-level once it has plateaued.
     """
     ech = span_closure(rep, gens)
-    rank = _stable_rank(rep, ech)
+    per_level = [0] * rep.M
+    for piv in ech.pivots:
+        per_level[rep.level(piv)] += 1
+    rank, _, certified = certified_rank(per_level)
+    if rank == 0:
+        raise TruncationTooSmall("empty top level at depth %d" % rep.M)
+    if not certified:
+        raise TruncationTooSmall(
+            "pivot count per level has not stabilised at depth %d" % rep.M
+        )
     dim = len(ech.pivots)
-    bf = _Echelon(rep)
-    for v in ech.vectors():
+    bf = _Echelon(rep.key)
+    for v in ech.pivots.values():
         img = rep.apply_b(v)
         if img:
             bf.insert(img)
@@ -385,7 +272,8 @@ def submodule_analysis(rep, gens):
     for piv, v in ech.pivots.items():
         if rep.level(piv) == 0:
             continue
-        # pivots at level >= 1 span exactly F meet bE
+        # pivots at level >= 1 span exactly F meet bE; a residual lead
+        # below level M-1 is one that no vector of bF can cancel
         res = bf.reduce(v)
         if any(rep.level(r) < rep.M - 1 for r in res):
             normal = False
@@ -396,53 +284,3 @@ def submodule_analysis(rep, gens):
         "dim": dim,
         "codim": rep.dim - dim,
     }
-
-
-def dump_rep(rep):
-    """Human-readable listing of both matrices, column by column."""
-    def fmt(col):
-        parts = []
-        for r, x in sorted(col.items()):
-            rj, rm = rep.label(r)
-            parts.append("%s (e%d, m=%d)" % (x, rj, rm))
-        return " + ".join(parts) or "0"
-
-    lines = []
-    for i in range(rep.dim):
-        j, m = rep.label(i)
-        lines.append("(e%d, m=%d): a -> %s | b -> %s" % (
-            j, m, fmt(rep.acols.get(i, {})), fmt(rep.bcols.get(i, {}))))
-    return "\n".join(lines)
-
-
-def _solve_exact(g, rhs):
-    """Unique solution of g z = rhs, or None when inconsistent.
-
-    g is known to have full column rank, so the tiny elimination here
-    never has to branch on free variables.
-    """
-    rows = len(g)
-    d = len(g[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(g, rhs)]
-    r = 0
-    pivots = []
-    for c in range(d):
-        sel = next((rr for rr in range(r, rows) if aug[rr][c]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for rr in range(rows):
-            if rr != r and aug[rr][c]:
-                f = aug[rr][c]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
-        pivots.append(c)
-        r += 1
-    for row in aug[r:]:
-        if row[d]:
-            return None
-    sol = [Fraction(0)] * d
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][d]
-    return sol

@@ -229,26 +229,7 @@ def format_series(s):
     return " ".join(parts)
 
 
-def series_arith(op, x, y=None):
-    """Uniform dispatcher over the basic series operations.
 
-    op is one of add, sub, mul, invert, derive, coeff_at.  For coeff_at,
-    y is the integer index and the result is a Fraction; everything else
-    returns a SeriesB.
-    """
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "invert":
-        return x.invert()
-    if op == "derive":
-        return x.derive()
-    if op == "coeff_at":
-        return x.coeff(y)
-    raise ValueError("unknown series operation %r" % (op,))
 
 
 def solve_resonant_ode(form, c, rhs, forbidden_index=None):

@@ -22,6 +22,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fresco import validate_presentation
+from .linalg import Echelon, axpy, certified_rank, solve
 from .series import SeriesB, rat
 
 
@@ -106,14 +107,8 @@ class XiExpansion:
 
     def __add__(self, other):
         self._compat(other)
-        out = dict(self.terms)
-        for pos, c in other.terms.items():
-            w = out.get(pos, Fraction(0)) + c
-            if w:
-                out[pos] = w
-            elif pos in out:
-                del out[pos]
-        return XiExpansion(self.lam, self.depth, self.ncomp, out)
+        return XiExpansion(self.lam, self.depth, self.ncomp,
+                           axpy(dict(self.terms), 1, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -175,15 +170,6 @@ class XiExpansion:
         return "XiExpansion(%s)" % " + ".join(bits)
 
 
-def xi_apply(op, x):
-    """Apply 'a' or 'b' to an expansion."""
-    if op == "a":
-        return x.apply_a()
-    if op == "b":
-        return x.apply_b()
-    raise ValueError("operator must be 'a' or 'b'")
-
-
 def xi_apply_element(u, x):
     """Apply a normal-order element sum a^m c_m(b) to an expansion.
 
@@ -208,20 +194,24 @@ def xi_apply_element(u, x):
 
 
 class XiSpan:
-    """The module generated by an expansion, as a reduced echelon.
+    """The module generated by an expansion, as an echelon.
 
-    rows maps each pivot position to a vector of the span; the span of
-    the rows is the full orbit of the source under a and b inside the
-    truncation window.  The rank is the per-level pivot count after it
-    has stabilized: every chain contributes one pivot per level from
-    its first appearance on, so the count at the last level is the
-    module rank once no chain starts close to the window edge.
+    rows maps each pivot position to a vector of the span, scaled to 1
+    at that position with every other term after it in generation
+    order; the span of the rows is the full orbit of the source under a
+    and b inside the truncation window.  The rank is the per-level
+    pivot count after it has stabilized: every chain contributes one
+    pivot per level from its first appearance on, so the count at the
+    last level is the module rank once no chain starts close to the
+    window edge.
     """
 
     def __init__(self, source, rows, rank):
         self.source = source
         self.rows = rows
         self.rank = rank
+        self._echelon = Echelon(
+            _poskey, {pos: row.terms for pos, row in rows.items()})
 
     @property
     def lam(self):
@@ -233,13 +223,11 @@ class XiSpan:
 
     def reduce(self, x):
         """Residual of x against the span, inside the window."""
-        while not x.is_zero():
-            lead = x.lead()
-            hit = self.rows.get(lead)
-            if hit is None:
-                return x
-            x = x - hit.scale(x.terms[lead])
-        return x
+        if x.lead() not in self.rows:
+            return x
+        self.source._compat(x)
+        return XiExpansion(x.lam, x.depth, x.ncomp,
+                           self._echelon.reduce(x.terms))
 
     def contains(self, x):
         return self.reduce(x).is_zero()
@@ -259,53 +247,26 @@ def xi_generate_module(phi):
     if phi.is_zero():
         raise SemanticError("the zero expansion generates nothing")
     depth = phi.depth
+    ech = Echelon(_poskey)
     rows = {}
     queue = [phi]
     while queue:
-        x = queue.pop()
-        while not x.is_zero():
-            lead = x.lead()
-            hit = rows.get(lead)
-            if hit is None:
-                x = x.scale(1 / x.terms[lead])
-                rows[lead] = x
-                queue.append(x.apply_a())
-                queue.append(x.apply_b())
-                break
-            x = x - hit.scale(x.terms[lead])
+        lead = ech.insert(queue.pop().terms)
+        if lead is not None:
+            x = XiExpansion(phi.lam, depth, phi.ncomp, ech.pivots[lead])
+            rows[lead] = x
+            queue.append(x.apply_a())
+            queue.append(x.apply_b())
     per_level = [0] * depth
     for (_, m, _) in rows:
         per_level[m] += 1
-    rank = per_level[depth - 1]
-    last_growth = 0
-    for m in range(1, depth):
-        if per_level[m] > per_level[m - 1]:
-            last_growth = m
-    if rank == 0 or last_growth > depth - rank - 2:
+    rank, last_growth, certified = certified_rank(per_level)
+    if not certified:
         raise TruncationTooSmall(
             "pivot profile still grows at level %d of %d; cannot certify "
             "rank %d" % (last_growth, depth, rank)
         )
     return XiSpan(phi, rows, rank)
-
-
-class _Echelon:
-    """Plain exact echelon of expansions under a chosen position order."""
-
-    def __init__(self, key):
-        self.key = key
-        self.rows = {}
-
-    def insert(self, x):
-        while not x.is_zero():
-            lead = min(x.terms, key=self.key)
-            hit = self.rows.get(lead)
-            if hit is None:
-                x = x.scale(1 / x.terms[lead])
-                self.rows[lead] = x
-                return lead
-            x = x - hit.scale(x.terms[lead])
-        return None
 
 
 def xi_log_filtration(span):
@@ -316,17 +277,16 @@ def xi_log_filtration(span):
     the least j with rank S_j equal to the full rank.
     """
     depth = span.depth
-    vectors = list(span.rows.values())
     # splitting by the highest log power present needs an echelon that
     # eliminates high logs first
-    ech = _Echelon(_logkey)
+    ech = Echelon(_logkey)
     groups = {}
-    for v in vectors:
-        lead = ech.insert(v)
+    for v in span.rows.values():
+        lead = ech.insert(v.terms)
         if lead is not None:
-            groups.setdefault(lead[2], []).append(ech.rows[lead])
+            groups.setdefault(lead[2], []).append(ech.pivots[lead])
     total = max(groups) + 1 if groups else 1
-    level_ech = _Echelon(_poskey)
+    level_ech = Echelon(_poskey)
     per_level = [0] * depth
     ranks = []
     d = None
@@ -335,14 +295,8 @@ def xi_log_filtration(span):
             lead = level_ech.insert(v)
             if lead is not None:
                 per_level[lead[1]] += 1
-        rank = per_level[depth - 1]
-        last_growth = 0
-        run = 0
-        for m in range(depth):
-            if per_level[m] > run:
-                last_growth = m
-            run = max(run, per_level[m])
-        if rank and last_growth > depth - rank - 2:
+        rank, _, certified = certified_rank(per_level)
+        if rank and not certified:
             raise TruncationTooSmall(
                 "log filtration has not stabilised at depth %d" % depth
             )
@@ -397,37 +351,20 @@ def _annihilator_from_span(span):
     for x in list(w.values()) + [top]:
         positions.update(p for p in x.terms if p[1] <= mmax)
     rows = sorted(positions, key=_poskey)
-    aug = []
-    for pos in rows:
-        aug.append([w[c].terms.get(pos, Fraction(0)) for c in cols]
-                   + [-top.terms.get(pos, Fraction(0))])
-    n = len(cols)
-    piv = []
-    rr = 0
-    for c in range(n):
-        sel = next((i for i in range(rr, len(aug)) if aug[i][c]), None)
-        if sel is None:
-            if cols[c][1] <= ordc:
-                raise NotMonogenicAtTruncation(
-                    "annihilator coefficient %s is undetermined"
-                    % (cols[c],)
-                )
-            continue
-        aug[rr], aug[sel] = aug[sel], aug[rr]
-        inv = 1 / aug[rr][c]
-        aug[rr] = [x * inv for x in aug[rr]]
-        for i in range(len(aug)):
-            if i != rr and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rr])]
-        piv.append(c)
-        rr += 1
-    for row in aug[rr:]:
-        if row[n]:
+    pivots, z = solve(
+        [[w[c].terms.get(pos, Fraction(0)) for c in cols] for pos in rows],
+        [-top.terms.get(pos, Fraction(0)) for pos in rows])
+    pivots = set(pivots)
+    for c, col in enumerate(cols):
+        if c not in pivots and col[1] <= ordc:
             raise NotMonogenicAtTruncation(
-                "no annihilator of degree %d at depth %d" % (r, depth)
+                "annihilator coefficient %s is undetermined" % (col,)
             )
-    sol = {cols[c]: aug[i][n] for i, c in enumerate(piv)}
+    if z is None:
+        raise NotMonogenicAtTruncation(
+            "no annihilator of degree %d at depth %d" % (r, depth)
+        )
+    sol = dict(zip(cols, z))
     coeffs = []
     for m in range(r):
         coeffs.append(SeriesB([sol.get((m, i), Fraction(0))

@@ -11,6 +11,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from frescos.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 RAT = re.compile(r"^-?\d+(/\d+)?$")
@@ -210,6 +212,18 @@ def test_syntax_error_is_domain_exit():
     code, (rep,) = run_json(["analyze", "fresco: (3 | ", "--seed", "1"])
     assert code == EXIT_DOMAIN
     assert rep["error"] == "DslSyntaxError"
+
+
+@pytest.mark.parametrize("fields", [
+    '"depth": 2, "ncomp": 1, "terms": [[1, 1, 1, "1"]]',
+    '"depth": "x", "ncomp": 1, "terms": [[1, 1, 1, "1"]]',
+    '"depth": 8, "ncomp": 1, "terms": [[1, 1.5, 1, "1"]]',
+])
+def test_bad_expansion_json_is_domain_exit(fields):
+    payload = '{"lambda": "1/2", %s}' % fields
+    code, (rep,) = run_json(["xi", payload, "--seed", "1"])
+    assert code == EXIT_DOMAIN
+    assert rep["error"] == "SemanticError"
 
 
 def test_seed_reported_when_not_given():

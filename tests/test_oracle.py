@@ -10,7 +10,6 @@ from frescos.errors import DegenerateTruncation, TruncationTooSmall
 from frescos.fresco import AdaptedModel, validate_presentation
 from frescos.oracle import (
     commutation_defect,
-    dump_rep,
     minimal_annihilator,
     rep_apply,
     span_closure,
@@ -191,13 +190,6 @@ def test_rep_agrees_with_model_action():
         va = rep.apply_a(rep.embed(x))
         wa = rep.embed(model.apply_a(x))
         assert {r: c for r, c in va.items() if rep.level(r) < M} == wa
-
-
-def test_dump_rep_mentions_every_basis_vector():
-    rep = truncate_rep(std2(), 4)
-    text = dump_rep(rep)
-    assert text.count("\n") == 7
-    assert "(e2, m=0): a ->" in text
 
 
 @st.composite

@@ -10,7 +10,7 @@ from frescos.errors import (
     InversionOfNonUnit,
     ResonantObstruction,
 )
-from frescos.series import SeriesB, rat, series_arith, solve_resonant_ode
+from frescos.series import SeriesB, rat, solve_resonant_ode
 
 
 def S(*coeffs, order=None):
@@ -86,18 +86,6 @@ def test_inverse_is_twosided(s, i):
 @given(series_st(), series_st())
 def test_product_commutes(x, y):
     assert x * y == y * x
-
-
-def test_series_arith_dispatch():
-    x, y = S(1, 1, order=4), S(2, 0, 1, order=4)
-    assert series_arith("add", x, y) == x + y
-    assert series_arith("sub", x, y) == x - y
-    assert series_arith("mul", x, y) == x * y
-    assert series_arith("invert", y) == y.invert()
-    assert series_arith("derive", y) == y.derive()
-    assert series_arith("coeff_at", y, 2) == Fraction(1)
-    with pytest.raises(ValueError):
-        series_arith("pow", x, y)
 
 
 # --- resonant ODEs ---

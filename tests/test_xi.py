@@ -23,7 +23,6 @@ from frescos.xi import (
     XiSpan,
     _annihilator_from_span,
     model_from_xi,
-    xi_apply,
     xi_apply_element,
     xi_exponent_split,
     xi_generate_module,
@@ -87,14 +86,6 @@ def test_a_is_a_plain_shift():
     x = term("1/2", 2, 3, coeff="5/7").apply_a()
     assert x.terms == {(1, 3, 3): F(5, 7)}
     assert term("1/2", DEPTH - 1, 0).apply_a().is_zero()
-
-
-def test_apply_dispatch():
-    x = term("1/2", 0, 1)
-    assert xi_apply("a", x) == x.apply_a()
-    assert xi_apply("b", x) == x.apply_b()
-    with pytest.raises(ValueError):
-        xi_apply("c", x)
 
 
 def small_expansions(depth=DEPTH):
@@ -251,7 +242,7 @@ def test_span_closed_under_word(x, word):
     span = xi_generate_module(x)
     y = x
     for op in word:
-        y = xi_apply(op, y)
+        y = getattr(y, "apply_" + op)()
     assert span.contains(y)
 
 
