@@ -7,12 +7,19 @@ shrink by one through a reduction that trades the last two factors for
 one factor (l_k + 1, 1), at the price of solving one resonant ODE in b.
 The module is semi-simple exactly when alpha and all the nested alphas
 vanish.
+
+Alpha, semi-simplicity and the maximal sub and quotient theme classes
+all come from that one reduction chain, so an Analysis of a
+presentation runs it once and derives every answer from its result;
+alpha_invariant, is_semisimple, subtheme_class and quotient_theme_class
+are one-shot views of an Analysis.
 """
 
 from fractions import Fraction
 
 from .errors import (
     AlphaZero,
+    EngineError,
     NotInF0,
     NotPrimitive,
     PValueZero,
@@ -125,7 +132,7 @@ def classify_rank2(p):
     return Rank2Class(lam1, lam2, step, alpha, alpha != 0)
 
 
-def alpha_reduce_step(p, tau=0, order=None):
+def alpha_reduce_step(p, tau=0):
     """Trade rank k >= 3 for rank k-1 without moving alpha.
 
     With S_k normalized away, pick X with b^2 X' - (p_{k-1} - 1) b X =
@@ -142,8 +149,7 @@ def alpha_reduce_step(p, tau=0, order=None):
     if k < 3:
         raise WrongRank("reduction needs rank >= 3, got %d" % k)
     _require_positive_steps(p)
-    if order is None:
-        order = min(default_model_order(p), min(u.order for u in p.units))
+    order = min(default_model_order(p), min(u.order for u in p.units))
     # same module, last unit 1: replaces the generator by S_k^-1 e
     fs = list(p.factors)
     fs[-1] = (fs[-1][0], SeriesB.one(order))
@@ -203,15 +209,14 @@ def rank3_alpha_formula(p):
     return (v * s1).coeff(p1 + p2)
 
 
-def alpha_invariant(p, tau=0):
-    """The alpha invariant of a presentation with positive p-steps.
+def _reduce_chain(p, tau):
+    """alpha of a validated presentation, reduced to rank 2 step by step.
 
-    Rank 2 is the base case; higher ranks go through alpha_reduce_step,
-    which fails with NotInF0 outside the class where alpha is defined.
     The nested rank-2 sub-quotients must split for the value to be a
-    true invariant, so that is checked up front.
+    true invariant, so that is checked before each step;
+    alpha_reduce_step itself fails with NotInF0 outside the class where
+    alpha is defined.
     """
-    p = validate_presentation(p)
     if p.rank < 2:
         raise WrongRank("alpha needs rank >= 2, got %d" % p.rank)
     _require_positive_steps(p)
@@ -228,81 +233,139 @@ def alpha_invariant(p, tau=0):
     return classify_rank2(p).alpha
 
 
-def is_semisimple(p, _memo=None):
-    """Whether the module splits into rank-1 pieces.
+class Analysis:
+    """Every alpha-derived answer about one presentation.
 
-    Rank at most 1 always does.  A zero p-step pins a rank-2 theme
-    inside, so the answer is no.  Otherwise the module is semi-simple
-    exactly when alpha vanishes and both rank k-1 edges are
-    semi-simple; NotInF0 already certifies a non-split sub-quotient.
+    The reduction chain runs once, when the analysis is made.  Its
+    value, or the EngineError it raised, is kept, and alpha,
+    semi-simplicity and both theme classes are read off it.
+    Semi-simplicity also asks the analyses of sub-quotients; one is kept
+    per distinct sub-quotient and shared by the whole recursion.
     """
-    p = validate_presentation(p)
-    if _memo is None:
-        _memo = {}
-    if p in _memo:
-        return _memo[p]
-    k = p.rank
-    if k <= 1:
-        return True
-    if not p.is_primitive():
-        raise NotPrimitive("exponents differ by non integers")
-    if not p.is_principal():
-        raise SemanticError("semi-simplicity test needs principal order")
-    out = True
-    if any(pj == 0 for pj in p.p_values()):
-        out = False
-    elif k == 2:
-        out = classify_rank2(p).alpha == 0
-    else:
+
+    def __init__(self, p, tau=0):
+        self.presentation = validate_presentation(p)
+        self.tau = tau
         try:
-            out = alpha_invariant(p) == 0
+            self._alpha = _reduce_chain(self.presentation, tau)
+        except EngineError as exc:
+            self._alpha = exc
+        self._semisimple = None
+        self._parts = {}
+
+    def alpha(self):
+        """The alpha invariant; raises what the reduction chain raised."""
+        if isinstance(self._alpha, EngineError):
+            raise self._alpha.with_traceback(None)
+        return self._alpha
+
+    def shown_alpha(self):
+        """The alpha a report shows, and the rank-2 theme flag (else None).
+
+        At rank 2 that is the classify_rank2 class, whose alpha is 1 at
+        p_1 = 0 where alpha() raises PValueZero.
+        """
+        if self.presentation.rank != 2:
+            return self.alpha(), None
+        cls = classify_rank2(self.presentation)
+        return cls.alpha, cls.theme
+
+    def semisimple(self):
+        """Whether the module splits into rank-1 pieces.
+
+        Rank at most 1 always does.  A zero p-step pins a rank-2 theme
+        inside, so the answer is no.  Otherwise the module is
+        semi-simple exactly when alpha vanishes and both rank k-1 edges
+        are semi-simple; NotInF0 already certifies a non-split
+        sub-quotient.
+        """
+        if self._semisimple is None:
+            self._semisimple = self._splits()
+        return self._semisimple
+
+    def _splits(self):
+        p = self.presentation
+        k = p.rank
+        if k <= 1:
+            return True
+        if not p.is_primitive():
+            raise NotPrimitive("exponents differ by non integers")
+        if not p.is_principal():
+            raise SemanticError("semi-simplicity test needs principal order")
+        if any(pj == 0 for pj in p.p_values()):
+            return False
+        try:
+            if self.alpha() != 0:
+                return False
         except NotInF0:
-            out = False
-        if out:
-            out = is_semisimple(sub_quotient(p, 1, k - 1), _memo) and \
-                is_semisimple(sub_quotient(p, 2, k), _memo)
-    _memo[p] = out
-    return out
+            return False
+        return self._part(1, k - 1).semisimple() and \
+            self._part(2, k).semisimple()
+
+    def _part(self, i, j):
+        q = sub_quotient(self.presentation, i, j)
+        if q not in self._parts:
+            self._parts[q] = Analysis(q, self.tau)
+            self._parts[q]._parts = self._parts
+        return self._parts[q]
+
+    def _theme_alpha(self, theme):
+        if self.presentation.rank < 2:
+            raise WrongRank("%s needs rank >= 2, got %d"
+                            % (theme, self.presentation.rank))
+        a = self.alpha()
+        if a == 0:
+            raise AlphaZero("alpha vanishes, no %s of full step" % theme)
+        return a
+
+    def subtheme(self):
+        """Class of the maximal subtheme pinned by a nonzero alpha.
+
+        Its exponents are l_1 and l_k + k - 2, its step is the total
+        p(E) = sum p_j, and its parameter is alpha itself.
+        """
+        a = self._theme_alpha("subtheme")
+        p = self.presentation
+        total = sum(p.p_values())
+        return ThemeClass(p.lambdas[0], p.lambdas[-1] + p.rank - 2, total, a)
+
+    def quotient_theme(self):
+        """Class of the maximal quotient theme; parameter scaled from alpha.
+
+        The scale is (-1)^k times the ratio of the two cumulative p
+        products, prefix over suffix; for k = 2 it is alpha itself.
+        """
+        a = self._theme_alpha("quotient theme")
+        p = self.presentation
+        k = p.rank
+        steps = p.p_values()
+        num = Fraction(1)
+        den = Fraction(1)
+        for i in range(k - 2):
+            num *= sum(steps[: i + 1])
+            den *= sum(steps[i + 1:])
+        beta = (-1) ** k * a * num / den
+        return ThemeClass(p.lambdas[0] - k + 2, p.lambdas[-1], sum(steps), beta)
+
+
+def alpha_invariant(p, tau=0):
+    """The alpha invariant of a presentation with positive p-steps."""
+    return Analysis(p, tau).alpha()
+
+
+def is_semisimple(p):
+    """Whether the module splits into rank-1 pieces."""
+    return Analysis(p).semisimple()
 
 
 def subtheme_class(p):
-    """Class of the maximal subtheme pinned by a nonzero alpha.
-
-    Its exponents are l_1 and l_k + k - 2, its step is the total
-    p(E) = sum p_j, and its parameter is alpha itself.
-    """
-    p = validate_presentation(p)
-    if p.rank < 2:
-        raise WrongRank("subtheme needs rank >= 2, got %d" % p.rank)
-    a = alpha_invariant(p)
-    if a == 0:
-        raise AlphaZero("alpha vanishes, no subtheme of full step")
-    total = sum(p.p_values())
-    return ThemeClass(p.lambdas[0], p.lambdas[-1] + p.rank - 2, total, a)
+    """Class of the maximal subtheme pinned by a nonzero alpha."""
+    return Analysis(p).subtheme()
 
 
 def quotient_theme_class(p):
-    """Class of the maximal quotient theme; parameter scaled from alpha.
-
-    The scale is (-1)^k times the ratio of the two cumulative p
-    products, prefix over suffix; for k = 2 it is alpha itself.
-    """
-    p = validate_presentation(p)
-    k = p.rank
-    if k < 2:
-        raise WrongRank("quotient theme needs rank >= 2, got %d" % k)
-    a = alpha_invariant(p)
-    if a == 0:
-        raise AlphaZero("alpha vanishes, no quotient theme of full step")
-    steps = p.p_values()
-    num = Fraction(1)
-    den = Fraction(1)
-    for i in range(k - 2):
-        num *= sum(steps[: i + 1])
-        den *= sum(steps[i + 1:])
-    beta = (-1) ** k * a * num / den
-    total = sum(steps)
-    return ThemeClass(p.lambdas[0] - k + 2, p.lambdas[-1], total, beta)
+    """Class of the maximal quotient theme; parameter scaled from alpha."""
+    return Analysis(p).quotient_theme()
 
 
 def dual_twist_rank2(t, delta):

@@ -19,15 +19,9 @@ from .algebra import (
     expand_factor_form,
     monicize,
 )
-from .alpha import (
-    alpha_invariant,
-    classify_rank2,
-    is_semisimple,
-    quotient_theme_class,
-    subtheme_class,
-)
+from .alpha import Analysis, is_semisimple
 from .dsl import parse_dsl, print_fresco, print_xi
-from .errors import EngineError, SemanticError, WrongRank
+from .errors import EngineError, SemanticError
 from .fresco import AdaptedModel, Presentation, regenerate_presentation
 from .oracle import minimal_annihilator, submodule_analysis, truncate_rep
 from .series import SeriesB, rat_str
@@ -110,40 +104,34 @@ def _theme_block(t):
     }
 
 
-def _alpha_of(p):
-    if p.rank == 2:
-        return classify_rank2(p).alpha
-    return alpha_invariant(p)
+def _why(exc):
+    return "%s: %s" % (type(exc).__name__, exc)
 
 
 def analyze_presentation(p):
+    an = Analysis(p)
     rep = _presentation_block(p)
     rep["bernstein_roots"] = _roots_in_factor_order(p)
     diagnostics = {"unit_orders": [u.order for u in p.units]}
     if p.rank >= 2:
         try:
-            if p.rank == 2:
-                cls = classify_rank2(p)
-                rep["alpha"] = rat_str(cls.alpha)
-                rep["theme"] = cls.theme
-            else:
-                rep["alpha"] = rat_str(alpha_invariant(p))
+            alpha, theme = an.shown_alpha()
+            rep["alpha"] = rat_str(alpha)
+            if theme is not None:
+                rep["theme"] = theme
         except EngineError as exc:
-            diagnostics["alpha_unavailable"] = "%s: %s" % (
-                type(exc).__name__, exc)
+            diagnostics["alpha_unavailable"] = _why(exc)
     try:
-        rep["semisimple"] = is_semisimple(p)
+        rep["semisimple"] = an.semisimple()
     except EngineError as exc:
-        diagnostics["semisimple_unavailable"] = "%s: %s" % (
-            type(exc).__name__, exc)
+        diagnostics["semisimple_unavailable"] = _why(exc)
     if p.rank >= 2:
         try:
-            rep["subtheme"] = _theme_block(subtheme_class(p))
+            rep["subtheme"] = _theme_block(an.subtheme())
             # the quotient theme parameter is the beta invariant
-            rep["quotient_theme"] = _theme_block(quotient_theme_class(p))
+            rep["quotient_theme"] = _theme_block(an.quotient_theme())
         except EngineError as exc:
-            diagnostics["theme_classes_unavailable"] = "%s: %s" % (
-                type(exc).__name__, exc)
+            diagnostics["theme_classes_unavailable"] = _why(exc)
     rep["diagnostics"] = diagnostics
     return rep
 
@@ -166,9 +154,7 @@ def analyze_expansion(x):
     try:
         rep["semisimple"] = is_semisimple(p)
     except EngineError as exc:
-        rep["diagnostics"] = {
-            "semisimple_unavailable": "%s: %s" % (type(exc).__name__, exc)
-        }
+        rep["diagnostics"] = {"semisimple_unavailable": _why(exc)}
     return rep
 
 
@@ -184,25 +170,17 @@ def run_one(command, obj):
         if isinstance(obj, XiExpansion):
             return analyze_expansion(obj)
         return analyze_presentation(obj)
-    if command == "alpha":
-        p = _want_presentation(obj, command)
-        if p.rank < 2:
-            raise WrongRank("alpha needs rank >= 2, got %d" % p.rank)
-        return {
-            "input": print_fresco(p),
-            "alpha": rat_str(_alpha_of(p)),
-            "semisimple": is_semisimple(p),
-        }
-    if command == "ss":
-        p = _want_presentation(obj, command)
-        return {"input": print_fresco(p), "semisimple": is_semisimple(p)}
-    if command == "subtheme":
-        p = _want_presentation(obj, command)
-        return {
-            "input": print_fresco(p),
-            "subtheme": _theme_block(subtheme_class(p)),
-            "quotient_theme": _theme_block(quotient_theme_class(p)),
-        }
+    if command in ("alpha", "ss", "subtheme"):
+        an = Analysis(_want_presentation(obj, command))
+        rep = {"input": print_fresco(an.presentation)}
+        if command == "alpha":
+            rep["alpha"] = rat_str(an.shown_alpha()[0])
+        if command == "subtheme":
+            rep["subtheme"] = _theme_block(an.subtheme())
+            rep["quotient_theme"] = _theme_block(an.quotient_theme())
+        else:
+            rep["semisimple"] = an.semisimple()
+        return rep
     if command == "xi":
         if not isinstance(obj, XiExpansion):
             raise SemanticError("xi expects an expansion literal")

@@ -318,7 +318,7 @@ def parse_dsl(text, order=None, depth=None):
             payload = json.loads(text)
         except ValueError as exc:
             raise DslSyntaxError("bad JSON: %s" % exc)
-        return from_json(payload)
+        return from_json(payload, depth=depth)
     tok = _Parser(text).peek()
     if tok[0] == "name" and tok[1] == "fresco":
         return parse_fresco(text, order=order)
@@ -425,7 +425,7 @@ def _json_int(value, what):
     return value
 
 
-def xi_from_json(d):
+def xi_from_json(d, depth=None):
     if not isinstance(d, dict) or "lambda" not in d or \
             not isinstance(d.get("terms"), (list, tuple)):
         raise SemanticError("expansion payload needs 'lambda' and 'terms'")
@@ -433,7 +433,9 @@ def xi_from_json(d):
         lam = rat(d["lambda"])
     except (TypeError, ValueError) as exc:
         raise SemanticError("bad class representative: %s" % exc)
-    depth = _json_int(d.get("depth", DEFAULT_PARSE_DEPTH), "depth")
+    if depth is None:
+        depth = DEFAULT_PARSE_DEPTH
+    depth = _json_int(d.get("depth", depth), "depth")
     if depth < 4:
         raise SemanticError("truncation depth must be at least 4")
     terms = {}
@@ -462,10 +464,13 @@ def to_json(obj):
     raise TypeError("no JSON form for %r" % type(obj).__name__)
 
 
-def from_json(payload):
-    """Inverse of to_json, deciding the kind by the keys present."""
+def from_json(payload, depth=None):
+    """Inverse of to_json, deciding the kind by the keys present.
+
+    depth is the truncation of an expansion whose payload gives none.
+    """
     if isinstance(payload, dict) and "factors" in payload:
         return fresco_from_json(payload)
     if isinstance(payload, dict) and "terms" in payload:
-        return xi_from_json(payload)
+        return xi_from_json(payload, depth)
     raise SemanticError("payload is neither a presentation nor an expansion")

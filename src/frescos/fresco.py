@@ -16,7 +16,7 @@ which is just the chain e_{j-1} = (a - l_j b) S_j^-1 e_j unrolled.
 
 from fractions import Fraction
 
-from .algebra import AbElement, expand_factor_form, initial_form
+from .algebra import _fit, expand_factor_form, initial_form
 from .errors import (
     IndexOutOfRange,
     MixedPrimitiveClasses,
@@ -212,7 +212,7 @@ class AdaptedModel:
         self.diag = []
         self.sub = []
         for lam, unit in p.factors:
-            u = _at_order(unit, order)
+            u = _fit(unit, order)
             # d_j = lambda_j b + b^2 S_j'/S_j
             d = SeriesB.monomial(lam, 1, order) + \
                 (u.derive().shift(2) * u.invert()).truncate(order)
@@ -267,16 +267,6 @@ class AdaptedModel:
         if out is None:
             return x.scale(SeriesB.zero(x.order))
         return out
-
-
-def _at_order(s, order):
-    if s.order >= order:
-        return s.truncate(order)
-    # units are almost always polynomials given at modest order; extending
-    # them silently would be dishonest, so demand enough coefficients
-    raise OrderUnderflow(
-        "unit known to order %d, model needs %d" % (s.order, order)
-    )
 
 
 def regenerate_presentation(model, g):
@@ -345,16 +335,3 @@ def twist(p, delta):
     p = validate_presentation(p)
     d = rat(delta)
     return validate_presentation([(l + d, u) for l, u in p.factors])
-
-
-def normalize_last_unit(p):
-    """Equivalent presentation of the same module with S_k = 1.
-
-    Uses the generator S_k^-1 e, whose annihilator ends in the bare
-    factor (a - l_k b).
-    """
-    p = validate_presentation(p)
-    fs = list(p.factors)
-    lam, unit = fs[-1]
-    fs[-1] = (lam, SeriesB.one(unit.order))
-    return Presentation(fs)

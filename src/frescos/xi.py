@@ -90,9 +90,6 @@ class XiExpansion:
     def is_zero(self):
         return not self.terms
 
-    def maxlog(self):
-        return max((j for (_, _, j) in self.terms), default=0)
-
     def valuation(self):
         """Least shift m present, or None for zero."""
         if not self.terms:
@@ -329,7 +326,8 @@ def _annihilator_from_span(span):
     top_ji = depth - 1 - vhi
     mmax = top_ji + vlo
     ordc = depth - r - vhi - (vhi - vlo)
-    if ordc < 2:
+    # the initial form reads the b^r coefficient
+    if ordc < max(r, 2):
         raise NotMonogenicAtTruncation(
             "depth %d leaves no room for a degree-%d annihilator"
             % (depth, r)
@@ -372,12 +370,29 @@ def _annihilator_from_span(span):
     return AbElement(coeffs + [SeriesB.one(ordc)])
 
 
+def _rank1_action(u, mu, i=0):
+    """u.(b^i e) in the rank-1 module a e = mu b e, as a series in b.
+
+    There a acts on f(b) e as the weighted shift (a f)_j =
+    (mu + j - 1) f_{j-1}; the result is the remainder of u b^i by
+    (a - mu b), the Bernstein polynomial at mu for a homogeneous u.
+    """
+    out = None
+    for m in range(u.degree + 1):
+        g = u.coeff_series(m).shift(i)
+        for _ in range(m):
+            g = SeriesB([0] + [(mu + j) * c for j, c in enumerate(g.coeffs)],
+                        g.order + 1)
+        out = g if out is None else out + g
+    return out
+
+
 def _roots_from_initial_form(h, lam, r, bound):
     """Peel linear right factors off a homogeneous form, all orders.
 
-    Right division by (a - mu b) leaves a scalar multiple of b^r; mu is
-    extractable when that scalar vanishes.  Each peel at remaining
-    degree d contributes the invariant mu + d.
+    mu is a right root when the form kills the generator of the rank-1
+    module a e = mu b e; only then is (a - mu b) divided out.  Each
+    peel at remaining degree d contributes the invariant mu + d.
     """
     invariants = []
     cur = h
@@ -385,10 +400,9 @@ def _roots_from_initial_form(h, lam, r, bound):
         d = r - stage
         for n in range(bound + 1):
             mu = lam + n
-            q, rem = left_divide(cur, AbElement.linear(mu, r + 2))
-            if rem.coeff_series(0).valuation() is None:
+            if _rank1_action(cur, mu).valuation() is None:
                 invariants.append(mu + d)
-                cur = q
+                cur, _ = left_divide(cur, AbElement.linear(mu, r + 2))
                 break
         else:
             raise NotMonogenicAtTruncation(
@@ -400,20 +414,16 @@ def _roots_from_initial_form(h, lam, r, bound):
 def _peel_unit(ann, mu, k):
     """Factor ann T = Q (a - mu b) with T a unit, T(0) = 1.
 
-    The remainders rho_i of ann b^i sit in b^(k+i) C[[b]], which makes
-    the linear system for the t_i triangular with one resonant row; the
-    resonant coefficient is pinned to 0 and its row must close.
+    The remainders rho_i = ann.(b^i e) of ann b^i by (a - mu b) sit in
+    b^(k+i) C[[b]], which makes the linear system for the t_i
+    triangular with one resonant row; the resonant coefficient is
+    pinned to 0 and its row must close.
     """
     ordc = min(c.order for c in ann.coeffs)
     tmax = ordc - k
     if tmax < 1:
         raise NotMonogenicAtTruncation("no room left to peel a unit")
-    div = AbElement.linear(mu, ordc + 2)
-    rho = []
-    for i in range(tmax + 1):
-        shifted = AbElement([c.shift(i) for c in ann.coeffs])
-        _, rem = left_divide(shifted, div)
-        rho.append(rem.coeff_series(0))
+    rho = [_rank1_action(ann, mu, i) for i in range(tmax + 1)]
     if rho[0].coeff(k):
         raise NotMonogenicAtTruncation(
             "%s is not a right root of the annihilator" % mu
@@ -448,10 +458,10 @@ def model_from_xi(span):
 
     Chain: monic annihilator of the generator, roots of its initial
     form giving the principal exponents, then one unit peel per factor
-    from the right.  The result is cross-checked against the
-    annihilator before it is returned.
+    from the right.  Roots and peels are read off the rank-1 action
+    a e = mu b e instead of trial divisions by (a - mu b).  The result
+    is cross-checked against the annihilator before it is returned.
     """
-    phi = span.source
     r = span.rank
     ann = _annihilator_from_span(span)
     h = initial_form(ann, r)

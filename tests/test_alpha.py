@@ -1,11 +1,14 @@
 """Rank-2 classes, the alpha invariant, semi-simplicity, theme classes."""
 
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frescos.alpha as alpha_module
 from frescos.alpha import (
+    Analysis,
     Rank2Class,
     ThemeClass,
     alpha_invariant,
@@ -27,6 +30,7 @@ from frescos.errors import (
     WrongRank,
 )
 from frescos.fresco import AdaptedModel, regenerate_presentation, twist, validate_presentation
+from frescos.cli import main
 from frescos.series import SeriesB, rat
 
 ORDER = 20
@@ -295,6 +299,47 @@ def test_quotient_theme_rank2_is_alpha():
     p = pres((3, unit(0, 0, 5)), (5, unit()))
     assert quotient_theme_class(p) == ThemeClass(3, 5, 3, 5)
     assert subtheme_class(p) == ThemeClass(3, 5, 3, 5)
+
+
+@pytest.mark.parametrize("text, steps", [
+    # alpha = 1: the chain alone
+    ("fresco: (4 | 1 + b^6) (5 | 1) (6 | 1) (7 | 1)", 2),
+    # alpha = 0: one more step per rank-3 edge that semi-simplicity reads
+    ("fresco: (4 | 1 + b^5) (5 | 1) (6 | 1) (7 | 1)", 4),
+    # NotInF0 after one step, reported for alpha and the theme classes
+    ("fresco: (4 | 1) (5 | 1) (6 | 1 + b^4) (7 | 1)", 1),
+])
+def test_analyze_reduces_each_presentation_once(monkeypatch, text, steps):
+    seen = []
+    step = alpha_module.alpha_reduce_step
+
+    def counted(p, *args, **kwargs):
+        seen.append(p)
+        return step(p, *args, **kwargs)
+
+    monkeypatch.setattr(alpha_module, "alpha_reduce_step", counted)
+    assert main(["analyze", "--seed", "1", text], stdout=io.StringIO()) == 0
+    assert len(seen) == len(set(seen)) == steps
+
+
+def test_analysis_keeps_the_rank2_asymmetry():
+    # a report shows the p_1 = 0 class (alpha 1, a theme), while the
+    # invariant itself and the theme classes refuse the zero step
+    an = Analysis(pres((3, unit(1)), (2, unit())))
+    assert an.shown_alpha() == (1, True)
+    for ask in (an.alpha, an.subtheme, an.quotient_theme):
+        with pytest.raises(PValueZero):
+            ask()
+    assert an.semisimple() is False
+
+
+def test_analysis_views_agree():
+    p = pres((3, unit(0, 1)), (3, unit()), (3, unit()))
+    an = Analysis(p)
+    assert an.shown_alpha() == (alpha_invariant(p), None) == (1, None)
+    assert an.semisimple() is is_semisimple(p) is False
+    assert an.subtheme() == subtheme_class(p)
+    assert an.quotient_theme() == quotient_theme_class(p)
 
 
 def test_dual_twist_frozen():

@@ -226,6 +226,20 @@ def test_bad_expansion_json_is_domain_exit(fields):
     assert rep["error"] == "SemanticError"
 
 
+@pytest.mark.parametrize("shift, literal", [
+    (0, "s^(-1/2) * log^3"),
+    (1, "s^(1/2) * log^3"),
+])
+def test_json_expansion_takes_depth_from_order(shift, literal):
+    # the payload gives no depth, so --order sets it, as for a literal
+    payload = '{"lambda": "1/2", "terms": [[1, %d, 3, "1"]]}' % shift
+    code, (rep,) = run_json(["xi", "--seed", "1", "--order", "32", payload])
+    assert code == EXIT_OK
+    assert rep["depth"] == 32
+    assert run_json(["xi", "--seed", "1", "--order", "32", literal]) == \
+        (code, [rep])
+
+
 def test_seed_reported_when_not_given():
     code, (rep,) = run_json(["ss", "fresco: (3 | 1)"])
     assert code == EXIT_OK

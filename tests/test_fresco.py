@@ -20,7 +20,6 @@ from frescos.fresco import (
     bernstein,
     default_model_order,
     fundamental_invariants,
-    normalize_last_unit,
     regenerate_presentation,
     sub_quotient,
     trivial_units,
@@ -191,11 +190,3 @@ def test_twist():
     assert q.lambdas == (rat("9/2"), rat("11/2"))
     with pytest.raises(NotGeometric):
         twist(p, rat("-3"))
-
-
-def test_normalize_last_unit():
-    p = pres(("5/2", unit(0, 3)), ("7/2", unit(4)))
-    q = normalize_last_unit(p)
-    assert q.units[1].same_upto(SeriesB.one(ORDER), ORDER)
-    assert q.units[0] == p.units[0]
-    assert q.lambdas == p.lambdas

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from frescos.cli import main
+from frescos.cli import EXIT_USAGE, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -40,6 +40,35 @@ def test_golden_report(case):
         want = fh.read()
     assert text == want
     assert code == case["exit"]
+
+
+def _presentation_argvs():
+    """Each golden presentation query past argument parsing, once."""
+    seen = {}
+    for case in _cases():
+        argv = [a for a in case["argv"] if a not in ("--format", "json")]
+        if argv[0] in ("analyze", "alpha", "ss", "subtheme") and \
+                argv[-1].startswith("fresco") and case["exit"] != EXIT_USAGE:
+            seen.setdefault(json.dumps(argv), argv)
+    return list(seen.values())
+
+
+def _json_report(argv, order):
+    if "--order" in argv:
+        at = argv.index("--order")
+        argv = argv[:at] + argv[at + 2:]
+    out = io.StringIO()
+    code = main(argv + ["--order", str(order), "--format", "json"],
+                stdout=out)
+    report = json.loads(out.getvalue())
+    report.get("diagnostics", {}).pop("unit_orders", None)
+    return code, report
+
+
+@pytest.mark.parametrize("argv", _presentation_argvs(), ids=" ".join)
+def test_presentation_reports_do_not_move_with_order(argv):
+    order = int(argv[argv.index("--order") + 1]) if "--order" in argv else 32
+    assert _json_report(argv, order + 16) == _json_report(argv, order)
 
 
 def _regenerate():

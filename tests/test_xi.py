@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frescos.algebra import AbElement, left_divide
 from frescos.alpha import classify_rank2, is_semisimple
 from frescos.errors import (
     NotMonogenicAtTruncation,
@@ -18,10 +19,13 @@ from frescos.errors import (
     TruncationTooSmall,
 )
 from frescos.fresco import bernstein
+from frescos.series import SeriesB
+import frescos.xi as xi_module
 from frescos.xi import (
     XiExpansion,
     XiSpan,
     _annihilator_from_span,
+    _rank1_action,
     model_from_xi,
     xi_apply_element,
     xi_exponent_split,
@@ -307,3 +311,36 @@ def test_no_logs_means_semisimple(phi):
     p = model_from_xi(span)
     d = xi_log_filtration(span)["d"]
     assert (d == 1) == is_semisimple(p)
+
+
+# --- the rank-1 action against division ---
+
+ACTION_ORDER = 12
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(small, max_size=6), min_size=1, max_size=4),
+       small, st.integers(0, 3))
+def test_rank1_action_is_the_remainder(slots, mu, i):
+    # left_divide is the reference: u b^i = q (a - mu b) + r
+    u = AbElement([SeriesB(cs, ACTION_ORDER) for cs in slots])
+    shifted = AbElement([c.shift(i) for c in u.coeffs])
+    _, r = left_divide(shifted, AbElement.linear(mu, ACTION_ORDER + 2))
+    assert r.degree == 0
+    got = _rank1_action(u, mu, i)
+    assert got.order >= r.coeff_series(0).order >= ACTION_ORDER
+    assert got.same_upto(r.coeff_series(0), ACTION_ORDER)
+
+
+def test_one_division_per_root_and_per_peel(monkeypatch):
+    divisions = []
+
+    def counted(u, p):
+        divisions.append(p.degree)
+        return left_divide(u, p)
+
+    monkeypatch.setattr(xi_module, "left_divide", counted)
+    span = xi_generate_module(term("1/2", 0, 3, depth=20))
+    assert model_from_xi(span).rank == span.rank == 4
+    assert divisions == [1] * (2 * span.rank)
