@@ -17,12 +17,17 @@ from math import comb
 from .errors import NonMonicDivisor, OrderUnderflow
 from .series import SeriesB, rat
 
+_ZERO = Fraction(0)
+
 
 def _D(s):
     """b^2 d/db, the correction picked up when a series crosses one a."""
     if s.order == 0:
         raise OrderUnderflow("series known only to order 0 cannot cross a")
-    return s.derive().shift(2)
+    cs = s.coeffs
+    return SeriesB._make((_ZERO, _ZERO) + tuple(
+        [cs[i] * i if cs[i] else _ZERO for i in range(1, s.order + 1)]),
+        s.order + 1)
 
 
 def _is_zero(s):

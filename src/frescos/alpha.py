@@ -94,9 +94,13 @@ class ThemeClass:
             self.low, self.high, self.p, self.parameter)
 
 
-def _require_positive_steps(p):
+def _require_primitive(p):
     if not p.is_primitive():
         raise NotPrimitive("exponents differ by non integers")
+
+
+def _require_positive_steps(p):
+    _require_primitive(p)
     for j, pj in enumerate(p.p_values(), start=1):
         if pj.denominator != 1 or pj < 0:
             raise SemanticError(
@@ -118,8 +122,7 @@ def classify_rank2(p):
     p = validate_presentation(p)
     if p.rank != 2:
         raise WrongRank("rank-2 classification got rank %d" % p.rank)
-    if not p.is_primitive():
-        raise NotPrimitive("exponents differ by a non integer")
+    _require_primitive(p)
     lam1, lam2 = p.lambdas
     step = p.p_values()[0]
     if step < 0:
@@ -288,8 +291,7 @@ class Analysis:
         k = p.rank
         if k <= 1:
             return True
-        if not p.is_primitive():
-            raise NotPrimitive("exponents differ by non integers")
+        _require_primitive(p)
         if not p.is_principal():
             raise SemanticError("semi-simplicity test needs principal order")
         if any(pj == 0 for pj in p.p_values()):

@@ -5,7 +5,10 @@ space over the rationals with basis b^m e_j (m < M, j = 1..k).  The
 action of a and b is stored as explicit sparse columns, so everything
 downstream is plain exact linear algebra with no series machinery
 involved.  Both a and b only ever raise the b-level m, which is why
-coordinates below the truncation stay exact.  The elimination itself
+coordinates below the truncation stay exact.  The diagonal entries
+b^2 S_j'/S_j of the a-matrix are solved for here on plain Fraction
+lists, not read from the series layer, so a fault in the series kernel
+cannot cancel out on both sides of a comparison.  The elimination itself
 lives in linalg.py, the only module the oracle shares with the
 expansion side; it holds no engine code.
 """
@@ -13,8 +16,8 @@ expansion side; it holds no engine code.
 from fractions import Fraction
 
 from .algebra import AbElement
-from .errors import DegenerateTruncation, TruncationTooSmall
-from .fresco import AdaptedModel, validate_presentation
+from .errors import DegenerateTruncation, OrderUnderflow, TruncationTooSmall
+from .fresco import validate_presentation
 from .linalg import axpy, certified_rank, solve
 # perfbench/tracer.py counts span_closure's inserts through oracle._Echelon
 from .linalg import Echelon as _Echelon
@@ -85,14 +88,18 @@ def truncate_rep(p, M):
     if M < 4:
         raise ValueError("truncation depth must be at least 4")
     p = validate_presentation(p)
-    model = AdaptedModel(p, order=max(M, 4))
     k = p.rank
     acols = {}
     bcols = {}
     rep = TruncatedRep(k, M, p, acols, bcols)
-    for j in range(1, k + 1):
-        d = model.diag[j - 1]
-        s = model.sub[j - 1]
+    for j, (lam, unit) in enumerate(p.factors, start=1):
+        if unit.order < M:
+            raise OrderUnderflow(
+                "series known to order %d, need %d" % (unit.order, M))
+        s = list(unit.coeffs[:M])
+        # d_j = lambda_j b + b^2 S_j'/S_j
+        d = _b2_log_derivative(s)
+        d[1] += lam
         for m in range(M):
             i = rep.idx(j, m)
             if m + 1 < M:
@@ -100,8 +107,8 @@ def truncate_rep(p, M):
             col = {}
             # b^m d_j e_j plus the m b^{m+1} e_j crossing term
             for t in range(1, M - m):
-                if d.coeffs[t]:
-                    col[rep.idx(j, m + t)] = d.coeffs[t]
+                if d[t]:
+                    col[rep.idx(j, m + t)] = d[t]
             if m + 1 < M:
                 r = rep.idx(j, m + 1)
                 col[r] = col.get(r, Fraction(0)) + m
@@ -109,10 +116,28 @@ def truncate_rep(p, M):
                     del col[r]
             if j > 1:
                 for t in range(M - m):
-                    if s.coeffs[t]:
-                        col[rep.idx(j - 1, m + t)] = s.coeffs[t]
+                    if s[t]:
+                        col[rep.idx(j - 1, m + t)] = s[t]
             acols[i] = col
     return rep
+
+
+def _b2_log_derivative(s):
+    """b^2 S'/S to the length of s, for a unit with s[0] == 1.
+
+    Solves S q = b^2 S' row by row on plain Fractions: q_t is the b^t
+    coefficient (t - 1) s_(t-1) of b^2 S' minus sum_i s_i q_(t-i).
+    """
+    terms = [(i, c) for i, c in enumerate(s) if i and c]
+    q = []
+    for t in range(len(s)):
+        acc = (t - 1) * s[t - 1] if t >= 2 else Fraction(0)
+        for i, c in terms:
+            if i > t:
+                break
+            acc -= c * q[t - i]
+        q.append(acc)
+    return q
 
 
 def rep_apply(rep, u, vec):

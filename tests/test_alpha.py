@@ -1,6 +1,7 @@
 """Rank-2 classes, the alpha invariant, semi-simplicity, theme classes."""
 
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,18 @@ def test_classify_wrong_rank():
 def test_classify_not_primitive():
     with pytest.raises(NotPrimitive):
         classify_rank2(pres(("5/2", unit()), (3, unit())))
+
+
+def test_not_primitive_has_one_wording():
+    out = io.StringIO()
+    text = "fresco: (5/2 | 1) (3 | 1)"
+    assert main(["analyze", "--format", "json", "--seed", "1", text],
+                stdout=out) == 0
+    diag = json.loads(out.getvalue())["diagnostics"]
+    want = "NotPrimitive: exponents differ by non integers"
+    assert diag["alpha_unavailable"] == want
+    assert diag["semisimple_unavailable"] == want
+    assert diag["theme_classes_unavailable"] == want
 
 
 def test_classify_needs_principal_order():

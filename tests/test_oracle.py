@@ -227,3 +227,57 @@ def test_oracle_presentation_kills_generator(p):
     u = expand_factor_form(p.factors, M)
     img = rep_apply(rep, u, x)
     assert all(rep.level(r) >= M - p.rank for r in img)
+
+
+@st.composite
+def unit_presentations(draw):
+    """Rank 1-3 with units up to order M: sparse or dense, mixed signs."""
+    k = draw(st.integers(1, 3))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    fs = []
+    for j in range(1, k + 1):
+        lam = draw(st.fractions(min_value=k - j + Fraction(1, 2),
+                                max_value=k - j + 5, max_denominator=3))
+        cs = draw(st.lists(coeffs, min_size=0, max_size=M))
+        fs.append((lam, unit(*cs)))
+    return validate_presentation(fs)
+
+
+def _columns_from_model(p):
+    """The a-columns built from AdaptedModel.diag, the engine's own d_j."""
+    model = AdaptedModel(p, order=M)
+    rep = truncate_rep(p, M)
+    cols = {}
+    for j in range(1, p.rank + 1):
+        d, s = model.diag[j - 1], model.sub[j - 1]
+        for m in range(M):
+            col = {}
+            for t in range(1, M - m):
+                col[rep.idx(j, m + t)] = d.coeffs[t]
+            if m + 1 < M:
+                r = rep.idx(j, m + 1)
+                col[r] = col.get(r, Fraction(0)) + m
+            if j > 1:
+                for t in range(M - m):
+                    col[rep.idx(j - 1, m + t)] = s.coeffs[t]
+            cols[rep.idx(j, m)] = {r: c for r, c in col.items() if c}
+    return cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_presentations())
+def test_a_columns_match_the_adapted_model(p):
+    assert truncate_rep(p, M).acols == _columns_from_model(p)
+
+
+def test_truncate_rep_needs_no_series_arithmetic(monkeypatch):
+    p = pres((3, (1, "-1/2", 2)), (3, ()), (3, (0, -2, 0, "5/3")))
+    want = truncate_rep(p, M)
+
+    def refuse(*args):
+        raise AssertionError("the oracle used series arithmetic")
+
+    for name in ("__mul__", "__rmul__", "invert", "derive"):
+        monkeypatch.setattr(SeriesB, name, refuse)
+    got = truncate_rep(p, M)
+    assert (got.acols, got.bcols) == (want.acols, want.bcols)

@@ -1,10 +1,13 @@
 """Series layer: exact arithmetic, truncation honesty, resonant ODEs."""
 
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import frescos.series as series_module
 from frescos.errors import (
     CoefficientBeyondOrder,
     InversionOfNonUnit,
@@ -88,6 +91,140 @@ def test_product_commutes(x, y):
     assert x * y == y * x
 
 
+def test_monomial_refuses_negative_exponent():
+    with pytest.raises(ValueError):
+        SeriesB.monomial(3, -2, 5)
+    assert SeriesB.monomial(3, 0, 5) == S(3, order=5)
+
+
+# --- the scaled-integer kernel against a schoolbook reference ---
+
+
+def schoolbook_product(x, y):
+    n = min(x.order, y.order)
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += x.coeffs[i] * y.coeffs[j]
+    return out
+
+
+def schoolbook_inverse(x):
+    inv = [1 / x.coeffs[0]]
+    for n in range(1, x.order + 1):
+        acc = sum((x.coeffs[i] * inv[n - i] for i in range(1, n + 1)),
+                  Fraction(0))
+        inv.append(-acc / x.coeffs[0])
+    return inv
+
+
+def in_lowest_terms(s):
+    return all(type(c) is Fraction and c.denominator > 0 and
+               gcd(c.numerator, c.denominator) == 1 for c in s.coeffs)
+
+
+small_coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+# mixed signs, and coprime numerators and denominators of 30 bits and more
+kernel_coeffs = small_coeffs | st.builds(
+    Fraction,
+    st.integers(-(1 << 40), 1 << 40),
+    st.integers(1 << 30, 1 << 36),
+)
+
+
+@st.composite
+def kernel_series(draw, max_order=140, unit=False, big_dense_order=140):
+    """Zero, sparse (up to 4 terms), dense or constant, at orders 0..max_order.
+
+    A constant series c + c b + c b^2 + ... makes the product reach the
+    largest coefficient the Kronecker slot width is chosen for.
+
+    Dense series take large coefficients only up to big_dense_order:
+    the inverse of a dense series with many unrelated 33-bit
+    denominators has coefficients of thousands of digits at order 140,
+    and the schoolbook reference alone needs seconds for one.
+    """
+    order = draw(st.integers(0, max_order))
+    kind = draw(st.sampled_from(["zero", "sparse", "dense", "constant"]))
+    cs = [Fraction(0)] * (order + 1)
+    if kind == "constant":
+        cs = [draw(kernel_coeffs)] * (order + 1)
+    elif kind == "dense":
+        coeffs = kernel_coeffs if order <= big_dense_order else small_coeffs
+        cs = draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1))
+    elif kind == "sparse":
+        terms = draw(st.dictionaries(st.integers(0, order), kernel_coeffs,
+                                     max_size=4))
+        for i, c in terms.items():
+            cs[i] = c
+    if unit and not cs[0]:
+        cs[0] = draw(kernel_coeffs.filter(bool))
+    return SeriesB(cs, order)
+
+
+PATHS = {
+    "rule": series_module._pairs_are_cheaper,
+    "pairs": lambda *args: True,
+    "kronecker": lambda *args: False,
+}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@settings(max_examples=40, deadline=None)
+@given(kernel_series(), kernel_series())
+def test_product_matches_schoolbook(path, x, y):
+    with mock.patch.object(series_module, "_pairs_are_cheaper", PATHS[path]):
+        got = x * y
+    assert got.order == min(x.order, y.order)
+    assert list(got.coeffs) == schoolbook_product(x, y)
+    assert in_lowest_terms(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_series(unit=True, big_dense_order=24))
+def test_inverse_matches_schoolbook(s):
+    inv = s.invert()
+    assert inv.order == s.order
+    assert list(inv.coeffs) == schoolbook_inverse(s)
+    assert in_lowest_terms(inv)
+    assert s * inv == SeriesB.one(s.order)
+
+
+def test_kronecker_slot_holds_the_largest_coefficient():
+    # c_k = (k + 1) x y is as large as the slot width allows at k = m - 1
+    for m in (2, 3, 7, 33):
+        for bits in range(1, 24):
+            for x, y in ((1, 1), (1, -1), (-1, -1)):
+                x *= (1 << bits) - 1
+                y *= (1 << bits) - 1
+                got = series_module._kronecker([x] * m, [y] * m, m)
+                assert got == [(k + 1) * x * y for k in range(m)]
+
+
+def test_the_cost_rule_takes_both_paths():
+    dense = SeriesB([Fraction(i % 7 - 3, 1 + i % 4) for i in range(129)])
+    sparse = SeriesB.one(128) + SeriesB.monomial(Fraction(5, 3), 3, 128)
+    kron = mock.patch.object(series_module, "_kronecker",
+                             wraps=series_module._kronecker)
+    with kron as spy:
+        assert list((dense * dense).coeffs) == \
+            schoolbook_product(dense, dense)
+        assert spy.call_count == 1
+        assert list((sparse * dense).coeffs) == \
+            schoolbook_product(sparse, dense)
+        assert spy.call_count == 1
+
+
+def test_products_of_monomials_and_zeros():
+    x = S(0, 0, Fraction(-7, 2), order=6)
+    y = S(Fraction(1, 3), 5, 0, 0, 0, Fraction(2, 9), 1)
+    assert (x * y).coeffs == (0, 0, Fraction(-7, 6), Fraction(-35, 2),
+                              0, 0, 0)
+    assert SeriesB.one(4) * y == y.truncate(4)
+    assert SeriesB.zero(9) * y == SeriesB.zero(6)
+    assert S(5, order=0) * y == S(Fraction(5, 3))
+
+
 # --- resonant ODEs ---
 
 
@@ -155,3 +292,18 @@ def test_format():
     assert str(S(1, 0, 3, 0, 0, Fraction(-1, 2))) == "1 + 3b^2 - 1/2b^5"
     assert str(S(0, 1, -1)) == "b - b^2"
     assert str(SeriesB.zero(3)) == "0"
+
+
+def test_inverse_takes_both_recurrences():
+    structured = S(Fraction(-2, 5), Fraction(-4, 3), 0, Fraction(5, 9),
+                   Fraction(1, 27), order=40)
+    # 41 unrelated denominators: their lcm would swamp the integer form
+    inflated = SeriesB([Fraction(3, 7)] + [Fraction(1, (1 << 31) + 2 * i + 1)
+                                           for i in range(40)])
+    rec = mock.patch.object(series_module, "_recurrence",
+                            wraps=series_module._recurrence)
+    with rec as spy:
+        for s, on_integers in ((structured, True), (inflated, False)):
+            assert list(s.invert().coeffs) == schoolbook_inverse(s)
+            h0 = spy.call_args.args[1]
+            assert (type(h0) is int) is on_integers
