@@ -24,7 +24,7 @@ from .dsl import parse_dsl, print_fresco, print_xi
 from .errors import EngineError, SemanticError
 from .fresco import AdaptedModel, Presentation, regenerate_presentation
 from .oracle import minimal_annihilator, submodule_analysis, truncate_rep
-from .series import SeriesB, rat_str
+from .series import DEFAULT_ORDER, SeriesB, rat_str
 from .xi import XiExpansion, model_from_xi, xi_generate_module, xi_log_filtration
 
 EXIT_OK = 0
@@ -42,8 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=32,
-                        help="series truncation order (default 32)")
+    common.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                        help="series truncation order (default %(default)s)")
     common.add_argument("--oracle-depth", type=int, default=None,
                         help="oracle truncation depth (default: --order)")
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -390,6 +390,8 @@ def _main(argv, stdin, stdout):
     }
     if ns.order < 4 or req["oracle_depth"] < 4:
         parser.error("truncations below 4 cannot support the engine")
+    if ns.samples < 0:
+        parser.error("--samples cannot be negative")
 
     head = {"command": ns.command, "seed": seed}
     try:

@@ -15,11 +15,8 @@ from fractions import Fraction
 
 from .errors import DslSyntaxError, MixedPrimitiveClasses, SemanticError
 from .fresco import Presentation, validate_presentation
-from .series import SeriesB, format_series, rat, rat_str
+from .series import DEFAULT_ORDER, SeriesB, format_series, rat, rat_str
 from .xi import XiExpansion, xi_exponent_split
-
-DEFAULT_PARSE_ORDER = 16
-DEFAULT_PARSE_DEPTH = 16
 
 _PUNCT = "()[]|@^*+-:/"
 
@@ -163,7 +160,7 @@ def _poly_terms(p, var, stop):
 def _series_from_terms(terms, order, where):
     top = max(terms)
     if order is None:
-        order = max(top, DEFAULT_PARSE_ORDER)
+        order = max(top, DEFAULT_ORDER)
     elif top > order:
         raise SemanticError(
             "%s has a b^%d term past the working order %d" % (where, top, order)
@@ -186,7 +183,7 @@ def parse_fresco(text, order=None):
 
     The leading 'fresco:' tag is optional so bare factor lists also
     parse.  All units share one working order: the given one, or the
-    largest exponent present (at least DEFAULT_PARSE_ORDER).
+    largest exponent present (at least DEFAULT_ORDER).
     """
     p = _Parser(text)
     tok = p.peek()
@@ -207,7 +204,7 @@ def parse_fresco(text, order=None):
         p.fail("trailing input after the last factor")
     if order is None:
         top = max(max(t) for _, t in raw)
-        order = max(top, DEFAULT_PARSE_ORDER)
+        order = max(top, DEFAULT_ORDER)
     factors = [
         (lam, _series_from_terms(t, order, "unit %d" % (i + 1)))
         for i, (lam, t) in enumerate(raw)
@@ -215,15 +212,13 @@ def parse_fresco(text, order=None):
     return validate_presentation(factors)
 
 
-def parse_xi(text, depth=None, ncomp=None):
+def parse_xi(text, depth=DEFAULT_ORDER, ncomp=None):
     """Expansion literal to an XiExpansion.
 
     Summands look like '2 * s^(3/2) * log^2 * [1 + 2s] @ v1'; the
     coefficient, log part, shift polynomial and component are each
     optional.  Exponents must all lie in one class mod 1.
     """
-    if depth is None:
-        depth = DEFAULT_PARSE_DEPTH
     p = _Parser(text)
     tok = p.peek()
     if tok[0] == "name" and tok[1] == "xi":
@@ -306,7 +301,7 @@ def parse_xi(text, depth=None, ncomp=None):
     return XiExpansion(lam, depth, ncomp or top_comp, terms)
 
 
-def parse_dsl(text, order=None, depth=None):
+def parse_dsl(text, order=None, depth=DEFAULT_ORDER):
     """One input, either grammar: returns a Presentation or an XiExpansion.
 
     Lines starting with '{' are treated as the JSON mirror; otherwise
@@ -374,10 +369,13 @@ def series_to_json(s):
 
 
 def series_from_json(d):
-    if not isinstance(d, dict) or "coeffs" not in d:
+    if not isinstance(d, dict) or \
+            not isinstance(d.get("coeffs"), (list, tuple)):
         raise SemanticError("series payload needs a 'coeffs' list")
+    order = d.get("order")
     try:
-        return SeriesB([rat(c) for c in d["coeffs"]], d.get("order"))
+        return SeriesB([rat(c) for c in d["coeffs"]],
+                       None if order is None else _json_int(order, "order"))
     except (TypeError, ValueError) as exc:
         raise SemanticError("bad series payload: %s" % exc)
 
@@ -425,7 +423,7 @@ def _json_int(value, what):
     return value
 
 
-def xi_from_json(d, depth=None):
+def xi_from_json(d, depth=DEFAULT_ORDER):
     if not isinstance(d, dict) or "lambda" not in d or \
             not isinstance(d.get("terms"), (list, tuple)):
         raise SemanticError("expansion payload needs 'lambda' and 'terms'")
@@ -433,8 +431,6 @@ def xi_from_json(d, depth=None):
         lam = rat(d["lambda"])
     except (TypeError, ValueError) as exc:
         raise SemanticError("bad class representative: %s" % exc)
-    if depth is None:
-        depth = DEFAULT_PARSE_DEPTH
     depth = _json_int(d.get("depth", depth), "depth")
     if depth < 4:
         raise SemanticError("truncation depth must be at least 4")
@@ -464,7 +460,7 @@ def to_json(obj):
     raise TypeError("no JSON form for %r" % type(obj).__name__)
 
 
-def from_json(payload, depth=None):
+def from_json(payload, depth=DEFAULT_ORDER):
     """Inverse of to_json, deciding the kind by the keys present.
 
     depth is the truncation of an expansion whose payload gives none.

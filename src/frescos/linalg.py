@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals: the one elimination kernel.
 
-Sparse vectors are dicts from positions to nonzero Fractions; dense
-systems are lists of rows.  Both the matrix oracle and the expansion
-module use this kernel, and it imports nothing from the rest of the
-package, so the oracle still shares no engine code.
+Sparse vectors are dicts from positions to nonzero Fractions; solve
+runs on the one elimination, the Echelon.  Both the matrix oracle and
+the expansion module use this kernel, and it imports nothing from the
+rest of the package, so the oracle still shares no engine code.
 """
 
 from fractions import Fraction
@@ -58,36 +58,41 @@ class Echelon:
         return lead
 
 
-def solve(rows, rhs):
-    """Gauss-Jordan solve of rows z = rhs over the rationals.
+class _Tag:
+    """Unit tag of one column of solve, ordered after every position."""
 
-    Returns (pivots, z): pivots lists the pivot columns in increasing
-    order, and z is the solution with every free unknown set to 0, or
-    None when the system is inconsistent.  The pivot columns are the
-    columns independent of those before them, so they do not depend on
-    the right hand side.
+    def __init__(self, col):
+        self.col = col
+
+
+def solve(cols, rhs, key):
+    """Solve sum_j z_j cols[j] = rhs over the rationals on an Echelon.
+
+    cols and rhs are sparse vectors over positions ordered by key.  Each
+    column carries a unit tag on its own index, ordered after every
+    position, so a pivot row records the column combination that made
+    it; a column whose positions reduce to zero never enters.  Reducing
+    rhs then leaves rhs - sum_j z_j cols[j] on the positions and -z on
+    the tags.  Returns (pivots, z): the independent columns in order,
+    and the solution with every free unknown 0, or None when the
+    system is inconsistent.
     """
-    n = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    def order(p):
+        return (1, p.col) if type(p) is _Tag else (0, key(p))
+
+    ech = Echelon(order)
     pivots = []
-    for c in range(n):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-    if any(row[n] for row in aug[len(pivots):]):
+    for j, col in enumerate(cols):
+        vec = ech.reduce({**col, _Tag(j): Fraction(1)})
+        if type(min(vec, key=order)) is not _Tag:
+            ech.insert(vec)
+            pivots.append(j)
+    res = ech.reduce(rhs)
+    if any(type(p) is not _Tag for p in res):
         return pivots, None
-    z = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        z[c] = aug[i][n]
+    z = [Fraction(0)] * len(cols)
+    for tag, x in res.items():
+        z[tag.col] = -x
     return pivots, z
 
 

@@ -8,9 +8,10 @@ involved.  Both a and b only ever raise the b-level m, which is why
 coordinates below the truncation stay exact.  The diagonal entries
 b^2 S_j'/S_j of the a-matrix are solved for here on plain Fraction
 lists, not read from the series layer, so a fault in the series kernel
-cannot cancel out on both sides of a comparison.  The elimination itself
-lives in linalg.py, the only module the oracle shares with the
-expansion side; it holds no engine code.
+cannot cancel out on both sides of a comparison.  The elimination itself,
+one sparse echelon that also solves the annihilator systems, lives in
+linalg.py, the only module the oracle shares with the expansion side;
+it holds no engine code.
 """
 
 from fractions import Fraction
@@ -174,22 +175,20 @@ def commutation_defect(rep):
     return defects
 
 
-def minimal_annihilator(rep, x, dmax=None):
+def minimal_annihilator(rep, x):
     """Monic operator of least a-degree killing x, modulo b^(M-d-v).
 
     The unknown is  a^d + sum_m a^m c_m(b)  in normal order, so the
     series act before the a-powers.  Writing c_m = sum_i c_{m,i} b^i,
     the level v+t rows of the equation involve c_{m,i} only for i <= t
     (v is the b-valuation of x), and the i = t block is independent of
-    t because a^m b^t = b^t (a + t b)^m.  Degrees are tried from 1 up;
-    a degenerate constant block raises DegenerateTruncation.
+    t because a^m b^t = b^t (a + t b)^m.  Degrees are tried from 1 up
+    to the rank; a degenerate constant block raises DegenerateTruncation.
     """
     if not x:
         raise ValueError("zero vector has no minimal annihilator")
-    if dmax is None:
-        dmax = rep.k
     v = min(rep.level(i) for i in x)
-    for d in range(1, dmax + 1):
+    for d in range(1, rep.k + 1):
         got = _solve_layers(rep, x, d, v)
         if got is not None:
             ordc = rep.M - d - v
@@ -197,7 +196,7 @@ def minimal_annihilator(rep, x, dmax=None):
                 [SeriesB(cs, ordc) for cs in got] + [SeriesB.one(ordc)]
             )
     raise DegenerateTruncation(
-        "no monic annihilator of degree <= %d at depth %d" % (dmax, rep.M)
+        "no monic annihilator of degree <= %d at depth %d" % (rep.k, rep.M)
     )
 
 
@@ -212,7 +211,7 @@ def _shift(rep, vec, i):
 
 
 def _solve_layers(rep, x, d, v):
-    """Forward solve for the series slices; None if inconsistent."""
+    """Forward solve, level by level on one residual; None if inconsistent."""
     M = rep.M
     ordc = M - d - v
     if ordc < 2:
@@ -226,24 +225,18 @@ def _solve_layers(rep, x, d, v):
         for _ in range(d - 1):
             chain.append(rep.apply_a(chain[-1]))
         w.append(chain)
-    top = rep.apply_a(w[0][d - 1])
+    # res = -a^d x - sum of the slices solved so far
+    res = axpy({}, -1, rep.apply_a(w[0][d - 1]))
     coeffs = [[] for _ in range(d)]
     for t in range(ordc + 1):
-        rhs = []
-        for j in range(1, rep.k + 1):
-            acc = -top.get(rep.idx(j, v + t), Fraction(0))
-            for m in range(d):
-                for i in range(t):
-                    if coeffs[m][i]:
-                        acc -= coeffs[m][i] * w[i][m].get(
-                            rep.idx(j, v + t), Fraction(0))
-            rhs.append(acc)
+        level = [rep.idx(j, v + t) for j in range(1, rep.k + 1)]
         # the level-(v+t) block of b^t x, ..., a^{d-1} b^t x equals the
         # level-v block of x, ax, ..., a^{d-1} x because
         # a^m b^t = b^t (a + t b)^m, so its rank is the same for every t
-        gt = [[w[t][m].get(rep.idx(j, v + t), Fraction(0))
-               for m in range(d)] for j in range(1, rep.k + 1)]
-        pivots, sol = solve(gt, rhs)
+        pivots, sol = solve(
+            [{i: w[t][m][i] for i in level if i in w[t][m]}
+             for m in range(d)],
+            {i: res[i] for i in level if i in res}, rep.key)
         if len(pivots) < d:
             raise DegenerateTruncation(
                 "level-%d block has rank < %d at depth %d" % (v, d, M)
@@ -252,6 +245,8 @@ def _solve_layers(rep, x, d, v):
             return None
         for m in range(d):
             coeffs[m].append(sol[m])
+            if sol[m]:
+                axpy(res, -sol[m], w[t][m])
     return coeffs
 
 

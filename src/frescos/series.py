@@ -48,8 +48,9 @@ from .errors import (
     ResonantObstruction,
 )
 
-#: default truncation order used when none is given explicitly
-DEFAULT_ORDER = 64
+#: the one truncation default: the CLI's --order, the parsers when given
+#: no order or depth, and the SeriesB constructors
+DEFAULT_ORDER = 32
 
 _ZERO = Fraction(0)
 
@@ -419,7 +420,7 @@ def format_series(s):
     return " ".join(parts)
 
 
-def solve_resonant_ode(form, c, rhs, forbidden_index=None):
+def solve_resonant_ode(form, c, rhs):
     """Solve the two resonant Euler equations used throughout.
 
     form 'A' solves  b T' - c T = rhs   coefficientwise (n - c) t_n = r_n;
@@ -430,10 +431,6 @@ def solve_resonant_ode(form, c, rhs, forbidden_index=None):
     nonzero right hand side there raises ResonantObstruction.  Form B in
     addition needs rhs to have no constant term.
 
-    forbidden_index, when given, must equal the resonant index c.  It is
-    there so call sites can state which coefficient they expect to be
-    pinned, not to choose a different one.
-
     Form A keeps the known order of rhs; form B loses one.
     """
     if form not in ("A", "B"):
@@ -441,10 +438,6 @@ def solve_resonant_ode(form, c, rhs, forbidden_index=None):
     if c < 0 or c != int(c):
         raise ValueError("c must be a nonnegative integer")
     c = int(c)
-    if forbidden_index is not None and forbidden_index != c:
-        raise ValueError(
-            "the resonant index is %d, cannot forbid index %d" % (c, forbidden_index)
-        )
 
     if form == "A":
         out = []

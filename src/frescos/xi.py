@@ -14,8 +14,9 @@ truncation depth exact.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
-from .algebra import AbElement, expand_factor_form, initial_form, left_divide, monicize
+from .algebra import AbElement, expand_factor_form, left_divide, monicize
 from .errors import (
     NotMonogenicAtTruncation,
     SemanticError,
@@ -326,7 +327,7 @@ def _annihilator_from_span(span):
     top_ji = depth - 1 - vhi
     mmax = top_ji + vlo
     ordc = depth - r - vhi - (vhi - vlo)
-    # the initial form reads the b^r coefficient
+    # the Bernstein polynomial reads the b^r coefficient
     if ordc < max(r, 2):
         raise NotMonogenicAtTruncation(
             "depth %d leaves no room for a degree-%d annihilator"
@@ -345,13 +346,10 @@ def _annihilator_from_span(span):
         shifted = shifted.apply_b()
     # interior columns first so slack at the crust never steals a pivot
     cols = sorted(w, key=lambda c: (c[0] + c[1], c))
-    positions = set()
-    for x in list(w.values()) + [top]:
-        positions.update(p for p in x.terms if p[1] <= mmax)
-    rows = sorted(positions, key=_poskey)
     pivots, z = solve(
-        [[w[c].terms.get(pos, Fraction(0)) for c in cols] for pos in rows],
-        [-top.terms.get(pos, Fraction(0)) for pos in rows])
+        [{p: x for p, x in w[col].terms.items() if p[1] <= mmax}
+         for col in cols],
+        {p: -x for p, x in top.terms.items() if p[1] <= mmax}, _poskey)
     pivots = set(pivots)
     for c, col in enumerate(cols):
         if c not in pivots and col[1] <= ordc:
@@ -387,27 +385,37 @@ def _rank1_action(u, mu, i=0):
     return out
 
 
-def _roots_from_initial_form(h, lam, r, bound):
-    """Peel linear right factors off a homogeneous form, all orders.
+def _bernstein_invariants(ann, lam, r, bound):
+    """Principal invariants read off the Bernstein polynomial of ann.
 
-    mu is a right root when the form kills the generator of the rank-1
-    module a e = mu b e; only then is (a - mu b) divided out.  Each
-    peel at remaining degree d contributes the invariant mu + d.
+    The homogeneous part sum_m h_m a^m b^(r-m) of the monic ann sends
+    the generator of the rank-1 module a e = mu b e to P(mu) b^r e with
+    P(mu) = sum_m h_m (mu+r-m)...(mu+r-1).  For (a - l_1 b)...(a - l_r b)
+    it is prod_j (mu - l_j - j + r), so the invariants l_j + j are the
+    roots of P plus r.  Its roots lam + n, n <= bound, are divided out
+    synthetically one at a time.
     """
+    # P nested: Q_r = 1, Q_m = h_m + (mu+r-1-m) Q_(m+1), P = Q_0; the
+    # coefficients are kept highest power first
+    poly = [Fraction(1)]
+    for m in range(r - 1, -1, -1):
+        shift = r - 1 - m
+        poly = [x + shift * y for x, y in zip(poly + [0], [0] + poly)]
+        poly[-1] += ann.coeff_series(m).coeff(r - m)
     invariants = []
-    cur = h
-    for stage in range(r):
-        d = r - stage
-        for n in range(bound + 1):
-            mu = lam + n
-            if _rank1_action(cur, mu).valuation() is None:
-                invariants.append(mu + d)
-                cur, _ = left_divide(cur, AbElement.linear(mu, r + 2))
-                break
-        else:
+    n = 0
+    while len(invariants) < r:
+        if n > bound:
             raise NotMonogenicAtTruncation(
                 "initial form has no right root in the exponent class"
             )
+        mu = lam + n
+        horner = list(accumulate(poly, lambda acc, c: acc * mu + c))
+        if horner[-1]:
+            n += 1
+        else:
+            poly = horner[:-1]
+            invariants.append(mu + r)
     return invariants
 
 
@@ -456,16 +464,16 @@ def _peel_unit(ann, mu, k):
 def model_from_xi(span):
     """Presentation of the module generated by the source expansion.
 
-    Chain: monic annihilator of the generator, roots of its initial
-    form giving the principal exponents, then one unit peel per factor
-    from the right.  Roots and peels are read off the rank-1 action
-    a e = mu b e instead of trial divisions by (a - mu b).  The result
-    is cross-checked against the annihilator before it is returned.
+    Chain: monic annihilator of the generator, solved on the sparse
+    echelon of linalg; the rational roots of its Bernstein polynomial,
+    giving the principal invariants; then one unit peel per factor
+    from the right, read off the rank-1 action a e = mu b e instead of
+    trial divisions by (a - mu b).  The result is cross-checked against
+    the annihilator before it is returned.
     """
     r = span.rank
     ann = _annihilator_from_span(span)
-    h = initial_form(ann, r)
-    invariants = _roots_from_initial_form(h, span.lam, r, span.depth + r)
+    invariants = _bernstein_invariants(ann, span.lam, r, span.depth + r)
     lambdas = [inv - j for j, inv in enumerate(sorted(invariants), start=1)]
     cur = ann
     units = [None] * r

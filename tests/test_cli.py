@@ -208,6 +208,12 @@ def test_truncation_floor_refused():
     assert code == EXIT_USAGE
 
 
+def test_negative_samples_refused():
+    assert run(["identities", "--samples", "-2", "--seed", "1"])[0] == \
+        EXIT_USAGE
+    assert run(["verify", "--samples", "-3", "--seed", "1"])[0] == EXIT_USAGE
+
+
 def test_syntax_error_is_domain_exit():
     code, (rep,) = run_json(["analyze", "fresco: (3 | ", "--seed", "1"])
     assert code == EXIT_DOMAIN
@@ -222,6 +228,18 @@ def test_syntax_error_is_domain_exit():
 def test_bad_expansion_json_is_domain_exit(fields):
     payload = '{"lambda": "1/2", %s}' % fields
     code, (rep,) = run_json(["xi", payload, "--seed", "1"])
+    assert code == EXIT_DOMAIN
+    assert rep["error"] == "SemanticError"
+
+
+@pytest.mark.parametrize("unit", [
+    '{"coeffs": "12"}',
+    '{"coeffs": ["1", "2"], "order": true}',
+])
+def test_bad_series_json_is_domain_exit(unit):
+    payload = '{"factors": [{"lambda": "3", "unit": %s}, ' \
+        '{"lambda": "4", "unit": {"coeffs": ["1"]}}]}' % unit
+    code, (rep,) = run_json(["analyze", payload, "--seed", "1"])
     assert code == EXIT_DOMAIN
     assert rep["error"] == "SemanticError"
 

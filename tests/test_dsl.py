@@ -28,7 +28,7 @@ from frescos.errors import (
     SemanticError,
 )
 from frescos.fresco import Presentation, validate_presentation
-from frescos.series import SeriesB, format_series
+from frescos.series import DEFAULT_ORDER, SeriesB, format_series
 from frescos.xi import XiExpansion
 
 F = Fraction
@@ -42,7 +42,7 @@ def test_series_literal():
     assert s.coeff(1) == 0
     assert s.coeff(2) == 3
     assert s.coeff(5) == F(-1, 2)
-    assert s.order == 16
+    assert s.order == DEFAULT_ORDER == 32
 
 
 def test_series_implicit_pieces():
@@ -54,7 +54,8 @@ def test_series_implicit_pieces():
 
 
 def test_series_order_control():
-    assert parse_series("1 + b^20").order == 20
+    assert parse_series("1 + b^20").order == DEFAULT_ORDER
+    assert parse_series("1 + b^40").order == 40
     with pytest.raises(SemanticError):
         parse_series("1 + b^9", order=8)
 

@@ -1,4 +1,4 @@
-"""The exact elimination kernel: echelon, dense solve, rank certificate.
+"""The exact elimination kernel: echelon, solve on it, rank certificate.
 
 sympy serves as an independent witness for ranks; it is a test-only
 dependency and the rank checks are skipped without it.
@@ -75,12 +75,19 @@ def test_axpy_drops_cancelled_entries():
     assert dst == {0: 1, 2: -1}
 
 
+def _sparse_columns(rows):
+    return [{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
+            for j in range(len(rows[0]))]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_solve_exact_or_none(nrows, ncols, data):
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+def test_solve_exact_or_none(nrows, ncols, reverse, data):
     rows = [[data.draw(RATS) for _ in range(ncols)] for _ in range(nrows)]
     rhs = [data.draw(RATS) for _ in range(nrows)]
-    pivots, z = solve(rows, rhs)
+    pivots, z = solve(_sparse_columns(rows),
+                      {i: b for i, b in enumerate(rhs) if b},
+                      (lambda i: -i) if reverse else (lambda i: i))
     rank = _sympy_rank(rows)
     assert len(pivots) == rank
     assert pivots == sorted(pivots)
@@ -93,10 +100,14 @@ def test_solve_exact_or_none(nrows, ncols, data):
 
 
 def test_solve_reports_free_columns():
-    pivots, z = solve([[1, 2, 0], [2, 4, 1]], [Fraction(1), Fraction(3)])
+    def run(rows, rhs):
+        return solve(_sparse_columns(rows), dict(enumerate(rhs)),
+                     lambda i: i)
+
+    pivots, z = run([[1, 2, 0], [2, 4, 1]], [Fraction(1), Fraction(3)])
     assert pivots == [0, 2]
     assert z == [1, 0, 1]
-    assert solve([[1, 2], [2, 4]], [Fraction(1), Fraction(3)]) == ([0], None)
+    assert run([[1, 2], [2, 4]], [Fraction(1), Fraction(3)]) == ([0], None)
 
 
 def test_certified_rank_boundaries():

@@ -257,13 +257,6 @@ def test_form_b_obstruction():
         solve_resonant_ode("B", 2, S(0, 0, 0, 1, order=5))
 
 
-def test_forbidden_index_must_be_resonant():
-    rhs = S(0, 0, 1, order=5)
-    solve_resonant_ode("A", 1, rhs, forbidden_index=1)
-    with pytest.raises(ValueError):
-        solve_resonant_ode("A", 1, rhs, forbidden_index=2)
-
-
 def _zero_at(s, n):
     cs = list(s.coeffs)
     cs[n] = Fraction(0)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frescos.algebra import AbElement, left_divide
+from frescos.algebra import AbElement, expand_factor_form, left_divide, monicize
 from frescos.alpha import classify_rank2, is_semisimple
 from frescos.errors import (
     NotMonogenicAtTruncation,
@@ -25,6 +25,7 @@ from frescos.xi import (
     XiExpansion,
     XiSpan,
     _annihilator_from_span,
+    _bernstein_invariants,
     _rank1_action,
     model_from_xi,
     xi_apply_element,
@@ -340,7 +341,25 @@ def test_one_division_per_root_and_per_peel(monkeypatch):
         divisions.append(p.degree)
         return left_divide(u, p)
 
+    # the roots come off the Bernstein polynomial; only the peels divide
     monkeypatch.setattr(xi_module, "left_divide", counted)
     span = xi_generate_module(term("1/2", 0, 3, depth=20))
     assert model_from_xi(span).rank == span.rank == 4
-    assert divisions == [1] * (2 * span.rank)
+    assert divisions == [1] * span.rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F(1, 3), F(1, 2), F(1)]),
+       st.lists(st.integers(0, 5), min_size=1, max_size=4),
+       st.lists(small, min_size=4, max_size=4))
+def test_bernstein_roots_are_the_invariants(lam, steps, rhos):
+    # (a - l_1 b) S_1 ... (a - l_r b) S_r has the invariants l_j + j;
+    # the units do not reach its homogeneous part
+    r = len(steps)
+    lambdas = [lam + r - j + n for j, n in enumerate(steps, start=1)]
+    units = [SeriesB([1, rho], 8) for rho in rhos[:r]]
+    ann = monicize(expand_factor_form(list(zip(lambdas, units)), 8))
+    got = _bernstein_invariants(ann, lam, r, 12)
+    assert sorted(got) == sorted(l + j for j, l in enumerate(lambdas, 1))
+    with pytest.raises(NotMonogenicAtTruncation):
+        _bernstein_invariants(ann, lam, r, int(min(got) - lam - r) - 1)
