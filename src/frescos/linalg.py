@@ -1,12 +1,19 @@
 """Exact linear algebra over the rationals: the one elimination kernel.
 
-Sparse vectors are dicts from positions to nonzero Fractions; solve
-runs on the one elimination, the Echelon.  Both the matrix oracle and
-the expansion module use this kernel, and it imports nothing from the
-rest of the package, so the oracle still shares no engine code.
+Sparse vectors are dicts from positions to nonzero rationals, ints or
+Fractions.  The Echelon is fraction-free: it clears the denominators of
+a vector once on entry and from then on works on integers, a reduction
+step cross-multiplying by the two leads over their gcd and dividing out
+the content (Bareiss, Math. Comp. 22, 1968), so the pivot set is that
+of the rational span and no Fraction is built while eliminating.  solve
+runs on the same Echelon and divides once per unknown at the end.
+Both the matrix oracle and the expansion module use this kernel, and
+it imports nothing from the rest of the package, so the oracle still
+shares no engine code.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def axpy(dst, f, src):
@@ -20,31 +27,51 @@ def axpy(dst, f, src):
     return dst
 
 
+def integral(vec):
+    """A new dict: vec times the lcm of its denominators, with int values."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    return {r: x.numerator * (den // x.denominator) for r, x in vec.items()}
+
+
 class Echelon:
     """Semi-reduced echelon span of sparse vectors under a position order.
 
-    pivots maps each lead position (least under key) to a stored row
-    scaled to 1 there; later pivots are not eliminated from earlier
-    rows.  For a fixed order the set of pivots is the set of leads of
-    the span, so it depends on the span alone, not on the insertion
-    order or on how far the rows are reduced.
+    pivots maps each lead position (least under key) to a stored row: a
+    primitive integer vector (content 1) with a positive entry there;
+    later pivots are not eliminated from earlier rows.  For a fixed
+    order the set of pivots is the set of leads of the span, so it
+    depends on the span alone, not on the insertion order, on how far
+    the rows are reduced, or on their scale.
     """
 
     __slots__ = ("key", "pivots")
 
-    def __init__(self, key, pivots=None):
+    def __init__(self, key):
         self.key = key
-        self.pivots = {} if pivots is None else pivots
+        self.pivots = {}
 
     def reduce(self, vec):
-        """Residual of vec: a new dict whose lead, if any, is no pivot."""
-        vec = dict(vec)
+        """Residual of vec up to a nonzero scale: a new integer dict
+        whose lead, if any, is no pivot."""
+        vec = integral(vec)
+        key = self.key
+        pivots = self.pivots
         while vec:
-            lead = min(vec, key=self.key)
-            row = self.pivots.get(lead)
+            lead = min(vec, key=key)
+            row = pivots.get(lead)
             if row is None:
                 break
-            axpy(vec, -vec[lead], row)
+            c = vec[lead]
+            p = row[lead]
+            g = gcd(c, p)
+            if p != g:
+                p //= g
+                for r in vec:
+                    vec[r] *= p
+            axpy(vec, -(c // g), row)
+            g = gcd(*vec.values())
+            if g > 1:
+                vec = {r: x // g for r, x in vec.items()}
         return vec
 
     def insert(self, vec):
@@ -53,8 +80,10 @@ class Echelon:
         if not vec:
             return None
         lead = min(vec, key=self.key)
-        inv = 1 / vec[lead]
-        self.pivots[lead] = {r: x * inv for r, x in vec.items()}
+        g = gcd(*vec.values())
+        if vec[lead] < 0:
+            g = -g
+        self.pivots[lead] = {r: x // g for r, x in vec.items()}
         return lead
 
 
@@ -65,35 +94,58 @@ class _Tag:
         self.col = col
 
 
+class Solver:
+    """The elimination of solve's columns, kept for many right-hand sides.
+
+    Each column carries a unit tag on its own index, ordered after every
+    position, so a pivot row records the column combination that made
+    it; a column whose positions reduce to zero never enters.  pivots
+    lists the independent columns in order.
+    """
+
+    def __init__(self, cols, key):
+        def order(p):
+            return (1, p.col) if type(p) is _Tag else (0, key(p))
+
+        self.ncols = len(cols)
+        self.echelon = ech = Echelon(order)
+        self.pivots = []
+        for j, col in enumerate(cols):
+            vec = ech.reduce({**col, _Tag(j): 1})
+            if type(min(vec, key=order)) is not _Tag:
+                ech.insert(vec)
+                self.pivots.append(j)
+
+    def __call__(self, rhs):
+        """z with sum_j z_j cols[j] = rhs as Fractions, every free unknown
+        0, or None when the system is inconsistent.
+
+        rhs carries a tag of its own, ordered last, that records the
+        scale the integer reduction put on it: reducing rhs leaves
+        s (rhs - sum_j z_j cols[j]) on the positions, s on its tag and
+        -s z on the column tags, so each unknown costs one division.
+        """
+        scale = _Tag(self.ncols)
+        res = self.echelon.reduce({**rhs, scale: 1})
+        s = res.pop(scale)
+        if any(type(p) is not _Tag for p in res):
+            return None
+        z = [Fraction(0)] * self.ncols
+        for tag, x in res.items():
+            z[tag.col] = Fraction(-x, s)
+        return z
+
+
 def solve(cols, rhs, key):
     """Solve sum_j z_j cols[j] = rhs over the rationals on an Echelon.
 
-    cols and rhs are sparse vectors over positions ordered by key.  Each
-    column carries a unit tag on its own index, ordered after every
-    position, so a pivot row records the column combination that made
-    it; a column whose positions reduce to zero never enters.  Reducing
-    rhs then leaves rhs - sum_j z_j cols[j] on the positions and -z on
-    the tags.  Returns (pivots, z): the independent columns in order,
-    and the solution with every free unknown 0, or None when the
-    system is inconsistent.
+    cols and rhs are sparse vectors over positions ordered by key.
+    Returns (pivots, z): the independent columns in order, and the
+    solution as Fractions with every free unknown 0, or None when the
+    system is inconsistent (see Solver).
     """
-    def order(p):
-        return (1, p.col) if type(p) is _Tag else (0, key(p))
-
-    ech = Echelon(order)
-    pivots = []
-    for j, col in enumerate(cols):
-        vec = ech.reduce({**col, _Tag(j): Fraction(1)})
-        if type(min(vec, key=order)) is not _Tag:
-            ech.insert(vec)
-            pivots.append(j)
-    res = ech.reduce(rhs)
-    if any(type(p) is not _Tag for p in res):
-        return pivots, None
-    z = [Fraction(0)] * len(cols)
-    for tag, x in res.items():
-        z[tag.col] = -x
-    return pivots, z
+    solver = Solver(cols, key)
+    return solver.pivots, solver(rhs)
 
 
 def certified_rank(per_level):

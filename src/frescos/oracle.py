@@ -9,26 +9,39 @@ coordinates below the truncation stay exact.  The diagonal entries
 b^2 S_j'/S_j of the a-matrix are solved for here on plain Fraction
 lists, not read from the series layer, so a fault in the series kernel
 cannot cancel out on both sides of a comparison.  The elimination itself,
-one sparse echelon that also solves the annihilator systems, lives in
-linalg.py, the only module the oracle shares with the expansion side;
-it holds no engine code.
+one fraction-free sparse echelon that also solves the annihilator
+systems, lives in linalg.py, the only module the oracle shares with the
+expansion side; it holds no engine code.  Spans and annihilator chains
+run on integers: the a-matrix also comes as D a with integer entries,
+so a vector of a span or of a chain is known only up to a scale, which
+a span ignores and the annihilator solve keeps track of, dividing it
+out of each coefficient it returns.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import AbElement
 from .errors import DegenerateTruncation, OrderUnderflow, TruncationTooSmall
 from .fresco import validate_presentation
-from .linalg import axpy, certified_rank, solve
+from .linalg import Solver, axpy, certified_rank, integral
 # perfbench/tracer.py counts span_closure's inserts through oracle._Echelon
 from .linalg import Echelon as _Echelon
 from .series import SeriesB
 
 
 class TruncatedRep:
-    """Sparse exact matrices of a and b on the basis b^m e_j, m < M."""
+    """Sparse exact matrices of a and b on the basis b^m e_j, m < M.
 
-    __slots__ = ("k", "M", "source", "acols", "bcols")
+    Besides the Fraction columns acols of a, aint holds the integer
+    columns of D a, with D = ascale the lcm of their denominators, so a
+    span or a chain of a-images up to scale is built without a
+    Fraction.  key is the pivot order: lowest b-level first, then chain
+    position, as a lookup on the index.
+    """
+
+    __slots__ = ("k", "M", "source", "acols", "bcols", "aint", "ascale",
+                 "key")
 
     def __init__(self, k, M, source, acols, bcols):
         self.k = k
@@ -36,6 +49,9 @@ class TruncatedRep:
         self.source = source
         self.acols = acols
         self.bcols = bcols
+        self.aint = None
+        self.ascale = 1
+        self.key = [(i % M) * k + i // M for i in range(k * M)].__getitem__
 
     @property
     def dim(self):
@@ -45,16 +61,9 @@ class TruncatedRep:
         """Index of b^m e_j (j is 1-based)."""
         return (j - 1) * self.M + m
 
-    def label(self, idx):
-        return (idx // self.M + 1, idx % self.M)
-
     def level(self, idx):
         """The b-level m of a basis index."""
         return idx % self.M
-
-    def key(self, idx):
-        """Pivot order: lowest b-level first, then chain position."""
-        return (idx % self.M, idx // self.M)
 
     def apply_a(self, vec):
         return _matvec(self.acols, vec)
@@ -120,6 +129,10 @@ def truncate_rep(p, M):
                     if s[t]:
                         col[rep.idx(j - 1, m + t)] = s[t]
             acols[i] = col
+    den = lcm(*(x.denominator for col in acols.values() for x in col.values()))
+    rep.ascale = den
+    rep.aint = {i: {r: x.numerator * (den // x.denominator)
+                    for r, x in col.items()} for i, col in acols.items()}
     return rep
 
 
@@ -183,13 +196,17 @@ def minimal_annihilator(rep, x):
     the level v+t rows of the equation involve c_{m,i} only for i <= t
     (v is the b-valuation of x), and the i = t block is independent of
     t because a^m b^t = b^t (a + t b)^m.  Degrees are tried from 1 up
-    to the rank; a degenerate constant block raises DegenerateTruncation.
+    to the rank on one set of integer chains a^m b^t x, built only as
+    far as a degree asks and shared with the next (a wrong degree
+    usually fails at level 0); a degenerate constant block raises
+    DegenerateTruncation.
     """
     if not x:
         raise ValueError("zero vector has no minimal annihilator")
     v = min(rep.level(i) for i in x)
+    chain = _chains(rep, x)
     for d in range(1, rep.k + 1):
-        got = _solve_layers(rep, x, d, v)
+        got = _solve_layers(rep, chain, d, v)
         if got is not None:
             ordc = rep.M - d - v
             return AbElement(
@@ -202,64 +219,93 @@ def minimal_annihilator(rep, x):
 
 def _shift(rep, vec, i):
     """Coordinates of b^i x; b is an exact shift of the level."""
-    out = {}
-    for r, c in vec.items():
-        j, m = rep.label(r)
-        if m + i < rep.M:
-            out[rep.idx(j, m + i)] = c
-    return out
+    M = rep.M
+    return {r + i: c for r, c in vec.items() if r % M + i < M}
 
 
-def _solve_layers(rep, x, d, v):
-    """Forward solve, level by level on one residual; None if inconsistent."""
+def _chains(rep, x):
+    """chain(t, m): the integer vector a^m b^t x times D^m E, memoized.
+
+    E clears the denominators of x and D is the scale of rep.aint, so
+    the scale depends on m alone.
+    """
+    base = integral(x)
+    memo = {}
+
+    def chain(t, m):
+        w = memo.get((t, m))
+        if w is None:
+            w = (_matvec(rep.aint, chain(t, m - 1)) if m
+                 else _shift(rep, base, t))
+            memo[(t, m)] = w
+        return w
+
+    return chain
+
+
+def _solve_layers(rep, chain, d, v):
+    """Forward solve, level by level on one residual; None if inconsistent.
+
+    On the integer chains the unknowns are y_(m,t) = s D^(d-m) c_(m,t),
+    where the residual -a^d x - (the slices solved so far) is the
+    integer vector res over the running scale s D^d E; the content that
+    res shares with s is divided out after each level.
+    """
     M = rep.M
     ordc = M - d - v
     if ordc < 2:
         raise DegenerateTruncation(
             "depth %d leaves no room for a degree-%d annihilator" % (M, d)
         )
-    # w[i][m] = a^m b^i x for each unknown slot
-    w = []
-    for i in range(ordc + 1):
-        chain = [_shift(rep, x, i)]
-        for _ in range(d - 1):
-            chain.append(rep.apply_a(chain[-1]))
-        w.append(chain)
-    # res = -a^d x - sum of the slices solved so far
-    res = axpy({}, -1, rep.apply_a(w[0][d - 1]))
+    res = {r: -y for r, y in chain(0, d).items()}
+    s = 1
+    dpow = [rep.ascale ** (d - m) for m in range(d)]
     coeffs = [[] for _ in range(d)]
+    # the level-(v+t) block of b^t x, ..., a^{d-1} b^t x equals the
+    # level-v block of x, ax, ..., a^{d-1} x because
+    # a^m b^t = b^t (a + t b)^m, so one elimination serves every level
+    level = [rep.idx(j, v) for j in range(1, rep.k + 1)]
+    block = Solver([{i: c[i] for i in level if i in c}
+                    for c in (chain(0, m) for m in range(d))], rep.key)
+    if len(block.pivots) < d:
+        raise DegenerateTruncation(
+            "level-%d block has rank < %d at depth %d" % (v, d, M)
+        )
     for t in range(ordc + 1):
-        level = [rep.idx(j, v + t) for j in range(1, rep.k + 1)]
-        # the level-(v+t) block of b^t x, ..., a^{d-1} b^t x equals the
-        # level-v block of x, ax, ..., a^{d-1} x because
-        # a^m b^t = b^t (a + t b)^m, so its rank is the same for every t
-        pivots, sol = solve(
-            [{i: w[t][m][i] for i in level if i in w[t][m]}
-             for m in range(d)],
-            {i: res[i] for i in level if i in res}, rep.key)
-        if len(pivots) < d:
-            raise DegenerateTruncation(
-                "level-%d block has rank < %d at depth %d" % (v, d, M)
-            )
+        sol = block({i: res[i + t] for i in level if i + t in res})
         if sol is None:
             return None
-        for m in range(d):
-            coeffs[m].append(sol[m])
-            if sol[m]:
-                axpy(res, -sol[m], w[t][m])
+        w = [chain(t, m) for m in range(d)]
+        den = lcm(*(y.denominator for y in sol))
+        if den > 1:
+            for r in res:
+                res[r] *= den
+        for m, y in enumerate(sol):
+            coeffs[m].append(y / (s * dpow[m]))
+            if y:
+                axpy(res, -y.numerator * (den // y.denominator), w[m])
+        s *= den
+        g = gcd(s, *res.values())
+        if g > 1:
+            s //= g
+            res = {r: y // g for r, y in res.items()}
     return coeffs
 
 
 def span_closure(rep, gens):
-    """Smallest truncated subspace containing gens and stable under a, b."""
+    """Smallest truncated subspace containing gens and stable under a, b.
+
+    It is built on integers: the image of a row under rep.aint spans
+    the same line as its image under a, and b is an exact shift.
+    """
     ech = _Echelon(rep.key)
     queue = list(gens)
     while queue:
         piv = ech.insert(queue.pop())
         if piv is not None:
             row = ech.pivots[piv]
-            queue += [img for img in (rep.apply_a(row), rep.apply_b(row))
-                      if img]
+            queue += [img for img in (_matvec(rep.aint, row),
+                                      _shift(rep, row, 1)) if img]
     return ech
 
 
@@ -285,7 +331,7 @@ def submodule_analysis(rep, gens):
     dim = len(ech.pivots)
     bf = _Echelon(rep.key)
     for v in ech.pivots.values():
-        img = rep.apply_b(v)
+        img = _shift(rep, v, 1)
         if img:
             bf.insert(img)
     normal = True

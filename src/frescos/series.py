@@ -58,15 +58,17 @@ _ZERO = Fraction(0)
 def rat(x):
     """Coerce to an exact rational.
 
-    Accepts int, Fraction, or a string like '3' or '-5/2'.
+    Accepts int, Fraction, or a string like '3' or '-5/2'; refuses
+    float and bool (a JSON true is no rational).
 
     >>> rat('45/4')
     Fraction(45, 4)
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError("refusing float %r; pass an exact rational" % (x,))
+    if isinstance(x, (float, bool)):
+        raise TypeError("refusing %s %r; pass an exact rational"
+                        % (type(x).__name__, x))
     return Fraction(x)
 
 
@@ -277,6 +279,13 @@ def _product(xs, ys, m):
     A monomial operand only rescales and shifts the other one.  Past
     that the product runs on integer numerators, over the nonzero pairs
     when one operand is sparse and by one Kronecker product otherwise.
+    Over a common denominator that is the lcm of many unrelated ones
+    every numerator carries all of them, so past 2400 bits for the two
+    common denominators together the nonzero pairs are multiplied as
+    Fractions instead.  That bound is where the two broke even on dense
+    series at orders 16..128 with unrelated denominators of 4 to 128
+    bits; structured denominators (powers of a few primes) stay far
+    below it.
     """
     sx, sy = _support(xs, m), _support(ys, m)
     if len(sx) > len(sy):
@@ -288,6 +297,14 @@ def _product(xs, ys, m):
         return (_ZERO,) * e + _scale(ys[: m - e], s)
     xs, xd = _numerators(sx)
     ys, yd = _numerators(sy)
+    if xd.bit_length() + yd.bit_length() > 2400:
+        out = [_ZERO] * m
+        for i, x in sx:
+            for j, y in sy:
+                if i + j >= m:
+                    break
+                out[i + j] += x * y
+        return tuple(out)
     vx, vy = xs[0][0], ys[0][0]
     if vx + vy >= m:
         return (_ZERO,) * m

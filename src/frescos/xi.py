@@ -194,22 +194,21 @@ def xi_apply_element(u, x):
 class XiSpan:
     """The module generated by an expansion, as an echelon.
 
-    rows maps each pivot position to a vector of the span, scaled to 1
-    at that position with every other term after it in generation
-    order; the span of the rows is the full orbit of the source under a
-    and b inside the truncation window.  The rank is the per-level
-    pivot count after it has stabilized: every chain contributes one
-    pivot per level from its first appearance on, so the count at the
-    last level is the module rank once no chain starts close to the
-    window edge.
+    rows maps each pivot position to a vector of the span with every
+    other term after it in generation order, a primitive integer vector
+    with a positive entry at that position; the span of the rows is the
+    full orbit of the source under a and b inside the truncation window.
+    The rank is the per-level pivot count after it has stabilized: every
+    chain contributes one pivot per level from its first appearance on,
+    so the count at the last level is the module rank once no chain
+    starts close to the window edge.
     """
 
     def __init__(self, source, rows, rank):
         self.source = source
         self.rows = rows
         self.rank = rank
-        self._echelon = Echelon(
-            _poskey, {pos: row.terms for pos, row in rows.items()})
+        self._echelon = None
 
     @property
     def lam(self):
@@ -220,10 +219,17 @@ class XiSpan:
         return self.source.depth
 
     def reduce(self, x):
-        """Residual of x against the span, inside the window."""
+        """Residual of x against the span up to a nonzero scale, inside
+        the window."""
         if x.lead() not in self.rows:
             return x
         self.source._compat(x)
+        if self._echelon is None:
+            # the rows have distinct leads, so inserting them only
+            # brings them to the echelon's integer form
+            self._echelon = Echelon(_poskey)
+            for row in self.rows.values():
+                self._echelon.insert(row.terms)
         return XiExpansion(x.lam, x.depth, x.ncomp,
                            self._echelon.reduce(x.terms))
 

@@ -232,6 +232,20 @@ def test_bad_expansion_json_is_domain_exit(fields):
     assert rep["error"] == "SemanticError"
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("analyze",
+     '{"factors": [{"lambda": true, "unit": {"coeffs": [1, true]}}]}'),
+    ("analyze",
+     '{"factors": [{"lambda": "3", "unit": {"coeffs": [1, true]}}]}'),
+    ("xi", '{"lambda": true, "terms": [[1, 1, 1, "1"]]}'),
+    ("xi", '{"lambda": "1/2", "terms": [[1, 1, 1, true]]}'),
+])
+def test_json_booleans_are_not_rationals(command, payload):
+    code, (rep,) = run_json([command, payload, "--seed", "1"])
+    assert code == EXIT_DOMAIN
+    assert rep["error"] == "SemanticError"
+
+
 @pytest.mark.parametrize("unit", [
     '{"coeffs": "12"}',
     '{"coeffs": ["1", "2"], "order": true}',
@@ -256,6 +270,34 @@ def test_json_expansion_takes_depth_from_order(shift, literal):
     assert rep["depth"] == 32
     assert run_json(["xi", "--seed", "1", "--order", "32", literal]) == \
         (code, [rep])
+
+
+def test_verify_counts_do_not_move_with_depth():
+    # six seeded random presentations, drawn alike at both depths
+    got = []
+    for depth in ("32", "48"):
+        code, (rep,) = run_json(["verify", "--samples", "6", "--seed", "11",
+                                 "--oracle-depth", depth])
+        got.append((code, rep["counts"], rep["disagreements"]))
+    assert got[0] == got[1]
+    assert got[0][1]["pass"] == 6
+
+
+@pytest.mark.parametrize("literal", [
+    "s^(1/2) * log^2 + 3 * s^(3/2) * log",
+    "s^(-1/3) * log^3",
+    "s^(2/3) * log + s^(5/3) * log^2 - 2 * s^(8/3)",
+    "s^(3/4) + s^(7/4) * log",
+])
+def test_xi_invariants_do_not_move_with_order(literal):
+    fields = ("rank", "log_filtration", "bernstein_roots", "lambdas")
+    got = []
+    for order in ("26", "42"):
+        code, (rep,) = run_json(["xi", "--seed", "1", "--order", order,
+                                 literal])
+        assert code == EXIT_OK
+        got.append({f: rep[f] for f in fields})
+    assert got[0] == got[1]
 
 
 def test_seed_reported_when_not_given():

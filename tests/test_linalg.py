@@ -7,6 +7,7 @@ dependency and the rank checks are skipped without it.
 import ast
 import os
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,8 +54,35 @@ def test_echelon_spans_what_was_inserted(vecs, reverse):
         assert ech.reduce(v) == {}
     assert len(ech.pivots) == _sympy_rank(_dense(vecs, 6))
     for lead, row in ech.pivots.items():
-        assert row[lead] == 1
+        assert all(type(x) is int for x in row.values())
+        assert row[lead] > 0
+        assert gcd(*row.values()) == 1
         assert min(row, key=ech.key) == lead
+
+
+def _reference_pivots(vecs, key):
+    """Pivot set of a Fraction echelon whose rows are scaled to 1."""
+    pivots = {}
+    for v in vecs:
+        v = {r: Fraction(x) for r, x in v.items()}
+        while v:
+            lead = min(v, key=key)
+            row = pivots.get(lead)
+            if row is None:
+                pivots[lead] = {r: x / v[lead] for r, x in v.items()}
+                break
+            axpy(v, -v[lead], row)
+    return set(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_vectors(), st.booleans())
+def test_integer_rows_keep_the_rational_pivot_set(vecs, reverse):
+    key = (lambda i: -i) if reverse else (lambda i: i)
+    ech = Echelon(key)
+    for v in vecs:
+        ech.insert(v)
+    assert set(ech.pivots) == _reference_pivots(vecs, key)
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,6 +136,11 @@ def test_solve_reports_free_columns():
     assert pivots == [0, 2]
     assert z == [1, 0, 1]
     assert run([[1, 2], [2, 4]], [Fraction(1), Fraction(3)]) == ([0], None)
+    # int matrices give Fractions too, never floats
+    pivots, z = solve([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}], {0: 1, 1: 3},
+                      lambda i: i)
+    assert (pivots, z) == ([0, 2], [1, 0, 1])
+    assert all(type(x) is Fraction for x in z)
 
 
 def test_certified_rank_boundaries():

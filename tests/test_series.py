@@ -44,6 +44,12 @@ def test_rat_refuses_float():
         rat(0.5)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_rat_refuses_bool(flag):
+    with pytest.raises(TypeError):
+        rat(flag)
+
+
 def test_coeff_beyond_order_raises():
     s = S(1, 2, 3)
     assert s.coeff(2) == 3
@@ -213,6 +219,23 @@ def test_the_cost_rule_takes_both_paths():
         assert list((sparse * dense).coeffs) == \
             schoolbook_product(sparse, dense)
         assert spy.call_count == 1
+
+
+def test_product_of_unrelated_denominators_runs_on_fractions():
+    # 129 unrelated 33-bit denominators a side: their lcm would put
+    # about 4200 bits on every numerator, so the product stays on
+    # Fractions and neither integer path runs
+    x = SeriesB([Fraction(i % 5 - 2 or 1, (1 << 32) + 2 * i + 1)
+                 for i in range(129)])
+    y = SeriesB([Fraction(1 - i % 3, (1 << 32) + 2 * i + 301)
+                 for i in range(129)])
+    integer_paths = mock.patch.object(series_module, "_fractions",
+                                      wraps=series_module._fractions)
+    with integer_paths as spy:
+        got = x * y
+    assert spy.call_count == 0
+    assert list(got.coeffs) == schoolbook_product(x, y)
+    assert in_lowest_terms(got)
 
 
 def test_products_of_monomials_and_zeros():
