@@ -273,7 +273,7 @@ def format_ab(u):
 #
 # These are checked, not assumed: the callers report pass/fail.
 
-def check_exchange(x, y, order=16):
+def check_exchange(x, y, order):
     """(a - x b)(a - y b) = (a - (y+1) b)(a - (x-1) b), any x, y."""
     x, y = rat(x), rat(y)
     lhs = AbElement.linear(x, order) * AbElement.linear(y, order)
@@ -281,7 +281,7 @@ def check_exchange(x, y, order=16):
     return lhs.same_upto(rhs, order)
 
 
-def check_unit_exchange(lam1, p1, rho, order=24):
+def check_unit_exchange(lam1, p1, rho, order):
     """The exchange with U = 1 + rho b^p1 across (a - l1 b)(a - l2 b).
 
     l2 = l1 + p1 - 1.  Claims
@@ -299,7 +299,7 @@ def check_unit_exchange(lam1, p1, rho, order=24):
     return lhs.same_upto(rhs, n)
 
 
-def check_middle_unit_exchange(lam1, p1, p2, alpha, order=24):
+def check_middle_unit_exchange(lam1, p1, p2, alpha, order):
     """The exchange across a sandwiched unit 1 + alpha b^p2.
 
     With l2 = l1 + p1 - 1, l3 = l2 + p2 - 1, W = 1 + alpha b^p2 and

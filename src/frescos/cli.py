@@ -76,12 +76,6 @@ def build_parser():
 # --- report assembly ---
 
 
-def _roots_in_factor_order(p):
-    # -(lambda_j + j - k), listed by factor position rather than sorted
-    k = p.rank
-    return [rat_str(-(lam + j - k)) for j, lam in enumerate(p.lambdas, 1)]
-
-
 def _presentation_block(p):
     return {
         "input": print_fresco(p),
@@ -111,7 +105,7 @@ def _why(exc):
 def analyze_presentation(p):
     an = Analysis(p)
     rep = _presentation_block(p)
-    rep["bernstein_roots"] = _roots_in_factor_order(p)
+    rep["bernstein_roots"] = [rat_str(r) for r in p.bernstein_roots()]
     diagnostics = {"unit_orders": [u.order for u in p.units]}
     if p.rank >= 2:
         try:
@@ -148,7 +142,7 @@ def analyze_expansion(x):
         "presentation": print_fresco(p),
         "lambdas": [rat_str(l) for l in p.lambdas],
         "p_values": [rat_str(v) for v in p.p_values()],
-        "bernstein_roots": _roots_in_factor_order(p),
+        "bernstein_roots": [rat_str(r) for r in p.bernstein_roots()],
         "log_filtration": {"ranks": list(filt["ranks"]), "d": filt["d"]},
     }
     try:

@@ -57,6 +57,11 @@ class Presentation:
     def mu(self):
         return sum(self.lambdas, Fraction(0))
 
+    def bernstein_roots(self):
+        """-(l_j + j - k) for j = 1..k, in factor order."""
+        k = self.rank
+        return tuple(-(l + j - k) for j, l in enumerate(self.lambdas, 1))
+
     def is_primitive(self):
         """All exponents in one class mod 1."""
         ls = self.lambdas
@@ -137,8 +142,7 @@ def bernstein(p):
     flat = expand_factor_form(elem.factors, order)
     if not initial_form(full, k).same_upto(flat, k):
         raise AssertionError("initial form disagrees with the trivialized product")
-    roots = tuple(sorted(-(l + j + 1 - k) for j, l in enumerate(p.lambdas)))
-    return BernsteinData(elem, roots, p.mu())
+    return BernsteinData(elem, tuple(sorted(p.bernstein_roots())), p.mu())
 
 
 def fundamental_invariants(exponents):

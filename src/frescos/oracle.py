@@ -154,40 +154,6 @@ def _b2_log_derivative(s):
     return q
 
 
-def rep_apply(rep, u, vec):
-    """Apply a normal-ordered operator through the truncated matrices.
-
-    Computes sum_m A^m (c_m(B) vec).  Coefficient series shorter than
-    the depth simply contribute nothing beyond their order, so callers
-    who care about high levels should pass operators of order >= M.
-    """
-    out = {}
-    for m in range(u.degree + 1):
-        c = u.coeff_series(m)
-        cur = {}
-        for t in range(min(c.order, rep.M - 1) + 1):
-            if c.coeffs[t]:
-                axpy(cur, c.coeffs[t], _shift(rep, vec, t))
-        for _ in range(m):
-            cur = rep.apply_a(cur)
-        axpy(out, 1, cur)
-    return out
-
-
-def commutation_defect(rep):
-    """Columns of AB - BA - B^2; exact zero on levels below M-1."""
-    defects = {}
-    for i in range(rep.dim):
-        v = {i: Fraction(1)}
-        d = axpy(axpy(rep.apply_a(rep.apply_b(v)), -1,
-                      rep.apply_b(rep.apply_a(v))),
-                 -1, rep.apply_b(rep.apply_b(v)))
-        d = {r: x for r, x in d.items() if rep.level(r) < rep.M - 1}
-        if d:
-            defects[i] = d
-    return defects
-
-
 def minimal_annihilator(rep, x):
     """Monic operator of least a-degree killing x, modulo b^(M-d-v).
 

@@ -79,10 +79,6 @@ class XiExpansion:
                 out[(comp, m, j)] = c
         self.terms = out
 
-    @classmethod
-    def term(cls, lam, m, j, depth, coeff=1, comp=1, ncomp=1):
-        return cls(lam, depth, ncomp, {(comp, m, j): rat(coeff)})
-
     def _compat(self, other):
         if (self.lam, self.depth, self.ncomp) != \
                 (other.lam, other.depth, other.ncomp):
@@ -168,29 +164,6 @@ class XiExpansion:
         return "XiExpansion(%s)" % " + ".join(bits)
 
 
-def xi_apply_element(u, x):
-    """Apply a normal-order element sum a^m c_m(b) to an expansion.
-
-    The series acts first, the a-power after, slot by slot.  Series
-    coefficients past their known order are dropped, so the result is
-    only trustworthy where those could not reach.
-    """
-    out = XiExpansion(x.lam, x.depth, x.ncomp, {})
-    for m in range(u.degree + 1):
-        c = u.coeff_series(m)
-        y = XiExpansion(x.lam, x.depth, x.ncomp, {})
-        shifted = x
-        for i in range(min(c.order, x.depth - 1) + 1):
-            co = c.coeff(i)
-            if co:
-                y = y + shifted.scale(co)
-            shifted = shifted.apply_b()
-        for _ in range(m):
-            y = y.apply_a()
-        out = out + y
-    return out
-
-
 class XiSpan:
     """The module generated by an expansion, as an echelon.
 
@@ -232,9 +205,6 @@ class XiSpan:
                 self._echelon.insert(row.terms)
         return XiExpansion(x.lam, x.depth, x.ncomp,
                            self._echelon.reduce(x.terms))
-
-    def contains(self, x):
-        return self.reduce(x).is_zero()
 
 
 def xi_generate_module(phi):
@@ -374,23 +344,6 @@ def _annihilator_from_span(span):
     return AbElement(coeffs + [SeriesB.one(ordc)])
 
 
-def _rank1_action(u, mu, i=0):
-    """u.(b^i e) in the rank-1 module a e = mu b e, as a series in b.
-
-    There a acts on f(b) e as the weighted shift (a f)_j =
-    (mu + j - 1) f_{j-1}; the result is the remainder of u b^i by
-    (a - mu b), the Bernstein polynomial at mu for a homogeneous u.
-    """
-    out = None
-    for m in range(u.degree + 1):
-        g = u.coeff_series(m).shift(i)
-        for _ in range(m):
-            g = SeriesB([0] + [(mu + j) * c for j, c in enumerate(g.coeffs)],
-                        g.order + 1)
-        out = g if out is None else out + g
-    return out
-
-
 def _bernstein_invariants(ann, lam, r, bound):
     """Principal invariants read off the Bernstein polynomial of ann.
 
@@ -425,29 +378,49 @@ def _bernstein_invariants(ann, lam, r, bound):
     return invariants
 
 
+def _remainders(ann, mu, k, tmax):
+    """rho(i, n): the b^(k+n) coefficient of rho_i = ann.(b^i e).
+
+    In the rank-1 module a e = mu b e one has a^m b^s e =
+    (mu+s)...(mu+s+m-1) b^(s+m) e, so rho_i is the remainder of ann b^i
+    by (a - mu b) and its b^N coefficient is sum_m W[N][m] c_(m,N-m-i)
+    with weights W[N][m] = (mu+N-m)...(mu+N-1) that do not depend on i.
+    One table for N = k..k+tmax serves every remainder.
+    """
+    cs = [c.coeffs for c in ann.coeffs]
+    W = [list(accumulate(range(1, len(cs)), lambda w, m: w * (mu + N - m),
+                         initial=Fraction(1)))
+         for N in range(k, k + tmax + 1)]
+
+    def rho(i, n):
+        top = k + n - i
+        return sum(w * c[top - m] for m, (w, c) in enumerate(zip(W[n], cs))
+                   if m <= top)
+    return rho
+
+
 def _peel_unit(ann, mu, k):
     """Factor ann T = Q (a - mu b) with T a unit, T(0) = 1.
 
     The remainders rho_i = ann.(b^i e) of ann b^i by (a - mu b) sit in
     b^(k+i) C[[b]], which makes the linear system for the t_i
     triangular with one resonant row; the resonant coefficient is
-    pinned to 0 and its row must close.
+    pinned to 0 and its row must close.  The coefficients of the rho_i
+    are read off one table of weights (_remainders), on plain Fractions.
     """
     ordc = min(c.order for c in ann.coeffs)
     tmax = ordc - k
     if tmax < 1:
         raise NotMonogenicAtTruncation("no room left to peel a unit")
-    rho = [_rank1_action(ann, mu, i) for i in range(tmax + 1)]
-    if rho[0].coeff(k):
+    rho = _remainders(ann, mu, k, tmax)
+    if rho(0, 0):
         raise NotMonogenicAtTruncation(
             "%s is not a right root of the annihilator" % mu
         )
     t = [Fraction(1)]
     for n in range(1, tmax + 1):
-        acc = Fraction(0)
-        for i in range(n):
-            acc += t[i] * rho[i].coeff(k + n)
-        dn = rho[n].coeff(k + n)
+        acc = sum((t[i] * rho(i, n) for i in range(n)), Fraction(0))
+        dn = rho(n, n)
         if dn:
             t.append(-acc / dn)
         else:
@@ -473,9 +446,10 @@ def model_from_xi(span):
     Chain: monic annihilator of the generator, solved on the sparse
     echelon of linalg; the rational roots of its Bernstein polynomial,
     giving the principal invariants; then one unit peel per factor
-    from the right, read off the rank-1 action a e = mu b e instead of
-    trial divisions by (a - mu b).  The result is cross-checked against
-    the annihilator before it is returned.
+    from the right, its remainders read off one table of weights of the
+    rank-1 action a e = mu b e instead of trial divisions by
+    (a - mu b), and one left_divide for the quotient.  The result is
+    cross-checked against the annihilator before it is returned.
     """
     r = span.rank
     ann = _annihilator_from_span(span)

@@ -1,0 +1,46 @@
+"""The public surface of the package: no helper that only its test uses.
+
+A public top-level function of src/frescos is either library API,
+exported through frescos.__all__, or called from somewhere in src/.
+A function that neither exports nor calls belongs in the tests that
+use it.
+"""
+
+import ast
+import os
+
+import frescos
+
+SRC = os.path.dirname(os.path.abspath(frescos.__file__))
+
+
+def _trees():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def _called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+
+
+def test_every_public_function_is_exported_or_called():
+    trees = dict(_trees())
+    called = {n for tree in trees.values() for n in _called_names(tree)}
+    exported = set(frescos.__all__)
+    orphans = [
+        "%s:%s" % (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in called | exported
+    ]
+    assert orphans == []

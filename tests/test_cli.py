@@ -7,13 +7,22 @@ rank-3 one with lambda = (3,3,3), S_1 = 1 + b^2).
 
 import io
 import json
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from frescos.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from frescos.cli import (
+    EXIT_DOMAIN,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    _random_presentation,
+    main,
+)
+from frescos.dsl import print_fresco
 
 RAT = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -281,6 +290,20 @@ def test_verify_counts_do_not_move_with_depth():
         got.append((code, rep["counts"], rep["disagreements"]))
     assert got[0] == got[1]
     assert got[0][1]["pass"] == 6
+
+
+def test_analyze_reports_do_not_move_with_order():
+    # six seeded random presentations, each analyzed at both orders
+    rng = random.Random(11)
+    for _ in range(6):
+        literal = print_fresco(_random_presentation(rng, 8))
+        got = []
+        for order in ("32", "48"):
+            code, (rep,) = run_json(["analyze", "--seed", "1", "--order",
+                                     order, literal])
+            rep["diagnostics"].pop("unit_orders")
+            got.append((code, rep))
+        assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("literal", [
