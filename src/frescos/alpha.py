@@ -138,8 +138,8 @@ def classify_rank2(p):
 def alpha_reduce_step(p, tau=0):
     """Trade rank k >= 3 for rank k-1 without moving alpha.
 
-    With S_k normalized away, pick X with b^2 X' - (p_{k-1} - 1) b X =
-    1 - S_{k-1} and set  e~ = e_k + X S_{k-1}^-1 e_{k-1}.  Then
+    With S_k normalized away, pick X with b X' - (p_{k-1} - 1) X =
+    (1 - S_{k-1}) / b and set  e~ = e_k + X S_{k-1}^-1 e_{k-1}.  Then
     (a - l_{k-1} b)(a - l_k b) e~ lands in the span of e_1..e_{k-2}
     exactly, with constant coordinate 1, so it generates that
     submodule; reading its presentation off and appending (l_k + 1, 1)
@@ -161,7 +161,7 @@ def alpha_reduce_step(p, tau=0):
     pk1 = p.p_values()[k - 2]
     s = model.sub[k - 2]
     try:
-        x = solve_resonant_ode("B", pk1 - 1, SeriesB.one(order) - s)
+        x = solve_resonant_ode(pk1 - 1, SeriesB([-c for c in s.coeffs[1:]]))
     except ResonantObstruction as exc:
         raise NotInF0(
             "unit S_%d obstructs the reduction: %s" % (k - 1, exc)
@@ -208,7 +208,7 @@ def rank3_alpha_formula(p):
         raise ResonantObstruction(
             "unit S_1 has a nonzero b^%d coefficient" % p1
         )
-    v = solve_resonant_ode("A", p2, -p2 * s2)
+    v = solve_resonant_ode(p2, -p2 * s2)
     return (v * s1).coeff(p1 + p2)
 
 

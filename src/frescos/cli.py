@@ -3,7 +3,8 @@
 Subcommands: analyze, alpha, ss, subtheme, xi, verify, identities.
 Reports carry only exact rational strings for mathematical quantities
 and always echo the seed, so randomized runs can be replayed.  Exit
-codes: 0 ok, 1 usage, 2 domain error, 3 verification failure.
+codes: 0 ok, 1 usage, 2 domain error, 3 verification failure, 4 an
+internal invariant failed (an InternalError report; a batch goes on).
 """
 
 import argparse
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -402,6 +404,10 @@ def _main(argv, stdin, stdout):
         _emit({**head, "error": type(exc).__name__, "message": str(exc)},
               ns.format, stdout)
         return EXIT_DOMAIN
+    except AssertionError as exc:
+        _emit({**head, "error": "InternalError", "message": str(exc)},
+              ns.format, stdout)
+        return EXIT_INTERNAL
     except OSError as exc:
         parser.error(str(exc))
 
@@ -421,6 +427,10 @@ def _main(argv, stdin, stdout):
             _emit({**head, "input": text, "error": type(exc).__name__,
                    "message": str(exc)}, ns.format, stdout)
             code = max(code, EXIT_DOMAIN)
+        except AssertionError as exc:
+            _emit({**head, "input": text, "error": "InternalError",
+                   "message": str(exc)}, ns.format, stdout)
+            code = max(code, EXIT_INTERNAL)
     return code
 
 

@@ -376,7 +376,7 @@ def series_from_json(d):
     try:
         return SeriesB([rat(c) for c in d["coeffs"]],
                        None if order is None else _json_int(order, "order"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SemanticError("bad series payload: %s" % exc)
 
 
@@ -396,11 +396,8 @@ def fresco_from_json(d):
     for f in d["factors"]:
         if not isinstance(f, dict) or "lambda" not in f or "unit" not in f:
             raise SemanticError("each factor needs 'lambda' and 'unit'")
-        try:
-            lam = rat(f["lambda"])
-        except (TypeError, ValueError) as exc:
-            raise SemanticError("bad exponent: %s" % exc)
-        factors.append((lam, series_from_json(f["unit"])))
+        factors.append((_json_rat(f["lambda"], "exponent"),
+                        series_from_json(f["unit"])))
     return validate_presentation(factors)
 
 
@@ -423,14 +420,18 @@ def _json_int(value, what):
     return value
 
 
+def _json_rat(value, what):
+    try:
+        return rat(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SemanticError("bad %s: %s" % (what, exc))
+
+
 def xi_from_json(d, depth=DEFAULT_ORDER):
     if not isinstance(d, dict) or "lambda" not in d or \
             not isinstance(d.get("terms"), (list, tuple)):
         raise SemanticError("expansion payload needs 'lambda' and 'terms'")
-    try:
-        lam = rat(d["lambda"])
-    except (TypeError, ValueError) as exc:
-        raise SemanticError("bad class representative: %s" % exc)
+    lam = _json_rat(d["lambda"], "class representative")
     depth = _json_int(d.get("depth", depth), "depth")
     if depth < 4:
         raise SemanticError("truncation depth must be at least 4")
@@ -441,10 +442,7 @@ def xi_from_json(d, depth=DEFAULT_ORDER):
             raise SemanticError("terms are [component, shift, logpow, coeff]")
         comp, m, j = (_json_int(v, what) for v, what in
                       zip(quad, ("component", "shift", "log power")))
-        try:
-            c = rat(quad[3])
-        except (TypeError, ValueError) as exc:
-            raise SemanticError("bad coefficient: %s" % exc)
+        c = _json_rat(quad[3], "coefficient")
         terms[(comp, m, j)] = terms.get((comp, m, j), Fraction(0)) + c
         top_comp = max(top_comp, comp)
     ncomp = _json_int(d.get("ncomp", top_comp), "ncomp")

@@ -1,21 +1,22 @@
 """Independent cross-check: exact truncated matrices for a and b.
 
 A rank-k module truncated at depth M becomes a k*M dimensional vector
-space over the rationals with basis b^m e_j (m < M, j = 1..k).  The
-action of a and b is stored as explicit sparse columns, so everything
-downstream is plain exact linear algebra with no series machinery
-involved.  Both a and b only ever raise the b-level m, which is why
-coordinates below the truncation stay exact.  The diagonal entries
-b^2 S_j'/S_j of the a-matrix are solved for here on plain Fraction
-lists, not read from the series layer, so a fault in the series kernel
-cannot cancel out on both sides of a comparison.  The elimination itself,
-one fraction-free sparse echelon that also solves the annihilator
-systems, lives in linalg.py, the only module the oracle shares with the
-expansion side; it holds no engine code.  Spans and annihilator chains
-run on integers: the a-matrix also comes as D a with integer entries,
-so a vector of a span or of a chain is known only up to a scale, which
-a span ignores and the annihilator solve keeps track of, dividing it
-out of each coefficient it returns.
+space over the rationals with basis b^m e_j (m < M, j = 1..k).  b is
+the exact shift b^m e_j -> b^(m+1) e_j, so only a is stored, once, as
+the sparse integer columns of D a over one common denominator D;
+everything downstream is plain exact linear algebra with no series
+machinery involved.  Both a and b only ever raise the b-level m, which
+is why coordinates below the truncation stay exact.  The diagonal
+entries b^2 S_j'/S_j of the a-matrix are solved for here on plain
+Fraction lists, not read from the series layer, so a fault in the
+series kernel cannot cancel out on both sides of a comparison.  The
+elimination itself, one fraction-free sparse echelon that also solves
+the annihilator systems, lives in linalg.py, the only module the oracle
+shares with the expansion side; it holds no engine code.  Spans and
+annihilator chains run on the integer columns, so a vector of a span
+or of a chain is known only up to a scale, which a span ignores and
+the annihilator solve keeps track of, dividing it out of each
+coefficient it returns.
 """
 
 from fractions import Fraction
@@ -31,25 +32,21 @@ from .series import SeriesB
 
 
 class TruncatedRep:
-    """Sparse exact matrices of a and b on the basis b^m e_j, m < M.
+    """The matrix of a on the basis b^m e_j, m < M; b is the shift.
 
-    Besides the Fraction columns acols of a, aint holds the integer
-    columns of D a, with D = ascale the lcm of their denominators, so a
-    span or a chain of a-images up to scale is built without a
-    Fraction.  key is the pivot order: lowest b-level first, then chain
-    position, as a lookup on the index.
+    aint holds the integer columns of D a, with D = ascale the lcm of
+    the denominators of a, so a span or a chain of a-images up to scale
+    is built without a Fraction; apply_a divides D back out.  key is
+    the pivot order: lowest b-level first, then chain position, as a
+    lookup on the index.
     """
 
-    __slots__ = ("k", "M", "source", "acols", "bcols", "aint", "ascale",
-                 "key")
+    __slots__ = ("k", "M", "aint", "ascale", "key")
 
-    def __init__(self, k, M, source, acols, bcols):
+    def __init__(self, k, M):
         self.k = k
         self.M = M
-        self.source = source
-        self.acols = acols
-        self.bcols = bcols
-        self.aint = None
+        self.aint = {}
         self.ascale = 1
         self.key = [(i % M) * k + i // M for i in range(k * M)].__getitem__
 
@@ -66,10 +63,11 @@ class TruncatedRep:
         return idx % self.M
 
     def apply_a(self, vec):
-        return _matvec(self.acols, vec)
+        d = self.ascale
+        return {r: Fraction(x, d) for r, x in _matvec(self.aint, vec).items()}
 
     def apply_b(self, vec):
-        return _matvec(self.bcols, vec)
+        return _shift(self, vec, 1)
 
     def embed(self, x):
         """Coordinates of an adapted-model element in this basis."""
@@ -94,14 +92,13 @@ def _matvec(cols, vec):
 
 
 def truncate_rep(p, M):
-    """Exact a/b matrices for a presentation, truncated at depth M >= 4."""
+    """The exact a-matrix of a presentation, truncated at depth M >= 4."""
     if M < 4:
         raise ValueError("truncation depth must be at least 4")
     p = validate_presentation(p)
     k = p.rank
-    acols = {}
-    bcols = {}
-    rep = TruncatedRep(k, M, p, acols, bcols)
+    rep = TruncatedRep(k, M)
+    cols = {}
     for j, (lam, unit) in enumerate(p.factors, start=1):
         if unit.order < M:
             raise OrderUnderflow(
@@ -111,9 +108,6 @@ def truncate_rep(p, M):
         d = _b2_log_derivative(s)
         d[1] += lam
         for m in range(M):
-            i = rep.idx(j, m)
-            if m + 1 < M:
-                bcols[i] = {rep.idx(j, m + 1): Fraction(1)}
             col = {}
             # b^m d_j e_j plus the m b^{m+1} e_j crossing term
             for t in range(1, M - m):
@@ -128,11 +122,11 @@ def truncate_rep(p, M):
                 for t in range(M - m):
                     if s[t]:
                         col[rep.idx(j - 1, m + t)] = s[t]
-            acols[i] = col
-    den = lcm(*(x.denominator for col in acols.values() for x in col.values()))
+            cols[rep.idx(j, m)] = col
+    den = lcm(*(x.denominator for col in cols.values() for x in col.values()))
     rep.ascale = den
     rep.aint = {i: {r: x.numerator * (den // x.denominator)
-                    for r, x in col.items()} for i, col in acols.items()}
+                    for r, x in col.items()} for i, col in cols.items()}
     return rep
 
 

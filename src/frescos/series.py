@@ -437,53 +437,28 @@ def format_series(s):
     return " ".join(parts)
 
 
-def solve_resonant_ode(form, c, rhs):
-    """Solve the two resonant Euler equations used throughout.
+def solve_resonant_ode(c, rhs):
+    """Solve the resonant Euler equation  b T' - c T = rhs.
 
-    form 'A' solves  b T' - c T = rhs   coefficientwise (n - c) t_n = r_n;
-    form 'B' solves  b^2 X' - c b X = rhs  via (n - 1 - c) x_{n-1} = r_n.
-
-    c must be a nonnegative integer, which makes exactly one index
-    resonant; that coefficient of the solution is set to zero, and a
-    nonzero right hand side there raises ResonantObstruction.  Form B in
-    addition needs rhs to have no constant term.
-
-    Form A keeps the known order of rhs; form B loses one.
+    Coefficientwise (n - c) t_n = r_n.  c must be a nonnegative
+    integer, which makes exactly one index resonant; that coefficient
+    of the solution is set to zero, and a nonzero right hand side there
+    raises ResonantObstruction.  The solution keeps the known order of
+    rhs.  The equation b^2 X' - c b X = rhs of a right hand side in
+    b C[[b]] is this one on rhs / b.
     """
-    if form not in ("A", "B"):
-        raise ValueError("form must be 'A' or 'B'")
     if c < 0 or c != int(c):
         raise ValueError("c must be a nonnegative integer")
     c = int(c)
-
-    if form == "A":
-        out = []
-        for n in range(rhs.order + 1):
-            r = rhs.coeff(n)
-            if n == c:
-                if r != 0:
-                    raise ResonantObstruction(
-                        "form A: rhs has %s at resonant index %d" % (r, n)
-                    )
-                out.append(Fraction(0))
-            else:
-                out.append(r / (n - c))
-        return SeriesB(out, rhs.order)
-
-    # form B
-    if rhs.coeff(0) != 0:
-        raise ResonantObstruction("form B: rhs has a constant term")
-    if rhs.order == 0:
-        return SeriesB.zero(0)
     out = []
-    for m in range(rhs.order):
-        r = rhs.coeff(m + 1)
-        if m == c:
+    for n in range(rhs.order + 1):
+        r = rhs.coeff(n)
+        if n == c:
             if r != 0:
                 raise ResonantObstruction(
-                    "form B: rhs has %s at index %d (resonant)" % (r, m + 1)
+                    "rhs has %s at resonant index %d" % (r, n)
                 )
             out.append(Fraction(0))
         else:
-            out.append(r / (m - c))
-    return SeriesB(out, rhs.order - 1)
+            out.append(r / (n - c))
+    return SeriesB(out, rhs.order)

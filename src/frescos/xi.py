@@ -50,6 +50,31 @@ def _logkey(pos):
     return (-j, m, comp)
 
 
+def _times_s(terms, depth):
+    """a on a term dict: multiply by s, one level up inside the window."""
+    return {(comp, m + 1, j): c for (comp, m, j), c in terms.items()
+            if m + 1 < depth}
+
+
+def _integrate(terms, lam, depth):
+    """b on a term dict: integrate from 0, one level up, shedding logs."""
+    out = {}
+    for (comp, m, j), c in terms.items():
+        if m + 1 >= depth:
+            continue
+        mu = lam + m
+        f = Fraction(1) / mu
+        for i in range(j, -1, -1):
+            pos = (comp, m + 1, i)
+            w = out.get(pos, 0) + c * f
+            if w:
+                out[pos] = w
+            elif pos in out:
+                del out[pos]
+            f = f * (-i) / mu
+    return out
+
+
 class XiExpansion:
     """Sparse exact expansion; terms maps (comp, m, j) to a coefficient."""
 
@@ -118,29 +143,13 @@ class XiExpansion:
 
     def apply_a(self):
         """Multiply by s: shift every term up one level."""
-        out = {}
-        for (comp, m, j), c in self.terms.items():
-            if m + 1 < self.depth:
-                out[(comp, m + 1, j)] = c
-        return XiExpansion(self.lam, self.depth, self.ncomp, out)
+        return XiExpansion(self.lam, self.depth, self.ncomp,
+                           _times_s(self.terms, self.depth))
 
     def apply_b(self):
         """Integrate from 0: shift up and shed log powers."""
-        out = {}
-        for (comp, m, j), c in self.terms.items():
-            if m + 1 >= self.depth:
-                continue
-            mu = self.lam + m
-            f = Fraction(1) / mu
-            for i in range(j, -1, -1):
-                pos = (comp, m + 1, i)
-                w = out.get(pos, Fraction(0)) + c * f
-                if w:
-                    out[pos] = w
-                elif pos in out:
-                    del out[pos]
-                f = f * (-i) / mu
-        return XiExpansion(self.lam, self.depth, self.ncomp, out)
+        return XiExpansion(self.lam, self.depth, self.ncomp,
+                           _integrate(self.terms, self.lam, self.depth))
 
     def __eq__(self, other):
         if not isinstance(other, XiExpansion):
@@ -165,23 +174,22 @@ class XiExpansion:
 
 
 class XiSpan:
-    """The module generated by an expansion, as an echelon.
+    """The module generated by an expansion, as the echelon that built it.
 
-    rows maps each pivot position to a vector of the span with every
-    other term after it in generation order, a primitive integer vector
-    with a positive entry at that position; the span of the rows is the
-    full orbit of the source under a and b inside the truncation window.
-    The rank is the per-level pivot count after it has stabilized: every
-    chain contributes one pivot per level from its first appearance on,
-    so the count at the last level is the module rank once no chain
-    starts close to the window edge.
+    Each pivot row of echelon is a primitive integer term dict with a
+    positive entry at its lead, every other term after it in generation
+    order; the rows span the orbit of the source under a and b inside
+    the truncation window, and rows shows them as expansions.  The rank
+    is the per-level pivot count after it has stabilized: every chain
+    contributes one pivot per level from its first appearance on, so
+    the count at the last level is the module rank once no chain starts
+    close to the window edge.
     """
 
-    def __init__(self, source, rows, rank):
+    def __init__(self, source, echelon, rank):
         self.source = source
-        self.rows = rows
+        self.echelon = echelon
         self.rank = rank
-        self._echelon = None
 
     @property
     def lam(self):
@@ -191,48 +199,45 @@ class XiSpan:
     def depth(self):
         return self.source.depth
 
+    @property
+    def rows(self):
+        src = self.source
+        return {lead: XiExpansion(src.lam, src.depth, src.ncomp, row)
+                for lead, row in self.echelon.pivots.items()}
+
     def reduce(self, x):
         """Residual of x against the span up to a nonzero scale, inside
         the window."""
-        if x.lead() not in self.rows:
+        if x.lead() not in self.echelon.pivots:
             return x
         self.source._compat(x)
-        if self._echelon is None:
-            # the rows have distinct leads, so inserting them only
-            # brings them to the echelon's integer form
-            self._echelon = Echelon(_poskey)
-            for row in self.rows.values():
-                self._echelon.insert(row.terms)
         return XiExpansion(x.lam, x.depth, x.ncomp,
-                           self._echelon.reduce(x.terms))
+                           self.echelon.reduce(x.terms))
 
 
 def xi_generate_module(phi):
     """Close the linear span of phi under a and b; certify the rank.
 
-    Every inserted vector with a new pivot enqueues its two images.
-    The per-level pivot profile is non decreasing because both
-    operators shift leading positions up one level; its value at the
-    last level is the rank, provided the last growth happened far
-    enough below the truncation depth.  Otherwise the window cannot
-    tell whether another chain was about to appear and
-    TruncationTooSmall is raised.
+    Every inserted vector with a new pivot enqueues its two images,
+    taken on the integer term dict of the pivot row.  The per-level
+    pivot profile is non decreasing because both operators shift
+    leading positions up one level; its value at the last level is the
+    rank, provided the last growth happened far enough below the
+    truncation depth.  Otherwise the window cannot tell whether another
+    chain was about to appear and TruncationTooSmall is raised.
     """
     if phi.is_zero():
         raise SemanticError("the zero expansion generates nothing")
-    depth = phi.depth
+    lam, depth = phi.lam, phi.depth
     ech = Echelon(_poskey)
-    rows = {}
-    queue = [phi]
+    queue = [phi.terms]
     while queue:
-        lead = ech.insert(queue.pop().terms)
+        lead = ech.insert(queue.pop())
         if lead is not None:
-            x = XiExpansion(phi.lam, depth, phi.ncomp, ech.pivots[lead])
-            rows[lead] = x
-            queue.append(x.apply_a())
-            queue.append(x.apply_b())
+            row = ech.pivots[lead]
+            queue += [_times_s(row, depth), _integrate(row, lam, depth)]
     per_level = [0] * depth
-    for (_, m, _) in rows:
+    for (_, m, _) in ech.pivots:
         per_level[m] += 1
     rank, last_growth, certified = certified_rank(per_level)
     if not certified:
@@ -240,7 +245,7 @@ def xi_generate_module(phi):
             "pivot profile still grows at level %d of %d; cannot certify "
             "rank %d" % (last_growth, depth, rank)
         )
-    return XiSpan(phi, rows, rank)
+    return XiSpan(phi, ech, rank)
 
 
 def xi_log_filtration(span):
@@ -255,8 +260,8 @@ def xi_log_filtration(span):
     # eliminates high logs first
     ech = Echelon(_logkey)
     groups = {}
-    for v in span.rows.values():
-        lead = ech.insert(v.terms)
+    for v in span.echelon.pivots.values():
+        lead = ech.insert(v)
         if lead is not None:
             groups.setdefault(lead[2], []).append(ech.pivots[lead])
     total = max(groups) + 1 if groups else 1
@@ -310,22 +315,22 @@ def _annihilator_from_span(span):
             % (depth, r)
         )
     w = {}
-    shifted = phi
+    shifted = phi.terms
     for i in range(top_ji + 1):
         cur = shifted
         for m in range(r):
             if m + i <= top_ji:
                 w[(m, i)] = cur
-            cur = cur.apply_a()
+            cur = _times_s(cur, depth)
         if i == 0:
             top = cur
-        shifted = shifted.apply_b()
+        shifted = _integrate(shifted, phi.lam, depth)
     # interior columns first so slack at the crust never steals a pivot
     cols = sorted(w, key=lambda c: (c[0] + c[1], c))
     pivots, z = solve(
-        [{p: x for p, x in w[col].terms.items() if p[1] <= mmax}
+        [{p: x for p, x in w[col].items() if p[1] <= mmax}
          for col in cols],
-        {p: -x for p, x in top.terms.items() if p[1] <= mmax}, _poskey)
+        {p: -x for p, x in top.items() if p[1] <= mmax}, _poskey)
     pivots = set(pivots)
     for c, col in enumerate(cols):
         if c not in pivots and col[1] <= ordc:

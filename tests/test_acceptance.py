@@ -127,8 +127,8 @@ def chain_nullspace(rep, lam):
     n = rep.dim
     rows = [[F(0)] * n for _ in range(n)]
     for i in range(n):
-        col = dict(rep.acols.get(i, {}))
-        for r, v in rep.bcols.get(i, {}).items():
+        col = rep.apply_a({i: F(1)})
+        for r, v in rep.apply_b({i: F(1)}).items():
             col[r] = col.get(r, F(0)) - lam * v
         for r, v in col.items():
             rows[r][i] = v

@@ -14,8 +14,10 @@ import sys
 
 import pytest
 
+import frescos.cli as cli_module
 from frescos.cli import (
     EXIT_DOMAIN,
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
@@ -192,6 +194,51 @@ def test_batch_stdin_one_report_per_line():
     assert reps[2]["rank"] == 2
 
 
+def test_internal_failure_is_exit_four_and_the_batch_goes_on(
+        monkeypatch, capsys):
+    run_one = cli_module.run_one
+    calls = []
+
+    def second_fails(command, obj):
+        calls.append(obj)
+        if len(calls) == 2:
+            raise AssertionError("peel remainder should vanish")
+        return run_one(command, obj)
+
+    monkeypatch.setattr("frescos.cli.run_one", second_fails)
+    lines = (
+        "fresco: (5/2 | 1) (7/2 | 1)\n"
+        "fresco: (3 | 1 + b) (3 | 1)\n"
+        "fresco: (1/2 | 1) (1/2 | 1)\n"
+    )
+    code, reps = run_json(["analyze", "--seed", "1"], stdin_text=lines)
+    # the internal failure outranks the domain error on the third line
+    assert code == EXIT_INTERNAL
+    assert len(reps) == 3
+    assert reps[0]["rank"] == 2
+    assert reps[1] == {"command": "analyze", "seed": 1,
+                       "input": "fresco: (3 | 1 + b) (3 | 1)",
+                       "error": "InternalError",
+                       "message": "peel remainder should vanish"}
+    assert reps[2]["error"] == "NotGeometric"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_internal_failure_is_exit_four(monkeypatch, capsys):
+    def broken(p, M, rng):
+        raise AssertionError("filtration never reaches the full rank")
+
+    monkeypatch.setattr("frescos.cli._oracle_check_one", broken)
+    code, (rep,) = run_json(
+        ["verify", "--seed", "1", "--samples", "2",
+         "--order", "12", "--oracle-depth", "12"]
+    )
+    assert code == EXIT_INTERNAL
+    assert rep == {"command": "verify", "seed": 1, "error": "InternalError",
+                   "message": "filtration never reaches the full rank"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_file_input(tmp_path):
     path = tmp_path / "batch.txt"
     path.write_text("fresco: (3 | 1) (3 | 1)\nfresco: (4 | 1 + b)\n")
@@ -248,6 +295,12 @@ def test_bad_expansion_json_is_domain_exit(fields):
      '{"factors": [{"lambda": "3", "unit": {"coeffs": [1, true]}}]}'),
     ("xi", '{"lambda": true, "terms": [[1, 1, 1, "1"]]}'),
     ("xi", '{"lambda": "1/2", "terms": [[1, 1, 1, true]]}'),
+    # a zero denominator is refused like a boolean, not a traceback
+    ("analyze", '{"factors": [{"lambda": "1/0", "unit": {"coeffs": [1]}}]}'),
+    ("analyze",
+     '{"factors": [{"lambda": "3", "unit": {"coeffs": [1, "1/0"]}}]}'),
+    ("xi", '{"lambda": "1/2", "terms": [[1, 0, 1, "3/0"]]}'),
+    ("xi", '{"lambda": "1/0", "terms": [[1, 0, 1, "3"]]}'),
 ])
 def test_json_booleans_are_not_rationals(command, payload):
     code, (rep,) = run_json([command, payload, "--seed", "1"])

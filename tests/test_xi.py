@@ -19,6 +19,7 @@ from frescos.errors import (
     TruncationTooSmall,
 )
 from frescos.fresco import bernstein
+from frescos.linalg import Echelon
 from frescos.series import SeriesB
 import frescos.xi as xi_module
 from frescos.xi import (
@@ -280,8 +281,44 @@ def test_zero_generates_nothing():
 def test_understated_rank_is_rejected():
     # a span that claims rank 1 for a log term has no degree-1 annihilator
     phi = term("1/2", 0, 1)
+    ech = Echelon(xi_module._poskey)
+    ech.insert(phi.terms)
     with pytest.raises(NotMonogenicAtTruncation):
-        _annihilator_from_span(XiSpan(phi, {phi.lead(): phi}, 1))
+        _annihilator_from_span(XiSpan(phi, ech, 1))
+
+
+def test_rows_are_the_generating_pivots():
+    phi = XiExpansion("1/2", DEPTH, 2, {(1, 0, 1): 1, (2, 1, 0): "2/3"})
+    span = xi_generate_module(phi)
+    pivots = span.echelon.pivots
+    rows = span.rows
+    assert list(rows) == list(pivots)
+    for lead, row in rows.items():
+        assert row.lead() == lead
+        assert row.terms == pivots[lead]
+    with pytest.raises(AttributeError):
+        span.rows = {}
+
+
+def test_closure_and_annihilator_build_no_expansion(monkeypatch):
+    # a and b act on term dicts: once the source exists, generating the
+    # module, filtering it by logs and solving for its annihilator
+    # construct no further XiExpansion
+    phi = XiExpansion("1/2", DEPTH, 2, {(1, 0, 1): 1, (2, 1, 0): "2/3"})
+
+    def invariants():
+        span = xi_generate_module(phi)
+        return (span.rank, xi_log_filtration(span),
+                _annihilator_from_span(span).degree)
+
+    want = invariants()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an XiExpansion was built")
+
+    monkeypatch.setattr(XiExpansion, "__init__", forbidden)
+    assert invariants() == want
+    assert want == (3, {"ranks": (2, 3), "d": 2}, 3)
 
 
 # --- reconstruction properties ---
