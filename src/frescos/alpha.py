@@ -35,7 +35,6 @@ from .fresco import (
     default_model_order,
     regenerate_presentation,
     sub_quotient,
-    validate_presentation,
 )
 from .series import SeriesB, rat, solve_resonant_ode
 
@@ -119,7 +118,6 @@ def classify_rank2(p):
     borderline p = 0 has a single class, a theme by convention written
     with parameter 1.
     """
-    p = validate_presentation(p)
     if p.rank != 2:
         raise WrongRank("rank-2 classification got rank %d" % p.rank)
     _require_primitive(p)
@@ -147,7 +145,6 @@ def alpha_reduce_step(p, tau=0):
     tau b^(p_{k-1}-1); alpha does not depend on tau precisely on the
     class where it is defined.
     """
-    p = validate_presentation(p)
     k = p.rank
     if k < 3:
         raise WrongRank("reduction needs rank >= 3, got %d" % k)
@@ -179,12 +176,10 @@ def alpha_reduce_step(p, tau=0):
             raise AssertionError(
                 "coordinate %d should vanish after the reduction" % j
             )
-    sub = AdaptedModel(Presentation(p.factors[: k - 2]), order=order)
-    gsub = ModuleElement([c.truncate(sub.order) if c.order > sub.order
-                          else c for c in g.coords[: k - 2]])
-    reduced = regenerate_presentation(sub, gsub)
+    # g generates the submodule F_{k-2} of the same model
+    reduced = regenerate_presentation(model, ModuleElement(g.coords[: k - 2]))
     tail_order = min(u.order for u in reduced.units)
-    return validate_presentation(
+    return Presentation(
         list(reduced.factors) + [(lam[k - 1] + 1, SeriesB.one(tail_order))]
     )
 
@@ -198,7 +193,6 @@ def rank3_alpha_formula(p):
     obstruction is checked separately since this route never trips
     over it.
     """
-    p = validate_presentation(p)
     if p.rank != 3:
         raise WrongRank("closed formula is rank 3 only, got %d" % p.rank)
     _require_positive_steps(p)
@@ -247,7 +241,7 @@ class Analysis:
     """
 
     def __init__(self, p, tau=0):
-        self.presentation = validate_presentation(p)
+        self.presentation = p
         self.tau = tau
         try:
             self._alpha = _reduce_chain(self.presentation, tau)

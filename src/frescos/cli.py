@@ -4,10 +4,14 @@ Subcommands: analyze, alpha, ss, subtheme, xi, verify, identities.
 Reports carry only exact rational strings for mathematical quantities
 and always echo the seed, so randomized runs can be replayed.  Exit
 codes: 0 ok, 1 usage, 2 domain error, 3 verification failure, 4 an
-internal invariant failed (an InternalError report; a batch goes on).
+internal invariant failed.  One error boundary turns an EngineError
+(exit 2) or a failed internal assertion (exit 4, error InternalError)
+into a report, for identities, for verify and for each batch line,
+where the report also echoes the line and the batch goes on.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -42,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=int, default=DEFAULT_ORDER,
@@ -247,21 +252,19 @@ def _oracle_check_one(p, M, rng):
     return fails
 
 
-def run_verify(req, inputs):
-    rng = random.Random(req["seed"])
-    M = req["oracle_depth"]
+def run_verify(ns, inputs):
+    rng = random.Random(ns.seed)
+    M = ns.oracle_depth
     # the oracle truncates units down to M, so they must be born at least
     # that deep
-    ord0 = max(req["order"], M)
+    ord0 = max(ns.order, M)
     checked = []
     if inputs:
         for text in inputs:
-            obj = parse_dsl(text, order=ord0, depth=req["order"])
+            obj = parse_dsl(text, order=ord0, depth=ns.order)
             checked.append(_want_presentation(obj, "verify"))
     else:
-        checked = [
-            _random_presentation(rng, ord0) for _ in range(req["samples"])
-        ]
+        checked = [_random_presentation(rng, ord0) for _ in range(ns.samples)]
     counts = {"pass": 0, "fail": 0}
     disagreements = []
     for p in checked:
@@ -282,47 +285,34 @@ def run_verify(req, inputs):
     return report, (EXIT_MISMATCH if counts["fail"] else EXIT_OK)
 
 
-def run_identities(req):
-    rng = random.Random(req["seed"])
-    n = req["samples"]
-    order = req["order"]
+def _fraction(rng, lo, hi, dens):
+    return Fraction(rng.randint(lo, hi), rng.choice(dens))
+
+
+# report key, check, and the arguments of one sample drawn from the rng
+_IDENTITIES = (
+    ("exchange", check_exchange,
+     lambda rng: (_fraction(rng, -12, 12, (1, 2, 3, 4)),
+                  _fraction(rng, -12, 12, (1, 2, 3, 4)))),
+    ("unit_exchange", check_unit_exchange,
+     lambda rng: (_fraction(rng, 2, 9, (1, 2)), rng.randint(1, 4),
+                  _fraction(rng, -4, 4, (1, 2, 3)))),
+    ("middle_unit_exchange", check_middle_unit_exchange,
+     lambda rng: (Fraction(rng.randint(3, 9)), rng.randint(1, 3),
+                  rng.randint(1, 3), _fraction(rng, -4, 4, (1, 2, 3)))),
+)
+
+
+def run_identities(ns):
+    rng = random.Random(ns.seed)
+    n = ns.samples
     report = {"samples": n}
-    ok = True
-
-    passed = 0
-    for _ in range(n):
-        x = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
-        y = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
-        if check_exchange(x, y, order=order):
-            passed += 1
-    report["exchange"] = {"pass": passed, "fail": n - passed}
-    ok = ok and passed == n
-
-    passed = 0
-    for _ in range(n):
-        lam1 = Fraction(rng.randint(2, 9), rng.choice((1, 2)))
-        p1 = rng.randint(1, 4)
-        rho = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-        if check_unit_exchange(lam1, p1, rho, order=order):
-            passed += 1
-    report["unit_exchange"] = {
-        "pass": passed,
-        "fail": n - passed,
-        "documented_outcome": "holds at every sampled point",
-    }
-    ok = ok and passed == n
-
-    passed = 0
-    for _ in range(n):
-        lam1 = Fraction(rng.randint(3, 9))
-        p1 = rng.randint(1, 3)
-        p2 = rng.randint(1, 3)
-        alpha = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-        if check_middle_unit_exchange(lam1, p1, p2, alpha, order=order):
-            passed += 1
-    report["middle_unit_exchange"] = {"pass": passed, "fail": n - passed}
-    ok = ok and passed == n
-
+    for key, check, draw in _IDENTITIES:
+        passed = sum(1 for _ in range(n) if check(*draw(rng), order=ns.order))
+        report[key] = {"pass": passed, "fail": n - passed}
+    report["unit_exchange"]["documented_outcome"] = \
+        "holds at every sampled point"
+    ok = all(report[key]["fail"] == 0 for key, _, _ in _IDENTITIES)
     return report, (EXIT_OK if ok else EXIT_MISMATCH)
 
 
@@ -354,13 +344,16 @@ def _emit(report, fmt, out):
         out.write("\n".join(_render_text(report)) + "\n")
 
 
-def _gather_inputs(arg, stdin):
-    if arg is None:
-        return [line.strip() for line in stdin if line.strip()]
-    if arg.startswith("@"):
+def _gather_inputs(arg, stdin, parser):
+    if arg is not None and not arg.startswith("@"):
+        return [arg]
+    try:
+        if arg is None:
+            return [line.strip() for line in stdin if line.strip()]
         with open(arg[1:]) as fh:
             return [line.strip() for line in fh if line.strip()]
-    return [arg]
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(str(exc))
 
 
 def main(argv=None, stdin=None, stdout=None):
@@ -371,66 +364,52 @@ def main(argv=None, stdin=None, stdout=None):
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
 
+def _run_line(ns, text):
+    obj = parse_dsl(text, order=ns.order, depth=ns.order)
+    return run_one(ns.command, obj), EXIT_OK
+
+
 def _main(argv, stdin, stdout):
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     parser = build_parser()
     ns = parser.parse_args(argv)
-    seed = ns.seed if ns.seed is not None else random.randrange(2 ** 32)
-    req = {
-        "order": ns.order,
-        "oracle_depth": ns.oracle_depth if ns.oracle_depth is not None
-        else ns.order,
-        "seed": seed,
-        "samples": ns.samples,
-    }
-    if ns.order < 4 or req["oracle_depth"] < 4:
+    if ns.seed is None:
+        ns.seed = random.randrange(2 ** 32)
+    if ns.oracle_depth is None:
+        ns.oracle_depth = ns.order
+    if ns.order < 4 or ns.oracle_depth < 4:
         parser.error("truncations below 4 cannot support the engine")
     if ns.samples < 0:
         parser.error("--samples cannot be negative")
 
-    head = {"command": ns.command, "seed": seed}
-    try:
-        if ns.command == "identities":
-            report, code = run_identities(req)
-            _emit({**head, **report}, ns.format, stdout)
-            return code
-        if ns.command == "verify":
-            inputs = _gather_inputs(ns.input, stdin) if ns.input else []
-            report, code = run_verify(req, inputs)
-            _emit({**head, **report}, ns.format, stdout)
-            return code
-    except EngineError as exc:
-        _emit({**head, "error": type(exc).__name__, "message": str(exc)},
-              ns.format, stdout)
-        return EXIT_DOMAIN
-    except AssertionError as exc:
-        _emit({**head, "error": "InternalError", "message": str(exc)},
-              ns.format, stdout)
-        return EXIT_INTERNAL
-    except OSError as exc:
-        parser.error(str(exc))
+    # each job is (the batch line it echoes on error or None, its work)
+    if ns.command == "identities":
+        jobs = [(None, lambda: run_identities(ns))]
+    elif ns.command == "verify":
+        inputs = _gather_inputs(ns.input, stdin, parser) if ns.input else []
+        jobs = [(None, lambda: run_verify(ns, inputs))]
+    else:
+        inputs = _gather_inputs(ns.input, stdin, parser)
+        if not inputs:
+            parser.error("no input given")
+        jobs = [(text, functools.partial(_run_line, ns, text))
+                for text in inputs]
 
-    try:
-        inputs = _gather_inputs(ns.input, stdin)
-    except OSError as exc:
-        parser.error(str(exc))
-    if not inputs:
-        parser.error("no input given")
+    head = {"command": ns.command, "seed": ns.seed}
     code = EXIT_OK
-    for text in inputs:
+    for text, job in jobs:
+        echo = {} if text is None else {"input": text}
         try:
-            obj = parse_dsl(text, order=ns.order, depth=ns.order)
-            body = run_one(ns.command, obj)
-            _emit({**head, **body}, ns.format, stdout)
+            body, job_code = job()
         except EngineError as exc:
-            _emit({**head, "input": text, "error": type(exc).__name__,
-                   "message": str(exc)}, ns.format, stdout)
-            code = max(code, EXIT_DOMAIN)
+            body, job_code = {**echo, "error": type(exc).__name__,
+                              "message": str(exc)}, EXIT_DOMAIN
         except AssertionError as exc:
-            _emit({**head, "input": text, "error": "InternalError",
-                   "message": str(exc)}, ns.format, stdout)
-            code = max(code, EXIT_INTERNAL)
+            body, job_code = {**echo, "error": "InternalError",
+                              "message": str(exc)}, EXIT_INTERNAL
+        _emit({**head, **body}, ns.format, stdout)
+        code = max(code, job_code)
     return code
 
 

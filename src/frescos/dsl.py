@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .errors import DslSyntaxError, MixedPrimitiveClasses, SemanticError
-from .fresco import Presentation, validate_presentation
+from .fresco import Presentation
 from .series import DEFAULT_ORDER, SeriesB, format_series, rat, rat_str
 from .xi import XiExpansion, xi_exponent_split
 
@@ -209,7 +209,7 @@ def parse_fresco(text, order=None):
         (lam, _series_from_terms(t, order, "unit %d" % (i + 1)))
         for i, (lam, t) in enumerate(raw)
     ]
-    return validate_presentation(factors)
+    return Presentation(factors)
 
 
 def parse_xi(text, depth=DEFAULT_ORDER, ncomp=None):
@@ -398,7 +398,7 @@ def fresco_from_json(d):
             raise SemanticError("each factor needs 'lambda' and 'unit'")
         factors.append((_json_rat(f["lambda"], "exponent"),
                         series_from_json(f["unit"])))
-    return validate_presentation(factors)
+    return Presentation(factors)
 
 
 def xi_to_json(x):

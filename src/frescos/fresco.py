@@ -30,12 +30,32 @@ from .series import SeriesB, rat
 
 
 class Presentation:
-    """An ordered list of (exponent, unit) factors defining a fresco."""
+    """An ordered list of (exponent, unit) factors defining a fresco.
+
+    Checked when built, so every Presentation in hand is valid: at least
+    one factor (else SemanticError), rational exponents with
+    l_j + j > k (else NotGeometric), units that are series with constant
+    term exactly 1 (else NonUnitSeries).  Non-primitive exponent lists
+    are allowed; the flag is queried where it matters.
+    """
 
     __slots__ = ("factors",)
 
     def __init__(self, factors):
         self.factors = tuple((rat(l), u) for l, u in factors)
+        k = len(self.factors)
+        if k == 0:
+            raise SemanticError("a presentation needs at least one factor")
+        for j, (lam, unit) in enumerate(self.factors, start=1):
+            if lam + j <= k:
+                raise NotGeometric(
+                    "exponent %s at position %d violates lambda_j + j > %d"
+                    % (lam, j, k)
+                )
+            if not isinstance(unit, SeriesB) or unit.constant() != 1:
+                raise NonUnitSeries(
+                    "unit at position %d must have constant term 1" % j
+                )
 
     @property
     def rank(self):
@@ -85,28 +105,6 @@ class Presentation:
         )
 
 
-def validate_presentation(factors):
-    """Check the geometric condition and the unit normalization.
-
-    Returns a Presentation.  Exponents must be rational with
-    l_j + j > k; units must be series with constant term exactly 1.
-    Non-primitive exponent lists are allowed here (the flag is queried
-    where it matters), so only the two fatal conditions raise.
-    """
-    p = factors if isinstance(factors, Presentation) else Presentation(factors)
-    k = p.rank
-    if k == 0:
-        raise SemanticError("a presentation needs at least one factor")
-    for j, (lam, unit) in enumerate(p.factors, start=1):
-        if lam + j <= k:
-            raise NotGeometric(
-                "exponent %s at position %d violates lambda_j + j > %d" % (lam, j, k)
-            )
-        if not isinstance(unit, SeriesB) or unit.constant() != 1:
-            raise NonUnitSeries("unit at position %d must have constant term 1" % j)
-    return p
-
-
 def trivial_units(lambdas, order=8):
     """Presentation with all units 1 (used for Bernstein elements)."""
     return Presentation([(l, SeriesB.one(order)) for l in lambdas])
@@ -132,7 +130,6 @@ def bernstein(p):
     expansion consistency initial_form(expand(p), k) == expand(element)
     is asserted on the way.
     """
-    p = validate_presentation(p)
     k = p.rank
     avail = min(u.order for u in p.units)
     # the initial form reads b-coefficients up to b^k, so k is a hard floor
@@ -205,17 +202,25 @@ class ModuleElement:
 
 
 class AdaptedModel:
-    """The concrete C[[b]]-module attached to a presentation."""
+    """The concrete C[[b]]-module attached to a presentation.
+
+    Coordinates are series known to the model's order >= 1.  The first
+    m basis vectors span the submodule F_m, which a maps to itself, so
+    apply_a acts on an element of any F_m given by its m coordinates.
+    """
 
     def __init__(self, presentation, order=None):
-        p = validate_presentation(presentation)
         if order is None:
-            order = default_model_order(p)
-        self.presentation = p
+            order = default_model_order(presentation)
+        if order < 1:
+            raise OrderUnderflow(
+                "the adapted model needs order at least 1, got %d" % order
+            )
+        self.presentation = presentation
         self.order = order
         self.diag = []
         self.sub = []
-        for lam, unit in p.factors:
+        for lam, unit in presentation.factors:
             u = _fit(unit, order)
             # d_j = lambda_j b + b^2 S_j'/S_j
             d = SeriesB.monomial(lam, 1, order) + \
@@ -227,24 +232,19 @@ class AdaptedModel:
     def rank(self):
         return self.presentation.rank
 
-    def basis(self, j):
-        """e_j as a module element."""
-        k = self.rank
-        return ModuleElement(
-            [SeriesB.one(self.order) if i == j else SeriesB.zero(self.order)
-             for i in range(1, k + 1)]
-        )
-
     def element(self, coords):
         if len(coords) != self.rank:
             raise ValueError("expected %d coordinates" % self.rank)
         return ModuleElement(coords)
 
     def apply_a(self, x):
-        """Coordinatewise: (a x)_j = d_j G_j + b^2 G_j' + S_{j+1} G_{j+1}."""
+        """Coordinatewise: (a x)_j = d_j G_j + b^2 G_j' + S_{j+1} G_{j+1}.
+
+        x lies in F_m for m = x.rank coordinates, and so does a x.
+        """
         if x.order < 1:
             raise OrderUnderflow("coordinates known only to order 0")
-        k = self.rank
+        k = x.rank
         out = []
         for j in range(1, k + 1):
             g = x.coord(j)
@@ -274,20 +274,22 @@ class AdaptedModel:
 
 
 def regenerate_presentation(model, g):
-    """Read a presentation off a generator of an adapted model.
+    """Read the presentation of the submodule <g> of F_k off g.
 
-    Walks stages m = k..1.  At each stage the new unit is
+    g is given by its k coordinates against e_1..e_k, k at most the
+    model's rank; the result uses the model's first k factors.  Walks
+    stages m = k..1.  At each stage the new unit is
     Sigma_m = S_m G_m / G_m(0); the next generator is
     (a - l_m b)(Sigma_m^-1 g) which lands in the span of e_1..e_{m-1}
     exactly.  A vanishing constant term G_m(0) means g fails to
     generate and raises NotAGenerator.
     """
-    p = model.presentation
-    k = p.rank
     coords = list(g.coords)
-    if len(coords) != k:
+    k = len(coords)
+    if k > model.rank:
         raise ValueError("generator has %d coordinates, model rank is %d"
-                         % (len(coords), k))
+                         % (k, model.rank))
+    lambdas = model.presentation.lambdas[:k]
     new_units = [None] * k
     for m in range(k, 0, -1):
         gm = coords[m - 1]
@@ -299,17 +301,16 @@ def regenerate_presentation(model, g):
         if m == 1:
             break
         t = sigma.invert()
-        x = ModuleElement([t * c for c in coords[:m]] +
-                          [SeriesB.zero(t.order)] * (k - m))
-        y = _apply_linear(model, p.lambdas[m - 1], x)
+        x = ModuleElement([t * c for c in coords])
+        y = _apply_linear(model, lambdas[m - 1], x)
         top = y.coord(m)
         if top.valuation() is not None:
             raise AssertionError("stage %d residue should vanish, got %s"
                                  % (m, top))
         coords = list(y.coords[: m - 1])
     order = min(u.order for u in new_units)
-    return validate_presentation(
-        [(lam, u.truncate(order)) for lam, u in zip(p.lambdas, new_units)]
+    return Presentation(
+        [(lam, u.truncate(order)) for lam, u in zip(lambdas, new_units)]
     )
 
 
@@ -326,16 +327,14 @@ def sub_quotient(p, i, j):
     Geometric automatically: l_m + m > k >= j keeps every exponent
     above the smaller rank.
     """
-    p = validate_presentation(p)
     if not p.is_principal():
         raise SemanticError("sub-quotients are cut from the principal order")
     if not (1 <= i <= j <= p.rank):
         raise IndexOutOfRange("need 1 <= i <= j <= %d" % p.rank)
-    return validate_presentation(p.factors[i - 1: j])
+    return Presentation(p.factors[i - 1: j])
 
 
 def twist(p, delta):
-    """Shift every exponent by delta; revalidates the geometric bound."""
-    p = validate_presentation(p)
+    """Shift every exponent by delta; rechecks the geometric bound."""
     d = rat(delta)
-    return validate_presentation([(l + d, u) for l, u in p.factors])
+    return Presentation([(l + d, u) for l, u in p.factors])

@@ -24,7 +24,6 @@ from math import gcd, lcm
 
 from .algebra import AbElement
 from .errors import DegenerateTruncation, OrderUnderflow, TruncationTooSmall
-from .fresco import validate_presentation
 from .linalg import Solver, axpy, certified_rank, integral
 # perfbench/tracer.py counts span_closure's inserts through oracle._Echelon
 from .linalg import Echelon as _Echelon
@@ -95,7 +94,6 @@ def truncate_rep(p, M):
     """The exact a-matrix of a presentation, truncated at depth M >= 4."""
     if M < 4:
         raise ValueError("truncation depth must be at least 4")
-    p = validate_presentation(p)
     k = p.rank
     rep = TruncatedRep(k, M)
     cols = {}

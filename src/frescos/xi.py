@@ -22,7 +22,7 @@ from .errors import (
     SemanticError,
     TruncationTooSmall,
 )
-from .fresco import validate_presentation
+from .fresco import Presentation
 from .linalg import Echelon, axpy, certified_rank, solve
 from .series import SeriesB, rat
 
@@ -469,7 +469,7 @@ def model_from_xi(span):
         raise AssertionError("peeling left a non-unit of degree %d"
                              % cur.degree)
     order = min(u.order for u in units)
-    p = validate_presentation(
+    p = Presentation(
         [(lam, u.truncate(order)) for lam, u in zip(lambdas, units)]
     )
     check = monicize(expand_factor_form(p.factors, order))

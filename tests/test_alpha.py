@@ -21,8 +21,10 @@ from frescos.alpha import (
     rank3_alpha_formula,
     subtheme_class,
 )
+from frescos.dsl import from_json
 from frescos.errors import (
     AlphaZero,
+    EngineError,
     NotInF0,
     NotPrimitive,
     PValueZero,
@@ -30,7 +32,7 @@ from frescos.errors import (
     SemanticError,
     WrongRank,
 )
-from frescos.fresco import AdaptedModel, regenerate_presentation, twist, validate_presentation
+from frescos.fresco import AdaptedModel, Presentation, regenerate_presentation, twist
 from frescos.cli import main
 from frescos.series import SeriesB, rat
 
@@ -42,7 +44,7 @@ def unit(*coeffs, order=ORDER):
 
 
 def pres(*pairs):
-    return validate_presentation([(rat(l), u) for l, u in pairs])
+    return Presentation([(rat(l), u) for l, u in pairs])
 
 
 def test_classify_theme():
@@ -121,6 +123,16 @@ def test_reduce_step_needs_rank_three():
 def test_reduce_step_zero_step():
     with pytest.raises(PValueZero):
         alpha_reduce_step(pres((3, unit()), (2, unit()), (3, unit())))
+
+
+def test_reduce_step_on_order_zero_units_is_a_domain_error():
+    # units known only to order 0 leave the adapted model no room
+    p = from_json({"factors": [
+        {"lambda": lam, "unit": {"coeffs": [1], "order": 0}}
+        for lam in ("3", "4", "5")
+    ]})
+    with pytest.raises(EngineError):
+        alpha_reduce_step(p)
 
 
 def test_reduce_step_obstruction_in_middle_unit():

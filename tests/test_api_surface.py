@@ -31,6 +31,24 @@ def _called_names(tree):
                 yield func.attr
 
 
+def test_oracle_imports_no_engine_code():
+    # the oracle checks the engine, so besides the shared elimination
+    # kernel and the errors it imports only the types it returns
+    allowed = {"linalg": None, "errors": None,
+               "algebra": {"AbElement"}, "series": {"SeriesB"}}
+    tree = dict(_trees())["oracle.py"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "frescos" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            assert node.module.split(".")[0] != "frescos"
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 1 and node.module in allowed, node.module
+            names = {a.name for a in node.names}
+            want = allowed[node.module]
+            assert want is None or names <= want, (node.module, names)
+
+
 def test_every_public_function_is_exported_or_called():
     trees = dict(_trees())
     called = {n for tree in trees.values() for n in _called_names(tree)}

@@ -252,6 +252,18 @@ def test_missing_file_is_usage_error():
     assert code == EXIT_USAGE
 
 
+def test_parser_is_built_once():
+    assert cli_module.build_parser() is cli_module.build_parser()
+
+
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "batch.bin"
+    path.write_bytes(b"\xff\xfe fresco: (3 | 1)\n")
+    code, _ = run(["analyze", "@%s" % path, "--seed", "1"])
+    assert code == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_usage_errors():
     assert run(["frobnicate"])[0] == EXIT_USAGE
     assert run(["analyze", "--order", "x"])[0] == EXIT_USAGE

@@ -27,7 +27,7 @@ from frescos.errors import (
     NotGeometric,
     SemanticError,
 )
-from frescos.fresco import Presentation, validate_presentation
+from frescos.fresco import Presentation
 from frescos.series import DEFAULT_ORDER, SeriesB, format_series
 from frescos.xi import XiExpansion
 
@@ -208,7 +208,7 @@ def presentations(draw, order=10):
         den = draw(st.sampled_from([1, 2, 3, 4]))
         lams.append(k - j + F(num, den))
     us = [draw(units(order)) for _ in range(k)]
-    return validate_presentation(list(zip(lams, us)))
+    return Presentation(list(zip(lams, us)))
 
 
 @settings(max_examples=40, deadline=None)

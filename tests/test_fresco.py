@@ -12,10 +12,12 @@ from frescos.errors import (
     NonUnitSeries,
     NotAGenerator,
     NotGeometric,
+    OrderUnderflow,
     SemanticError,
 )
 from frescos.fresco import (
     AdaptedModel,
+    ModuleElement,
     Presentation,
     bernstein,
     default_model_order,
@@ -24,7 +26,6 @@ from frescos.fresco import (
     sub_quotient,
     trivial_units,
     twist,
-    validate_presentation,
 )
 from frescos.series import SeriesB, rat
 
@@ -36,7 +37,14 @@ def unit(*coeffs, order=ORDER):
 
 
 def pres(*pairs):
-    return validate_presentation([(rat(l), u) for l, u in pairs])
+    return Presentation([(rat(l), u) for l, u in pairs])
+
+
+def basis(model, j):
+    """e_j of an adapted model as a module element."""
+    n = model.order
+    return ModuleElement([SeriesB.one(n) if i == j else SeriesB.zero(n)
+                          for i in range(1, model.rank + 1)])
 
 
 def std():
@@ -61,6 +69,15 @@ def test_validate_unit_constant():
     bad = SeriesB([2, 1], ORDER)
     with pytest.raises(NonUnitSeries):
         pres(("5/2", unit()), ("7/2", bad))
+
+
+def test_presentation_is_checked_when_built():
+    with pytest.raises(SemanticError):
+        Presentation([])
+    with pytest.raises(NotGeometric):
+        Presentation([(rat(0), unit())])
+    with pytest.raises(NonUnitSeries):
+        Presentation([(rat("5/2"), 1)])
 
 
 def test_nonprimitive_is_flagged_not_fatal():
@@ -104,9 +121,9 @@ def test_model_chain_relations():
     m = AdaptedModel(p, order=16)
     for j in range(p.rank, 1, -1):
         sj_inv = m.sub[j - 1].invert()
-        x = m.basis(j).scale(sj_inv)
+        x = basis(m, j).scale(sj_inv)
         y = m.apply_a(x) - m.apply_b(x).scale(SeriesB([p.lambdas[j - 1]], 16))
-        expect = m.basis(j - 1)
+        expect = basis(m, j - 1)
         for i in range(1, p.rank + 1):
             assert y.coord(i).same_upto(expect.coord(i), 12)
 
@@ -116,7 +133,7 @@ def test_presentation_annihilates_generator():
     n = 14
     m = AdaptedModel(p, order=n)
     op = expand_factor_form(p.factors, n)
-    y = m.apply_op(op, m.basis(p.rank))
+    y = m.apply_op(op, basis(m, p.rank))
     assert y.is_zero()
 
 
@@ -136,7 +153,7 @@ def test_model_commutation(cs):
 def test_regenerate_identity_on_ek():
     p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
     m = AdaptedModel(p, order=18)
-    q = regenerate_presentation(m, m.basis(3))
+    q = regenerate_presentation(m, basis(m, 3))
     assert q.lambdas == p.lambdas
     for old, new in zip(p.units, q.units):
         assert old.same_upto(new, new.order)
@@ -151,6 +168,32 @@ def test_regenerate_frozen_example():
     assert q.lambdas == (lam1, lam2)
     assert q.units[0].same_upto(SeriesB.one(16), q.units[0].order)
     assert q.units[1].same_upto(SeriesB([1, 1], 16), q.units[1].order)
+
+
+def test_model_needs_positive_order():
+    with pytest.raises(OrderUnderflow):
+        AdaptedModel(std(), order=0)
+
+
+def test_apply_a_acts_on_a_prefix_span():
+    p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
+    m = AdaptedModel(p, order=16)
+    x = m.element([SeriesB([1, 2], 16), SeriesB([3, 0, 1], 16), SeriesB.zero(16)])
+    whole = m.apply_a(x)
+    prefix = m.apply_a(ModuleElement(x.coords[:2]))
+    assert prefix.rank == 2
+    assert whole.coord(3).valuation() is None
+    for j in (1, 2):
+        assert prefix.coord(j).same_upto(whole.coord(j), 16)
+
+
+def test_regenerate_reads_a_prefix_span():
+    p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
+    m = AdaptedModel(p, order=18)
+    q = regenerate_presentation(m, ModuleElement(basis(m, 2).coords[:2]))
+    assert q.lambdas == p.lambdas[:2]
+    for old, new in zip(p.units, q.units):
+        assert old.same_upto(new, new.order)
 
 
 def test_regenerate_rejects_nongenerator():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from frescos.algebra import AbElement, expand_factor_form, monicize
 from frescos.errors import DegenerateTruncation, TruncationTooSmall
-from frescos.fresco import AdaptedModel, validate_presentation
+from frescos.fresco import AdaptedModel, ModuleElement, Presentation
 from frescos.linalg import axpy
 from frescos.oracle import (
     minimal_annihilator,
@@ -25,9 +25,16 @@ def unit(*coeffs, order=M):
 
 
 def pres(*pairs, order=M):
-    return validate_presentation(
+    return Presentation(
         [(rat(l), unit(*cs, order=order)) for l, cs in pairs]
     )
+
+
+def basis(model, j):
+    """e_j of an adapted model as a module element."""
+    n = model.order
+    return ModuleElement([SeriesB.one(n) if i == j else SeriesB.zero(n)
+                          for i in range(1, model.rank + 1)])
 
 
 def std2():
@@ -216,7 +223,7 @@ def test_rep_agrees_with_model_action():
     rep = truncate_rep(p, M)
     model = AdaptedModel(p, order=M)
     for j in (1, 2, 3):
-        x = model.basis(j)
+        x = basis(model, j)
         va = rep.apply_a(rep.embed(x))
         wa = rep.embed(model.apply_a(x))
         assert {r: c for r, c in va.items() if rep.level(r) < M} == wa
@@ -236,7 +243,7 @@ def small_presentations(draw):
     for lam in lams:
         cs = draw(st.lists(coeffs, min_size=0, max_size=2))
         fs.append((Fraction(lam), unit(*cs)))
-    return validate_presentation(fs)
+    return Presentation(fs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,7 +277,7 @@ def unit_presentations(draw):
                                 max_value=k - j + 5, max_denominator=3))
         cs = draw(st.lists(coeffs, min_size=0, max_size=M))
         fs.append((lam, unit(*cs)))
-    return validate_presentation(fs)
+    return Presentation(fs)
 
 
 def _columns_from_model(p):
