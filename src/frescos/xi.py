@@ -8,13 +8,17 @@ operator b integrates from 0, which also shifts but sheds log powers:
 
     b:  s^(mu-1) Log^j  |->  s^mu sum_i (-1)^(j-i) (j!/i!) mu^(i-j-1) Log^i
 
-with mu = lam + m > 0, so every division is exact.  Both operators act
-componentwise and only ever raise m, which keeps everything below the
-truncation depth exact.
+with mu = lam + m > 0.  Both operators act componentwise and only ever
+raise m, which keeps everything below the truncation depth exact.  With
+lam = a/q, mu = p_m/q for the positive integer p_m = a + m q, so on an
+integer term dict b is an integer map up to one integer scale (the lcm
+of the p_m^(j+1)); the module closure and the annihilator apply it so,
+and every elimination over an expansion's span runs on integers.
 """
 
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 
 from .algebra import AbElement, expand_factor_form, left_divide, monicize
 from .errors import (
@@ -56,23 +60,39 @@ def _times_s(terms, depth):
             if m + 1 < depth}
 
 
+def _cleared(terms):
+    """(ints, den): a Fraction term dict times den, the lcm of its
+    denominators, as an integer term dict."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {pos: c.numerator * (den // c.denominator)
+            for pos, c in terms.items()}, den
+
+
 def _integrate(terms, lam, depth):
-    """b on a term dict: integrate from 0, one level up, shedding logs."""
+    """b on an integer term dict, up to an integer scale: (out, D).
+
+    With lam = a/q a term at level m has mu = p_m/q, p_m = a + m q, and
+    its image carries (q/p_m)^(j-i+1) on Log^i.  D is the lcm of the
+    p_m^(j+1) over the terms that stay inside the window, and out is D
+    times the image of terms, on integers: from f = c (D/p_m) q each
+    step f <- f (-i) q / p_m is an exact integer division.
+    """
+    a, q = lam.numerator, lam.denominator
+    live = [(pos, c) for pos, c in terms.items() if pos[1] + 1 < depth]
+    D = lcm(*{(a + m * q) ** (j + 1) for (_, m, j), _ in live})
     out = {}
-    for (comp, m, j), c in terms.items():
-        if m + 1 >= depth:
-            continue
-        mu = lam + m
-        f = Fraction(1) / mu
+    for (comp, m, j), c in live:
+        p = a + m * q
+        f = c * (D // p) * q
         for i in range(j, -1, -1):
             pos = (comp, m + 1, i)
-            w = out.get(pos, 0) + c * f
+            w = out.get(pos, 0) + f
             if w:
                 out[pos] = w
             elif pos in out:
                 del out[pos]
-            f = f * (-i) / mu
-    return out
+            f = f * (-i) * q // p
+    return out, D
 
 
 class XiExpansion:
@@ -148,8 +168,11 @@ class XiExpansion:
 
     def apply_b(self):
         """Integrate from 0: shift up and shed log powers."""
+        ints, den = _cleared(self.terms)
+        out, D = _integrate(ints, self.lam, self.depth)
+        den *= D
         return XiExpansion(self.lam, self.depth, self.ncomp,
-                           _integrate(self.terms, self.lam, self.depth))
+                           {pos: Fraction(x, den) for pos, x in out.items()})
 
     def __eq__(self, other):
         if not isinstance(other, XiExpansion):
@@ -179,7 +202,10 @@ class XiSpan:
     Each pivot row of echelon is a primitive integer term dict with a
     positive entry at its lead, every other term after it in generation
     order; the rows span the orbit of the source under a and b inside
-    the truncation window, and rows shows them as expansions.  The rank
+    the truncation window, and rows shows them as expansions.  The
+    pivots keep their insertion order: the source, then depth first
+    along the b images (scaled to integers) before the a images, so the
+    b-chain of the top log power comes first.  The rank
     is the per-level pivot count after it has stabilized: every chain
     contributes one pivot per level from its first appearance on, so
     the count at the last level is the module rank once no chain starts
@@ -235,7 +261,7 @@ def xi_generate_module(phi):
         lead = ech.insert(queue.pop())
         if lead is not None:
             row = ech.pivots[lead]
-            queue += [_times_s(row, depth), _integrate(row, lam, depth)]
+            queue += [_times_s(row, depth), _integrate(row, lam, depth)[0]]
     per_level = [0] * depth
     for (_, m, _) in ech.pivots:
         per_level[m] += 1
@@ -254,13 +280,19 @@ def xi_log_filtration(span):
     S_j collects the elements using log powers below j.  The returned
     dict has 'ranks', the tuple rank S_1 .. rank S_(maxlog+1), and 'd',
     the least j with rank S_j equal to the full rank.
+
+    The log-first echelon takes the span rows in reverse insertion
+    order: the long b-chain of the top log power, inserted first, then
+    reduces against the short rows of the lower logs instead of growing
+    them.  The pivot set, hence every rank and d, depends on the span
+    alone, not on the order.
     """
     depth = span.depth
     # splitting by the highest log power present needs an echelon that
     # eliminates high logs first
     ech = Echelon(_logkey)
     groups = {}
-    for v in span.echelon.pivots.values():
+    for v in reversed(span.echelon.pivots.values()):
         lead = ech.insert(v)
         if lead is not None:
             groups.setdefault(lead[2], []).append(ech.pivots[lead])
@@ -311,37 +343,44 @@ def _annihilator_from_span(span):
     # the Bernstein polynomial reads the b^r coefficient
     if ordc < max(r, 2):
         raise NotMonogenicAtTruncation(
-            "depth %d leaves no room for a degree-%d annihilator"
-            % (depth, r)
+            "depth %d leaves no room for a degree-%d annihilator; rerun "
+            "with --order %d, which leaves room for it and its %d unit "
+            "peels" % (depth, r, _peel_depth(r, depth, ordc), r)
         )
+    # both operators only raise levels, so nothing above mmax is needed;
+    # the chain b^i phi runs on integers, scales[i] times the true one
     w = {}
-    shifted = phi.terms
+    shifted, s0 = _cleared(phi.terms)
+    scales = [s0]
     for i in range(top_ji + 1):
+        if i:
+            shifted, D = _integrate(shifted, phi.lam, mmax + 1)
+            g = gcd(*shifted.values())
+            shifted = {p: x // g for p, x in shifted.items()}
+            scales.append(scales[-1] * Fraction(D, g))
         cur = shifted
         for m in range(r):
             if m + i <= top_ji:
                 w[(m, i)] = cur
-            cur = _times_s(cur, depth)
+            cur = _times_s(cur, mmax + 1)
         if i == 0:
             top = cur
-        shifted = _integrate(shifted, phi.lam, depth)
     # interior columns first so slack at the crust never steals a pivot
     cols = sorted(w, key=lambda c: (c[0] + c[1], c))
-    pivots, z = solve(
-        [{p: x for p, x in w[col].items() if p[1] <= mmax}
-         for col in cols],
-        {p: -x for p, x in top.items() if p[1] <= mmax}, _poskey)
+    pivots, y = solve([w[col] for col in cols],
+                      {p: -x for p, x in top.items()}, _poskey)
     pivots = set(pivots)
     for c, col in enumerate(cols):
         if c not in pivots and col[1] <= ordc:
             raise NotMonogenicAtTruncation(
                 "annihilator coefficient %s is undetermined" % (col,)
             )
-    if z is None:
+    if y is None:
         raise NotMonogenicAtTruncation(
             "no annihilator of degree %d at depth %d" % (r, depth)
         )
-    sol = dict(zip(cols, z))
+    # sum_c y_c scales[i] a^m b^i phi = -s0 a^r phi
+    sol = {col: yc * scales[col[1]] / s0 for col, yc in zip(cols, y)}
     coeffs = []
     for m in range(r):
         coeffs.append(SeriesB([sol.get((m, i), Fraction(0))
@@ -404,6 +443,16 @@ def _remainders(ann, mu, k, tmax):
     return rho
 
 
+def _peel_depth(r, depth, ordc):
+    """Least depth whose annihilator leaves room for all r unit peels.
+
+    The annihilator's order ordc rises one for one with the depth; the
+    peel of factor k leaves a quotient known to k orders less, and the
+    last peel needs one order left.
+    """
+    return depth + 1 + r * (r + 1) // 2 - ordc
+
+
 def _peel_unit(ann, mu, k):
     """Factor ann T = Q (a - mu b) with T a unit, T(0) = 1.
 
@@ -412,11 +461,10 @@ def _peel_unit(ann, mu, k):
     triangular with one resonant row; the resonant coefficient is
     pinned to 0 and its row must close.  The coefficients of the rho_i
     are read off one table of weights (_remainders), on plain Fractions.
+    T and Q are known to k orders less than ann; model_from_xi checks
+    that every peel keeps at least one.
     """
-    ordc = min(c.order for c in ann.coeffs)
-    tmax = ordc - k
-    if tmax < 1:
-        raise NotMonogenicAtTruncation("no room left to peel a unit")
+    tmax = min(c.order for c in ann.coeffs) - k
     rho = _remainders(ann, mu, k, tmax)
     if rho(0, 0):
         raise NotMonogenicAtTruncation(
@@ -458,6 +506,14 @@ def model_from_xi(span):
     """
     r = span.rank
     ann = _annihilator_from_span(span)
+    ordc = min(c.order for c in ann.coeffs)
+    if ordc < 1 + r * (r + 1) // 2:
+        raise NotMonogenicAtTruncation(
+            "no room left to peel a unit: depth %d knows the annihilator "
+            "to order %d, its %d peels need %d; rerun with --order %d"
+            % (span.depth, ordc, r, 1 + r * (r + 1) // 2,
+               _peel_depth(r, span.depth, ordc))
+        )
     invariants = _bernstein_invariants(ann, span.lam, r, span.depth + r)
     lambdas = [inv - j for j, inv in enumerate(sorted(invariants), start=1)]
     cur = ann

@@ -388,6 +388,26 @@ def test_xi_invariants_do_not_move_with_order(literal):
     assert got[0] == got[1]
 
 
+@pytest.mark.parametrize("order, literal", [
+    (32, "s^(1/2) * log^6"),            # the unit peels run out of order
+    (8, "s^(1/2)*log^2 + s^(7/2)"),     # the annihilator has no room
+    (12, "s^(1/2)*log + s^(5/2)*log^3"),
+])
+def test_truncation_errors_name_an_order_that_works(order, literal):
+    code, (rep,) = run_json(["xi", "--seed", "1", "--order", str(order),
+                             literal])
+    assert code == EXIT_DOMAIN
+    assert rep["error"] == "NotMonogenicAtTruncation"
+    named = int(re.search(r"--order (\d+)", rep["message"]).group(1))
+    code, (rep,) = run_json(["xi", "--seed", "1", "--order", str(named),
+                             literal])
+    assert code == EXIT_OK and "error" not in rep
+    # the named order is the least one that works
+    code, (rep,) = run_json(["xi", "--seed", "1", "--order",
+                             str(named - 1), literal])
+    assert code == EXIT_DOMAIN
+
+
 def test_seed_reported_when_not_given():
     code, (rep,) = run_json(["ss", "fresco: (3 | 1)"])
     assert code == EXIT_OK

@@ -7,6 +7,7 @@ rank-2 theme with exponents (3/2, 3/2) and alpha = -1/2.
 """
 
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from frescos.errors import (
     TruncationTooSmall,
 )
 from frescos.fresco import bernstein
-from frescos.linalg import Echelon
+from frescos.dsl import parse_xi
+from frescos.linalg import Echelon, axpy
 from frescos.series import SeriesB
 import frescos.xi as xi_module
 from frescos.xi import (
@@ -27,6 +29,7 @@ from frescos.xi import (
     XiSpan,
     _annihilator_from_span,
     _bernstein_invariants,
+    _integrate,
     _remainders,
     model_from_xi,
     xi_exponent_split,
@@ -319,6 +322,73 @@ def test_closure_and_annihilator_build_no_expansion(monkeypatch):
     monkeypatch.setattr(XiExpansion, "__init__", forbidden)
     assert invariants() == want
     assert want == (3, {"ranks": (2, 3), "d": 2}, 3)
+
+
+# --- the scaled b against the formula on Fractions ---
+
+def fraction_b(terms, lam, depth):
+    """b term by term on Fractions, straight from the formula
+    s^(mu-1) Log^j -> s^mu sum_i (-1)^(j-i) (j!/i!) mu^(i-j-1) Log^i."""
+    out = {}
+    for (comp, m, j), c in terms.items():
+        if m + 1 < depth:
+            mu = lam + m
+            for i in range(j + 1):
+                w = F((-1) ** (j - i) * factorial(j), factorial(i))
+                axpy(out, c * w / mu ** (j - i + 1), {(comp, m + 1, i): 1})
+    return out
+
+
+def reference_integrate(terms, lam, depth):
+    """_integrate's contract, (D b(terms), D) with D a positive integer,
+    met by clearing the denominators of fraction_b."""
+    image = fraction_b(terms, lam, depth)
+    D = lcm(*(c.denominator for c in image.values()))
+    return {pos: int(c * D) for pos, c in image.items()}, D
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(1), F(3, 7)]),
+       st.lists(st.tuples(st.integers(1, 2), st.integers(0, DEPTH - 1),
+                          st.integers(0, 4),
+                          st.fractions(-5, 5, max_denominator=6)),
+                max_size=6),
+       st.integers(1, 4))
+def test_scaled_b_is_b(lam, entries, k):
+    x = XiExpansion(lam, DEPTH, 2, {(c, m, j): co for c, m, j, co in entries})
+    # any integer multiple of the cleared dict will do
+    den = lcm(*(c.denominator for c in x.terms.values()))
+    ints = {pos: int(c * den * k) for pos, c in x.terms.items()}
+    out, D = _integrate(ints, lam, DEPTH)
+    assert type(D) is int and D > 0
+    assert all(type(v) is int and v for v in out.values())
+    scaled = {pos: F(v, den * k * D) for pos, v in out.items()}
+    assert scaled == x.apply_b().terms == fraction_b(x.terms, lam, DEPTH)
+
+
+@pytest.mark.parametrize("literal", [
+    "s^(1/2) * log",
+    "s^(-1/3) * log^3",
+    "2/3 * s^(1/3) * log^2 + 3/2 * s^(4/3) * log",
+    "s^(2/3) * log + s^(5/3) * log^2 - 2 * s^(8/3)",
+    "s^(3/4) + s^(7/4) * log^4",
+    "-3 * s^(1/5) * log^2 + s^(11/5) * log^3",
+    "1/3 * s^(-1/3) * log + 3 * s^(2/3) * log + 2/3 * s^(5/3) * log",
+])
+def test_integer_eliminations_match_fraction_b(literal, monkeypatch):
+    # the closure, the annihilator and the filtration give the same
+    # answers when b comes from the Fraction formula
+    phi = parse_xi(literal, 26)
+
+    def invariants():
+        span = xi_generate_module(phi)
+        ann = _annihilator_from_span(span)
+        return (span.echelon.pivots, span.rank, xi_log_filtration(span),
+                [c.coeffs for c in ann.coeffs])
+
+    want = invariants()
+    monkeypatch.setattr(xi_module, "_integrate", reference_integrate)
+    assert invariants() == want
 
 
 # --- reconstruction properties ---
