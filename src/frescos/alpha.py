@@ -212,19 +212,24 @@ def _reduce_chain(p, tau):
     The nested rank-2 sub-quotients must split for the value to be a
     true invariant, so that is checked before each step;
     alpha_reduce_step itself fails with NotInF0 outside the class where
-    alpha is defined.
+    alpha is defined.  After s steps, factor j < k - s of the reduced
+    fresco is input factor j, and its last factor stands for input
+    factors k - s..k; the NotInF0 message names them.
     """
-    if p.rank < 2:
-        raise WrongRank("alpha needs rank >= 2, got %d" % p.rank)
+    k = p.rank
+    if k < 2:
+        raise WrongRank("alpha needs rank >= 2, got %d" % k)
     _require_positive_steps(p)
     while p.rank > 2:
         steps = p.p_values()
-        for j in range(p.rank - 1):
-            if p.units[j].coeff(int(steps[j])) != 0:
+        for j in range(1, p.rank):
+            if p.units[j - 1].coeff(int(steps[j - 1])) != 0:
                 raise NotInF0(
-                    "adjacent sub-quotient %d does not split: "
-                    "S_%d has a nonzero b^%s coefficient"
-                    % (j + 1, j + 1, steps[j])
+                    "adjacent sub-quotient %d does not split after %d "
+                    "reduction step(s): the reduced S_%d has a nonzero "
+                    "b^%s coefficient; the pair stands for input factors "
+                    "%d..%d" % (j, k - p.rank, j, steps[j - 1], j,
+                                j + 1 if j + 1 < p.rank else k)
                 )
         p = alpha_reduce_step(p, tau=tau)
     return classify_rank2(p).alpha
@@ -236,8 +241,8 @@ class Analysis:
     The reduction chain runs once, when the analysis is made.  Its
     value, or the EngineError it raised, is kept, and alpha,
     semi-simplicity and both theme classes are read off it.
-    Semi-simplicity also asks the analyses of sub-quotients; one is kept
-    per distinct sub-quotient and shared by the whole recursion.
+    Semi-simplicity also asks the alphas of sub-quotients; the
+    recursion keeps one answer per interval i..j of the input's factors.
     """
 
     def __init__(self, p, tau=0):
@@ -247,8 +252,7 @@ class Analysis:
             self._alpha = _reduce_chain(self.presentation, tau)
         except EngineError as exc:
             self._alpha = exc
-        self._semisimple = None
-        self._parts = {}
+        self._splits = {}
 
     def alpha(self):
         """The alpha invariant; raises what the reduction chain raised."""
@@ -276,34 +280,35 @@ class Analysis:
         are semi-simple; NotInF0 already certifies a non-split
         sub-quotient.
         """
-        if self._semisimple is None:
-            self._semisimple = self._splits()
-        return self._semisimple
-
-    def _splits(self):
         p = self.presentation
-        k = p.rank
-        if k <= 1:
+        if p.rank <= 1:
             return True
         _require_primitive(p)
         if not p.is_principal():
             raise SemanticError("semi-simplicity test needs principal order")
-        if any(pj == 0 for pj in p.p_values()):
+        return self._split(1, p.rank)
+
+    def _split(self, i, j):
+        """Whether the sub-quotient of factors i..j splits, once per i..j."""
+        if (i, j) not in self._splits:
+            self._splits[(i, j)] = self._split_now(i, j)
+        return self._splits[(i, j)]
+
+    def _split_now(self, i, j):
+        p = self.presentation
+        if i == j:
+            return True
+        if any(pj == 0 for pj in p.p_values()[i - 1: j - 1]):
             return False
         try:
-            if self.alpha() != 0:
-                return False
+            if (i, j) == (1, p.rank):
+                alpha = self.alpha()
+            else:
+                alpha = _reduce_chain(sub_quotient(p, i, j), self.tau)
         except NotInF0:
             return False
-        return self._part(1, k - 1).semisimple() and \
-            self._part(2, k).semisimple()
-
-    def _part(self, i, j):
-        q = sub_quotient(self.presentation, i, j)
-        if q not in self._parts:
-            self._parts[q] = Analysis(q, self.tau)
-            self._parts[q]._parts = self._parts
-        return self._parts[q]
+        return alpha == 0 and self._split(i, j - 1) and \
+            self._split(i + 1, j)
 
     def _theme_alpha(self, theme):
         if self.presentation.rank < 2:

@@ -6,8 +6,12 @@ Three literal forms are understood:
   presentation  fresco: (5/2 | 1 + 3b^2) (7/2 | 1)
   expansion     s^(3/2) * log^2 * [1 + 2s] @ v1
 
-plus a JSON mirror of each.  Parsers report positions on bad input and
-delegate object-level checks to the validating constructors.
+plus a JSON mirror of each.  A literal is tokenized once, in one pass
+(a number is a run of decimal digits), and its grammar reads that
+token list; one signed-sum loop serves every sum.  Syntax errors name
+a line and column, derived from the offset of the token at fault.
+Object-level checks live in the constructors: Presentation checks its
+factors, XiExpansion its components, shifts and truncation window.
 """
 
 import json
@@ -21,82 +25,78 @@ from .xi import XiExpansion, xi_exponent_split
 _PUNCT = "()[]|@^*+-:/"
 
 
+def _where(text, offset):
+    """(line, column) of a character offset, both counted from 1."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
 def _tokens(text):
-    line, col = 1, 1
+    """The (kind, text, offset) tokens of a literal, closed by an 'end'.
+
+    A number is a run of decimal digits, a name a run of letters, and
+    each punctuation mark is a token of its own kind.
+    """
+    toks = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        j = i + 1
+        if ch.isdecimal():
+            while j < n and text[j].isdecimal():
                 j += 1
-            yield ("int", text[i:j], line, start)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
+            toks.append(("int", text[i:j], i))
+        elif ch.isalpha():
             while j < n and text[j].isalpha():
                 j += 1
-            yield ("name", text[i:j], line, start)
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            yield (ch, ch, line, start)
-            col += 1
-            i += 1
-            continue
-        raise DslSyntaxError("unexpected character %r" % ch, line, start)
-    yield ("end", "", line, col)
+            toks.append(("name", text[i:j], i))
+        elif ch in _PUNCT:
+            toks.append((ch, ch, i))
+        elif not ch.isspace():
+            raise DslSyntaxError("unexpected character %r" % ch,
+                                 *_where(text, i))
+        i = j
+    toks.append(("end", "", n))
+    return toks
 
 
 class _Parser:
+    """A cursor over the tokens of one literal."""
+
     def __init__(self, text):
-        self.toks = list(_tokens(text))
+        self.text = text
+        self.toks = _tokens(text)
         self.pos = 0
 
-    def peek(self, ahead=0):
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+    def peek(self):
+        return self.toks[self.pos]
 
     def next(self):
-        tok = self.toks[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def accept(self, text):
+        """Consume the next token if it reads text; say whether it did."""
+        hit = self.toks[self.pos][1] == text
+        self.pos += hit
+        return hit
 
     def expect(self, kind, what=None):
         tok = self.peek()
         if tok[0] != kind:
-            raise DslSyntaxError(
-                "expected %s, found %r" % (what or kind, tok[1] or "end of input"),
-                tok[2], tok[3],
-            )
+            self.fail("expected %s, found %r"
+                      % (what or kind, tok[1] or "end of input"))
         return self.next()
 
-    def at_end(self):
-        return self.peek()[0] == "end"
-
-    def fail(self, message):
-        tok = self.peek()
-        raise DslSyntaxError(message, tok[2], tok[3])
+    def fail(self, message, tok=None):
+        """Raise DslSyntaxError at tok, by default the next token."""
+        offset = (tok or self.peek())[2]
+        raise DslSyntaxError(message, *_where(self.text, offset))
 
 
 def _unsigned_rational(p):
     num = int(p.expect("int", "a number")[1])
-    if p.peek()[0] == "/":
-        p.next()
+    if p.accept("/"):
         den = int(p.expect("int", "a denominator")[1])
         if den == 0:
             p.fail("zero denominator")
@@ -112,48 +112,42 @@ def _signed_rational(p):
     return sign * _unsigned_rational(p)
 
 
-def _poly_terms(p, var, stop):
-    """Sum of +-c var^e terms into an exponent -> coefficient dict.
+def _signs(p):
+    """The sign of each summand of a sum, consumed before it is yielded:
+    the first summand may omit it, every later one needs + or -, and any
+    other token ends the sum."""
+    if p.peek()[0] not in "+-":
+        yield 1
+    while p.peek()[0] in "+-":
+        yield -1 if p.next()[0] == "-" else 1
 
-    Stops (without consuming) at any token kind in stop or at end.
-    """
+
+def _literal(p, tag, grammar, what):
+    """grammar(p) after an optional 'tag:', refusing trailing input."""
+    if p.accept(tag):
+        p.expect(":")
+    out = grammar(p)
+    if p.peek()[0] != "end":
+        p.fail("trailing input after %s" % what)
+    return out
+
+
+def _poly_terms(p, var):
+    """Sum of +-c var^e summands into an exponent -> coefficient dict."""
     out = {}
-    first = True
-    while True:
-        sign = 1
-        tok = p.peek()
-        if tok[0] in "+-":
-            p.next()
-            if tok[0] == "-":
-                sign = -1
-        elif not first:
-            break
-        coeff = None
-        if p.peek()[0] == "int":
-            coeff = _unsigned_rational(p)
-            if p.peek()[0] == "*":
-                p.next()
+    for sign in _signs(p):
+        coeff = Fraction(sign)
+        bare = p.peek()[0] != "int"
+        if not bare:
+            coeff *= _unsigned_rational(p)
+            p.accept("*")
         exp = 0
-        tok = p.peek()
-        if tok[0] == "name" and tok[1] == var:
-            p.next()
-            exp = 1
-            if p.peek()[0] == "^":
-                p.next()
-                exp = int(p.expect("int", "an exponent")[1])
-        elif coeff is None:
+        if p.accept(var):
+            exp = int(p.expect("int", "an exponent")[1]) if p.accept("^") \
+                else 1
+        elif bare:
             p.fail("expected a coefficient or %r" % var)
-        out[exp] = out.get(exp, Fraction(0)) + sign * (
-            Fraction(1) if coeff is None else coeff
-        )
-        first = False
-        nxt = p.peek()
-        if nxt[0] == "end" or nxt[0] in stop:
-            break
-        if nxt[0] not in "+-":
-            break
-    if not out:
-        p.fail("empty %s polynomial" % var)
+        out[exp] = out.get(exp, 0) + coeff
     return out
 
 
@@ -171,81 +165,55 @@ def _series_from_terms(terms, order, where):
 
 def parse_series(text, order=None):
     """Series literal like '1 + 3b^2 - 1/2b^5' to a SeriesB."""
-    p = _Parser(text)
-    terms = _poly_terms(p, "b", stop="")
-    if not p.at_end():
-        p.fail("trailing input after the series")
+    terms = _literal(_Parser(text), None, lambda p: _poly_terms(p, "b"),
+                     "the series")
     return _series_from_terms(terms, order, "series literal")
 
 
+def _factors(p):
+    raw = []
+    while p.accept("("):
+        lam = _signed_rational(p)
+        p.expect("|", "'|' between exponent and unit")
+        raw.append((lam, _poly_terms(p, "b")))
+        p.expect(")")
+    if not raw:
+        p.fail("expected a '(lambda | unit)' factor")
+    return raw
+
+
+def _fresco(p, order):
+    raw = _literal(p, "fresco", _factors, "the last factor")
+    if order is None:
+        order = max(DEFAULT_ORDER, *(max(t) for _, t in raw))
+    return Presentation([
+        (lam, _series_from_terms(t, order, "unit %d" % (i + 1)))
+        for i, (lam, t) in enumerate(raw)
+    ])
+
+
 def parse_fresco(text, order=None):
-    """Presentation literal to a validated Presentation.
+    """Presentation literal to a Presentation, checked when it is built.
 
     The leading 'fresco:' tag is optional so bare factor lists also
     parse.  All units share one working order: the given one, or the
     largest exponent present (at least DEFAULT_ORDER).
     """
-    p = _Parser(text)
-    tok = p.peek()
-    if tok[0] == "name" and tok[1] == "fresco":
-        p.next()
-        p.expect(":")
-    raw = []
-    while p.peek()[0] == "(":
-        p.next()
-        lam = _signed_rational(p)
-        p.expect("|", "'|' between exponent and unit")
-        terms = _poly_terms(p, "b", stop=")")
-        p.expect(")")
-        raw.append((lam, terms))
-    if not raw:
-        p.fail("expected a '(lambda | unit)' factor")
-    if not p.at_end():
-        p.fail("trailing input after the last factor")
-    if order is None:
-        top = max(max(t) for _, t in raw)
-        order = max(top, DEFAULT_ORDER)
-    factors = [
-        (lam, _series_from_terms(t, order, "unit %d" % (i + 1)))
-        for i, (lam, t) in enumerate(raw)
-    ]
-    return Presentation(factors)
+    return _fresco(_Parser(text), order)
 
 
-def parse_xi(text, depth=DEFAULT_ORDER, ncomp=None):
-    """Expansion literal to an XiExpansion.
-
-    Summands look like '2 * s^(3/2) * log^2 * [1 + 2s] @ v1'; the
-    coefficient, log part, shift polynomial and component are each
-    optional.  Exponents must all lie in one class mod 1.
-    """
-    p = _Parser(text)
-    tok = p.peek()
-    if tok[0] == "name" and tok[1] == "xi":
-        p.next()
-        p.expect(":")
+def _summands(p):
+    """(lam, terms, top component) of the summands of an expansion."""
     lam = None
     terms = {}
     top_comp = 1
-    first = True
-    while True:
-        sign = 1
-        tok = p.peek()
-        if tok[0] in "+-":
-            p.next()
-            if tok[0] == "-":
-                sign = -1
-        elif not first:
-            break
-        first = False
+    for sign in _signs(p):
         coeff = Fraction(sign)
         if p.peek()[0] == "int":
             coeff *= _unsigned_rational(p)
             p.expect("*", "'*' after the coefficient")
-        tok = p.peek()
-        if not (tok[0] == "name" and tok[1] == "s"):
+        if not p.accept("s"):
             p.fail("expected an s power")
-        p.next()
         p.expect("^")
         p.expect("(")
         e = _signed_rational(p)
@@ -259,65 +227,60 @@ def parse_xi(text, depth=DEFAULT_ORDER, ncomp=None):
             )
         logpow = 0
         poly = {0: Fraction(1)}
-        while p.peek()[0] == "*":
-            p.next()
-            tok = p.peek()
-            if tok[0] == "name" and tok[1] == "log":
-                p.next()
-                logpow = 1
-                if p.peek()[0] == "^":
-                    p.next()
-                    logpow = int(p.expect("int", "a log power")[1])
-            elif tok[0] == "[":
-                p.next()
-                poly = _poly_terms(p, "s", stop="]")
+        while p.accept("*"):
+            if p.accept("log"):
+                logpow = int(p.expect("int", "a log power")[1]) \
+                    if p.accept("^") else 1
+            elif p.accept("["):
+                poly = _poly_terms(p, "s")
                 p.expect("]")
             else:
                 p.fail("expected 'log' or a '[...]' shift polynomial")
         comp = 1
-        if p.peek()[0] == "@":
-            p.next()
+        if p.accept("@"):
             tok = p.expect("name", "a component like v1")
             if tok[1] != "v":
-                raise DslSyntaxError(
-                    "components are written v1, v2, ...", tok[2], tok[3]
-                )
+                p.fail("components are written v1, v2, ...", tok)
             comp = int(p.expect("int", "a component index")[1])
             if comp < 1:
                 p.fail("component indices start at 1")
         top_comp = max(top_comp, comp)
         for t, c in poly.items():
-            m = m0 + t
-            if m >= depth:
-                raise SemanticError(
-                    "shift %d is past the truncation depth %d" % (m, depth)
-                )
-            key = (comp, m, logpow)
-            terms[key] = terms.get(key, Fraction(0)) + coeff * c
-    if not p.at_end():
-        p.fail("trailing input after the expansion")
-    if lam is None:
-        p.fail("expected at least one summand")
+            key = (comp, m0 + t, logpow)
+            terms[key] = terms.get(key, 0) + coeff * c
+    return lam, terms, top_comp
+
+
+def _xi(p, depth, ncomp=None):
+    lam, terms, top_comp = _literal(p, "xi", _summands, "the expansion")
     return XiExpansion(lam, depth, ncomp or top_comp, terms)
+
+
+def parse_xi(text, depth=DEFAULT_ORDER, ncomp=None):
+    """Expansion literal to an XiExpansion, checked when it is built.
+
+    Summands look like '2 * s^(3/2) * log^2 * [1 + 2s] @ v1'; the
+    coefficient, log part, shift polynomial and component are each
+    optional.  Exponents must all lie in one class mod 1.
+    """
+    return _xi(_Parser(text), depth, ncomp)
 
 
 def parse_dsl(text, order=None, depth=DEFAULT_ORDER):
     """One input, either grammar: returns a Presentation or an XiExpansion.
 
     Lines starting with '{' are treated as the JSON mirror; otherwise
-    the leading token decides ('fresco' against an expansion literal).
+    the line is tokenized once and its leading token decides ('fresco'
+    against an expansion literal).
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
         except ValueError as exc:
             raise DslSyntaxError("bad JSON: %s" % exc)
         return from_json(payload, depth=depth)
-    tok = _Parser(text).peek()
-    if tok[0] == "name" and tok[1] == "fresco":
-        return parse_fresco(text, order=order)
-    return parse_xi(text, depth=depth)
+    p = _Parser(text)
+    return _fresco(p, order) if p.peek()[1] == "fresco" else _xi(p, depth)
 
 
 # --- printers ---

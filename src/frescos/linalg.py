@@ -28,9 +28,13 @@ def axpy(dst, f, src):
 
 
 def integral(vec):
-    """A new dict: vec times the lcm of its denominators, with int values."""
+    """(ints, den): a new dict, vec times den, the lcm of its
+    denominators, with int values; an all-int vec is copied as it is."""
+    if all(type(x) is int for x in vec.values()):
+        return dict(vec), 1
     den = lcm(*(x.denominator for x in vec.values()))
-    return {r: x.numerator * (den // x.denominator) for r, x in vec.items()}
+    return {r: x.numerator * (den // x.denominator)
+            for r, x in vec.items()}, den
 
 
 class Echelon:
@@ -53,7 +57,7 @@ class Echelon:
     def reduce(self, vec):
         """Residual of vec up to a nonzero scale: a new integer dict
         whose lead, if any, is no pivot."""
-        vec = integral(vec)
+        vec, _ = integral(vec)
         key = self.key
         pivots = self.pivots
         while vec:

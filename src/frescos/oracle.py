@@ -121,10 +121,10 @@ def truncate_rep(p, M):
                     if s[t]:
                         col[rep.idx(j - 1, m + t)] = s[t]
             cols[rep.idx(j, m)] = col
-    den = lcm(*(x.denominator for col in cols.values() for x in col.values()))
-    rep.ascale = den
-    rep.aint = {i: {r: x.numerator * (den // x.denominator)
-                    for r, x in col.items()} for i, col in cols.items()}
+    ints, rep.ascale = integral({(i, r): x for i, col in cols.items()
+                                 for r, x in col.items()})
+    for (i, r), x in ints.items():
+        rep.aint.setdefault(i, {})[r] = x
     return rep
 
 
@@ -187,7 +187,7 @@ def _chains(rep, x):
     E clears the denominators of x and D is the scale of rep.aint, so
     the scale depends on m alone.
     """
-    base = integral(x)
+    base, _ = integral(x)
     memo = {}
 
     def chain(t, m):

@@ -27,7 +27,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fresco import Presentation
-from .linalg import Echelon, axpy, certified_rank, solve
+from .linalg import Echelon, axpy, certified_rank, integral, solve
 from .series import SeriesB, rat
 
 
@@ -60,14 +60,6 @@ def _times_s(terms, depth):
             if m + 1 < depth}
 
 
-def _cleared(terms):
-    """(ints, den): a Fraction term dict times den, the lcm of its
-    denominators, as an integer term dict."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {pos: c.numerator * (den // c.denominator)
-            for pos, c in terms.items()}, den
-
-
 def _integrate(terms, lam, depth):
     """b on an integer term dict, up to an integer scale: (out, D).
 
@@ -96,7 +88,13 @@ def _integrate(terms, lam, depth):
 
 
 class XiExpansion:
-    """Sparse exact expansion; terms maps (comp, m, j) to a coefficient."""
+    """Sparse exact expansion; terms maps (comp, m, j) to a coefficient.
+
+    The constructor checks every term, whatever its coefficient: its
+    shift m must lie in the window 0 <= m < depth (a shift past the
+    window is refused, not truncated away), its component in 1..ncomp
+    and its log power j >= 0.  Zero coefficients are then dropped.
+    """
 
     __slots__ = ("lam", "depth", "ncomp", "terms")
 
@@ -109,8 +107,13 @@ class XiExpansion:
         self.lam = lam
         self.depth = depth
         self.ncomp = ncomp
+        terms = terms or {}
+        past = next((m for (_, m, _) in terms if m >= depth), None)
+        if past is not None:
+            raise SemanticError("shift %d is past the truncation depth %d"
+                                % (past, depth))
         out = {}
-        for (comp, m, j), c in (terms or {}).items():
+        for (comp, m, j), c in terms.items():
             c = rat(c)
             if not 1 <= comp <= ncomp:
                 raise SemanticError("component %s out of range" % comp)
@@ -120,7 +123,7 @@ class XiExpansion:
                 raise SemanticError(
                     "shift %d below the class representative" % m
                 )
-            if c and m < depth:
+            if c:
                 out[(comp, m, j)] = c
         self.terms = out
 
@@ -168,7 +171,7 @@ class XiExpansion:
 
     def apply_b(self):
         """Integrate from 0: shift up and shed log powers."""
-        ints, den = _cleared(self.terms)
+        ints, den = integral(self.terms)
         out, D = _integrate(ints, self.lam, self.depth)
         den *= D
         return XiExpansion(self.lam, self.depth, self.ncomp,
@@ -250,11 +253,21 @@ def xi_generate_module(phi):
     leading positions up one level; its value at the last level is the
     rank, provided the last growth happened far enough below the
     truncation depth.  Otherwise the window cannot tell whether another
-    chain was about to appear and TruncationTooSmall is raised.
+    chain was about to appear and TruncationTooSmall is raised.  A top
+    log power J alone settles that before the closure: the log
+    filtration of the module has d = J + 1, so its rank is at least
+    J + 1, and certifying rank r takes depth r + 2 or more.
     """
     if phi.is_zero():
         raise SemanticError("the zero expansion generates nothing")
     lam, depth = phi.lam, phi.depth
+    top = max(j for (_, _, j) in phi.terms)
+    if top + 3 > depth:
+        raise TruncationTooSmall(
+            "log^%d generates rank at least %d, which depth %d cannot "
+            "certify; the bound needs --order %d or more"
+            % (top, top + 1, depth, top + 3)
+        )
     ech = Echelon(_poskey)
     queue = [phi.terms]
     while queue:
@@ -350,7 +363,7 @@ def _annihilator_from_span(span):
     # both operators only raise levels, so nothing above mmax is needed;
     # the chain b^i phi runs on integers, scales[i] times the true one
     w = {}
-    shifted, s0 = _cleared(phi.terms)
+    shifted, s0 = integral(phi.terms)
     scales = [s0]
     for i in range(top_ji + 1):
         if i:

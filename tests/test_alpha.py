@@ -21,7 +21,7 @@ from frescos.alpha import (
     rank3_alpha_formula,
     subtheme_class,
 )
-from frescos.dsl import from_json
+from frescos.dsl import from_json, parse_fresco
 from frescos.errors import (
     AlphaZero,
     EngineError,
@@ -345,6 +345,22 @@ def test_analyze_reduces_each_presentation_once(monkeypatch, text, steps):
     monkeypatch.setattr(alpha_module, "alpha_reduce_step", counted)
     assert main(["analyze", "--seed", "1", text], stdout=io.StringIO()) == 0
     assert len(seen) == len(set(seen)) == steps
+
+
+@pytest.mark.parametrize("text, steps, pair, factors", [
+    ("fresco: (4 | 1 + b^2) (5 | 1) (6 | 1) (7 | 1)", 0, 1, "1..2"),
+    ("fresco: (4 | 1) (5 | 1) (6 | 1 + b^4) (7 | 1)", 1, 2, "2..4"),
+    ("fresco: (4 | 1 + b) (5 | 1 + 2b^3) (6 | 1 + b) (7 | 1)", 1, 2, "2..4"),
+])
+def test_not_in_f0_names_the_input_factors(text, steps, pair, factors):
+    # after s steps the last reduced factor stands for input factors
+    # k - s..k, every earlier one for the input factor of its index
+    with pytest.raises(NotInF0) as err:
+        alpha_invariant(parse_fresco(text))
+    message = str(err.value)
+    assert message.startswith("adjacent sub-quotient %d does not split "
+                              "after %d reduction step(s)" % (pair, steps))
+    assert message.endswith("the pair stands for input factors " + factors)
 
 
 def test_analysis_keeps_the_rank2_asymmetry():

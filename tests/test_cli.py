@@ -11,10 +11,13 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import frescos.cli as cli_module
+from frescos.algebra import AbElement
 from frescos.cli import (
     EXIT_DOMAIN,
     EXIT_INTERNAL,
@@ -286,6 +289,117 @@ def test_syntax_error_is_domain_exit():
     code, (rep,) = run_json(["analyze", "fresco: (3 | ", "--seed", "1"])
     assert code == EXIT_DOMAIN
     assert rep["error"] == "DslSyntaxError"
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["analyze", "fresco: (\u00b2|1)"], 10),
+    (["xi", "s^(1/2) * log^\u00b3"], 15),
+])
+def test_superscript_digits_are_syntax_errors(argv, column, capsys):
+    code, (rep,) = run_json(argv + ["--seed", "1"])
+    assert code == EXIT_DOMAIN
+    assert rep["error"] == "DslSyntaxError"
+    assert rep["message"].endswith("(line 1, column %d)" % column)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_json_shift_past_the_depth_is_refused_like_the_literal():
+    payload = ('{"lambda": "1/2", "depth": 12, '
+               '"terms": [[1, 2, 1, "1"], [1, 40, 0, "5"]]}')
+    literal = "s^(3/2) * log + 5 * s^(79/2)"
+    for argv in (["xi", payload], ["xi", "--order", "12", literal]):
+        code, (rep,) = run_json(argv + ["--seed", "1"])
+        assert code == EXIT_DOMAIN
+        assert rep["error"] == "SemanticError"
+        assert rep["message"] == "shift 40 is past the truncation depth 12"
+
+
+def test_a_log_power_past_the_window_is_refused_at_once():
+    start = time.perf_counter()
+    code, (rep,) = run_json(["xi", "--seed", "1", "s^(1/2) * log^1000"])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_DOMAIN
+    assert rep["error"] == "TruncationTooSmall"
+    assert "--order 1003" in rep["message"]
+
+
+@pytest.mark.parametrize("logpow", range(6, 11))
+def test_log_powers_around_the_window_edge(logpow):
+    # log^J needs rank J + 1 certified, so depth J + 3; from J = 6 on,
+    # order 8 ends in TruncationTooSmall, refused early or not
+    literal = "s^(1/2) * log^%d + s^(3/2)" % logpow
+    code, (rep,) = run_json(["xi", "--seed", "1", "--order", "8", literal])
+    assert code == EXIT_DOMAIN
+    assert rep["error"] == "TruncationTooSmall"
+
+
+_FUZZ_SEEDS = (
+    "fresco: (5/2 | 1 + 3b^2) (7/2 | 1)",
+    "fresco: (4 | 1) (5 | 1) (6 | 1 + b^4) (7 | 1)",
+    "s^(3/2) * log^2 * [1 + 2s] @ v1",
+    "xi: s^(1/2) * log + 2 * s^(3/2) @ v2",
+    '{"lambda": "1/2", "terms": [[1, 1, 1, "1"]]}',
+)
+_FUZZ_ALPHABET = list("0123456789 +-*/^()[]{}|@:,\"bsvlogx") + \
+    ["\t", "\n", "\u00b2", "\u00bd", "\u0663", "\u00b3"] * 4
+
+
+@st.composite
+def mutated_literals(draw):
+    text = draw(st.sampled_from(_FUZZ_SEEDS))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "swap")))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from(_FUZZ_ALPHABET)) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("analyze", "xi")), mutated_literals())
+def test_mutated_literals_end_in_a_report(command, text):
+    # an inline input starting with '@' names a file
+    assume(not text.startswith("@"))
+    code, out = run([command, "--seed", "1", "--order", "8", "--", text])
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_MISMATCH, EXIT_INTERNAL)
+    assert out.startswith("command: %s\nseed: 1\n" % command)
+
+
+@pytest.mark.parametrize("label", ["annihilator", "generator",
+                                   "codimension"])
+def test_verify_renders_each_failing_check(monkeypatch, label):
+    # one oracle comparison at a time is made to disagree: the first
+    # annihilator call serves the basis generator, the second a random one
+    real = cli_module.minimal_annihilator
+    calls = []
+
+    def minimal_annihilator(rep, x):
+        calls.append(x)
+        if len(calls) == {"annihilator": 1, "generator": 2}.get(label):
+            return AbElement.linear(0, rep.M)
+        return real(rep, x)
+
+    monkeypatch.setattr(cli_module, "minimal_annihilator",
+                        minimal_annihilator)
+    if label == "codimension":
+        monkeypatch.setattr(cli_module, "submodule_analysis",
+                            lambda rep, vecs: {"codim": 0})
+    literal = "fresco: (5/2 | 1 + 3b^2) (7/2 | 1)"
+    code, text = run(["verify", "--seed", "1", "--order", "12",
+                      "--oracle-depth", "12", literal])
+    assert code == EXIT_MISMATCH
+    assert text.splitlines()[-6:] == [
+        "counts:",
+        "  pass: 0",
+        "  fail: 1",
+        "disagreements:",
+        "  input: " + literal,
+        "  checks: " + label,
+    ]
 
 
 @pytest.mark.parametrize("fields", [

@@ -127,6 +127,46 @@ def test_xi_depth_guard():
         parse_xi("s^(1/2) * [1 + s^7]", depth=6)
 
 
+def test_xi_window_is_checked_when_built():
+    # a shift past the truncation depth is refused by the constructor,
+    # so the literal and its JSON mirror agree
+    message = "shift 40 is past the truncation depth 12"
+    with pytest.raises(SemanticError, match=message):
+        XiExpansion(F(1, 2), 12, 1, {(1, 2, 1): 1, (1, 40, 0): 5})
+    with pytest.raises(SemanticError, match=message):
+        parse_xi("s^(3/2) * log + 5 * s^(79/2)", depth=12)
+    with pytest.raises(SemanticError, match=message):
+        parse_dsl('{"lambda": "1/2", "depth": 12, '
+                  '"terms": [[1, 2, 1, "1"], [1, 40, 0, "5"]]}')
+    # whatever its coefficient
+    with pytest.raises(SemanticError, match="shift 12 is past"):
+        XiExpansion(F(1, 2), 12, 1, {(1, 12, 0): 0})
+
+
+@pytest.mark.parametrize("text, column", [
+    ("1 + \u00b2b", 5),
+    ("1 + 3b^\u00b3", 8),
+    ("\u00bd + b", 1),
+])
+def test_numbers_are_decimal_digit_runs(text, column):
+    # superscripts pass str.isdigit but are no decimal digits
+    with pytest.raises(DslSyntaxError) as err:
+        parse_series(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_positions_count_lines_and_columns_from_one():
+    with pytest.raises(DslSyntaxError) as err:
+        parse_dsl("fresco: (5/2 | 1)\n\t(7/2 | 1 + x)")
+    assert (err.value.line, err.value.column) == (2, 13)
+    with pytest.raises(DslSyntaxError) as err:
+        parse_dsl("xi: s^(1/2) @ w1")
+    assert (err.value.line, err.value.column) == (1, 15)
+    with pytest.raises(DslSyntaxError, match="end of input") as err:
+        parse_fresco("fresco: (5/2 | 1\n")
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
 def test_xi_syntax_errors():
     with pytest.raises(DslSyntaxError):
         parse_xi("s^(1/2) @ w1")

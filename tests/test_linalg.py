@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frescos.linalg import Echelon, axpy, certified_rank, solve
+from frescos.linalg import Echelon, axpy, certified_rank, integral, solve
 
 RATS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -181,3 +181,14 @@ def test_linalg_imports_nothing_from_the_package():
             assert node.level == 0 and not node.module.startswith("frescos")
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("frescos") for a in node.names)
+
+
+def test_integral_clears_denominators_into_a_new_dict():
+    vec = {0: Fraction(1, 6), 2: Fraction(-3, 4), 5: 2}
+    assert integral(vec) == ({0: 2, 2: -9, 5: 24}, 12)
+    # an all-int vector skips the lcm but is still copied, since
+    # Echelon.reduce works on what integral returns in place
+    ints = {1: 3, 4: -6}
+    got, den = integral(ints)
+    assert (got, den) == (ints, 1) and got is not ints
+    assert all(type(x) is int for x in integral(vec)[0].values())
