@@ -160,7 +160,8 @@ def certified_rank(per_level):
     rank is the count at the top level, last the highest level at which
     the count grows, and certified says the rank is positive and the
     growth stopped early enough (last <= len - rank - 2) that a chain
-    starting later would still have been visible.
+    starting later would still have been visible.  So last + rank + 2
+    is the least window that could certify the profile.
 
     The profile never decreases: the module is stable under the level
     raising operator, which maps a lead at level m to the same position

@@ -279,12 +279,13 @@ def submodule_analysis(rep, gens):
     per_level = [0] * rep.M
     for piv in ech.pivots:
         per_level[rep.level(piv)] += 1
-    rank, _, certified = certified_rank(per_level)
+    rank, last, certified = certified_rank(per_level)
     if rank == 0:
         raise TruncationTooSmall("empty top level at depth %d" % rep.M)
     if not certified:
         raise TruncationTooSmall(
-            "pivot count per level has not stabilised at depth %d" % rep.M
+            "pivot count per level has not stabilised at depth %d; rerun "
+            "with --oracle-depth %d" % (rep.M, last + rank + 2)
         )
     dim = len(ech.pivots)
     bf = _Echelon(rep.key)

@@ -7,25 +7,21 @@ operation propagates the order it can actually vouch for.  All
 coefficients are fractions.Fraction in lowest terms, so equality is
 exact.
 
-Products and inverses run on scaled integers: an operand's nonzero
-coefficients become integer numerators over one common denominator
-(one lcm per operand), the kernel works on those integers, and only the
-n + 1 result coefficients are made Fractions again, one gcd each.  A
-monomial operand (1, or the -lambda b slot of a linear factor) just
-rescales and shifts the other one.  Otherwise a product takes one of
-two paths, chosen by a cost rule fitted to measurements
-(_pairs_are_cheaper):
+Products and inverses run on scaled integers: each operand's nonzero
+coefficients become integer numerators over one common denominator,
+the kernel works on those, and only the n + 1 result coefficients
+become Fractions again, one gcd each.  A monomial operand (1, or the
+-lambda b slot of a linear factor) rescales and shifts the other one;
+otherwise the products of the nonzero pairs with i + j <= n are summed.
 
-- nonzero pairs: when one operand has few nonzero coefficients, as in
-  1 + rho b^p, the numerators of the pairs with i + j <= n are
-  multiplied and summed; the zeros of neither operand are visited.
-- Kronecker substitution: each numerator list is packed into one
-  Python int, one slot per coefficient, and the two ints are multiplied
-  once, so CPython's Karatsuba does the work (Harvey 2009, "Faster
-  polynomial multiplication via multipoint Kronecker substitution",
-  J. Symb. Comput. 44).  A slot holds any product coefficient plus a
-  sign bit; the slots are read back with a bias that absorbs the
-  borrows of negative coefficients.
+There is no Kronecker substitution (Harvey 2009, J. Symb. Comput. 44),
+which packs each operand into one int for CPython's Karatsuba.  Over
+every distinct input of the benchmark pools it ran 0.76 times per
+identities-deep report, 0.31 per verify-oracle report and never on the
+others, while the cost rule choosing it ran 4 to 25 times per report;
+without both every workload ran as fast or faster.  It wins on dense
+products no command builds (two random order-128 series of 64-bit
+integers: 0.53 ms packed, 1.27 ms on the pairs, CPython 3.11, x86-64).
 
 The inverse runs the recurrence of 1/f over the nonzero f_i on integer
 numerators and takes no gcd until its final Fractions (see _inverse).
@@ -38,9 +34,8 @@ coefficient of the growing inverse at the width of the largest, where
 the recurrence visits only the nonzero terms of f.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 from .errors import (
     CoefficientBeyondOrder,
@@ -276,16 +271,12 @@ def _fractions(nums, den):
 def _product(xs, ys, m):
     """Coefficients b^0 .. b^(m-1) of the product of two coefficient lists.
 
-    A monomial operand only rescales and shifts the other one.  Past
-    that the product runs on integer numerators, over the nonzero pairs
-    when one operand is sparse and by one Kronecker product otherwise.
-    Over a common denominator that is the lcm of many unrelated ones
-    every numerator carries all of them, so past 2400 bits for the two
-    common denominators together the nonzero pairs are multiplied as
-    Fractions instead.  That bound is where the two broke even on dense
-    series at orders 16..128 with unrelated denominators of 4 to 128
-    bits; structured denominators (powers of a few primes) stay far
-    below it.
+    The pairs run as Fractions once the two common denominators
+    together pass 2400 bits: an lcm of many unrelated denominators puts
+    all of them on every numerator.  On dense series at orders 16..128
+    with unrelated denominators of 4 to 128 bits the integers won up to
+    3600 bits and the Fractions from 4000 on; structured denominators
+    (powers of a few primes) stay far below the bound.
     """
     sx, sy = _support(xs, m), _support(ys, m)
     if len(sx) > len(sy):
@@ -298,81 +289,19 @@ def _product(xs, ys, m):
     xs, xd = _numerators(sx)
     ys, yd = _numerators(sy)
     if xd.bit_length() + yd.bit_length() > 2400:
-        out = [_ZERO] * m
-        for i, x in sx:
-            for j, y in sy:
-                if i + j >= m:
-                    break
-                out[i + j] += x * y
-        return tuple(out)
-    vx, vy = xs[0][0], ys[0][0]
-    if vx + vy >= m:
-        return (_ZERO,) * m
-    if _pairs_are_cheaper(xs, ys, m):
-        out = [0] * m
-        for i, x in xs:
-            for j, y in ys:
-                if i + j >= m:
-                    break
-                out[i + j] += x * y
-        return _fractions(out, xd * yd)
-    low = _kronecker(_dense(xs, m - vy), _dense(ys, m - vx), m - vx - vy)
-    return _fractions([0] * (vx + vy) + low, xd * yd)
+        return tuple(_pairs(sx, sy, m, _ZERO))
+    return _fractions(_pairs(xs, ys, m, 0), xd * yd)
 
 
-def _pairs_are_cheaper(xs, ys, m):
-    """The cost rule between the two product paths, in units of 0.1 us.
-
-    Fitted to timings of both paths (CPython 3.11, x86-64, one core of
-    a shared host) on a grid of orders 16..192, numerators of 4..400
-    bits and densities 0.3 and 1: a nonzero pair costs 1 + bx by / 20000
-    (loop overhead, then the digit products of bx- and by-bit
-    numerators); Kronecker costs 10 per slot to pack and unpack plus
-    L^(3/2) / 640 to multiply the L-bit packed ints, L^(3/2) tracking
-    CPython's Karatsuba within 10% at these sizes.  On the grid the rule
-    picked the faster path in 76 of 80 cases and lost 0.4% on average.
-    """
-    bx = max([abs(x) for _, x in xs]).bit_length()
-    by = max([abs(y) for _, y in ys]).bit_length()
-    jy = [j for j, _ in ys]
-    pairs = sum([bisect_left(jy, m - i) for i, _ in xs])
-    slots = m - xs[0][0] - ys[0][0]
-    bits = slots * (bx + by + slots.bit_length() + 1)
-    return pairs * (20000 + bx * by) <= \
-        20000 * (10 * slots + bits * isqrt(bits) // 640)
-
-
-def _dense(terms, m):
-    """Integer list from the valuation of terms up to index m - 1."""
-    v = terms[0][0]
-    out = [0] * (min(terms[-1][0] + 1, m) - v)
-    for i, x in terms:
-        if i >= m:
-            break
-        out[i - v] = x
+def _pairs(xs, ys, m, zero):
+    """Sums of x_i y_j over the (index, value) pairs with i + j < m."""
+    out = [zero] * m
+    for i, x in xs:
+        for j, y in ys:
+            if i + j >= m:
+                break
+            out[i + j] += x * y
     return out
-
-
-def _kronecker(xs, ys, m):
-    """First m coefficients of the product of two integer lists.
-
-    Each list is packed into one int with w hex digits per slot, biased
-    by half a slot so that every packed digit is nonnegative.  The
-    product's first m slots then hold c_k + half exactly once the bias
-    of m slots is added back, because |c_k| < half by the choice of w.
-    """
-    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys), m)
-    w = (bound.bit_length() + 4) >> 2
-    half = 1 << (4 * w - 1)
-    bias = "8" + "0" * (w - 1)
-    fmt = "%%0%dx" % w
-    a = int("".join([fmt % (x + half) for x in reversed(xs)]), 16) - \
-        int(bias * len(xs), 16)
-    b = int("".join([fmt % (y + half) for y in reversed(ys)]), 16) - \
-        int(bias * len(ys), 16)
-    t = (a * b + int(bias * m, 16)) & ((1 << (4 * w * m)) - 1)
-    h = "%0*x" % (w * m, t)
-    return [int(h[j - w: j], 16) - half for j in range(w * m, 0, -w)]
 
 
 def _inverse(cs):

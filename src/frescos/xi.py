@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-from .algebra import AbElement, expand_factor_form, left_divide, monicize
+from .algebra import AbElement, _D, expand_factor_form, monicize
 from .errors import (
     NotMonogenicAtTruncation,
     SemanticError,
@@ -282,7 +282,8 @@ def xi_generate_module(phi):
     if not certified:
         raise TruncationTooSmall(
             "pivot profile still grows at level %d of %d; cannot certify "
-            "rank %d" % (last_growth, depth, rank)
+            "rank %d; rerun with --order %d"
+            % (last_growth, depth, rank, last_growth + rank + 2)
         )
     return XiSpan(phi, ech, rank)
 
@@ -319,10 +320,11 @@ def xi_log_filtration(span):
             lead = level_ech.insert(v)
             if lead is not None:
                 per_level[lead[1]] += 1
-        rank, _, certified = certified_rank(per_level)
+        rank, last, certified = certified_rank(per_level)
         if rank and not certified:
             raise TruncationTooSmall(
-                "log filtration has not stabilised at depth %d" % depth
+                "log filtration has not stabilised at depth %d; rerun "
+                "with --order %d" % (depth, last + rank + 2)
             )
         ranks.append(rank)
         if d is None and rank == span.rank:
@@ -474,8 +476,11 @@ def _peel_unit(ann, mu, k):
     triangular with one resonant row; the resonant coefficient is
     pinned to 0 and its row must close.  The coefficients of the rho_i
     are read off one table of weights (_remainders), on plain Fractions.
-    T and Q are known to k orders less than ann; model_from_xi checks
-    that every peel keeps at least one.
+    Q comes off ann T = sum a^m s_m by synthetic division: as
+    S a = a S - b^2 S', q_(deg-1) = s_deg, q_(m-1) = s_m + d(q_m) and
+    the remainder is s_0 + d(q_0), for d(f) = b^2 f' + mu b f.  T and
+    Q are known to k orders less than ann; model_from_xi checks that
+    every peel keeps at least one.
     """
     tmax = min(c.order for c in ann.coeffs) - k
     rho = _remainders(ann, mu, k, tmax)
@@ -487,23 +492,18 @@ def _peel_unit(ann, mu, k):
     for n in range(1, tmax + 1):
         acc = sum((t[i] * rho(i, n) for i in range(n)), Fraction(0))
         dn = rho(n, n)
-        if dn:
-            t.append(-acc / dn)
-        else:
-            if acc:
-                raise NotMonogenicAtTruncation(
-                    "unit peel at exponent %s is obstructed in slot %d"
-                    % (mu, n)
-                )
-            t.append(Fraction(0))
+        if acc and not dn:
+            raise NotMonogenicAtTruncation(
+                "unit peel at exponent %s is obstructed in slot %d" % (mu, n)
+            )
+        t.append(-acc / dn if dn else Fraction(0))
     unit = SeriesB(t, tmax)
-    scaled = AbElement([(ann.coeff_series(m) * unit).truncate(tmax)
-                        for m in range(ann.degree + 1)])
-    q, rem = left_divide(scaled, AbElement.linear(mu, tmax))
-    for m in range(rem.degree + 1):
-        if rem.coeff_series(m).valuation() is not None:
-            raise AssertionError("peel remainder should vanish")
-    return unit, q
+    q = [ann.coeffs[-1] * unit]
+    for c in reversed(ann.coeffs[:-1]):
+        q.append(c * unit + _D(q[-1]) + (q[-1] * mu).shift(1))
+    if q.pop():
+        raise AssertionError("peel remainder should vanish")
+    return unit, AbElement(q[::-1])
 
 
 def model_from_xi(span):
@@ -514,7 +514,7 @@ def model_from_xi(span):
     giving the principal invariants; then one unit peel per factor
     from the right, its remainders read off one table of weights of the
     rank-1 action a e = mu b e instead of trial divisions by
-    (a - mu b), and one left_divide for the quotient.  The result is
+    (a - mu b), and its quotient by synthetic division.  The result is
     cross-checked against the annihilator before it is returned.
     """
     r = span.rank
@@ -529,11 +529,10 @@ def model_from_xi(span):
         )
     invariants = _bernstein_invariants(ann, span.lam, r, span.depth + r)
     lambdas = [inv - j for j, inv in enumerate(sorted(invariants), start=1)]
-    cur = ann
-    units = [None] * r
+    cur, units = ann, []
     for j in range(r, 0, -1):
         unit, cur = _peel_unit(cur, lambdas[j - 1], j)
-        units[j - 1] = unit
+        units.insert(0, unit)
     if cur.degree != 0 or not cur.coeff_series(0).is_unit():
         raise AssertionError("peeling left a non-unit of degree %d"
                              % cur.degree)

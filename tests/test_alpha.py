@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,8 @@ from frescos.errors import (
     WrongRank,
 )
 from frescos.fresco import AdaptedModel, Presentation, regenerate_presentation, twist
-from frescos.cli import main
+from frescos.cli import _random_generator, main
+from frescos.oracle import submodule_analysis, truncate_rep
 from frescos.series import SeriesB, rat
 
 ORDER = 20
@@ -396,3 +398,25 @@ def test_dual_twist_involution():
 def test_theme_class_exponent_consistency():
     with pytest.raises(SemanticError):
         ThemeClass(3, 5, 2, 1)
+
+
+# analyze says alpha 1 for this input, yet a generator of the same
+# module gives another presentation with another alpha
+ALPHA_WITNESS = ("fresco: (8 | 1 + 3/2b^4 + b^11) (9 | 1 - b^4) (11 | 1 + b) "
+                 "(13 | 1) (15 | 1 - 1/2b)")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="alpha depends on the generator here: -241/2")
+def test_alpha_does_not_depend_on_the_generator():
+    p = parse_fresco(ALPHA_WITNESS, order=48)
+    model = AdaptedModel(p, order=48)
+    g = _random_generator(model, random.Random(0))
+    rep = truncate_rep(p, 48)
+    codim = submodule_analysis(rep, [rep.embed(g)])["codim"]
+    alpha = Analysis(p).alpha()
+    if (codim, alpha) != (0, 1):
+        pytest.fail("the witness moved: codimension %d, alpha %s"
+                    % (codim, alpha))
+    # g generates E, so its presentation is one of E's
+    assert Analysis(regenerate_presentation(model, g)).alpha() == alpha

@@ -3,7 +3,8 @@
 A public top-level function of src/frescos is either library API,
 exported through frescos.__all__, or called from somewhere in src/.
 A function that neither exports nor calls belongs in the tests that
-use it.
+use it.  A private top-level function or class that nothing in src/
+refers to is dead code.
 """
 
 import ast
@@ -60,5 +61,27 @@ def test_every_public_function_is_exported_or_called():
         if isinstance(node, ast.FunctionDef)
         and not node.name.startswith("_")
         and node.name not in called | exported
+    ]
+    assert orphans == []
+
+
+def _referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_private_helper_is_referenced():
+    trees = dict(_trees())
+    used = {n for tree in trees.values() for n in _referenced_names(tree)}
+    orphans = [
+        "%s:%s" % (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
     ]
     assert orphans == []

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,6 +29,8 @@ from frescos.cli import (
     main,
 )
 from frescos.dsl import print_fresco
+from frescos.errors import TruncationTooSmall
+from frescos.xi import XiExpansion, xi_generate_module, xi_log_filtration
 
 RAT = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -520,6 +523,51 @@ def test_truncation_errors_name_an_order_that_works(order, literal):
     code, (rep,) = run_json(["xi", "--seed", "1", "--order",
                              str(named - 1), literal])
     assert code == EXIT_DOMAIN
+
+
+def _cli_message(*argv):
+    """The message of argv + [n] as a function of the window n."""
+    def at(n):
+        code, (rep,) = run_json(list(argv) + [str(n)])
+        return rep.get("message", "")
+    return at
+
+
+def _filtration_message(depth):
+    # the command builds the model first, which needs far more depth
+    # than this filtration, so the filtration runs on its own
+    phi = XiExpansion(Fraction(1, 2), depth, 1, {(1, 1, 1): -1, (1, 4, 2): 1})
+    try:
+        xi_log_filtration(xi_generate_module(phi))
+    except TruncationTooSmall as err:
+        return str(err)
+    return ""
+
+
+@pytest.mark.parametrize("stem, message_at, start, flag", [
+    pytest.param("pivot profile still grows",
+                 _cli_message("xi", "--seed", "1", "s^(1/2)*log^3",
+                              "--order"), 8, "--order", id="xi-profile"),
+    pytest.param("pivot profile still grows",
+                 _cli_message("xi", "--seed", "1",
+                              "s^(1/2) * log^3 + s^(-1/2) * log", "--order"),
+                 8, "--order", id="xi-profile-two-terms"),
+    pytest.param("log filtration has not stabilised", _filtration_message,
+                 6, "--order", id="xi-filtration"),
+    pytest.param("pivot count per level has not stabilised",
+                 _cli_message("verify", "--seed", "1", "--order", "32",
+                              "fresco: (11/3 | 1 - b) (5/3 | 1 + 1/2b^4) "
+                              "(5 | 1 - 2b^2)", "--oracle-depth"),
+                 5, "--oracle-depth", id="oracle-levels"),
+])
+def test_unstable_profiles_name_the_least_window_past_them(
+        stem, message_at, start, flag):
+    msg = message_at(start)
+    assert msg.startswith(stem)
+    named = int(re.search(r"rerun with %s (\d+)$" % flag, msg).group(1))
+    assert named > start
+    assert not message_at(named).startswith(stem)
+    assert message_at(named - 1).startswith(stem)
 
 
 def test_seed_reported_when_not_given():

@@ -142,8 +142,8 @@ kernel_coeffs = small_coeffs | st.builds(
 def kernel_series(draw, max_order=140, unit=False, big_dense_order=140):
     """Zero, sparse (up to 4 terms), dense or constant, at orders 0..max_order.
 
-    A constant series c + c b + c b^2 + ... makes the product reach the
-    largest coefficient the Kronecker slot width is chosen for.
+    A constant series c + c b + c b^2 + ... makes every product
+    coefficient as large as its operands' sizes allow.
 
     Dense series take large coefficients only up to big_dense_order:
     the inverse of a dense series with many unrelated 33-bit
@@ -168,19 +168,10 @@ def kernel_series(draw, max_order=140, unit=False, big_dense_order=140):
     return SeriesB(cs, order)
 
 
-PATHS = {
-    "rule": series_module._pairs_are_cheaper,
-    "pairs": lambda *args: True,
-    "kronecker": lambda *args: False,
-}
-
-
-@pytest.mark.parametrize("path", sorted(PATHS))
 @settings(max_examples=40, deadline=None)
 @given(kernel_series(), kernel_series())
-def test_product_matches_schoolbook(path, x, y):
-    with mock.patch.object(series_module, "_pairs_are_cheaper", PATHS[path]):
-        got = x * y
+def test_product_matches_schoolbook(x, y):
+    got = x * y
     assert got.order == min(x.order, y.order)
     assert list(got.coeffs) == schoolbook_product(x, y)
     assert in_lowest_terms(got)
@@ -194,31 +185,6 @@ def test_inverse_matches_schoolbook(s):
     assert list(inv.coeffs) == schoolbook_inverse(s)
     assert in_lowest_terms(inv)
     assert s * inv == SeriesB.one(s.order)
-
-
-def test_kronecker_slot_holds_the_largest_coefficient():
-    # c_k = (k + 1) x y is as large as the slot width allows at k = m - 1
-    for m in (2, 3, 7, 33):
-        for bits in range(1, 24):
-            for x, y in ((1, 1), (1, -1), (-1, -1)):
-                x *= (1 << bits) - 1
-                y *= (1 << bits) - 1
-                got = series_module._kronecker([x] * m, [y] * m, m)
-                assert got == [(k + 1) * x * y for k in range(m)]
-
-
-def test_the_cost_rule_takes_both_paths():
-    dense = SeriesB([Fraction(i % 7 - 3, 1 + i % 4) for i in range(129)])
-    sparse = SeriesB.one(128) + SeriesB.monomial(Fraction(5, 3), 3, 128)
-    kron = mock.patch.object(series_module, "_kronecker",
-                             wraps=series_module._kronecker)
-    with kron as spy:
-        assert list((dense * dense).coeffs) == \
-            schoolbook_product(dense, dense)
-        assert spy.call_count == 1
-        assert list((sparse * dense).coeffs) == \
-            schoolbook_product(sparse, dense)
-        assert spy.call_count == 1
 
 
 def test_product_of_unrelated_denominators_runs_on_fractions():

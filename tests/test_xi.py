@@ -23,6 +23,7 @@ from frescos.fresco import bernstein
 from frescos.dsl import parse_xi
 from frescos.linalg import Echelon, axpy
 from frescos.series import SeriesB
+import frescos.algebra as algebra_module
 import frescos.xi as xi_module
 from frescos.xi import (
     XiExpansion,
@@ -30,6 +31,7 @@ from frescos.xi import (
     _annihilator_from_span,
     _bernstein_invariants,
     _integrate,
+    _peel_unit,
     _remainders,
     model_from_xi,
     xi_exponent_split,
@@ -484,17 +486,36 @@ def test_peel_remainders_need_no_series(monkeypatch):
 
 
 def test_one_division_per_root_and_per_peel(monkeypatch):
-    divisions = []
+    peels = []
+    peel = xi_module._peel_unit
 
-    def counted(u, p):
-        divisions.append(p.degree)
-        return left_divide(u, p)
+    def counted(ann, mu, k):
+        peels.append(k)
+        return peel(ann, mu, k)
 
-    # the roots come off the Bernstein polynomial; only the peels divide
-    monkeypatch.setattr(xi_module, "left_divide", counted)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the peel called left_divide")
+
+    # the roots come off the Bernstein polynomial and each peel divides
+    # by (a - mu b) synthetically
+    monkeypatch.setattr(xi_module, "_peel_unit", counted)
+    monkeypatch.setattr(algebra_module, "left_divide", forbidden)
+    monkeypatch.setattr(xi_module, "left_divide", forbidden, raising=False)
     span = xi_generate_module(term("1/2", 0, 3, depth=20))
     assert model_from_xi(span).rank == span.rank == 4
-    assert divisions == [1] * span.rank
+    assert peels == [4, 3, 2, 1]
+
+
+def test_peel_quotient_is_the_division_quotient():
+    ann = monicize(expand_factor_form(
+        [(F(7, 2), SeriesB([1, 2, -1], 10)), (F(3, 2), SeriesB([1, 0, 3], 10))],
+        10))
+    unit, q = _peel_unit(ann, F(3, 2), 2)
+    # left_divide is the reference: ann T = q (a - 3/2 b), remainder 0
+    scaled = AbElement([c * unit for c in ann.coeffs])
+    want, r = left_divide(scaled, AbElement.linear(F(3, 2), unit.order))
+    assert r.is_zero()
+    assert q == want
 
 
 @settings(max_examples=40, deadline=None)
