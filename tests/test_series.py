@@ -139,7 +139,8 @@ kernel_coeffs = small_coeffs | st.builds(
 
 
 @st.composite
-def kernel_series(draw, max_order=140, unit=False, big_dense_order=140):
+def kernel_series(draw, max_order=140, unit=False, big_dense_order=140,
+                  kinds=("zero", "sparse", "dense", "constant")):
     """Zero, sparse (up to 4 terms), dense or constant, at orders 0..max_order.
 
     A constant series c + c b + c b^2 + ... makes every product
@@ -151,7 +152,7 @@ def kernel_series(draw, max_order=140, unit=False, big_dense_order=140):
     and the schoolbook reference alone needs seconds for one.
     """
     order = draw(st.integers(0, max_order))
-    kind = draw(st.sampled_from(["zero", "sparse", "dense", "constant"]))
+    kind = draw(st.sampled_from(kinds))
     cs = [Fraction(0)] * (order + 1)
     if kind == "constant":
         cs = [draw(kernel_coeffs)] * (order + 1)
@@ -168,9 +169,24 @@ def kernel_series(draw, max_order=140, unit=False, big_dense_order=140):
     return SeriesB(cs, order)
 
 
+# Operand shapes, keyed by the product path that once served them: the
+# Kronecker substitution took dense pairs, the pair loop took sparse
+# operands, and the cost rule chose between them for any mix. One loop
+# now runs all three, and each shape keeps its own examples.
+SHAPES = {
+    "kronecker": (("dense", "constant"), ("dense", "constant")),
+    "pairs": (("zero", "sparse"), ("zero", "sparse", "dense", "constant")),
+    "rule": (("zero", "sparse", "dense", "constant"),) * 2,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 @settings(max_examples=40, deadline=None)
-@given(kernel_series(), kernel_series())
-def test_product_matches_schoolbook(x, y):
+@given(data=st.data())
+def test_product_matches_schoolbook(shape, data):
+    x_kinds, y_kinds = SHAPES[shape]
+    x = data.draw(kernel_series(kinds=x_kinds))
+    y = data.draw(kernel_series(kinds=y_kinds))
     got = x * y
     assert got.order == min(x.order, y.order)
     assert list(got.coeffs) == schoolbook_product(x, y)
