@@ -11,6 +11,7 @@ where the report also echoes the line and the batch goes on.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -345,15 +346,17 @@ def _emit(report, fmt, out):
 
 
 def _gather_inputs(arg, stdin, parser):
+    """The inline input, else the nonblank lines of @file or stdin."""
     if arg is not None and not arg.startswith("@"):
         return [arg]
     try:
-        if arg is None:
-            return [line.strip() for line in stdin if line.strip()]
-        with open(arg[1:]) as fh:
-            return [line.strip() for line in fh if line.strip()]
+        with open(arg[1:]) if arg else contextlib.nullcontext(stdin) as fh:
+            inputs = [line.strip() for line in fh if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(str(exc))
+    if not inputs:
+        parser.error("no input given")
+    return inputs
 
 
 def main(argv=None, stdin=None, stdout=None):
@@ -390,11 +393,8 @@ def _main(argv, stdin, stdout):
         inputs = _gather_inputs(ns.input, stdin, parser) if ns.input else []
         jobs = [(None, lambda: run_verify(ns, inputs))]
     else:
-        inputs = _gather_inputs(ns.input, stdin, parser)
-        if not inputs:
-            parser.error("no input given")
         jobs = [(text, functools.partial(_run_line, ns, text))
-                for text in inputs]
+                for text in _gather_inputs(ns.input, stdin, parser)]
 
     head = {"command": ns.command, "seed": ns.seed}
     code = EXIT_OK

@@ -12,17 +12,21 @@ concretely on a basis e_1..e_k with
     a e_j = (l_j b + b^2 S_j'/S_j) e_j + S_j e_{j-1},      e_0 = 0,
 
 which is just the chain e_{j-1} = (a - l_j b) S_j^-1 e_j unrolled.
+Back from a monic annihilator of e_k, presentation_from_annihilator
+reads the l_j off its Bernstein roots and peels one S_j at a time.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
-from .algebra import _fit, expand_factor_form, initial_form
+from .algebra import AbElement, _D, _fit, expand_factor_form, initial_form, monicize
 from .errors import (
     IndexOutOfRange,
     MixedPrimitiveClasses,
     NonUnitSeries,
     NotAGenerator,
     NotGeometric,
+    NotMonogenicAtTruncation,
     OrderUnderflow,
     SemanticError,
 )
@@ -338,3 +342,130 @@ def twist(p, delta):
     """Shift every exponent by delta; rechecks the geometric bound."""
     d = rat(delta)
     return Presentation([(l + d, u) for l, u in p.factors])
+
+
+def _bernstein_invariants(ann, lam, r, bound):
+    """Principal invariants read off the Bernstein polynomial of ann.
+
+    The homogeneous part sum_m h_m a^m b^(r-m) of the monic ann sends
+    the generator of the rank-1 module a e = mu b e to P(mu) b^r e with
+    P(mu) = sum_m h_m (mu+r-m)...(mu+r-1).  For (a - l_1 b)...(a - l_r b)
+    it is prod_j (mu - l_j - j + r), so the invariants l_j + j are the
+    roots of P plus r.  Its roots lam + n, n <= bound, are divided out
+    synthetically one at a time.
+    """
+    # P nested: Q_r = 1, Q_m = h_m + (mu+r-1-m) Q_(m+1), P = Q_0; the
+    # coefficients are kept highest power first
+    poly = [Fraction(1)]
+    for m in range(r - 1, -1, -1):
+        shift = r - 1 - m
+        poly = [x + shift * y for x, y in zip(poly + [0], [0] + poly)]
+        poly[-1] += ann.coeff_series(m).coeff(r - m)
+    invariants = []
+    n = 0
+    while len(invariants) < r:
+        if n > bound:
+            raise NotMonogenicAtTruncation(
+                "initial form has no right root in the exponent class"
+            )
+        mu = lam + n
+        horner = list(accumulate(poly, lambda acc, c: acc * mu + c))
+        if horner[-1]:
+            n += 1
+        else:
+            poly = horner[:-1]
+            invariants.append(mu + r)
+    return invariants
+
+
+def _remainders(ann, mu, k, tmax):
+    """rho(i, n): the b^(k+n) coefficient of rho_i = ann.(b^i e).
+
+    In the rank-1 module a e = mu b e one has a^m b^s e =
+    (mu+s)...(mu+s+m-1) b^(s+m) e, so rho_i is the remainder of ann b^i
+    by (a - mu b) and its b^N coefficient is sum_m W[N][m] c_(m,N-m-i)
+    with weights W[N][m] = (mu+N-m)...(mu+N-1) that do not depend on i.
+    One table for N = k..k+tmax serves every remainder.
+    """
+    cs = [c.coeffs for c in ann.coeffs]
+    W = [list(accumulate(range(1, len(cs)), lambda w, m: w * (mu + N - m),
+                         initial=Fraction(1)))
+         for N in range(k, k + tmax + 1)]
+
+    def rho(i, n):
+        top = k + n - i
+        return sum(w * c[top - m] for m, (w, c) in enumerate(zip(W[n], cs))
+                   if m <= top)
+    return rho
+
+
+def _peel_unit(ann, mu, k):
+    """Factor ann T = Q (a - mu b) with T a unit, T(0) = 1.
+
+    The remainders rho_i = ann.(b^i e) of ann b^i by (a - mu b) sit in
+    b^(k+i) C[[b]], which makes the linear system for the t_i
+    triangular with one resonant row; the resonant coefficient is
+    pinned to 0 and its row must close.  The coefficients of the rho_i
+    are read off one table of weights (_remainders), on plain Fractions.
+    Q comes off ann T = sum a^m s_m by synthetic division: as
+    S a = a S - b^2 S', q_(deg-1) = s_deg, q_(m-1) = s_m + d(q_m) and
+    the remainder is s_0 + d(q_0), for d(f) = b^2 f' + mu b f.  T and
+    Q are known to k orders less than ann.
+    """
+    tmax = min(c.order for c in ann.coeffs) - k
+    rho = _remainders(ann, mu, k, tmax)
+    if rho(0, 0):
+        raise NotMonogenicAtTruncation(
+            "%s is not a right root of the annihilator" % mu
+        )
+    t = [Fraction(1)]
+    for n in range(1, tmax + 1):
+        acc = sum((t[i] * rho(i, n) for i in range(n)), Fraction(0))
+        dn = rho(n, n)
+        if acc and not dn:
+            raise NotMonogenicAtTruncation(
+                "unit peel at exponent %s is obstructed in slot %d" % (mu, n)
+            )
+        t.append(-acc / dn if dn else Fraction(0))
+    unit = SeriesB(t, tmax)
+    q = [ann.coeffs[-1] * unit]
+    for c in reversed(ann.coeffs[:-1]):
+        q.append(c * unit + _D(q[-1]) + (q[-1] * mu).shift(1))
+    if q.pop():
+        raise AssertionError("peel remainder should vanish")
+    return unit, AbElement(q[::-1])
+
+
+def presentation_from_annihilator(ann, lam, bound):
+    """Principal presentation of the fresco ann.e = 0, e its generator.
+
+    ann is monic of degree r >= 1; lam in (0, 1] is the exponent class.
+    The Bernstein roots lam + n, n <= bound, give the principal
+    invariants in increasing order; then _peel_unit takes one unit off
+    each factor from the right, peel j costing j orders, so an ann known
+    to fewer than 1 + r(r+1)/2 orders is refused.  The result is
+    cross-checked against ann.
+    """
+    r = ann.degree
+    if r < 1 or ann.coeffs[-1] != SeriesB.one(ann.coeffs[-1].order):
+        raise SemanticError("the annihilator must be monic of degree >= 1")
+    ordc, need = min(c.order for c in ann.coeffs), 1 + r * (r + 1) // 2
+    if ordc < need:
+        raise NotMonogenicAtTruncation(
+            "the annihilator is known to order %d; its %d unit peels need "
+            "%d" % (ordc, r, need))
+    invariants = _bernstein_invariants(ann, lam, r, bound)
+    lambdas = [inv - j for j, inv in enumerate(invariants, start=1)]
+    units, cur = [None] * r, ann
+    for j in range(r, 0, -1):
+        units[j - 1], cur = _peel_unit(cur, lambdas[j - 1], j)
+    if cur.degree != 0 or not cur.coeff_series(0).is_unit():
+        raise AssertionError("peeling left a non-unit of degree %d"
+                             % cur.degree)
+    order = min(u.order for u in units)
+    p = Presentation([(l, u.truncate(order)) for l, u in zip(lambdas, units)])
+    check = monicize(expand_factor_form(p.factors, order))
+    if not check.same_upto(ann, min(order, ordc) - 1):
+        raise AssertionError("reconstructed presentation disagrees "
+                             "with the annihilator")
+    return p

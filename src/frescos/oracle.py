@@ -213,8 +213,8 @@ def _solve_layers(rep, chain, d, v):
     ordc = M - d - v
     if ordc < 2:
         raise DegenerateTruncation(
-            "depth %d leaves no room for a degree-%d annihilator" % (M, d)
-        )
+            "depth %d leaves no room for a degree-%d annihilator; rerun "
+            "with --oracle-depth %d" % (M, d, d + v + 2))
     res = {r: -y for r, y in chain(0, d).items()}
     s = 1
     dpow = [rep.ascale ** (d - m) for m in range(d)]

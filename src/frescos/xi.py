@@ -13,20 +13,20 @@ raise m, which keeps everything below the truncation depth exact.  With
 lam = a/q, mu = p_m/q for the positive integer p_m = a + m q, so on an
 integer term dict b is an integer map up to one integer scale (the lcm
 of the p_m^(j+1)); the module closure and the annihilator apply it so,
-and every elimination over an expansion's span runs on integers.
+and every elimination over an expansion's span runs on integers.  The
+source's annihilator becomes a presentation in fresco.
 """
 
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 
-from .algebra import AbElement, _D, expand_factor_form, monicize
+from .algebra import AbElement
 from .errors import (
     NotMonogenicAtTruncation,
     SemanticError,
     TruncationTooSmall,
 )
-from .fresco import Presentation
+from .fresco import presentation_from_annihilator
 from .linalg import Echelon, axpy, certified_rank, integral, solve
 from .series import SeriesB, rat
 
@@ -355,12 +355,14 @@ def _annihilator_from_span(span):
     top_ji = depth - 1 - vhi
     mmax = top_ji + vlo
     ordc = depth - r - vhi - (vhi - vlo)
-    # the Bernstein polynomial reads the b^r coefficient
-    if ordc < max(r, 2):
+    # the r unit peels cost 1 + ... + r orders and the last keeps one;
+    # ordc rises one for one with the depth, which names the least one
+    need = 1 + r * (r + 1) // 2
+    if ordc < need:
         raise NotMonogenicAtTruncation(
-            "depth %d leaves no room for a degree-%d annihilator; rerun "
-            "with --order %d, which leaves room for it and its %d unit "
-            "peels" % (depth, r, _peel_depth(r, depth, ordc), r)
+            "depth %d leaves no room for a degree-%d annihilator and its "
+            "%d unit peels; rerun with --order %d"
+            % (depth, r, r, depth + need - ordc)
         )
     # both operators only raise levels, so nothing above mmax is needed;
     # the chain b^i phi runs on integers, scales[i] times the true one
@@ -403,146 +405,9 @@ def _annihilator_from_span(span):
     return AbElement(coeffs + [SeriesB.one(ordc)])
 
 
-def _bernstein_invariants(ann, lam, r, bound):
-    """Principal invariants read off the Bernstein polynomial of ann.
-
-    The homogeneous part sum_m h_m a^m b^(r-m) of the monic ann sends
-    the generator of the rank-1 module a e = mu b e to P(mu) b^r e with
-    P(mu) = sum_m h_m (mu+r-m)...(mu+r-1).  For (a - l_1 b)...(a - l_r b)
-    it is prod_j (mu - l_j - j + r), so the invariants l_j + j are the
-    roots of P plus r.  Its roots lam + n, n <= bound, are divided out
-    synthetically one at a time.
-    """
-    # P nested: Q_r = 1, Q_m = h_m + (mu+r-1-m) Q_(m+1), P = Q_0; the
-    # coefficients are kept highest power first
-    poly = [Fraction(1)]
-    for m in range(r - 1, -1, -1):
-        shift = r - 1 - m
-        poly = [x + shift * y for x, y in zip(poly + [0], [0] + poly)]
-        poly[-1] += ann.coeff_series(m).coeff(r - m)
-    invariants = []
-    n = 0
-    while len(invariants) < r:
-        if n > bound:
-            raise NotMonogenicAtTruncation(
-                "initial form has no right root in the exponent class"
-            )
-        mu = lam + n
-        horner = list(accumulate(poly, lambda acc, c: acc * mu + c))
-        if horner[-1]:
-            n += 1
-        else:
-            poly = horner[:-1]
-            invariants.append(mu + r)
-    return invariants
-
-
-def _remainders(ann, mu, k, tmax):
-    """rho(i, n): the b^(k+n) coefficient of rho_i = ann.(b^i e).
-
-    In the rank-1 module a e = mu b e one has a^m b^s e =
-    (mu+s)...(mu+s+m-1) b^(s+m) e, so rho_i is the remainder of ann b^i
-    by (a - mu b) and its b^N coefficient is sum_m W[N][m] c_(m,N-m-i)
-    with weights W[N][m] = (mu+N-m)...(mu+N-1) that do not depend on i.
-    One table for N = k..k+tmax serves every remainder.
-    """
-    cs = [c.coeffs for c in ann.coeffs]
-    W = [list(accumulate(range(1, len(cs)), lambda w, m: w * (mu + N - m),
-                         initial=Fraction(1)))
-         for N in range(k, k + tmax + 1)]
-
-    def rho(i, n):
-        top = k + n - i
-        return sum(w * c[top - m] for m, (w, c) in enumerate(zip(W[n], cs))
-                   if m <= top)
-    return rho
-
-
-def _peel_depth(r, depth, ordc):
-    """Least depth whose annihilator leaves room for all r unit peels.
-
-    The annihilator's order ordc rises one for one with the depth; the
-    peel of factor k leaves a quotient known to k orders less, and the
-    last peel needs one order left.
-    """
-    return depth + 1 + r * (r + 1) // 2 - ordc
-
-
-def _peel_unit(ann, mu, k):
-    """Factor ann T = Q (a - mu b) with T a unit, T(0) = 1.
-
-    The remainders rho_i = ann.(b^i e) of ann b^i by (a - mu b) sit in
-    b^(k+i) C[[b]], which makes the linear system for the t_i
-    triangular with one resonant row; the resonant coefficient is
-    pinned to 0 and its row must close.  The coefficients of the rho_i
-    are read off one table of weights (_remainders), on plain Fractions.
-    Q comes off ann T = sum a^m s_m by synthetic division: as
-    S a = a S - b^2 S', q_(deg-1) = s_deg, q_(m-1) = s_m + d(q_m) and
-    the remainder is s_0 + d(q_0), for d(f) = b^2 f' + mu b f.  T and
-    Q are known to k orders less than ann; model_from_xi checks that
-    every peel keeps at least one.
-    """
-    tmax = min(c.order for c in ann.coeffs) - k
-    rho = _remainders(ann, mu, k, tmax)
-    if rho(0, 0):
-        raise NotMonogenicAtTruncation(
-            "%s is not a right root of the annihilator" % mu
-        )
-    t = [Fraction(1)]
-    for n in range(1, tmax + 1):
-        acc = sum((t[i] * rho(i, n) for i in range(n)), Fraction(0))
-        dn = rho(n, n)
-        if acc and not dn:
-            raise NotMonogenicAtTruncation(
-                "unit peel at exponent %s is obstructed in slot %d" % (mu, n)
-            )
-        t.append(-acc / dn if dn else Fraction(0))
-    unit = SeriesB(t, tmax)
-    q = [ann.coeffs[-1] * unit]
-    for c in reversed(ann.coeffs[:-1]):
-        q.append(c * unit + _D(q[-1]) + (q[-1] * mu).shift(1))
-    if q.pop():
-        raise AssertionError("peel remainder should vanish")
-    return unit, AbElement(q[::-1])
-
-
 def model_from_xi(span):
-    """Presentation of the module generated by the source expansion.
-
-    Chain: monic annihilator of the generator, solved on the sparse
-    echelon of linalg; the rational roots of its Bernstein polynomial,
-    giving the principal invariants; then one unit peel per factor
-    from the right, its remainders read off one table of weights of the
-    rank-1 action a e = mu b e instead of trial divisions by
-    (a - mu b), and its quotient by synthetic division.  The result is
-    cross-checked against the annihilator before it is returned.
-    """
-    r = span.rank
-    ann = _annihilator_from_span(span)
-    ordc = min(c.order for c in ann.coeffs)
-    if ordc < 1 + r * (r + 1) // 2:
-        raise NotMonogenicAtTruncation(
-            "no room left to peel a unit: depth %d knows the annihilator "
-            "to order %d, its %d peels need %d; rerun with --order %d"
-            % (span.depth, ordc, r, 1 + r * (r + 1) // 2,
-               _peel_depth(r, span.depth, ordc))
-        )
-    invariants = _bernstein_invariants(ann, span.lam, r, span.depth + r)
-    lambdas = [inv - j for j, inv in enumerate(sorted(invariants), start=1)]
-    cur, units = ann, []
-    for j in range(r, 0, -1):
-        unit, cur = _peel_unit(cur, lambdas[j - 1], j)
-        units.insert(0, unit)
-    if cur.degree != 0 or not cur.coeff_series(0).is_unit():
-        raise AssertionError("peeling left a non-unit of degree %d"
-                             % cur.degree)
-    order = min(u.order for u in units)
-    p = Presentation(
-        [(lam, u.truncate(order)) for lam, u in zip(lambdas, units)]
-    )
-    check = monicize(expand_factor_form(p.factors, order))
-    avail = min(order, min(c.order for c in ann.coeffs)) - 1
-    if not check.same_upto(ann, avail):
-        raise AssertionError("reconstructed presentation disagrees "
-                             "with the annihilator")
-    return p
+    """Presentation of the module generated by the source expansion:
+    its annihilator through presentation_from_annihilator, with the
+    Bernstein roots lam + n searched up to n = depth + rank."""
+    return presentation_from_annihilator(
+        _annihilator_from_span(span), span.lam, span.depth + span.rank)

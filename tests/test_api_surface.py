@@ -4,11 +4,15 @@ A public top-level function of src/frescos is either library API,
 exported through frescos.__all__, or called from somewhere in src/.
 A function that neither exports nor calls belongs in the tests that
 use it.  A private top-level function or class that nothing in src/
-refers to is dead code.
+refers to is dead code.  The layers import downwards only: the
+engine core (series, algebra, linalg, fresco, alpha) knows nothing of
+xi, the oracle, the parser or the command line.
 """
 
 import ast
 import os
+
+import pytest
 
 import frescos
 
@@ -48,6 +52,36 @@ def test_oracle_imports_no_engine_code():
             names = {a.name for a in node.names}
             want = allowed[node.module]
             assert want is None or names <= want, (node.module, names)
+
+
+def _imported_modules(tree):
+    """The frescos modules a module imports from, by short name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            if parts[0] == "frescos" and len(parts) > 1:
+                yield parts[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "frescos" and len(parts) > 1:
+                    yield parts[1]
+
+
+@pytest.mark.parametrize("module", ["series", "algebra", "linalg",
+                                    "fresco", "alpha", "xi"])
+def test_layers_import_only_downwards(module):
+    # the engine core knows nothing of expansions, the oracle, parsing
+    # or the command line; xi builds on the engine core without alpha
+    forbidden = {"oracle", "dsl", "cli"} | \
+        ({"alpha"} if module == "xi" else {"xi"})
+    tree = dict(_trees())[module + ".py"]
+    assert set(_imported_modules(tree)) & forbidden == set()
 
 
 def test_every_public_function_is_exported_or_called():

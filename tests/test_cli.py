@@ -28,8 +28,9 @@ from frescos.cli import (
     _random_presentation,
     main,
 )
-from frescos.dsl import print_fresco
-from frescos.errors import TruncationTooSmall
+from frescos.dsl import parse_fresco, print_fresco
+from frescos.errors import DegenerateTruncation, TruncationTooSmall
+from frescos.oracle import minimal_annihilator, truncate_rep
 from frescos.xi import XiExpansion, xi_generate_module, xi_log_filtration
 
 RAT = re.compile(r"^-?\d+(/\d+)?$")
@@ -256,6 +257,22 @@ def test_file_input(tmp_path):
 def test_missing_file_is_usage_error():
     code, _ = run(["analyze", "@/no/such/file", "--seed", "1"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_input_file_without_a_line_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "blank.txt"
+    path.write_text("\n  \n")
+    code, text = run([command, "@%s" % path, "--seed", "1", "--samples", "3"])
+    assert code == EXIT_USAGE and text == ""
+    assert "no input given" in capsys.readouterr().err
+
+
+def test_verify_without_an_input_argument_draws_samples():
+    code, (rep,) = run_json(["verify", "--seed", "1", "--samples", "3",
+                             "--order", "12"], "fresco: (3 | 1)\n")
+    assert code == EXIT_OK
+    assert rep["samples"] == 3 and rep["counts"] == {"pass": 3, "fail": 0}
 
 
 def test_parser_is_built_once():
@@ -568,6 +585,41 @@ def test_unstable_profiles_name_the_least_window_past_them(
     assert named > start
     assert not message_at(named).startswith(stem)
     assert message_at(named - 1).startswith(stem)
+
+
+def _oracle_room_message(v):
+    """The oracle's message on b^v e_3 as a function of the depth."""
+    p = parse_fresco("fresco: (11/3 | 1 - b) (5/3 | 1 + 1/2b^4) "
+                     "(5 | 1 - 2b^2)", order=32)
+
+    def at(depth):
+        rep = truncate_rep(p, depth)
+        try:
+            minimal_annihilator(rep, rep.basis_vector(3, v))
+        except DegenerateTruncation as err:
+            return str(err)
+        return ""
+    return at
+
+
+@pytest.mark.parametrize("message_at", [
+    pytest.param(_cli_message("verify", "--seed", "1", "--order", "32",
+                              "fresco: (11/3 | 1 - b) (5/3 | 1 + 1/2b^4) "
+                              "(5 | 1 - 2b^2)", "--oracle-depth"),
+                 id="verify"),
+    pytest.param(_oracle_room_message(3), id="oracle-b3-e3"),
+])
+def test_oracle_room_error_names_the_least_depth_with_room(message_at):
+    # the message names d + v + 2 for a degree-d annihilator of a vector
+    # of valuation v: the least depth whose solve for degree d has room
+    msg = message_at(4)
+    d, named = re.fullmatch(
+        r"depth 4 leaves no room for a degree-(\d+) annihilator; rerun "
+        r"with --oracle-depth (\d+)", msg).groups()
+    stem = "no room for a degree-%s annihilator" % d
+    named = int(named)
+    assert stem not in message_at(named)
+    assert stem in message_at(named - 1)
 
 
 def test_seed_reported_when_not_given():

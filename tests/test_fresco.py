@@ -1,17 +1,20 @@
 """Presentations, Bernstein data, the adapted model, regeneration."""
 
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frescos.algebra import expand_factor_form
+from frescos.algebra import expand_factor_form, monicize
+from frescos.dsl import parse_fresco
 from frescos.errors import (
     IndexOutOfRange,
     MixedPrimitiveClasses,
     NonUnitSeries,
     NotAGenerator,
     NotGeometric,
+    NotMonogenicAtTruncation,
     OrderUnderflow,
     SemanticError,
 )
@@ -22,11 +25,13 @@ from frescos.fresco import (
     bernstein,
     default_model_order,
     fundamental_invariants,
+    presentation_from_annihilator,
     regenerate_presentation,
     sub_quotient,
     trivial_units,
     twist,
 )
+from frescos.oracle import minimal_annihilator, truncate_rep
 from frescos.series import SeriesB, rat
 
 ORDER = 20
@@ -233,3 +238,70 @@ def test_twist():
     assert q.lambdas == (rat("9/2"), rat("11/2"))
     with pytest.raises(NotGeometric):
         twist(p, rat("-3"))
+
+
+# --- from an annihilator back to the principal presentation ---
+
+WITNESS_DEPTH = 28
+
+
+@pytest.mark.parametrize("literal", [
+    "fresco: (3/2 | 1 + b)",
+    "fresco: (1 | 1 - 2b^3)",
+    "fresco: (7/3 | 1)",
+    "fresco: (7/3 | 1 + b^5) (7/3 | 1 - 1/3b^4 + b^6)",
+    "fresco: (4/3 | 1 - 3/2b - 1/3b^5 - 2/3b^6) (4/3 | 1)",
+    "fresco: (2 | 1) (4 | 1)",
+    "fresco: (3 | 1 - b^3 + 4b^4) (5 | 1 - 2b)",
+    "fresco: (9/2 | 1 + 4b^6) (9/2 | 1 + 1/2b^6) (11/2 | 1 - 4/3b^4 - 2b^6)",
+    "fresco: (10/3 | 1 + 3/2b^4) (10/3 | 1 + 3b^2) (16/3 | 1 - 1/2b^5)",
+    "fresco: (3 | 1 + b^5) (5 | 1) (6 | 1)",
+    "fresco: (8/3 | 1 + 4/3b^2 - 4b^3) (14/3 | 1 + b^6) (14/3 | 1)",
+    "fresco: (5 | 1 - b^5 + 3b^6) (6 | 1) (6 | 1) (7 | 1)",
+    "fresco: (14/3 | 1 - 3/2b^8) (17/3 | 1 - b - 4b^4) (23/3 | 1 + 4/3b) "
+    "(29/3 | 1 - 2/3b^4)",
+    "fresco: (7 | 1) (9 | 1) (9 | 1) (9 | 1 + 2b^6)",
+    "fresco: (6 | 1 + 1/2b^5) (8 | 1 + b - 4/3b^2 - 1/2b^4) (10 | 1 + 1/2b^3) "
+    "(12 | 1 - b - 2b^4)",
+    "fresco: (6 | 1 - 3b^10) (8 | 1) (10 | 1 + 3/2b^2) (12 | 1) "
+    "(12 | 1 + 1/3b^2 - 2/3b^5)",
+    "fresco: (9 | 1 + 4b^9) (9 | 1) (10 | 1) (12 | 1 - 2b^4) (14 | 1)",
+    "fresco: (5 | 1) (7 | 1 + b) (9 | 1 - b) (11 | 1 - 2/3b) (12 | 1)",
+    "fresco: (14/3 | 1) (17/3 | 1) (23/3 | 1 + 4/3b^3) (29/3 | 1) (35/3 | 1)",
+    "fresco: (8 | 1 + 1/2b^9) (9 | 1) (11 | 1) (13 | 1) (13 | 1)",
+    # alpha depends on the generator here (test_alpha's strict xfail);
+    # the exponents and the annihilator do not
+    "fresco: (8 | 1 + 3/2b^4 + b^11) (9 | 1 - b^4) (11 | 1 + b) (13 | 1) "
+    "(15 | 1 - 1/2b)",
+])
+def test_oracle_annihilator_gives_back_the_presentation(literal):
+    # a third witness: the oracle's annihilator of e_k, solved on the
+    # truncated matrices, goes through the engine's peel and must give
+    # back p's exponents and an annihilator that agrees with the oracle's
+    p = parse_fresco(literal, order=WITNESS_DEPTH)
+    assert p.is_primitive() and p.is_principal()
+    k = p.rank
+    rep = truncate_rep(p, WITNESS_DEPTH)
+    ann = minimal_annihilator(rep, rep.basis_vector(k))
+    lam = p.lambdas[0] + 1 - ceil(p.lambdas[0])
+    q = presentation_from_annihilator(ann, lam, WITNESS_DEPTH)
+    assert q.lambdas == p.lambdas
+    order = min(u.order for u in q.units)
+    got = monicize(expand_factor_form(q.factors, order))
+    assert got.same_upto(ann, min(order, WITNESS_DEPTH - k) - 1)
+
+
+def test_presentation_from_annihilator_refuses_what_it_cannot_peel():
+    p = pres(("7/2", unit(2)), ("9/2", unit()))
+    ann = monicize(expand_factor_form(p.factors, 12))
+    assert presentation_from_annihilator(ann, rat("1/2"), 12).lambdas == \
+        p.lambdas
+    # two peels need order 1 + 2 + 1 = 4
+    short = monicize(expand_factor_form(p.factors, 3))
+    with pytest.raises(NotMonogenicAtTruncation, match="need 4"):
+        presentation_from_annihilator(short, rat("1/2"), 12)
+    with pytest.raises(SemanticError, match="monic"):
+        presentation_from_annihilator(ann * SeriesB([2], 12), rat("1/2"), 12)
+    with pytest.raises(SemanticError, match="monic"):
+        presentation_from_annihilator(monicize(ann.from_series(unit())),
+                                      rat("1/2"), 12)
