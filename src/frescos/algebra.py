@@ -17,21 +17,17 @@ from math import comb
 from .errors import NonMonicDivisor, OrderUnderflow
 from .series import SeriesB, rat
 
-_ZERO = Fraction(0)
-
 
 def _D(s):
     """b^2 d/db, the correction picked up when a series crosses one a."""
     if s.order == 0:
         raise OrderUnderflow("series known only to order 0 cannot cross a")
-    cs = s.coeffs
-    return SeriesB._make((_ZERO, _ZERO) + tuple(
-        [cs[i] * i if cs[i] else _ZERO for i in range(1, s.order + 1)]),
-        s.order + 1)
+    return SeriesB._lowest([0] + [i * x for i, x in enumerate(s.nums)],
+                           s.den, s.order + 1)
 
 
 def _is_zero(s):
-    return s.valuation() is None
+    return not any(s.nums)
 
 
 class AbElement:
@@ -244,9 +240,7 @@ def format_ab(u):
     """Render like 'a^2 - 6 a b + 45/4 b^2' (a-degree descending)."""
     parts = []
     for m in range(u.degree, -1, -1):
-        c = u.coeff_series(m)
-        for nu in range(c.order + 1):
-            x = c.coeffs[nu]
+        for nu, x in enumerate(u.coeff_series(m).coeffs):
             if x == 0:
                 continue
             mag = abs(x)

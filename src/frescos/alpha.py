@@ -158,7 +158,8 @@ def alpha_reduce_step(p, tau=0):
     pk1 = p.p_values()[k - 2]
     s = model.sub[k - 2]
     try:
-        x = solve_resonant_ode(pk1 - 1, SeriesB([-c for c in s.coeffs[1:]]))
+        x = solve_resonant_ode(pk1 - 1, SeriesB._lowest(
+            [-x for x in s.nums[1:]], s.den, s.order - 1))
     except ResonantObstruction as exc:
         raise NotInF0(
             "unit S_%d obstructs the reduction: %s" % (k - 1, exc)

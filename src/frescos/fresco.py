@@ -385,17 +385,19 @@ def _remainders(ann, mu, k, tmax):
     (mu+s)...(mu+s+m-1) b^(s+m) e, so rho_i is the remainder of ann b^i
     by (a - mu b) and its b^N coefficient is sum_m W[N][m] c_(m,N-m-i)
     with weights W[N][m] = (mu+N-m)...(mu+N-1) that do not depend on i.
-    One table for N = k..k+tmax serves every remainder.
+    One table for N = k..k+tmax serves every remainder; W[N][m] is
+    divided by the denominator of c_m, read as its integer numerators.
     """
-    cs = [c.coeffs for c in ann.coeffs]
-    W = [list(accumulate(range(1, len(cs)), lambda w, m: w * (mu + N - m),
-                         initial=Fraction(1)))
+    cs = [c.nums for c in ann.coeffs]
+    W = [[w / c.den for w, c in zip(
+        accumulate(range(1, len(cs)), lambda w, m: w * (mu + N - m),
+                   initial=Fraction(1)), ann.coeffs)]
          for N in range(k, k + tmax + 1)]
 
     def rho(i, n):
         top = k + n - i
         return sum(w * c[top - m] for m, (w, c) in enumerate(zip(W[n], cs))
-                   if m <= top)
+                   if m <= top and c[top - m])
     return rho
 
 

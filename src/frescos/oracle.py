@@ -7,8 +7,8 @@ the sparse integer columns of D a over one common denominator D;
 everything downstream is plain exact linear algebra with no series
 machinery involved.  Both a and b only ever raise the b-level m, which
 is why coordinates below the truncation stay exact.  The diagonal
-entries b^2 S_j'/S_j of the a-matrix are solved for here on plain
-Fraction lists, not read from the series layer, so a fault in the
+entries b^2 S_j'/S_j of the a-matrix are solved for here from the
+units' numerators, not by the series kernel, so a fault in the
 series kernel cannot cancel out on both sides of a comparison.  The
 elimination itself, one fraction-free sparse echelon that also solves
 the annihilator systems, lives in linalg.py, the only module the oracle
@@ -72,9 +72,9 @@ class TruncatedRep:
         """Coordinates of an adapted-model element in this basis."""
         out = {}
         for j, c in enumerate(x.coords, start=1):
-            for m in range(min(c.order, self.M - 1) + 1):
-                if c.coeffs[m]:
-                    out[self.idx(j, m)] = c.coeffs[m]
+            for m, v in enumerate(c.nums[: self.M]):
+                if v:
+                    out[self.idx(j, m)] = Fraction(v, c.den)
         return out
 
     def basis_vector(self, j, m=0):
@@ -101,10 +101,11 @@ def truncate_rep(p, M):
         if unit.order < M:
             raise OrderUnderflow(
                 "series known to order %d, need %d" % (unit.order, M))
-        s = list(unit.coeffs[:M])
+        s = unit.nums[:M]
         # d_j = lambda_j b + b^2 S_j'/S_j
         d = _b2_log_derivative(s)
         d[1] += lam
+        sub = [(t, Fraction(x, unit.den)) for t, x in enumerate(s) if x]
         for m in range(M):
             col = {}
             # b^m d_j e_j plus the m b^{m+1} e_j crossing term
@@ -117,9 +118,10 @@ def truncate_rep(p, M):
                 if col[r] == 0:
                     del col[r]
             if j > 1:
-                for t in range(M - m):
-                    if s[t]:
-                        col[rep.idx(j - 1, m + t)] = s[t]
+                for t, x in sub:
+                    if t >= M - m:
+                        break
+                    col[rep.idx(j - 1, m + t)] = x
             cols[rep.idx(j, m)] = col
     ints, rep.ascale = integral({(i, r): x for i, col in cols.items()
                                  for r, x in col.items()})
@@ -129,20 +131,22 @@ def truncate_rep(p, M):
 
 
 def _b2_log_derivative(s):
-    """b^2 S'/S to the length of s, for a unit with s[0] == 1.
+    """b^2 S'/S to the length of s, for S = s up to scale, s[0] != 0.
 
-    Solves S q = b^2 S' row by row on plain Fractions: q_t is the b^t
-    coefficient (t - 1) s_(t-1) of b^2 S' minus sum_i s_i q_(t-i).
+    Solves s q = b^2 s' row by row on plain Fractions: q_t is the b^t
+    coefficient (t - 1) s_(t-1) of b^2 s' minus sum_(i >= 1) s_i q_(t-i),
+    over s_0.  A scale does not change q, so s may be integer numerators.
     """
     terms = [(i, c) for i, c in enumerate(s) if i and c]
+    inv0 = Fraction(1, s[0])
     q = []
     for t in range(len(s)):
-        acc = (t - 1) * s[t - 1] if t >= 2 else Fraction(0)
+        acc = (t - 1) * s[t - 1] if t >= 2 else 0
         for i, c in terms:
             if i > t:
                 break
             acc -= c * q[t - i]
-        q.append(acc)
+        q.append(acc * inv0)
     return q
 
 

@@ -3,28 +3,29 @@
 A SeriesB carries coefficients for b^0 .. b^order and makes no claim
 about anything past that.  Reading beyond the known order raises
 CoefficientBeyondOrder instead of inventing zeros; every arithmetic
-operation propagates the order it can actually vouch for.  All
-coefficients are fractions.Fraction in lowest terms, so equality is
-exact.
+operation propagates the order it can actually vouch for.
 
-Products and inverses run on scaled integers: each operand's nonzero
-coefficients become integer numerators over one common denominator,
-the kernel works on those, and only the n + 1 result coefficients
-become Fractions again, one gcd each.  A monomial operand (1, or the
--lambda b slot of a linear factor) rescales and shifts the other one;
-otherwise the products of the nonzero pairs with i + j <= n are summed.
+At rest a series is one tuple of integer numerators, nums, over one
+positive denominator, den, content-reduced: gcd(den, *nums) == 1, and
+a zero series has den == 1.  So equality and hashing are exact, and
+every operation runs on integers: a sum on one lcm of the two
+denominators (none when they agree), a negation or a shift with no
+gcd, a product, a rational scale, a derivative or a truncation with
+one content gcd for the whole result.  Fractions appear only at the
+edges: coeff(n), constant(), the read-only coeffs view and the display.
+A monomial operand (1, or the -lambda b slot of a linear factor)
+rescales and shifts the other one; otherwise the products of the
+nonzero pairs with i + j <= n are summed.
 
-There is no Kronecker substitution (Harvey 2009, J. Symb. Comput. 44),
-which packs each operand into one int for CPython's Karatsuba.  Over
-every distinct input of the benchmark pools it ran 0.76 times per
-identities-deep report, 0.31 per verify-oracle report and never on the
-others, while the cost rule choosing it ran 4 to 25 times per report;
-without both every workload ran as fast or faster.  It wins on dense
-products no command builds (two random order-128 series of 64-bit
-integers: 0.53 ms packed, 1.27 ms on the pairs, CPython 3.11, x86-64).
+There is no Kronecker substitution (Harvey 2009, J. Symb. Comput. 44):
+over the distinct inputs of the benchmark pools it ran at most 0.76
+times per report, its cost rule 4 to 25 times, and without both every
+workload ran as fast or faster.  It wins only on dense products no
+command builds (two random order-128 series of 64-bit integers: 0.53 ms
+packed, 1.27 ms on the pairs, CPython 3.11, x86-64).
 
-The inverse runs the recurrence of 1/f over the nonzero f_i on integer
-numerators and takes no gcd until its final Fractions (see _inverse).
+The inverse runs the recurrence of 1/f over the nonzero f_i on the
+numerators, over the common denominator f_0^n (see _inverse).
 Newton iteration on the product (Brent & Kung 1978, "Fast algorithms
 for manipulating formal power series", J. ACM 25) has the better
 exponent, but measured at orders 20 to 128 (CPython 3.11) it was 2x to
@@ -35,7 +36,7 @@ the recurrence visits only the nonzero terms of f.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     CoefficientBeyondOrder,
@@ -75,7 +76,7 @@ def rat_str(x):
 class SeriesB:
     """A power series in b known up to a finite order."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("nums", "den", "order")
 
     def __init__(self, coeffs, order=None):
         cs = [rat(c) for c in coeffs]
@@ -87,18 +88,32 @@ class SeriesB:
             raise ValueError("order must be nonnegative")
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the stated order allows")
+        # over the lcm of lowest-terms denominators the content is 1;
         # shorter lists mean the remaining known coefficients are zero
-        cs.extend([_ZERO] * (order + 1 - len(cs)))
-        self.coeffs = tuple(cs)
+        den = lcm(*[c.denominator for c in cs])
+        self.nums = tuple([c.numerator * (den // c.denominator) for c in cs]
+                          + [0] * (order + 1 - len(cs)))
+        self.den = den
         self.order = order
 
     @classmethod
-    def _make(cls, coeffs, order):
-        """Trusted constructor: coeffs is a tuple of order + 1 Fractions."""
+    def _make(cls, nums, den, order):
+        """Trusted constructor: a tuple of order + 1 integer numerators
+        over den > 0, already content-reduced."""
         s = object.__new__(cls)
-        s.coeffs = coeffs
+        s.nums = nums
+        s.den = den
         s.order = order
         return s
+
+    @classmethod
+    def _lowest(cls, nums, den, order):
+        """Trusted constructor that takes the one content gcd itself."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        return cls._make(tuple(nums), den, order)
 
     # --- constructors ---
 
@@ -117,10 +132,16 @@ class SeriesB:
             raise ValueError("negative monomial exponent")
         if exp > order:
             raise ValueError("monomial exponent past the stated order")
-        cs = [_ZERO] * exp + [rat(coeff)]
-        return cls(cs, order)
+        return cls([0] * exp + [coeff], order)
 
     # --- access ---
+
+    @property
+    def coeffs(self):
+        """The coefficients of b^0 .. b^order as Fractions, built anew on
+        each read."""
+        d = self.den
+        return tuple([Fraction(x, d) if x else _ZERO for x in self.nums])
 
     def coeff(self, n):
         """Coefficient of b^n.  Raises past the known order."""
@@ -130,62 +151,56 @@ class SeriesB:
             raise CoefficientBeyondOrder(
                 "coefficient %d requested, known order is %d" % (n, self.order)
             )
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
 
     def constant(self):
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_unit(self):
-        return self.coeffs[0] != 0
+        return self.nums[0] != 0
 
     def valuation(self):
         """Index of the first nonzero known coefficient, or None."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        return next((i for i, x in enumerate(self.nums) if x), None)
 
     def __bool__(self):
-        return self.valuation() is not None
+        return any(self.nums)
 
     # --- arithmetic ---
 
     def __add__(self, other):
         if not isinstance(other, SeriesB):
             return NotImplemented
-        n = min(self.order, other.order)
-        # a zero summand costs no Fraction addition
-        return SeriesB._make(tuple([x + y if x and y else x or y for x, y in
-                                    zip(self.coeffs[: n + 1], other.coeffs)]), n)
+        n, xs, ys, den = _common(self, other)
+        return SeriesB._lowest([x + y for x, y in zip(xs, ys)], den, n)
 
     def __sub__(self, other):
         if not isinstance(other, SeriesB):
             return NotImplemented
-        n = min(self.order, other.order)
-        return SeriesB._make(tuple([x - y if y else x for x, y in
-                                    zip(self.coeffs[: n + 1], other.coeffs)]), n)
+        n, xs, ys, den = _common(self, other)
+        return SeriesB._lowest([x - y for x, y in zip(xs, ys)], den, n)
 
     def __neg__(self):
-        return SeriesB._make(tuple([-c if c else c for c in self.coeffs]),
+        return SeriesB._make(tuple([-x for x in self.nums]), self.den,
                              self.order)
 
     def __mul__(self, other):
         if isinstance(other, SeriesB):
-            n = min(self.order, other.order)
-            return SeriesB._make(_product(self.coeffs, other.coeffs, n + 1), n)
-        try:
-            s = rat(other)
-        except (TypeError, ValueError):
+            return _product(self, other)
+        # a scalar is an exact rational already: no string, bool or float
+        if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
             return NotImplemented
-        return SeriesB._make(_scale(self.coeffs, s), self.order)
+        p = other.numerator
+        return SeriesB._lowest([x * p for x in self.nums],
+                               self.den * other.denominator, self.order)
 
     __rmul__ = __mul__
 
     def invert(self):
         """Multiplicative inverse, same known order."""
-        if self.coeffs[0] == 0:
+        if not self.nums[0]:
             raise InversionOfNonUnit("constant term is zero")
-        return SeriesB._make(_inverse(self.coeffs), self.order)
+        return _inverse(self)
 
     def derive(self):
         """d/db.  The known order drops by one."""
@@ -193,18 +208,14 @@ class SeriesB:
             raise CoefficientBeyondOrder(
                 "cannot differentiate a series known only at order 0"
             )
-        cs = self.coeffs
-        return SeriesB._make(
-            tuple([cs[i] * i if cs[i] else _ZERO
-                   for i in range(1, self.order + 1)]),
-            self.order - 1,
-        )
+        return SeriesB._lowest([i * x for i, x in enumerate(self.nums)][1:],
+                               self.den, self.order - 1)
 
     def shift(self, e):
         """Multiply by b^e (e >= 0): known order grows to order + e."""
         if e < 0:
             raise ValueError("negative shift")
-        return SeriesB._make((_ZERO,) * e + self.coeffs, self.order + e)
+        return SeriesB._make((0,) * e + self.nums, self.den, self.order + e)
 
     def truncate(self, order):
         """Forget coefficients past the given (smaller or equal) order."""
@@ -214,22 +225,28 @@ class SeriesB:
             )
         if order < 0:
             raise ValueError("order must be nonnegative")
-        return SeriesB._make(self.coeffs[: order + 1], order)
+        if order == self.order:
+            return self
+        return SeriesB._lowest(self.nums[: order + 1], self.den, order)
 
     # --- comparison ---
 
     def __eq__(self, other):
         if not isinstance(other, SeriesB):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.coeffs, self.order))
+        return hash((self.nums, self.den, self.order))
 
     def same_upto(self, other, n):
         """Exact agreement of coefficients b^0..b^n."""
         if n <= min(self.order, other.order):
-            return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+            xs, ys = self.nums[: n + 1], other.nums[: n + 1]
+            xd, yd = self.den, other.den
+            return xs == ys if xd == yd else all(
+                x * yd == y * xd for x, y in zip(xs, ys))
         return all(self.coeff(i) == other.coeff(i) for i in range(n + 1))
 
     # --- display ---
@@ -243,54 +260,45 @@ class SeriesB:
 
 # --- the scaled-integer kernel ---
 
-def _scale(cs, s):
-    """cs times one rational s."""
-    if not s:
-        return (_ZERO,) * len(cs)
-    if s == 1:
-        return cs
-    return tuple([c * s if c else _ZERO for c in cs])
+def _common(x, y):
+    """The lesser order n of x and y, and their numerators b^0 .. b^n
+    over one common denominator, which comes last."""
+    n = min(x.order, y.order)
+    xs, ys, xd, yd = x.nums[: n + 1], y.nums[: n + 1], x.den, y.den
+    if xd == yd:
+        return n, xs, ys, xd
+    den = lcm(xd, yd)
+    return n, [a * (den // xd) for a in xs], [b * (den // yd) for b in ys], den
 
 
-def _support(cs, m):
-    """The nonzero (index, coefficient) pairs among the first m."""
-    return [(i, c) for i, c in enumerate(cs[:m]) if c]
+def _product(x, y):
+    """x * y to the lesser order, on the stored numerators.
 
-
-def _numerators(terms):
-    """Integer numerators over one common denominator: c_i = x_i / den."""
-    den = lcm(*[c.denominator for _, c in terms])
-    return [(i, c.numerator * (den // c.denominator)) for i, c in terms], den
-
-
-def _fractions(nums, den):
-    """Back to Fractions in lowest terms, one gcd per nonzero entry."""
-    return tuple([Fraction(x, den) if x else _ZERO for x in nums])
-
-
-def _product(xs, ys, m):
-    """Coefficients b^0 .. b^(m-1) of the product of two coefficient lists.
-
-    The pairs run as Fractions once the two common denominators
-    together pass 2400 bits: an lcm of many unrelated denominators puts
-    all of them on every numerator.  On dense series at orders 16..128
-    with unrelated denominators of 4 to 128 bits the integers won up to
+    The pairs run as Fractions once the two denominators together pass
+    2400 bits: an lcm of many unrelated denominators puts all of them
+    on every numerator.  On dense series at orders 16..128 with
+    unrelated denominators of 4 to 128 bits the integers won up to
     3600 bits and the Fractions from 4000 on; structured denominators
     (powers of a few primes) stay far below the bound.
     """
-    sx, sy = _support(xs, m), _support(ys, m)
-    if len(sx) > len(sy):
-        sx, sy, ys = sy, sx, xs
+    n = min(x.order, y.order)
+    m = n + 1
+    sx = [(i, a) for i, a in enumerate(x.nums[:m]) if a]
+    if len(sx) > 1:
+        sy = [(j, b) for j, b in enumerate(y.nums[:m]) if b]
+        if len(sx) > len(sy):
+            x, y, sx, sy = y, x, sy, sx
     if not sx:
-        return (_ZERO,) * m
+        return SeriesB._make((0,) * m, 1, n)
     if len(sx) == 1:
         (e, s), = sx
-        return (_ZERO,) * e + _scale(ys[: m - e], s)
-    xs, xd = _numerators(sx)
-    ys, yd = _numerators(sy)
-    if xd.bit_length() + yd.bit_length() > 2400:
-        return tuple(_pairs(sx, sy, m, _ZERO))
-    return _fractions(_pairs(xs, ys, m, 0), xd * yd)
+        return SeriesB._lowest((0,) * e + tuple([s * b for b in y.nums[: m - e]]),
+                               x.den * y.den, n)
+    if x.den.bit_length() + y.den.bit_length() > 2400:
+        xd, yd = x.den, y.den
+        return SeriesB(_pairs([(i, Fraction(a, xd)) for i, a in sx],
+                              [(j, Fraction(b, yd)) for j, b in sy], m, _ZERO), n)
+    return SeriesB._lowest(_pairs(sx, sy, m, 0), x.den * y.den, n)
 
 
 def _pairs(xs, ys, m, zero):
@@ -304,32 +312,31 @@ def _pairs(xs, ys, m, zero):
     return out
 
 
-def _inverse(cs):
-    """1/c for the coefficients c = cs, c_0 != 0, over the nonzero c_i.
+def _inverse(s):
+    """1/s for a unit s = f / den, over the nonzero numerators f_i.
 
-    On integers: with numerators f = den * c, H_m = f_0^(m+1) (1/f)_m
-    obeys H_0 = 1 and H_m = -sum_i f_i f_0^(i-1) H_(m-i), and
-    (1/c)_m = den H_m / f_0^(m+1), so no gcd is taken until the final
-    Fractions.  H_m carries m * bits(f_0) bits, which outgrows the
-    coefficients themselves when the common denominator is an lcm of
-    many unrelated ones; past n * bits(f_0) = 8000 the same recurrence
-    runs on Fractions.  That bound is where the two broke even on dense
-    series at orders 16..128 with denominators of 3 to 1146 bits.
+    H_m = f_0^(m+1) (1/f)_m obeys H_0 = 1, H_m = -sum_i f_i f_0^(i-1)
+    H_(m-i), so (1/s)_m = den H_m f_0^(n-1-m) / f_0^n, reduced by one
+    content gcd.  H_m carries m * bits(f_0) bits, which outgrows the
+    coefficients themselves when den is an lcm of many unrelated
+    denominators; past n * bits(f_0) = 8000 the same recurrence runs on
+    Fractions.  That bound is where the two broke even on dense series
+    at orders 16..128 with denominators of 3 to 1146 bits.
     """
-    n = len(cs)
-    terms = _support(cs, n)
-    nums, den = _numerators(terms)
-    f0 = nums[0][1]
+    n, den = s.order + 1, s.den
+    f0 = s.nums[0]
+    terms = [(i, f) for i, f in enumerate(s.nums) if i and f]
     if n * f0.bit_length() > 8000:
-        r = 1 / cs[0]
-        return tuple(_recurrence(terms[1:], r, r, n))
-    weights = [(i, x * f0 ** (i - 1)) for i, x in nums[1:]]
-    out = []
-    power = f0
-    for x in _recurrence(weights, 1, 1, n):
-        out.append(Fraction(den * x, power) if x else _ZERO)
+        r = Fraction(den, f0)
+        return SeriesB(_recurrence([(i, Fraction(f, den)) for i, f in terms],
+                                   r, r, n), s.order)
+    h = _recurrence([(i, f * f0 ** (i - 1)) for i, f in terms], 1, 1, n)
+    # the sign of f_0^n goes on the numerators, so power ends positive
+    power = -den if f0 < 0 and n % 2 else den
+    for m in range(n - 1, -1, -1):
+        h[m] *= power
         power *= f0
-    return tuple(out)
+    return SeriesB._lowest(h, power // den, s.order)
 
 
 def _recurrence(weights, h0, scale, n):
@@ -348,22 +355,14 @@ def _recurrence(weights, h0, scale, n):
 def format_series(s):
     """Render like '1 + 3b^2 - 1/2b^5'."""
     parts = []
-    for i, c in enumerate(s.coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else str(mag)
-            body = head + ("b" if i == 1 else "b^%d" % i)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    if not parts:
-        return "0"
-    return " ".join(parts)
+    for i, x in enumerate(s.nums):
+        if x:
+            mag = Fraction(abs(x), s.den)
+            body = str(mag) if i == 0 else (
+                ("" if mag == 1 else str(mag)) + ("b" if i == 1 else "b^%d" % i))
+            sign = ("-" if x < 0 else "") if not parts else ("- " if x < 0 else "+ ")
+            parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 def solve_resonant_ode(c, rhs):
@@ -379,15 +378,12 @@ def solve_resonant_ode(c, rhs):
     if c < 0 or c != int(c):
         raise ValueError("c must be a nonnegative integer")
     c = int(c)
-    out = []
-    for n in range(rhs.order + 1):
-        r = rhs.coeff(n)
-        if n == c:
-            if r != 0:
-                raise ResonantObstruction(
-                    "rhs has %s at resonant index %d" % (r, n)
-                )
-            out.append(Fraction(0))
-        else:
-            out.append(r / (n - c))
-    return SeriesB(out, rhs.order)
+    nums = rhs.nums
+    if c <= rhs.order and nums[c]:
+        raise ResonantObstruction(
+            "rhs has %s at resonant index %d" % (rhs.coeff(c), c)
+        )
+    scale = lcm(*[n - c for n, x in enumerate(nums) if x])
+    return SeriesB._lowest([x * (scale // (n - c)) if x else 0
+                            for n, x in enumerate(nums)],
+                           rhs.den * scale, rhs.order)

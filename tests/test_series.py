@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frescos.series as series_module
+from frescos.algebra import _D
 from frescos.errors import (
     CoefficientBeyondOrder,
     InversionOfNonUnit,
@@ -106,27 +107,40 @@ def test_monomial_refuses_negative_exponent():
 # --- the scaled-integer kernel against a schoolbook reference ---
 
 
+# coeffs builds its Fractions on each read, so each reference reads it once
 def schoolbook_product(x, y):
     n = min(x.order, y.order)
+    xs, ys = x.coeffs, y.coeffs
     out = [Fraction(0)] * (n + 1)
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            out[i + j] += x.coeffs[i] * y.coeffs[j]
+            out[i + j] += xs[i] * ys[j]
     return out
 
 
 def schoolbook_inverse(x):
-    inv = [1 / x.coeffs[0]]
+    xs = x.coeffs
+    inv = [1 / xs[0]]
     for n in range(1, x.order + 1):
-        acc = sum((x.coeffs[i] * inv[n - i] for i in range(1, n + 1)),
+        acc = sum((xs[i] * inv[n - i] for i in range(1, n + 1)),
                   Fraction(0))
-        inv.append(-acc / x.coeffs[0])
+        inv.append(-acc / xs[0])
     return inv
 
 
+def at_rest(s):
+    """The stored form: order + 1 int numerators over a positive
+    denominator, content 1, and denominator 1 for zero."""
+    return (len(s.nums) == s.order + 1 and
+            all(type(x) is int for x in s.nums) and type(s.den) is int and
+            s.den > 0 and gcd(s.den, *s.nums) == 1 and
+            (any(s.nums) or s.den == 1))
+
+
 def in_lowest_terms(s):
-    return all(type(c) is Fraction and c.denominator > 0 and
-               gcd(c.numerator, c.denominator) == 1 for c in s.coeffs)
+    return at_rest(s) and all(
+        type(c) is Fraction and c.denominator > 0 and
+        gcd(c.numerator, c.denominator) == 1 for c in s.coeffs)
 
 
 small_coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
@@ -204,20 +218,70 @@ def test_inverse_matches_schoolbook(s):
 
 
 def test_product_of_unrelated_denominators_runs_on_fractions():
-    # 129 unrelated 33-bit denominators a side: their lcm would put
-    # about 4200 bits on every numerator, so the product stays on
-    # Fractions and neither integer path runs
+    # 129 unrelated 33-bit denominators a side: each stored
+    # denominator, their lcm, has about 3600 bits, so the pairs run
+    # once, on Fractions, and never on the integer numerators
     x = SeriesB([Fraction(i % 5 - 2 or 1, (1 << 32) + 2 * i + 1)
                  for i in range(129)])
     y = SeriesB([Fraction(1 - i % 3, (1 << 32) + 2 * i + 301)
                  for i in range(129)])
-    integer_paths = mock.patch.object(series_module, "_fractions",
-                                      wraps=series_module._fractions)
-    with integer_paths as spy:
+    pairs = mock.patch.object(series_module, "_pairs",
+                              wraps=series_module._pairs)
+    with pairs as spy:
         got = x * y
-    assert spy.call_count == 0
+    assert [type(call.args[3]) for call in spy.call_args_list] == [Fraction]
     assert list(got.coeffs) == schoolbook_product(x, y)
     assert in_lowest_terms(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_series(max_order=40, big_dense_order=24),
+       kernel_series(max_order=40, big_dense_order=24),
+       kernel_coeffs | st.integers(-3, 3), st.integers(0, 5), st.data())
+def test_every_operation_keeps_the_form_at_rest(x, y, r, e, data):
+    # each result against Fractions computed here, and stored as order
+    # + 1 int numerators over one positive denominator of content 1
+    xs, ys = list(x.coeffs), y.coeffs
+    k = data.draw(st.integers(0, x.order))
+    cases = [
+        (x + y, [a + b for a, b in zip(xs, ys)]),
+        (y + x, [a + b for a, b in zip(xs, ys)]),
+        (x - y, [a - b for a, b in zip(xs, ys)]),
+        (x - x, [Fraction(0)] * (x.order + 1)),
+        (SeriesB.zero(x.order), [Fraction(0)] * (x.order + 1)),
+        (-x, [-a for a in xs]),
+        (x * y, schoolbook_product(x, y)),
+        (x * r, [a * r for a in xs]),
+        (r * x, [a * r for a in xs]),
+        (x + x, [2 * a for a in xs]),
+        (x * 2, [2 * a for a in xs]),
+        (x.shift(e), [Fraction(0)] * e + xs),
+        (x.truncate(k), xs[: k + 1]),
+    ]
+    if x.order:
+        cases.append((x.derive(), [i * a for i, a in enumerate(xs)][1:]))
+        cases.append((_D(x), [Fraction(0)] + [i * a for i, a in enumerate(xs)]))
+    if xs[0]:
+        cases.append((x.invert(), schoolbook_inverse(x)))
+    for got, want in cases:
+        assert at_rest(got)
+        assert list(got.coeffs) == want
+        assert got.order == len(want) - 1
+    for a, _ in cases:
+        for b, _ in cases:
+            assert (a == b) is (a.coeffs == b.coeffs)
+            assert a != b or hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("scalar", ["2", "3/2", 2.0, True, None])
+def test_operators_refuse_a_scalar_that_is_not_an_exact_rational(scalar):
+    s = S(1, 2, order=3)
+    with pytest.raises(TypeError):
+        s * scalar
+    with pytest.raises(TypeError):
+        scalar * s
+    # the constructors still parse strings
+    assert S("3/2", "-1") == S(Fraction(3, 2), -1)
 
 
 def test_products_of_monomials_and_zeros():
@@ -303,6 +367,8 @@ def test_inverse_takes_both_recurrences():
                             wraps=series_module._recurrence)
     with rec as spy:
         for s, on_integers in ((structured, True), (inflated, False)):
-            assert list(s.invert().coeffs) == schoolbook_inverse(s)
+            inv = s.invert()
+            assert list(inv.coeffs) == schoolbook_inverse(s)
+            assert in_lowest_terms(inv)
             h0 = spy.call_args.args[1]
             assert (type(h0) is int) is on_integers
