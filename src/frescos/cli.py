@@ -27,9 +27,10 @@ from .algebra import (
 )
 from .alpha import Analysis, is_semisimple
 from .dsl import parse_dsl, print_fresco, print_xi
-from .errors import EngineError, SemanticError
-from .fresco import AdaptedModel, Presentation, regenerate_presentation
-from .oracle import minimal_annihilator, submodule_analysis, truncate_rep
+from .errors import EngineError, NotMonogenicAtTruncation, SemanticError
+from .fresco import (AdaptedModel, Presentation, _bernstein_invariants,
+                     regenerate_presentation)
+from .oracle import closure_rank, minimal_annihilator, truncate_rep
 from .series import DEFAULT_ORDER, SeriesB, rat_str
 from .xi import XiExpansion, model_from_xi, xi_generate_module, xi_log_filtration
 
@@ -213,8 +214,6 @@ def _random_generator(model, rng):
     coords = []
     for j in range(k):
         cs = [Fraction(0)] * (order + 1)
-        if j == k - 1:
-            cs[0] = Fraction(1)
         for _ in range(rng.randint(0, 2)):
             cs[rng.randint(0, 4)] = Fraction(rng.randint(-3, 3))
         if j == k - 1 and cs[0] == 0:
@@ -224,7 +223,20 @@ def _random_generator(model, rng):
 
 
 def _oracle_check_one(p, M, rng):
-    """Three oracle comparisons on one presentation; returns fail labels."""
+    """Oracle comparisons on one presentation; returns fail labels.
+
+    annihilator: the oracle's annihilator of e_k is p expanded.
+    generator: a random generator g regenerates a presentation q, and
+    the oracle's annihilator of g is q expanded.  lambdas: a primitive
+    fresco has one principal Jordan-Hoelder sequence, so for a
+    primitive principal p the Bernstein roots of that annihilator give
+    back p's l_j + j; q cannot show this, as it copies p's l_j.  They
+    are read where the annihilator has degree k and knows b^k.  The
+    depth floor M >= k + 3, where the profile [0, k, ..., k] of the
+    closure of b e_1..b e_k first has a rank certificate, leaves three
+    orders to compare; the certificate is taken on the window
+    min(M, k + 3).
+    """
     fails = []
     k = p.rank
     rep = truncate_rep(p, M)
@@ -243,13 +255,20 @@ def _oracle_check_one(p, M, rng):
         want_g = monicize(expand_factor_form(q.factors, ordq))
         if not ann_g.same_upto(want_g, min(M - k, ordq)):
             fails.append("generator")
+        if (ann_g.degree == k and min(c.order for c in ann_g.coeffs) >= k
+                and p.is_primitive() and p.is_principal()):
+            try:
+                got = _bernstein_invariants(ann_g, p.lambdas[0] % 1 or 1, k,
+                                            p.lambdas[-1])
+            except NotMonogenicAtTruncation:
+                got = None
+            if got != [l + j for j, l in enumerate(p.lambdas, start=1)]:
+                fails.append("lambdas")
     except EngineError as exc:
         fails.append("generator:%s" % type(exc).__name__)
-    sub = submodule_analysis(
-        rep, [rep.basis_vector(j, 1) for j in range(1, k + 1)]
-    )
-    if sub["codim"] != k:
-        fails.append("codimension")
+    # the depth floor
+    low = truncate_rep(p, min(M, k + 3))
+    closure_rank(low, [low.basis_vector(j, 1) for j in range(1, k + 1)])
     return fails
 
 

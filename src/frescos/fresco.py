@@ -43,7 +43,7 @@ class Presentation:
     are allowed; the flag is queried where it matters.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_p_values")
 
     def __init__(self, factors):
         self.factors = tuple((rat(l), u) for l, u in factors)
@@ -60,6 +60,9 @@ class Presentation:
                 raise NonUnitSeries(
                     "unit at position %d must have constant term 1" % j
                 )
+        # a presentation is immutable, so its steps are computed once
+        ls = self.lambdas
+        self._p_values = tuple(ls[j + 1] - ls[j] + 1 for j in range(k - 1))
 
     @property
     def rank(self):
@@ -75,8 +78,7 @@ class Presentation:
 
     def p_values(self):
         """p_j = l_{j+1} - l_j + 1 for j = 1..k-1."""
-        ls = self.lambdas
-        return tuple(ls[j + 1] - ls[j] + 1 for j in range(len(ls) - 1))
+        return self._p_values
 
     def mu(self):
         return sum(self.lambdas, Fraction(0))

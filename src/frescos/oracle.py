@@ -271,26 +271,38 @@ def span_closure(rep, gens):
     return ech
 
 
-def submodule_analysis(rep, gens):
-    """Rank, normality and codimension of the span closure of gens.
+def closure_rank(rep, gens):
+    """The span closure of gens and its certified C[[b]]-rank.
 
-    Returns a dict with keys rank, normal, codim, dim.  Normality is
-    the condition span(F) meet b E = b F, tested on levels below M-1
-    where the truncated image of b is faithful.  The rank is the pivot
-    count per b-level once it has plateaued.
+    The rank is the pivot count per b-level once it has plateaued; the
+    b-shifts of a nonzero generator reach the top level, so it is
+    positive.  A profile still growing too near the top raises
+    TruncationTooSmall naming the least depth that could certify it.
     """
+    if not any(x for g in gens for x in g.values()):
+        raise ValueError("zero generators span no submodule")
     ech = span_closure(rep, gens)
     per_level = [0] * rep.M
     for piv in ech.pivots:
         per_level[rep.level(piv)] += 1
     rank, last, certified = certified_rank(per_level)
-    if rank == 0:
-        raise TruncationTooSmall("empty top level at depth %d" % rep.M)
     if not certified:
         raise TruncationTooSmall(
             "pivot count per level has not stabilised at depth %d; rerun "
             "with --oracle-depth %d" % (rep.M, last + rank + 2)
         )
+    return ech, rank
+
+
+def submodule_analysis(rep, gens):
+    """Rank, normality and codimension of the span closure of gens.
+
+    Returns a dict with keys rank, normal, codim, dim.  Normality is
+    the condition span(F) meet b E = b F, tested on levels below M-1
+    where the truncated image of b is faithful.  The rank is
+    closure_rank's; zero generators raise ValueError.
+    """
+    ech, rank = closure_rank(rep, gens)
     dim = len(ech.pivots)
     bf = _Echelon(rep.key)
     for v in ech.pivots.values():

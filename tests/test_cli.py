@@ -390,7 +390,7 @@ def test_mutated_literals_end_in_a_report(command, text):
 
 
 @pytest.mark.parametrize("label", ["annihilator", "generator",
-                                   "codimension"])
+                                   "lambdas"])
 def test_verify_renders_each_failing_check(monkeypatch, label):
     # one oracle comparison at a time is made to disagree: the first
     # annihilator call serves the basis generator, the second a random one
@@ -405,9 +405,9 @@ def test_verify_renders_each_failing_check(monkeypatch, label):
 
     monkeypatch.setattr(cli_module, "minimal_annihilator",
                         minimal_annihilator)
-    if label == "codimension":
-        monkeypatch.setattr(cli_module, "submodule_analysis",
-                            lambda rep, vecs: {"codim": 0})
+    if label == "lambdas":
+        monkeypatch.setattr(cli_module, "_bernstein_invariants",
+                            lambda ann, lam, r, bound: [lam] * r)
     literal = "fresco: (5/2 | 1 + 3b^2) (7/2 | 1)"
     code, text = run(["verify", "--seed", "1", "--order", "12",
                       "--oracle-depth", "12", literal])

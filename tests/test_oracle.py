@@ -1,14 +1,16 @@
 """Truncated matrix oracle: annihilators, submodules, cross-checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frescos.algebra import AbElement, expand_factor_form, monicize
+from frescos.cli import _oracle_check_one
 from frescos.errors import DegenerateTruncation, TruncationTooSmall
 from frescos.fresco import AdaptedModel, ModuleElement, Presentation
-from frescos.linalg import axpy
+from frescos.linalg import axpy, certified_rank
 from frescos.oracle import (
     minimal_annihilator,
     span_closure,
@@ -202,6 +204,15 @@ def test_closure_stabilisation_guard():
         submodule_analysis(rep, [rep.basis_vector(1, M - 2)])
 
 
+def test_zero_generators_are_refused():
+    # a nonzero generator's b-shifts reach the top level, so only zero
+    # generators can leave it empty, and no depth would help them
+    rep = truncate_rep(std2(), M)
+    for gens in ([], [{}], [{}, {rep.idx(2, 3): Fraction(0)}]):
+        with pytest.raises(ValueError):
+            submodule_analysis(rep, gens)
+
+
 def test_embed_round_trip():
     p = std3()
     rep = truncate_rep(p, M)
@@ -320,3 +331,33 @@ def test_truncate_rep_needs_no_series_arithmetic(monkeypatch):
         monkeypatch.setattr(SeriesB, name, refuse)
     got = truncate_rep(p, M)
     assert (got.aint, got.ascale) == (want.aint, want.ascale)
+
+
+def _b_image(rep):
+    return [rep.basis_vector(j, 1) for j in range(1, rep.k + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(unit_presentations(), st.integers(0, 6))
+def test_b_image_is_certified_from_rank_plus_three(p, extra):
+    # the closure of b e_1..b e_k is every b^m e_j with m >= 1, so it has
+    # codimension k, and its profile first certifies at depth k + 3:
+    # verify refuses a shallower depth with the same message
+    k = p.rank
+    depth = k + 3 + extra
+    rep = truncate_rep(p, depth)
+    ech = span_closure(rep, _b_image(rep))
+    per_level = [0] * depth
+    for piv in ech.pivots:
+        per_level[rep.level(piv)] += 1
+    assert per_level == [0] + [k] * (depth - 1)
+    assert rep.dim - len(ech.pivots) == k
+    assert certified_rank(per_level[:k + 3]) == (k, 1, True)
+    assert certified_rank(per_level[:k + 2]) == (k, 1, False)
+    if k >= 2:
+        rep = truncate_rep(p, k + 2)
+        with pytest.raises(TruncationTooSmall) as old:
+            submodule_analysis(rep, _b_image(rep))
+        with pytest.raises(TruncationTooSmall) as new:
+            _oracle_check_one(p, k + 2, random.Random(extra))
+        assert str(new.value) == str(old.value)
