@@ -30,6 +30,7 @@ from frescos.cli import (
 )
 from frescos.dsl import parse_fresco, print_fresco
 from frescos.errors import DegenerateTruncation, TruncationTooSmall
+from frescos.fresco import twist
 from frescos.oracle import minimal_annihilator, truncate_rep
 from frescos.xi import XiExpansion, xi_generate_module, xi_log_filtration
 
@@ -419,6 +420,21 @@ def test_verify_renders_each_failing_check(monkeypatch, label):
         "disagreements:",
         "  input: " + literal,
         "  checks: " + label,
+    ]
+
+
+def test_verify_lambdas_sees_an_oracle_one_step_off(monkeypatch):
+    # the regenerated presentation copies the input's exponents, so only
+    # the oracle's annihilator can refute them
+    real = cli_module.truncate_rep
+    monkeypatch.setattr(cli_module, "truncate_rep",
+                        lambda p, M: real(twist(p, 1), M))
+    literal = "fresco: (5/2 | 1 + 3b^2) (7/2 | 1)"
+    code, (rep,) = run_json(["verify", "--seed", "1", "--order", "12",
+                             "--oracle-depth", "12", literal])
+    assert code == EXIT_MISMATCH
+    assert rep["disagreements"] == [
+        {"input": literal, "checks": ["annihilator", "generator", "lambdas"]}
     ]
 
 
