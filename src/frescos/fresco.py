@@ -18,6 +18,7 @@ reads the l_j off its Bernstein roots and peels one S_j at a time.
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .algebra import AbElement, _D, _fit, expand_factor_form, initial_form, monicize
 from .errors import (
@@ -381,57 +382,57 @@ def _bernstein_invariants(ann, lam, r, bound):
 
 
 def _remainders(ann, mu, k, tmax):
-    """rho(i, n): the b^(k+n) coefficient of rho_i = ann.(b^i e).
+    """(rho, L): rho(i, n) is L times the b^(k+n) coefficient of the
+    remainder rho_i = ann.(b^i e) of ann b^i by (a - mu b).
 
-    In the rank-1 module a e = mu b e one has a^m b^s e =
-    (mu+s)...(mu+s+m-1) b^(s+m) e, so rho_i is the remainder of ann b^i
-    by (a - mu b) and its b^N coefficient is sum_m W[N][m] c_(m,N-m-i)
-    with weights W[N][m] = (mu+N-m)...(mu+N-1) that do not depend on i.
-    One table for N = k..k+tmax serves every remainder; W[N][m] is
-    divided by the denominator of c_m, read as its integer numerators.
+    As a^m b^s e = (mu+s)...(mu+s+m-1) b^(s+m) e when a e = mu b e, that
+    is sum_m W[N][m] c_(m,N-m-i) for N = k+n, with W[N][m] =
+    (mu+N-m)...(mu+N-1) free of i: one table serves every remainder.
+    With mu = p/q and c_m = nums/d_m, L = lcm_m(d_m q^m) clears it.
     """
-    cs = [c.nums for c in ann.coeffs]
-    W = [[w / c.den for w, c in zip(
-        accumulate(range(1, len(cs)), lambda w, m: w * (mu + N - m),
-                   initial=Fraction(1)), ann.coeffs)]
+    p, q, cs = mu.numerator, mu.denominator, [c.nums for c in ann.coeffs]
+    dens = [c.den * q ** m for m, c in enumerate(ann.coeffs)]
+    L = lcm(*dens)
+    W = [[w * (L // d) for w, d in zip(
+        accumulate(range(1, len(cs)), lambda w, m: w * (p + (N - m) * q),
+                   initial=1), dens)]
          for N in range(k, k + tmax + 1)]
 
     def rho(i, n):
         top = k + n - i
         return sum(w * c[top - m] for m, (w, c) in enumerate(zip(W[n], cs))
                    if m <= top and c[top - m])
-    return rho
+    return rho, L
 
 
 def _peel_unit(ann, mu, k):
     """Factor ann T = Q (a - mu b) with T a unit, T(0) = 1.
 
-    The remainders rho_i = ann.(b^i e) of ann b^i by (a - mu b) sit in
-    b^(k+i) C[[b]], which makes the linear system for the t_i
-    triangular with one resonant row; the resonant coefficient is
-    pinned to 0 and its row must close.  The coefficients of the rho_i
-    are read off one table of weights (_remainders), on plain Fractions.
-    Q comes off ann T = sum a^m s_m by synthetic division: as
-    S a = a S - b^2 S', q_(deg-1) = s_deg, q_(m-1) = s_m + d(q_m) and
-    the remainder is s_0 + d(q_0), for d(f) = b^2 f' + mu b f.  T and
-    Q are known to k orders less than ann.
+    The remainders rho_i = ann.(b^i e) sit in b^(k+i) C[[b]], so the
+    system for the t_i is triangular with one resonant row; the resonant
+    coefficient is pinned to 0 and its row must close.  The scale of
+    _remainders cancels in t_n; den times t_n, in lowest terms, extends
+    den to the least common denominator of the t_i, the unit's.  Q comes
+    off ann T = sum a^m s_m by synthetic division: as S a = a S - b^2 S',
+    q_(deg-1) = s_deg, q_(m-1) = s_m + d(q_m) and the remainder is
+    s_0 + d(q_0), for d(f) = b^2 f' + mu b f.  T and Q lose k orders.
     """
     tmax = min(c.order for c in ann.coeffs) - k
-    rho = _remainders(ann, mu, k, tmax)
+    rho, _ = _remainders(ann, mu, k, tmax)
     if rho(0, 0):
         raise NotMonogenicAtTruncation(
-            "%s is not a right root of the annihilator" % mu
-        )
-    t = [Fraction(1)]
+            "%s is not a right root of the annihilator" % mu)
+    nums, den = [1], 1
     for n in range(1, tmax + 1):
-        acc = sum((t[i] * rho(i, n) for i in range(n)), Fraction(0))
+        acc = sum(x * rho(i, n) for i, x in enumerate(nums) if x)
         dn = rho(n, n)
         if acc and not dn:
             raise NotMonogenicAtTruncation(
-                "unit peel at exponent %s is obstructed in slot %d" % (mu, n)
-            )
-        t.append(-acc / dn if dn else Fraction(0))
-    unit = SeriesB(t, tmax)
+                "unit peel at exponent %s is obstructed in slot %d" % (mu, n))
+        t = Fraction(-acc, dn or 1)
+        nums = [x * t.denominator for x in nums] + [t.numerator]
+        den *= t.denominator
+    unit = SeriesB._make(tuple(nums), den, tmax)
     q = [ann.coeffs[-1] * unit]
     for c in reversed(ann.coeffs[:-1]):
         q.append(c * unit + _D(q[-1]) + (q[-1] * mu).shift(1))

@@ -13,8 +13,11 @@ raise m, which keeps everything below the truncation depth exact.  With
 lam = a/q, mu = p_m/q for the positive integer p_m = a + m q, so on an
 integer term dict b is an integer map up to one integer scale (the lcm
 of the p_m^(j+1)); the module closure and the annihilator apply it so,
-and every elimination over an expansion's span runs on integers.  The
-source's annihilator becomes a presentation in fresco.
+and every elimination over an expansion's span runs on integers.  One
+component with top log power J generates a module of rank J + 1 in the
+free module Xi_lam^(J), so the closure runs only for several components
+(xi_generate_module).  The source's annihilator, solved for that rank,
+checks it and becomes a presentation in fresco.
 """
 
 from fractions import Fraction
@@ -200,7 +203,8 @@ class XiExpansion:
 
 
 class XiSpan:
-    """The module generated by an expansion, as the echelon that built it.
+    """The module generated by an expansion: its source, its rank and
+    the echelon of its closure, built on first use.
 
     Each pivot row of echelon is a primitive integer term dict with a
     positive entry at its lead, every other term after it in generation
@@ -208,17 +212,21 @@ class XiSpan:
     the truncation window, and rows shows them as expansions.  The
     pivots keep their insertion order: the source, then depth first
     along the b images (scaled to integers) before the a images, so the
-    b-chain of the top log power comes first.  The rank
-    is the per-level pivot count after it has stabilized: every chain
-    contributes one pivot per level from its first appearance on, so
-    the count at the last level is the module rank once no chain starts
-    close to the window edge.
+    b-chain of the top log power comes first.  A span of one component
+    gets its rank without the closure (see xi_generate_module), so only
+    rows, reduce and a span of several components build it.
     """
 
     def __init__(self, source, echelon, rank):
         self.source = source
-        self.echelon = echelon
+        self._echelon = echelon
         self.rank = rank
+
+    @property
+    def echelon(self):
+        if self._echelon is None:
+            self._echelon = _closure(self.source)
+        return self._echelon
 
     @property
     def lam(self):
@@ -237,37 +245,20 @@ class XiSpan:
     def reduce(self, x):
         """Residual of x against the span up to a nonzero scale, inside
         the window."""
+        self.source._compat(x)
         if x.lead() not in self.echelon.pivots:
             return x
-        self.source._compat(x)
         return XiExpansion(x.lam, x.depth, x.ncomp,
                            self.echelon.reduce(x.terms))
 
 
-def xi_generate_module(phi):
-    """Close the linear span of phi under a and b; certify the rank.
+def _closure(phi):
+    """Echelon of the linear span of phi under a and b in its window.
 
     Every inserted vector with a new pivot enqueues its two images,
-    taken on the integer term dict of the pivot row.  The per-level
-    pivot profile is non decreasing because both operators shift
-    leading positions up one level; its value at the last level is the
-    rank, provided the last growth happened far enough below the
-    truncation depth.  Otherwise the window cannot tell whether another
-    chain was about to appear and TruncationTooSmall is raised.  A top
-    log power J alone settles that before the closure: the log
-    filtration of the module has d = J + 1, so its rank is at least
-    J + 1, and certifying rank r takes depth r + 2 or more.
+    taken on the integer term dict of the pivot row.
     """
-    if phi.is_zero():
-        raise SemanticError("the zero expansion generates nothing")
     lam, depth = phi.lam, phi.depth
-    top = max(j for (_, _, j) in phi.terms)
-    if top + 3 > depth:
-        raise TruncationTooSmall(
-            "log^%d generates rank at least %d, which depth %d cannot "
-            "certify; the bound needs --order %d or more"
-            % (top, top + 1, depth, top + 3)
-        )
     ech = Echelon(_poskey)
     queue = [phi.terms]
     while queue:
@@ -275,6 +266,40 @@ def xi_generate_module(phi):
         if lead is not None:
             row = ech.pivots[lead]
             queue += [_times_s(row, depth), _integrate(row, lam, depth)[0]]
+    return ech
+
+
+def xi_generate_module(phi):
+    """The module generated by phi under a and b, with its rank.
+
+    A top log power J makes the rank at least J + 1 (the log filtration
+    has d = J + 1), and certifying rank r takes depth r + 2 or more, so
+    depth < J + 3 is refused up front.  One component lives in
+    Xi_lam^(J) = sum_(j<=J) C[[b]] s^(lam-1) (Log s)^j, free of rank
+    J + 1, so its rank is J + 1 with no elimination; the annihilator
+    solve checks it, as a wrong rank has no determined monic
+    annihilator of that degree.
+
+    Several components close the span (_closure).  Its per-level pivot
+    profile is non decreasing because both operators shift leading
+    positions up one level; its value at the last level is the rank,
+    provided the last growth happened far enough below the truncation
+    depth.  Otherwise the window cannot tell whether another chain was
+    about to appear and TruncationTooSmall is raised.
+    """
+    if phi.is_zero():
+        raise SemanticError("the zero expansion generates nothing")
+    depth = phi.depth
+    top = max(j for (_, _, j) in phi.terms)
+    if top + 3 > depth:
+        raise TruncationTooSmall(
+            "log^%d generates rank at least %d, which depth %d cannot "
+            "certify; the bound needs --order %d or more"
+            % (top, top + 1, depth, top + 3)
+        )
+    if phi.ncomp == 1:
+        return XiSpan(phi, None, top + 1)
+    ech = _closure(phi)
     per_level = [0] * depth
     for (_, m, _) in ech.pivots:
         per_level[m] += 1
@@ -294,6 +319,19 @@ def xi_log_filtration(span):
     S_j collects the elements using log powers below j.  The returned
     dict has 'ranks', the tuple rank S_1 .. rank S_(maxlog+1), and 'd',
     the least j with rank S_j equal to the full rank.
+
+    One component with top log power J: each S_j / S_(j-1) embeds in a
+    rank-1 log step of Xi_lam^(J) and the J + 1 steps reach rank J + 1,
+    so the ranks are 1, 2, .., J + 1 and d = J + 1.
+    """
+    if span.source.ncomp == 1:
+        top = max(j for (_, _, j) in span.source.terms)
+        return {"ranks": tuple(range(1, top + 2)), "d": top + 1}
+    return _echelon_filtration(span)
+
+
+def _echelon_filtration(span):
+    """xi_log_filtration on the closure.
 
     The log-first echelon takes the span rows in reverse insertion
     order: the long b-chain of the top log power, inserted first, then

@@ -568,8 +568,10 @@ def _cli_message(*argv):
 
 def _filtration_message(depth):
     # the command builds the model first, which needs far more depth
-    # than this filtration, so the filtration runs on its own
-    phi = XiExpansion(Fraction(1, 2), depth, 1, {(1, 1, 1): -1, (1, 4, 2): 1})
+    # than this filtration, so the filtration runs on its own; one
+    # component takes its filtration from Xi, so this one has two
+    phi = XiExpansion(Fraction(1, 2), depth, 2,
+                      {(1, 1, 1): -1, (1, 4, 2): 1, (2, 1, 0): 1})
     try:
         xi_log_filtration(xi_generate_module(phi))
     except TruncationTooSmall as err:
@@ -579,11 +581,13 @@ def _filtration_message(depth):
 
 @pytest.mark.parametrize("stem, message_at, start, flag", [
     pytest.param("pivot profile still grows",
-                 _cli_message("xi", "--seed", "1", "s^(1/2)*log^3",
+                 _cli_message("xi", "--seed", "1",
+                              "s^(1/2)*log^3 @ v1 + s^(1/2) @ v2",
                               "--order"), 8, "--order", id="xi-profile"),
     pytest.param("pivot profile still grows",
                  _cli_message("xi", "--seed", "1",
-                              "s^(1/2) * log^3 + s^(-1/2) * log", "--order"),
+                              "s^(1/2) * log^3 @ v1 + s^(-1/2) * log @ v2",
+                              "--order"),
                  8, "--order", id="xi-profile-two-terms"),
     pytest.param("log filtration has not stabilised", _filtration_message,
                  6, "--order", id="xi-filtration"),

@@ -6,11 +6,13 @@ exactly, and a kills no more logs after that, so the module is the
 rank-2 theme with exponents (3/2, 3/2) and alpha = -1/2.
 """
 
+import json
+import os
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frescos.algebra import AbElement, expand_factor_form, left_divide, monicize
 from frescos.alpha import classify_rank2, is_semisimple
@@ -26,7 +28,7 @@ from frescos.fresco import (
     bernstein,
 )
 from frescos.dsl import parse_xi
-from frescos.linalg import Echelon, axpy
+from frescos.linalg import Echelon, axpy, certified_rank
 from frescos.series import SeriesB
 import frescos.algebra as algebra_module
 import frescos.fresco as fresco_module
@@ -264,6 +266,16 @@ def test_span_membership():
     assert not span.reduce(probe).is_zero()
 
 
+@pytest.mark.parametrize("j", [2, 0])
+def test_reduce_refuses_another_space(j):
+    # the lead (1, 0, 2) of the source is a pivot, (1, 0, 0) is none;
+    # either way an expansion of another class is refused
+    span = xi_generate_module(term("1/2", 0, 2))
+    assert ((1, 0, j) in span.echelon.pivots) == (j == 2)
+    with pytest.raises(SemanticError, match="different spaces"):
+        span.reduce(term("1/3", 0, j))
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_expansions(), st.lists(st.sampled_from("ab"), max_size=4))
 def test_span_closed_under_word(x, word):
@@ -277,16 +289,19 @@ def test_span_closed_under_word(x, word):
 
 
 def test_generation_needs_depth():
-    with pytest.raises(TruncationTooSmall):
-        xi_generate_module(term("1/2", 0, 3, depth=8))
+    # log^J needs depth J + 3 whatever the components; two components
+    # also need a window whose pivot profile has stopped growing
+    with pytest.raises(TruncationTooSmall, match="--order 6 or more"):
+        xi_generate_module(term("1/2", 0, 3, depth=5))
+    phi = XiExpansion("1/2", 8, 2, {(1, 0, 3): 1, (2, 1, 0): 1})
+    with pytest.raises(TruncationTooSmall, match="pivot profile still grows"):
+        xi_generate_module(phi)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="rank 2 is certified at depth 6, rank 3 from 11")
 def test_certified_rank_does_not_move_with_the_depth():
     # linalg.certified_rank looks only at where the profile last grew,
-    # so a window that stops before a late chain starts can certify
-    # too small a rank
+    # so a closure stopped before a late chain starts would certify too
+    # small a rank; one component takes its rank from Xi instead
     ranks = {}
     for depth in range(6, 17):
         try:
@@ -407,7 +422,8 @@ def test_integer_eliminations_match_fraction_b(literal, monkeypatch):
     def invariants():
         span = xi_generate_module(phi)
         ann = _annihilator_from_span(span)
-        return (span.echelon.pivots, span.rank, xi_log_filtration(span),
+        return (span.echelon.pivots, span.rank,
+                xi_module._echelon_filtration(span),
                 [c.coeffs for c in ann.coeffs])
 
     want = invariants()
@@ -476,9 +492,11 @@ def test_peel_remainders_are_the_division_remainders(slots, mu, i, k):
     shifted = AbElement([c.shift(i) for c in u.coeffs])
     _, r = left_divide(shifted, AbElement.linear(mu, ACTION_ORDER + 2))
     assert r.degree == 0
-    rho = _remainders(u, mu, k, ACTION_ORDER - k)
+    rho, scale = _remainders(u, mu, k, ACTION_ORDER - k)
+    assert type(scale) is int and scale > 0
     for n in range(ACTION_ORDER - k + 1):
-        assert rho(i, n) == r.coeff_series(0).coeff(k + n)
+        assert type(rho(i, n)) is int
+        assert rho(i, n) == scale * r.coeff_series(0).coeff(k + n)
 
 
 def test_peel_remainders_need_no_series(monkeypatch):
@@ -492,19 +510,19 @@ def test_peel_remainders_need_no_series(monkeypatch):
 
     for name in ("shift", "__add__", "__init__"):
         monkeypatch.setattr(SeriesB, name, forbidden)
-    rho = _remainders(ann, F(5, 2), 2, 8)
+    rho, scale = _remainders(ann, F(5, 2), 2, 8)
     for i in range(4):
         for n in range(9):
             values[i, n] = rho(i, n)
     monkeypatch.undo()
-    # ann b^i is divided by a - 5/2 b: rho(i, n) is its remainder's
-    # b^(2+n) coefficient, up to the order ann is known to
+    # ann b^i is divided by a - 5/2 b: rho(i, n) is scale times its
+    # remainder's b^(2+n) coefficient, up to the order ann is known to
     for i in range(4):
         shifted = AbElement([c.shift(i) for c in ann.coeffs])
         _, r = left_divide(shifted, AbElement.linear(F(5, 2), 12))
         rem = r.coeff_series(0)
         assert [values[i, n] for n in range(9)] == \
-            [rem.coeff(2 + n) for n in range(9)]
+            [scale * rem.coeff(2 + n) for n in range(9)]
 
 
 def test_one_division_per_root_and_per_peel(monkeypatch):
@@ -558,3 +576,153 @@ def test_bernstein_roots_are_the_invariants(lam, steps, rhos):
     assert got == sorted(got)
     with pytest.raises(NotMonogenicAtTruncation):
         _bernstein_invariants(ann, lam, r, int(min(got) - lam - r) - 1)
+
+
+# --- one component: the rank and the filtration from Xi ---
+
+XI_POOL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "perfbench", "pool", "xi-logs.jsonl")
+
+
+def _pool_literals():
+    """Every 10th distinct expansion of the xi benchmark pool, each
+    with its --order."""
+    seen = {}
+    with open(XI_POOL) as fh:
+        for line in fh:
+            argv = json.loads(line)["argv"]
+            seen.setdefault(argv[-1], int(argv[argv.index("--order") + 1]))
+    return list(seen.items())[::10]
+
+
+def one_component_expansions():
+    entry = st.tuples(st.integers(0, 6), st.integers(0, 3),
+                      st.sampled_from([F(1), F(-1), F(2), F(-1, 3)]))
+    return st.builds(
+        lambda lam, entries: XiExpansion(
+            lam, 24, 1, {(1, m, j): co for m, j, co in entries}),
+        st.sampled_from([F(n, 6) for n in range(1, 7)]),
+        st.lists(entry, min_size=1, max_size=3),
+    )
+
+
+def assert_closure_gives_rank_from_xi(phi):
+    # the closure that a span of several components goes through, run
+    # on one component, certifies the rank J + 1 and the filtration
+    # (1, .., J + 1) that xi_generate_module and xi_log_filtration take
+    # from Xi
+    top = max(j for (_, _, j) in phi.terms)
+    span = xi_generate_module(phi)
+    assert span.rank == top + 1
+    per_level = [0] * phi.depth
+    for (_, m, _) in span.echelon.pivots:
+        per_level[m] += 1
+    rank, _, certified = certified_rank(per_level)
+    assert (rank, certified) == (top + 1, True)
+    want = {"ranks": tuple(range(1, top + 2)), "d": top + 1}
+    assert xi_module._echelon_filtration(span) == want
+    assert xi_log_filtration(span) == want
+
+
+@pytest.mark.parametrize("literal, depth", _pool_literals())
+def test_closure_certifies_the_rank_from_xi_on_the_pool(literal, depth):
+    assert_closure_gives_rank_from_xi(parse_xi(literal, depth))
+
+
+@settings(max_examples=30, deadline=None)
+@given(one_component_expansions())
+def test_closure_certifies_the_rank_from_xi(phi):
+    if not phi.is_zero():
+        assert_closure_gives_rank_from_xi(phi)
+
+
+def test_one_component_needs_no_closure(monkeypatch):
+    # a closure certified rank 2 at depth 6 and rank 3 from depth 11;
+    # with the rank from Xi, and no Echelon, every short window names
+    # the same order
+    literal = "-s^(1/2)*log + s^(7/2)*log^2"
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an Echelon was built")
+
+    spans = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(Echelon, "insert", forbidden)
+        for depth in range(6, 18):
+            spans[depth] = xi_generate_module(parse_xi(literal, depth))
+            assert spans[depth].rank == 3
+            assert xi_log_filtration(spans[depth]) == \
+                {"ranks": (1, 2, 3), "d": 3}
+    for depth in range(6, 17):
+        with pytest.raises(NotMonogenicAtTruncation,
+                           match=r"rerun with --order 17$"):
+            model_from_xi(spans[depth])
+    assert model_from_xi(spans[17]).rank == 3
+
+
+# --- the integer peel against the peel on Fractions ---
+
+def fraction_peel(ann, mu, k):
+    """_peel_unit's unit T on Fractions: t_n = -sum_(i<n) t_i rho(i, n)
+    / rho(n, n), where rho(i, n), the b^N coefficient of ann.(b^i e),
+    N = k + n, is sum_m (mu+N-m)...(mu+N-1) c_(m,N-m-i)."""
+    tmax = min(c.order for c in ann.coeffs) - k
+
+    def rho(i, n):
+        total, w = F(0), F(1)
+        for m, c in enumerate(ann.coeffs):
+            if m:
+                w *= mu + k + n - m
+            if k + n - i - m >= 0:
+                total += w * c.coeff(k + n - i - m)
+        return total
+
+    if rho(0, 0):
+        raise NotMonogenicAtTruncation(
+            "%s is not a right root of the annihilator" % mu)
+    t = [F(1)]
+    for n in range(1, tmax + 1):
+        acc = sum((t[i] * rho(i, n) for i in range(n)), F(0))
+        dn = rho(n, n)
+        if acc and not dn:
+            raise NotMonogenicAtTruncation(
+                "unit peel at exponent %s is obstructed in slot %d" % (mu, n))
+        t.append(-acc / dn if dn else F(0))
+    return SeriesB(t, tmax)
+
+
+def _outcome(peel, ann, mu, k):
+    try:
+        return peel(ann, mu, k)
+    except NotMonogenicAtTruncation as err:
+        return str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@example(F(1, 2), [(1, [F(1)]), (0, [])], 0, (0, 1, F(1)))  # obstructed
+@given(st.sampled_from([F(1, 2), F(1, 3), F(2, 5), F(1)]),
+       st.lists(st.tuples(st.integers(0, 3), st.lists(small, max_size=3)),
+                min_size=1, max_size=3),
+       st.sampled_from([0, 0, 0, 1, -1]),
+       st.none() | st.tuples(st.integers(0, 3), st.integers(0, 6), small))
+def test_integer_peel_is_the_fraction_peel(lam, factors, off, bump):
+    # the right factor's exponent peels; off moves mu off the root and
+    # bump moves a coefficient of c_m at b^(r-m) or above, where an
+    # annihilator of degree r has its support, so refusals are compared
+    # too
+    r = len(factors)
+    lambdas = [lam + r - j + n for j, (n, _) in enumerate(factors, start=1)]
+    units = [SeriesB([1] + cs, ACTION_ORDER) for _, cs in factors]
+    ann = monicize(expand_factor_form(list(zip(lambdas, units)),
+                                      ACTION_ORDER))
+    if bump is not None and bump[0] < r:
+        m, i, x = bump
+        coeffs = list(ann.coeffs)
+        coeffs[m] = coeffs[m] + SeriesB.monomial(x, r - m + i,
+                                                 coeffs[m].order)
+        ann = AbElement(coeffs)
+    mu = lambdas[-1] + off
+    got = _outcome(lambda *a: _peel_unit(*a)[0], ann, mu, r)
+    assert got == _outcome(fraction_peel, ann, mu, r)
+    if isinstance(got, SeriesB):
+        assert gcd(got.den, *got.nums) == 1
