@@ -207,7 +207,7 @@ def rank3_alpha_formula(p):
     return (v * s1).coeff(p1 + p2)
 
 
-def _reduce_chain(p, tau):
+def _reduce_chain(p):
     """alpha of a validated presentation, reduced to rank 2 step by step.
 
     The nested rank-2 sub-quotients must split for the value to be a
@@ -232,7 +232,7 @@ def _reduce_chain(p, tau):
                     "%d..%d" % (j, k - p.rank, j, steps[j - 1], j,
                                 j + 1 if j + 1 < p.rank else k)
                 )
-        p = alpha_reduce_step(p, tau=tau)
+        p = alpha_reduce_step(p)
     return classify_rank2(p).alpha
 
 
@@ -246,11 +246,10 @@ class Analysis:
     recursion keeps one answer per interval i..j of the input's factors.
     """
 
-    def __init__(self, p, tau=0):
+    def __init__(self, p):
         self.presentation = p
-        self.tau = tau
         try:
-            self._alpha = _reduce_chain(self.presentation, tau)
+            self._alpha = _reduce_chain(self.presentation)
         except EngineError as exc:
             self._alpha = exc
         self._splits = {}
@@ -305,7 +304,7 @@ class Analysis:
             if (i, j) == (1, p.rank):
                 alpha = self.alpha()
             else:
-                alpha = _reduce_chain(sub_quotient(p, i, j), self.tau)
+                alpha = _reduce_chain(sub_quotient(p, i, j))
         except NotInF0:
             return False
         return alpha == 0 and self._split(i, j - 1) and \
@@ -350,9 +349,9 @@ class Analysis:
         return ThemeClass(p.lambdas[0] - k + 2, p.lambdas[-1], sum(steps), beta)
 
 
-def alpha_invariant(p, tau=0):
+def alpha_invariant(p):
     """The alpha invariant of a presentation with positive p-steps."""
-    return Analysis(p, tau).alpha()
+    return Analysis(p).alpha()
 
 
 def is_semisimple(p):

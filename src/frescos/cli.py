@@ -235,11 +235,15 @@ def _oracle_check_one(p, M, rng):
     depth floor M >= k + 3, where the profile [0, k, ..., k] of the
     closure of b e_1..b e_k first has a rank certificate, leaves three
     orders to compare; the certificate is taken on the window
-    min(M, k + 3).
+    min(M, k + 3).  It comes first: the annihilators below are of
+    vectors with a level-0 entry, so degree d <= k needs depth
+    d + 2 <= k + 2, and a depth too small is named once.
     """
     fails = []
     k = p.rank
     rep = truncate_rep(p, M)
+    low = truncate_rep(p, min(M, k + 3))
+    closure_rank(low, [low.basis_vector(j, 1) for j in range(1, k + 1)])
     want = monicize(expand_factor_form(p.factors, M))
     ann = minimal_annihilator(rep, rep.basis_vector(k))
     if not ann.same_upto(want, M - k):
@@ -266,9 +270,6 @@ def _oracle_check_one(p, M, rng):
                 fails.append("lambdas")
     except EngineError as exc:
         fails.append("generator:%s" % type(exc).__name__)
-    # the depth floor
-    low = truncate_rep(p, min(M, k + 3))
-    closure_rank(low, [low.basis_vector(j, 1) for j in range(1, k + 1)])
     return fails
 
 

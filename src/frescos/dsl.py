@@ -97,10 +97,10 @@ class _Parser:
 def _unsigned_rational(p):
     num = int(p.expect("int", "a number")[1])
     if p.accept("/"):
-        den = int(p.expect("int", "a denominator")[1])
-        if den == 0:
-            p.fail("zero denominator")
-        return Fraction(num, den)
+        tok = p.expect("int", "a denominator")
+        if not int(tok[1]):
+            p.fail("zero denominator", tok)
+        return Fraction(num, int(tok[1]))
     return Fraction(num)
 
 
@@ -241,9 +241,10 @@ def _summands(p):
             tok = p.expect("name", "a component like v1")
             if tok[1] != "v":
                 p.fail("components are written v1, v2, ...", tok)
-            comp = int(p.expect("int", "a component index")[1])
+            tok = p.expect("int", "a component index")
+            comp = int(tok[1])
             if comp < 1:
-                p.fail("component indices start at 1")
+                p.fail("component indices start at 1", tok)
         top_comp = max(top_comp, comp)
         for t, c in poly.items():
             key = (comp, m0 + t, logpow)

@@ -216,9 +216,7 @@ class AdaptedModel:
     apply_a acts on an element of any F_m given by its m coordinates.
     """
 
-    def __init__(self, presentation, order=None):
-        if order is None:
-            order = default_model_order(presentation)
+    def __init__(self, presentation, order):
         if order < 1:
             raise OrderUnderflow(
                 "the adapted model needs order at least 1, got %d" % order

@@ -6,12 +6,14 @@ a vector once on entry and from then on works on integers, a reduction
 step cross-multiplying by the two leads over their gcd and dividing out
 the content (Bareiss, Math. Comp. 22, 1968), so the pivot set is that
 of the rational span and no Fraction is built while eliminating.  solve
-runs on the same Echelon and divides once per unknown at the end.
-Both the matrix oracle and the expansion module use this kernel, and
-it imports nothing from the rest of the package, so the oracle still
-shares no engine code.
+runs on the same Echelon and divides once per unknown at the end, and
+closure builds a module's span under its operators on it, whose rank
+certified_rank reads off the pivot levels.  Both the matrix oracle and
+the expansion module use this kernel, and it imports nothing from the
+rest of the package, so the oracle still shares no engine code.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -152,26 +154,34 @@ def solve(cols, rhs, key):
     return solver.pivots, solver(rhs)
 
 
-def certified_rank(per_level):
-    """Rank read off a per-level pivot profile, with its certificate.
+def closure(gens, images, key):
+    """Echelon of the span of gens closed under the maps images lists:
+    each new pivot row offers its nonzero images, the last one first."""
+    ech = Echelon(key)
+    queue = list(gens)
+    while queue:
+        lead = ech.insert(queue.pop())
+        if lead is not None:
+            queue += filter(None, images(ech.pivots[lead]))
+    return ech
 
-    per_level[m] counts the pivots of a module's span at level m of a
-    window of len(per_level) levels.  Returns (rank, last, certified):
-    rank is the count at the top level, last the highest level at which
-    the count grows, and certified says the rank is positive and the
-    growth stopped early enough (last <= len - rank - 2) that a chain
-    starting later would still have been visible.  So last + rank + 2
-    is the least window that could certify the profile.
 
-    The profile never decreases: the module is stable under the level
-    raising operator, which maps a lead at level m to the same position
-    one level up, so every pivot below the top level has a pivot above
-    it.  Hence the last level where the count exceeds the one before is
-    also the last where it exceeds the running maximum.
+def certified_rank(levels, depth):
+    """(rank, last, need) read off the levels of a module span's pivots
+    in a window of depth levels.
+
+    rank is the pivot count at the top level and last the highest level
+    at which the count grows.  need is 0 when the growth stopped early
+    enough (last <= depth - rank - 2) that a chain starting later would
+    still show, else last + rank + 2, the least window that could
+    certify the rank; no pivots need nothing.  The count never
+    decreases: the module is stable under the level raising operator,
+    which maps a lead at level m to the same position one level up.
+    So the last rise over the level below is the last rise of the
+    running maximum.
     """
-    rank = per_level[-1]
-    last = 0
-    for m in range(1, len(per_level)):
-        if per_level[m] > per_level[m - 1]:
-            last = m
-    return rank, last, rank > 0 and last <= len(per_level) - rank - 2
+    count = Counter(levels)
+    last = max((m for m in count if m and count[m] > count[m - 1]),
+               default=0)
+    need = last + count[depth - 1] + 2
+    return count[depth - 1], last, need if need > depth else 0

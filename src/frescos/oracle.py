@@ -24,7 +24,7 @@ from math import gcd, lcm
 
 from .algebra import AbElement
 from .errors import DegenerateTruncation, OrderUnderflow, TruncationTooSmall
-from .linalg import Solver, axpy, certified_rank, integral
+from .linalg import Solver, axpy, certified_rank, closure, integral
 # perfbench/tracer.py counts span_closure's inserts through oracle._Echelon
 from .linalg import Echelon as _Echelon
 from .series import SeriesB
@@ -260,15 +260,8 @@ def span_closure(rep, gens):
     It is built on integers: the image of a row under rep.aint spans
     the same line as its image under a, and b is an exact shift.
     """
-    ech = _Echelon(rep.key)
-    queue = list(gens)
-    while queue:
-        piv = ech.insert(queue.pop())
-        if piv is not None:
-            row = ech.pivots[piv]
-            queue += [img for img in (_matvec(rep.aint, row),
-                                      _shift(rep, row, 1)) if img]
-    return ech
+    return closure(gens, lambda row: (_matvec(rep.aint, row),
+                                      _shift(rep, row, 1)), rep.key)
 
 
 def closure_rank(rep, gens):
@@ -282,14 +275,11 @@ def closure_rank(rep, gens):
     if not any(x for g in gens for x in g.values()):
         raise ValueError("zero generators span no submodule")
     ech = span_closure(rep, gens)
-    per_level = [0] * rep.M
-    for piv in ech.pivots:
-        per_level[rep.level(piv)] += 1
-    rank, last, certified = certified_rank(per_level)
-    if not certified:
+    rank, _, need = certified_rank(map(rep.level, ech.pivots), rep.M)
+    if need:
         raise TruncationTooSmall(
             "pivot count per level has not stabilised at depth %d; rerun "
-            "with --oracle-depth %d" % (rep.M, last + rank + 2)
+            "with --oracle-depth %d" % (rep.M, need)
         )
     return ech, rank
 

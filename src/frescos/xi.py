@@ -15,12 +15,14 @@ integer term dict b is an integer map up to one integer scale (the lcm
 of the p_m^(j+1)); the module closure and the annihilator apply it so,
 and every elimination over an expansion's span runs on integers.  One
 component with top log power J generates a module of rank J + 1 in the
-free module Xi_lam^(J), so the closure runs only for several components
-(xi_generate_module).  The source's annihilator, solved for that rank,
-checks it and becomes a presentation in fresco.
+free module Xi_lam^(J); only several components run linalg.closure
+under the two maps and certify its rank (xi_generate_module).  The
+source's annihilator, solved for that rank, checks it and becomes a
+presentation in fresco.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .algebra import AbElement
@@ -30,7 +32,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fresco import presentation_from_annihilator
-from .linalg import Echelon, axpy, certified_rank, integral, solve
+from .linalg import Echelon, axpy, certified_rank, closure, integral, solve
 from .series import SeriesB, rat
 
 
@@ -204,29 +206,27 @@ class XiExpansion:
 
 class XiSpan:
     """The module generated by an expansion: its source, its rank and
-    the echelon of its closure, built on first use.
+    the echelon of its linalg.closure under a and b, built on first use.
 
     Each pivot row of echelon is a primitive integer term dict with a
     positive entry at its lead, every other term after it in generation
-    order; the rows span the orbit of the source under a and b inside
-    the truncation window, and rows shows them as expansions.  The
-    pivots keep their insertion order: the source, then depth first
-    along the b images (scaled to integers) before the a images, so the
-    b-chain of the top log power comes first.  A span of one component
-    gets its rank without the closure (see xi_generate_module), so only
-    rows, reduce and a span of several components build it.
+    order, and rows shows them as expansions.  The pivots keep their
+    insertion order: the source, then depth first along the b images
+    (scaled to integers) before the a images, so the b-chain of the top
+    log power comes first.  A span of one component gets its rank
+    without the closure (see xi_generate_module), so only rows, reduce
+    and a span of several components build it.
     """
 
-    def __init__(self, source, echelon, rank):
+    def __init__(self, source, rank):
         self.source = source
-        self._echelon = echelon
         self.rank = rank
 
-    @property
+    @cached_property
     def echelon(self):
-        if self._echelon is None:
-            self._echelon = _closure(self.source)
-        return self._echelon
+        lam, depth = self.lam, self.depth
+        return closure([self.source.terms], lambda row: (
+            _times_s(row, depth), _integrate(row, lam, depth)[0]), _poskey)
 
     @property
     def lam(self):
@@ -246,27 +246,17 @@ class XiSpan:
         """Residual of x against the span up to a nonzero scale, inside
         the window."""
         self.source._compat(x)
-        if x.lead() not in self.echelon.pivots:
-            return x
         return XiExpansion(x.lam, x.depth, x.ncomp,
                            self.echelon.reduce(x.terms))
 
 
-def _closure(phi):
-    """Echelon of the linear span of phi under a and b in its window.
-
-    Every inserted vector with a new pivot enqueues its two images,
-    taken on the integer term dict of the pivot row.
-    """
-    lam, depth = phi.lam, phi.depth
-    ech = Echelon(_poskey)
-    queue = [phi.terms]
-    while queue:
-        lead = ech.insert(queue.pop())
-        if lead is not None:
-            row = ech.pivots[lead]
-            queue += [_times_s(row, depth), _integrate(row, lam, depth)[0]]
-    return ech
+def _annihilator_depth(phi, r):
+    """Least depth with room for a degree-r annihilator of phi and its r
+    unit peels: the order _annihilator_from_span trusts must cover the
+    1 + ... + r orders the peels cost and keep one."""
+    vlo = min(m for (_, m, _) in phi.terms)
+    vhi = max(m for (_, m, _) in phi.terms)
+    return r + vhi + (vhi - vlo) + 1 + r * (r + 1) // 2
 
 
 def xi_generate_module(phi):
@@ -278,39 +268,37 @@ def xi_generate_module(phi):
     Xi_lam^(J) = sum_(j<=J) C[[b]] s^(lam-1) (Log s)^j, free of rank
     J + 1, so its rank is J + 1 with no elimination; the annihilator
     solve checks it, as a wrong rank has no determined monic
-    annihilator of that degree.
+    annihilator of that degree.  Its whole need is then known, so the
+    refusal names the depth that solve needs (_annihilator_depth).
 
-    Several components close the span (_closure).  Its per-level pivot
-    profile is non decreasing because both operators shift leading
-    positions up one level; its value at the last level is the rank,
-    provided the last growth happened far enough below the truncation
-    depth.  Otherwise the window cannot tell whether another chain was
-    about to appear and TruncationTooSmall is raised.
+    Several components close the span (XiSpan.echelon), whose pivot
+    levels give the rank through linalg.certified_rank; a window too
+    short to certify it raises TruncationTooSmall naming one that could.
     """
     if phi.is_zero():
         raise SemanticError("the zero expansion generates nothing")
     depth = phi.depth
     top = max(j for (_, _, j) in phi.terms)
     if top + 3 > depth:
+        least = (_annihilator_depth(phi, top + 1) if phi.ncomp == 1
+                 else top + 3)
         raise TruncationTooSmall(
             "log^%d generates rank at least %d, which depth %d cannot "
             "certify; the bound needs --order %d or more"
-            % (top, top + 1, depth, top + 3)
+            % (top, top + 1, depth, least)
         )
     if phi.ncomp == 1:
-        return XiSpan(phi, None, top + 1)
-    ech = _closure(phi)
-    per_level = [0] * depth
-    for (_, m, _) in ech.pivots:
-        per_level[m] += 1
-    rank, last_growth, certified = certified_rank(per_level)
-    if not certified:
+        return XiSpan(phi, top + 1)
+    span = XiSpan(phi, None)
+    span.rank, last, need = certified_rank(
+        (m for (_, m, _) in span.echelon.pivots), depth)
+    if need:
         raise TruncationTooSmall(
             "pivot profile still grows at level %d of %d; cannot certify "
             "rank %d; rerun with --order %d"
-            % (last_growth, depth, rank, last_growth + rank + 2)
+            % (last, depth, span.rank, need)
         )
-    return XiSpan(phi, ech, rank)
+    return span
 
 
 def xi_log_filtration(span):
@@ -350,19 +338,17 @@ def _echelon_filtration(span):
             groups.setdefault(lead[2], []).append(ech.pivots[lead])
     total = max(groups) + 1 if groups else 1
     level_ech = Echelon(_poskey)
-    per_level = [0] * depth
     ranks = []
     d = None
     for cut in range(total):
         for v in groups.get(cut, ()):
-            lead = level_ech.insert(v)
-            if lead is not None:
-                per_level[lead[1]] += 1
-        rank, last, certified = certified_rank(per_level)
-        if rank and not certified:
+            level_ech.insert(v)
+        rank, _, need = certified_rank(
+            (m for (_, m, _) in level_ech.pivots), depth)
+        if need:
             raise TruncationTooSmall(
                 "log filtration has not stabilised at depth %d; rerun "
-                "with --order %d" % (depth, last + rank + 2)
+                "with --order %d" % (depth, need)
             )
         ranks.append(rank)
         if d is None and rank == span.rank:
@@ -393,14 +379,11 @@ def _annihilator_from_span(span):
     top_ji = depth - 1 - vhi
     mmax = top_ji + vlo
     ordc = depth - r - vhi - (vhi - vlo)
-    # the r unit peels cost 1 + ... + r orders and the last keeps one;
-    # ordc rises one for one with the depth, which names the least one
-    need = 1 + r * (r + 1) // 2
-    if ordc < need:
+    need = _annihilator_depth(phi, r)
+    if depth < need:
         raise NotMonogenicAtTruncation(
             "depth %d leaves no room for a degree-%d annihilator and its "
-            "%d unit peels; rerun with --order %d"
-            % (depth, r, r, depth + need - ordc)
+            "%d unit peels; rerun with --order %d" % (depth, r, r, need)
         )
     # both operators only raise levels, so nothing above mmax is needed;
     # the chain b^i phi runs on integers, scales[i] times the true one

@@ -100,6 +100,10 @@ def test_fresco_syntax_errors():
         parse_fresco("fresco: ")
     with pytest.raises(DslSyntaxError):
         parse_fresco("fresco: (5/2 , 1)")
+    # the consumed token at fault is the one named: the 0, not the '|'
+    with pytest.raises(DslSyntaxError, match="zero denominator") as err:
+        parse_fresco("fresco: (5/0 | 1)")
+    assert (err.value.line, err.value.column) == (1, 12)
 
 
 # --- expansion literals ---
@@ -174,6 +178,14 @@ def test_xi_syntax_errors():
         parse_xi("log^2")
     with pytest.raises(DslSyntaxError):
         parse_xi("s^(1/2) * [1 + 2b]")
+    # the index at fault, not the end of the line past it
+    with pytest.raises(DslSyntaxError, match="start at 1") as err:
+        parse_xi("s^(1/2) @ v0")
+    assert (err.value.line, err.value.column) == (1, 12)
+    with pytest.raises(DslSyntaxError, match=r"expected 'log' or a "
+                       r"'\[\.\.\.\]' shift polynomial") as err:
+        parse_xi("s^(1/2) * 3")
+    assert (err.value.line, err.value.column) == (1, 11)
 
 
 # --- dispatch ---

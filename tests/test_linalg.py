@@ -12,7 +12,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frescos.linalg import Echelon, axpy, certified_rank, integral, solve
+from frescos.linalg import (
+    Echelon, axpy, certified_rank, closure, integral, solve,
+)
 
 RATS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -143,16 +145,41 @@ def test_solve_reports_free_columns():
     assert all(type(x) is Fraction for x in z)
 
 
+def _levels(per_level):
+    """Pivot levels whose count per level is per_level."""
+    return [m for m, c in enumerate(per_level) for _ in range(c)]
+
+
 def test_certified_rank_boundaries():
     # a plateau reached with room to spare
-    assert certified_rank([1, 2, 2, 2, 2, 2]) == (2, 1, True)
-    # last growth one past the bound len - rank - 2, then exactly at it
-    assert certified_rank([0, 1, 1, 2, 2, 2]) == (2, 3, False)
-    assert certified_rank([0, 1, 1, 2, 2, 2, 2]) == (2, 3, True)
-    # an empty top level is never certified
-    assert certified_rank([0, 0, 0, 0]) == (0, 0, False)
+    assert certified_rank(_levels([1, 2, 2, 2, 2, 2]), 6) == (2, 1, 0)
+    # last growth one past the bound depth - rank - 2, then exactly at it;
+    # the need is the window of the second
+    assert certified_rank(_levels([0, 1, 1, 2, 2, 2]), 6) == (2, 3, 7)
+    assert certified_rank(_levels([0, 1, 1, 2, 2, 2, 2]), 7) == (2, 3, 0)
+    # no pivots: nothing to certify, so nothing is needed
+    assert certified_rank([], 4) == (0, 0, 0)
     # growth at the very last level
-    assert certified_rank([1, 1, 1, 2]) == (2, 3, False)
+    assert certified_rank(_levels([1, 1, 1, 2]), 4) == (2, 3, 7)
+    # the order of the levels does not matter
+    assert certified_rank([3, 0, 1, 2, 3], 4) == (2, 3, 7)
+
+
+def test_closure_is_the_least_span_closed_under_the_maps():
+    # the shift i -> i + 1 inside a window of 5 positions, closed from
+    # one vector at 2: its span is everything from position 2 on; the
+    # images of the last row are empty and never enter
+    def shift(row):
+        return ({i + 1: x for i, x in row.items() if i + 1 < 5},)
+
+    ech = closure([{2: Fraction(3, 2)}], shift, lambda i: i)
+    assert list(ech.pivots) == [2, 3, 4]
+    assert ech.pivots[2] == {2: 1}
+    # two maps: the last image offered is inserted first
+    ech = closure([{0: 1}], lambda row: ({1: 1} if 0 in row else {},
+                                         {2: 1} if 0 in row else {}),
+                  lambda i: i)
+    assert list(ech.pivots) == [0, 2, 1]
 
 
 def _last_growth_running_max(per_level):
@@ -167,7 +194,7 @@ def _last_growth_running_max(per_level):
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
 def test_certificate_reads_a_monotone_profile_both_ways(steps):
     profile = [sum(steps[:i + 1]) for i in range(len(steps))]
-    _, last, _ = certified_rank(profile)
+    _, last, _ = certified_rank(_levels(profile), len(profile))
     assert last == _last_growth_running_max(profile)
 
 

@@ -347,13 +347,13 @@ def test_b_image_is_certified_from_rank_plus_three(p, extra):
     depth = k + 3 + extra
     rep = truncate_rep(p, depth)
     ech = span_closure(rep, _b_image(rep))
-    per_level = [0] * depth
-    for piv in ech.pivots:
-        per_level[rep.level(piv)] += 1
-    assert per_level == [0] + [k] * (depth - 1)
+    levels = sorted(map(rep.level, ech.pivots))
+    assert levels == [m for m in range(1, depth) for _ in range(k)]
     assert rep.dim - len(ech.pivots) == k
-    assert certified_rank(per_level[:k + 3]) == (k, 1, True)
-    assert certified_rank(per_level[:k + 2]) == (k, 1, False)
+    assert certified_rank([m for m in levels if m < k + 3], k + 3) == \
+        (k, 1, 0)
+    assert certified_rank([m for m in levels if m < k + 2], k + 2) == \
+        (k, 1, k + 3)
     if k >= 2:
         rep = truncate_rep(p, k + 2)
         with pytest.raises(TruncationTooSmall) as old:

@@ -289,9 +289,11 @@ def test_span_closed_under_word(x, word):
 
 
 def test_generation_needs_depth():
-    # log^J needs depth J + 3 whatever the components; two components
-    # also need a window whose pivot profile has stopped growing
-    with pytest.raises(TruncationTooSmall, match="--order 6 or more"):
+    # log^J needs depth J + 3 whatever the components; one component
+    # names the depth its annihilator needs, r + 1 + r(r+1)/2 for rank
+    # r = J + 1 at shift 0, and two components also need a window whose
+    # pivot profile has stopped growing
+    with pytest.raises(TruncationTooSmall, match="--order 15 or more"):
         xi_generate_module(term("1/2", 0, 3, depth=5))
     phi = XiExpansion("1/2", 8, 2, {(1, 0, 3): 1, (2, 1, 0): 1})
     with pytest.raises(TruncationTooSmall, match="pivot profile still grows"):
@@ -322,11 +324,8 @@ def test_zero_generates_nothing():
 
 def test_understated_rank_is_rejected():
     # a span that claims rank 1 for a log term has no degree-1 annihilator
-    phi = term("1/2", 0, 1)
-    ech = Echelon(xi_module._poskey)
-    ech.insert(phi.terms)
     with pytest.raises(NotMonogenicAtTruncation):
-        _annihilator_from_span(XiSpan(phi, ech, 1))
+        _annihilator_from_span(XiSpan(term("1/2", 0, 1), 1))
 
 
 def test_rows_are_the_generating_pivots():
@@ -614,11 +613,9 @@ def assert_closure_gives_rank_from_xi(phi):
     top = max(j for (_, _, j) in phi.terms)
     span = xi_generate_module(phi)
     assert span.rank == top + 1
-    per_level = [0] * phi.depth
-    for (_, m, _) in span.echelon.pivots:
-        per_level[m] += 1
-    rank, _, certified = certified_rank(per_level)
-    assert (rank, certified) == (top + 1, True)
+    rank, _, need = certified_rank(
+        (m for (_, m, _) in span.echelon.pivots), phi.depth)
+    assert (rank, need) == (top + 1, 0)
     want = {"ranks": tuple(range(1, top + 2)), "d": top + 1}
     assert xi_module._echelon_filtration(span) == want
     assert xi_log_filtration(span) == want
