@@ -1,20 +1,21 @@
 """Exact linear algebra over the rationals: the one elimination kernel.
 
 Sparse vectors are dicts from positions to nonzero rationals, ints or
-Fractions.  The Echelon is fraction-free: it clears the denominators of
-a vector once on entry and from then on works on integers, a reduction
-step cross-multiplying by the two leads over their gcd and dividing out
-the content (Bareiss, Math. Comp. 22, 1968), so the pivot set is that
-of the rational span and no Fraction is built while eliminating.  solve
-runs on the same Echelon and divides once per unknown at the end, and
-closure builds a module's span under its operators on it, whose rank
-certified_rank reads off the pivot levels.  Both the matrix oracle and
-the expansion module use this kernel, and it imports nothing from the
-rest of the package, so the oracle still shares no engine code.
+Fractions.  A position is a non-negative int and int order is the one
+pivot order, so a caller maps its own order to ints once, at the
+boundary.  The Echelon is fraction-free: it clears the denominators of
+a vector once on entry, then a reduction step cross-multiplies by the
+two leads over their gcd and divides out the content (Bareiss, Math.
+Comp. 22, 1968), so the pivot set is that of the rational span.  The
+Solver runs on it and returns integer numerators over one positive
+scale, so Fractions appear only at the callers' edges; closure builds a
+module's span under its operators, and certified_rank reads its rank
+off the pivot levels.  Both the matrix oracle and the expansion module
+use this kernel, and it imports nothing from the rest of the package,
+so the oracle still shares no engine code.
 """
 
 from collections import Counter
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -40,30 +41,28 @@ def integral(vec):
 
 
 class Echelon:
-    """Semi-reduced echelon span of sparse vectors under a position order.
+    """Semi-reduced echelon span of sparse vectors.
 
-    pivots maps each lead position (least under key) to a stored row: a
+    pivots maps each lead position (the least one) to a stored row: a
     primitive integer vector (content 1) with a positive entry there;
-    later pivots are not eliminated from earlier rows.  For a fixed
-    order the set of pivots is the set of leads of the span, so it
-    depends on the span alone, not on the insertion order, on how far
-    the rows are reduced, or on their scale.
+    later pivots are not eliminated from earlier rows.  The set of
+    pivots is the set of leads of the span, so it depends on the span
+    alone, not on the insertion order, on how far the rows are reduced,
+    or on their scale.
     """
 
-    __slots__ = ("key", "pivots")
+    __slots__ = ("pivots",)
 
-    def __init__(self, key):
-        self.key = key
+    def __init__(self):
         self.pivots = {}
 
     def reduce(self, vec):
         """Residual of vec up to a nonzero scale: a new integer dict
         whose lead, if any, is no pivot."""
         vec, _ = integral(vec)
-        key = self.key
         pivots = self.pivots
         while vec:
-            lead = min(vec, key=key)
+            lead = min(vec)
             row = pivots.get(lead)
             if row is None:
                 break
@@ -82,10 +81,13 @@ class Echelon:
 
     def insert(self, vec):
         """Reduce and insert; returns the new pivot position or None."""
-        vec = self.reduce(vec)
+        return self._store(self.reduce(vec))
+
+    def _store(self, vec):
+        """Insert a residual of reduce without reducing it again."""
         if not vec:
             return None
-        lead = min(vec, key=self.key)
+        lead = min(vec)
         g = gcd(*vec.values())
         if vec[lead] < 0:
             g = -g
@@ -93,71 +95,57 @@ class Echelon:
         return lead
 
 
-class _Tag:
-    """Unit tag of one column of solve, ordered after every position."""
-
-    def __init__(self, col):
-        self.col = col
-
-
 class Solver:
-    """The elimination of solve's columns, kept for many right-hand sides.
+    """Solve sum_j z_j cols[j] = rhs over the rationals, for many rhs.
 
-    Each column carries a unit tag on its own index, ordered after every
+    cols and each rhs are sparse vectors over the positions range(size);
+    any other position would be read as a tag, so it is refused with
+    ValueError.  Column j carries a unit tag at size + j, after every
     position, so a pivot row records the column combination that made
-    it; a column whose positions reduce to zero never enters.  pivots
-    lists the independent columns in order.
+    it; each column is reduced once, and one whose positions reduce to
+    zero never enters.  pivots lists the independent columns in order.
     """
 
-    def __init__(self, cols, key):
-        def order(p):
-            return (1, p.col) if type(p) is _Tag else (0, key(p))
-
-        self.ncols = len(cols)
-        self.echelon = ech = Echelon(order)
+    def __init__(self, cols, size):
+        self.size, self.ncols = size, len(cols)
+        self.echelon = ech = Echelon()
         self.pivots = []
         for j, col in enumerate(cols):
-            vec = ech.reduce({**col, _Tag(j): 1})
-            if type(min(vec, key=order)) is not _Tag:
-                ech.insert(vec)
+            vec = ech.reduce({**self._inside(col), size + j: 1})
+            if min(vec) < size:
+                ech._store(vec)
                 self.pivots.append(j)
 
+    def _inside(self, vec):
+        if vec and (min(vec) < 0 or max(vec) >= self.size):
+            raise ValueError("position outside range(%d)" % self.size)
+        return vec
+
     def __call__(self, rhs):
-        """z with sum_j z_j cols[j] = rhs as Fractions, every free unknown
-        0, or None when the system is inconsistent.
+        """z as (nums, scale), z_j = nums[j] / scale in lowest terms with
+        scale > 0 and every free unknown 0, or None if inconsistent.
 
-        rhs carries a tag of its own, ordered last, that records the
-        scale the integer reduction put on it: reducing rhs leaves
-        s (rhs - sum_j z_j cols[j]) on the positions, s on its tag and
-        -s z on the column tags, so each unknown costs one division.
-        """
-        scale = _Tag(self.ncols)
-        res = self.echelon.reduce({**rhs, scale: 1})
-        s = res.pop(scale)
-        if any(type(p) is not _Tag for p in res):
+        rhs carries a tag after the column tags: reducing it leaves
+        s (rhs - sum_j z_j cols[j]) on the positions, s on that tag and
+        -s z on the column tags."""
+        size, tag = self.size, self.size + self.ncols
+        res = self.echelon.reduce({**self._inside(rhs), tag: 1})
+        s = -res.pop(tag)
+        if res and min(res) < size:
             return None
-        z = [Fraction(0)] * self.ncols
-        for tag, x in res.items():
-            z[tag.col] = Fraction(-x, s)
-        return z
+        g = gcd(s, *res.values())
+        if s < 0:
+            g = -g
+        nums = [0] * self.ncols
+        for t, x in res.items():
+            nums[t - size] = x // g
+        return nums, s // g
 
 
-def solve(cols, rhs, key):
-    """Solve sum_j z_j cols[j] = rhs over the rationals on an Echelon.
-
-    cols and rhs are sparse vectors over positions ordered by key.
-    Returns (pivots, z): the independent columns in order, and the
-    solution as Fractions with every free unknown 0, or None when the
-    system is inconsistent (see Solver).
-    """
-    solver = Solver(cols, key)
-    return solver.pivots, solver(rhs)
-
-
-def closure(gens, images, key):
+def closure(gens, images):
     """Echelon of the span of gens closed under the maps images lists:
     each new pivot row offers its nonzero images, the last one first."""
-    ech = Echelon(key)
+    ech = Echelon()
     queue = list(gens)
     while queue:
         lead = ech.insert(queue.pop())

@@ -1,26 +1,27 @@
 """Independent cross-check: exact truncated matrices for a and b.
 
 A rank-k module truncated at depth M becomes a k*M dimensional vector
-space over the rationals with basis b^m e_j (m < M, j = 1..k).  b is
-the exact shift b^m e_j -> b^(m+1) e_j, so only a is stored, once, as
-the sparse integer columns of D a over one common denominator D;
-everything downstream is plain exact linear algebra with no series
-machinery involved.  Both a and b only ever raise the b-level m, which
-is why coordinates below the truncation stay exact.  The diagonal
-entries b^2 S_j'/S_j of the a-matrix are solved for here from the
-units' numerators, not by the series kernel, so a fault in the
+space over the rationals with basis b^m e_j (m < M, j = 1..k), indexed
+level-major (b^m e_j is m k + j - 1) so that index order is the pivot
+order.  b is the exact shift b^m e_j -> b^(m+1) e_j, so only a is
+stored, once, as the sparse integer columns of D a over one common
+denominator D; everything downstream is plain exact linear algebra with
+no series machinery involved.  Both a and b only ever raise the b-level
+m, which is why coordinates below the truncation stay exact.  The
+diagonal entries b^2 S_j'/S_j of the a-matrix are solved for here from
+the units' numerators, not by the series kernel, so a fault in the
 series kernel cannot cancel out on both sides of a comparison.  The
 elimination itself, one fraction-free sparse echelon that also solves
 the annihilator systems, lives in linalg.py, the only module the oracle
 shares with the expansion side; it holds no engine code.  Spans and
-annihilator chains run on the integer columns, so a vector of a span
-or of a chain is known only up to a scale, which a span ignores and
-the annihilator solve keeps track of, dividing it out of each
-coefficient it returns.
+annihilator chains run on the integer columns, so a vector of a span or
+of a chain is known only up to a scale, which a span ignores and the
+annihilator solve keeps track of, dividing it out of each coefficient
+it returns.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .algebra import AbElement
 from .errors import DegenerateTruncation, OrderUnderflow, TruncationTooSmall
@@ -35,19 +36,17 @@ class TruncatedRep:
 
     aint holds the integer columns of D a, with D = ascale the lcm of
     the denominators of a, so a span or a chain of a-images up to scale
-    is built without a Fraction; apply_a divides D back out.  key is
-    the pivot order: lowest b-level first, then chain position, as a
-    lookup on the index.
+    is built without a Fraction; apply_a divides D back out.  An index
+    sorts by b-level, then by chain position: the pivot order.
     """
 
-    __slots__ = ("k", "M", "aint", "ascale", "key")
+    __slots__ = ("k", "M", "aint", "ascale")
 
     def __init__(self, k, M):
         self.k = k
         self.M = M
         self.aint = {}
         self.ascale = 1
-        self.key = [(i % M) * k + i // M for i in range(k * M)].__getitem__
 
     @property
     def dim(self):
@@ -55,11 +54,11 @@ class TruncatedRep:
 
     def idx(self, j, m):
         """Index of b^m e_j (j is 1-based)."""
-        return (j - 1) * self.M + m
+        return m * self.k + j - 1
 
     def level(self, idx):
         """The b-level m of a basis index."""
-        return idx % self.M
+        return idx // self.k
 
     def apply_a(self, vec):
         d = self.ascale
@@ -165,7 +164,7 @@ def minimal_annihilator(rep, x):
     """
     if not x:
         raise ValueError("zero vector has no minimal annihilator")
-    v = min(rep.level(i) for i in x)
+    v = rep.level(min(x))
     chain = _chains(rep, x)
     for d in range(1, rep.k + 1):
         got = _solve_layers(rep, chain, d, v)
@@ -180,9 +179,10 @@ def minimal_annihilator(rep, x):
 
 
 def _shift(rep, vec, i):
-    """Coordinates of b^i x; b is an exact shift of the level."""
-    M = rep.M
-    return {r + i: c for r, c in vec.items() if r % M + i < M}
+    """Coordinates of b^i x: i k indices up, past level M - 1 dropped."""
+    step = i * rep.k
+    top = rep.dim - step
+    return {r + step: c for r, c in vec.items() if r < top}
 
 
 def _chains(rep, x):
@@ -210,8 +210,9 @@ def _solve_layers(rep, chain, d, v):
 
     On the integer chains the unknowns are y_(m,t) = s D^(d-m) c_(m,t),
     where the residual -a^d x - (the slices solved so far) is the
-    integer vector res over the running scale s D^d E; the content that
-    res shares with s is divided out after each level.
+    integer vector res over the running scale s D^d E, which the scale
+    of each level's integer solution joins; the content that res shares
+    with s is divided out after each level.
     """
     M = rep.M
     ordc = M - d - v
@@ -226,27 +227,28 @@ def _solve_layers(rep, chain, d, v):
     # the level-(v+t) block of b^t x, ..., a^{d-1} b^t x equals the
     # level-v block of x, ax, ..., a^{d-1} x because
     # a^m b^t = b^t (a + t b)^m, so one elimination serves every level
-    level = [rep.idx(j, v) for j in range(1, rep.k + 1)]
+    level = range(v * rep.k, (v + 1) * rep.k)
     block = Solver([{i: c[i] for i in level if i in c}
-                    for c in (chain(0, m) for m in range(d))], rep.key)
+                    for c in (chain(0, m) for m in range(d))], rep.dim)
     if len(block.pivots) < d:
         raise DegenerateTruncation(
             "level-%d block has rank < %d at depth %d" % (v, d, M)
         )
     for t in range(ordc + 1):
-        sol = block({i: res[i + t] for i in level if i + t in res})
+        off = t * rep.k
+        sol = block({i: res[i + off] for i in level if i + off in res})
         if sol is None:
             return None
+        nums, den = sol
         w = [chain(t, m) for m in range(d)]
-        den = lcm(*(y.denominator for y in sol))
         if den > 1:
             for r in res:
                 res[r] *= den
-        for m, y in enumerate(sol):
-            coeffs[m].append(y / (s * dpow[m]))
-            if y:
-                axpy(res, -y.numerator * (den // y.denominator), w[m])
         s *= den
+        for m, y in enumerate(nums):
+            coeffs[m].append(Fraction(y, s * dpow[m]))
+            if y:
+                axpy(res, -y, w[m])
         g = gcd(s, *res.values())
         if g > 1:
             s //= g
@@ -261,7 +263,7 @@ def span_closure(rep, gens):
     the same line as its image under a, and b is an exact shift.
     """
     return closure(gens, lambda row: (_matvec(rep.aint, row),
-                                      _shift(rep, row, 1)), rep.key)
+                                      _shift(rep, row, 1)))
 
 
 def closure_rank(rep, gens):
@@ -294,7 +296,7 @@ def submodule_analysis(rep, gens):
     """
     ech, rank = closure_rank(rep, gens)
     dim = len(ech.pivots)
-    bf = _Echelon(rep.key)
+    bf = _Echelon()
     for v in ech.pivots.values():
         img = _shift(rep, v, 1)
         if img:

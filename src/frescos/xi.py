@@ -13,12 +13,13 @@ raise m, which keeps everything below the truncation depth exact.  With
 lam = a/q, mu = p_m/q for the positive integer p_m = a + m q, so on an
 integer term dict b is an integer map up to one integer scale (the lcm
 of the p_m^(j+1)); the module closure and the annihilator apply it so,
-and every elimination over an expansion's span runs on integers.  One
-component with top log power J generates a module of rank J + 1 in the
-free module Xi_lam^(J); only several components run linalg.closure
-under the two maps and certify its rank (xi_generate_module).  The
-source's annihilator, solved for that rank, checks it and becomes a
-presentation in fresco.
+and every elimination over an expansion's span runs on integers, on
+positions mapped to ints in their order (_Order) where they enter
+linalg.  One component with top log power J generates a module of rank
+J + 1 in the free module Xi_lam^(J); only several components run
+linalg.closure under the two maps and certify its rank
+(xi_generate_module).  The source's annihilator, solved for that rank,
+checks it and becomes a presentation in fresco.
 """
 
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fresco import presentation_from_annihilator
-from .linalg import Echelon, axpy, certified_rank, closure, integral, solve
+from .linalg import Echelon, Solver, axpy, certified_rank, closure, integral
 from .series import SeriesB, rat
 
 
@@ -57,6 +58,25 @@ def _logkey(pos):
     """Filtration order: higher logs first."""
     comp, m, j = pos
     return (-j, m, comp)
+
+
+class _Order:
+    """The positions (comp, m, j) of phi's space up to its top log power
+    as ints: an int is its position's rank under key, so int order is
+    key's order."""
+
+    def __init__(self, phi, key):
+        top = max((j for (_, _, j) in phi.terms), default=0)
+        self.positions = sorted(
+            ((c, m, j) for c in range(1, phi.ncomp + 1)
+             for m in range(phi.depth) for j in range(top + 1)), key=key)
+        self.index = {pos: i for i, pos in enumerate(self.positions)}
+
+    def ints(self, terms):
+        return {self.index[pos]: x for pos, x in terms.items()}
+
+    def terms(self, vec):
+        return {self.positions[i]: x for i, x in vec.items()}
 
 
 def _times_s(terms, depth):
@@ -208,14 +228,14 @@ class XiSpan:
     """The module generated by an expansion: its source, its rank and
     the echelon of its linalg.closure under a and b, built on first use.
 
-    Each pivot row of echelon is a primitive integer term dict with a
-    positive entry at its lead, every other term after it in generation
-    order, and rows shows them as expansions.  The pivots keep their
-    insertion order: the source, then depth first along the b images
-    (scaled to integers) before the a images, so the b-chain of the top
-    log power comes first.  A span of one component gets its rank
-    without the closure (see xi_generate_module), so only rows, reduce
-    and a span of several components build it.
+    The echelon runs on the ints of order, the generation order.  Each
+    pivot row is primitive with a positive entry at its lead, every
+    other term after it, and rows shows them as expansions.  The pivots
+    keep their insertion order: the source, then depth first along the
+    b images (scaled to integers) before the a images, so the b-chain
+    of the top log power comes first.  A span of one component gets its
+    rank without the closure (see xi_generate_module), so only rows,
+    reduce and a span of several components build it.
     """
 
     def __init__(self, source, rank):
@@ -223,10 +243,19 @@ class XiSpan:
         self.rank = rank
 
     @cached_property
+    def order(self):
+        return _Order(self.source, _poskey)
+
+    @cached_property
     def echelon(self):
-        lam, depth = self.lam, self.depth
-        return closure([self.source.terms], lambda row: (
-            _times_s(row, depth), _integrate(row, lam, depth)[0]), _poskey)
+        lam, depth, order = self.lam, self.depth, self.order
+
+        def images(row):
+            terms = order.terms(row)
+            return (order.ints(_times_s(terms, depth)),
+                    order.ints(_integrate(terms, lam, depth)[0]))
+
+        return closure([order.ints(self.source.terms)], images)
 
     @property
     def lam(self):
@@ -238,16 +267,20 @@ class XiSpan:
 
     @property
     def rows(self):
-        src = self.source
-        return {lead: XiExpansion(src.lam, src.depth, src.ncomp, row)
+        src, order = self.source, self.order
+        return {order.positions[lead]: XiExpansion(
+                    src.lam, src.depth, src.ncomp, order.terms(row))
                 for lead, row in self.echelon.pivots.items()}
 
     def reduce(self, x):
         """Residual of x against the span up to a nonzero scale, inside
         the window."""
         self.source._compat(x)
-        return XiExpansion(x.lam, x.depth, x.ncomp,
-                           self.echelon.reduce(x.terms))
+        order = self.order
+        if any(pos not in order.index for pos in x.terms):
+            return x  # a log power past the source's: outside the span
+        return XiExpansion(x.lam, x.depth, x.ncomp, order.terms(
+            self.echelon.reduce(order.ints(x.terms))))
 
 
 def _annihilator_depth(phi, r):
@@ -291,7 +324,7 @@ def xi_generate_module(phi):
         return XiSpan(phi, top + 1)
     span = XiSpan(phi, None)
     span.rank, last, need = certified_rank(
-        (m for (_, m, _) in span.echelon.pivots), depth)
+        (span.order.positions[i][1] for i in span.echelon.pivots), depth)
     if need:
         raise TruncationTooSmall(
             "pivot profile still grows at level %d of %d; cannot certify "
@@ -327,24 +360,26 @@ def _echelon_filtration(span):
     them.  The pivot set, hence every rank and d, depends on the span
     alone, not on the order.
     """
-    depth = span.depth
+    depth, gen = span.depth, span.order
     # splitting by the highest log power present needs an echelon that
     # eliminates high logs first
-    ech = Echelon(_logkey)
+    logs = _Order(span.source, _logkey)
+    ech = Echelon()
     groups = {}
     for v in reversed(span.echelon.pivots.values()):
-        lead = ech.insert(v)
+        lead = ech.insert(logs.ints(gen.terms(v)))
         if lead is not None:
-            groups.setdefault(lead[2], []).append(ech.pivots[lead])
+            groups.setdefault(logs.positions[lead][2], []).append(
+                gen.ints(logs.terms(ech.pivots[lead])))
     total = max(groups) + 1 if groups else 1
-    level_ech = Echelon(_poskey)
+    level_ech = Echelon()
     ranks = []
     d = None
     for cut in range(total):
         for v in groups.get(cut, ()):
             level_ech.insert(v)
         rank, _, need = certified_rank(
-            (m for (_, m, _) in level_ech.pivots), depth)
+            (gen.positions[i][1] for i in level_ech.pivots), depth)
         if need:
             raise TruncationTooSmall(
                 "log filtration has not stabilised at depth %d; rerun "
@@ -369,7 +404,9 @@ def _annihilator_from_span(span):
     contamination.  Coefficients are only trusted to order
     depth - rank - vhi - (vhi - vlo): the crust of unknowns above that
     sees too few independent rows, so it is solved with slack and
-    truncated away.
+    truncated away.  The system runs on the ints of span.order, and each
+    a^m series is read off the Solver's integer solution over one
+    denominator for the trusted orders alone.
     """
     phi = span.source
     r = span.rank
@@ -386,16 +423,16 @@ def _annihilator_from_span(span):
             "%d unit peels; rerun with --order %d" % (depth, r, r, need)
         )
     # both operators only raise levels, so nothing above mmax is needed;
-    # the chain b^i phi runs on integers, scales[i] times the true one
+    # the chain b^i phi runs on integers, s0 ratio[i] times the true one
     w = {}
-    shifted, s0 = integral(phi.terms)
-    scales = [s0]
+    shifted, _ = integral(phi.terms)
+    ratio = [Fraction(1)]
     for i in range(top_ji + 1):
         if i:
             shifted, D = _integrate(shifted, phi.lam, mmax + 1)
             g = gcd(*shifted.values())
             shifted = {p: x // g for p, x in shifted.items()}
-            scales.append(scales[-1] * Fraction(D, g))
+            ratio.append(ratio[-1] * Fraction(D, g))
         cur = shifted
         for m in range(r):
             if m + i <= top_ji:
@@ -405,25 +442,29 @@ def _annihilator_from_span(span):
             top = cur
     # interior columns first so slack at the crust never steals a pivot
     cols = sorted(w, key=lambda c: (c[0] + c[1], c))
-    pivots, y = solve([w[col] for col in cols],
-                      {p: -x for p, x in top.items()}, _poskey)
-    pivots = set(pivots)
+    order = span.order
+    solver = Solver([order.ints(w[col]) for col in cols],
+                    len(order.positions))
+    got = solver(order.ints({p: -x for p, x in top.items()}))
+    pivots = set(solver.pivots)
     for c, col in enumerate(cols):
         if c not in pivots and col[1] <= ordc:
             raise NotMonogenicAtTruncation(
                 "annihilator coefficient %s is undetermined" % (col,)
             )
-    if y is None:
+    if got is None:
         raise NotMonogenicAtTruncation(
             "no annihilator of degree %d at depth %d" % (r, depth)
         )
-    # sum_c y_c scales[i] a^m b^i phi = -s0 a^r phi
-    sol = {col: yc * scales[col[1]] / s0 for col, yc in zip(cols, y)}
-    coeffs = []
-    for m in range(r):
-        coeffs.append(SeriesB([sol.get((m, i), Fraction(0))
-                               for i in range(ordc + 1)], ordc))
-    return AbElement(coeffs + [SeriesB.one(ordc)])
+    # sum_c nums[c] ratio[i] a^m b^i phi = -den a^r phi over c = (m, i)
+    nums, den = got
+    z = dict(zip(cols, nums))
+    ratio = ratio[:ordc + 1]
+    L = lcm(*(q.denominator for q in ratio))
+    mult = [q.numerator * (L // q.denominator) for q in ratio]
+    return AbElement([SeriesB._lowest(
+        [z[(m, i)] * f for i, f in enumerate(mult)], den * L, ordc)
+        for m in range(r)] + [SeriesB.one(ordc)])
 
 
 def model_from_xi(span):

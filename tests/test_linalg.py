@@ -1,7 +1,9 @@
 """The exact elimination kernel: echelon, solve on it, rank certificate.
 
-sympy serves as an independent witness for ranks; it is a test-only
-dependency and the rank checks are skipped without it.
+Positions are non-negative ints ordered as ints; a test of another
+order maps position i of a width-w vector to w - 1 - i.  sympy serves
+as an independent witness for ranks; it is a test-only dependency and
+the rank checks are skipped without it.
 """
 
 import ast
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frescos.linalg import (
-    Echelon, axpy, certified_rank, closure, integral, solve,
+    Echelon, Solver, axpy, certified_rank, closure, integral,
 )
 
 RATS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -34,6 +36,12 @@ def sparse_vectors(draw, width=6):
     return vecs
 
 
+def _flipped(vecs, width=6):
+    """The vectors with position i moved to width - 1 - i: the same
+    kernel under the reverse order."""
+    return [{width - 1 - i: x for i, x in v.items()} for v in vecs]
+
+
 def _dense(vecs, width):
     return [[v.get(i, 0) for i in range(width)] for v in vecs]
 
@@ -49,7 +57,9 @@ def _sympy_rank(rows):
 @settings(max_examples=60, deadline=None)
 @given(sparse_vectors(), st.booleans())
 def test_echelon_spans_what_was_inserted(vecs, reverse):
-    ech = Echelon((lambda i: -i) if reverse else (lambda i: i))
+    if reverse:
+        vecs = _flipped(vecs)
+    ech = Echelon()
     for v in vecs:
         ech.insert(v)
     for v in vecs:
@@ -59,16 +69,16 @@ def test_echelon_spans_what_was_inserted(vecs, reverse):
         assert all(type(x) is int for x in row.values())
         assert row[lead] > 0
         assert gcd(*row.values()) == 1
-        assert min(row, key=ech.key) == lead
+        assert min(row) == lead
 
 
-def _reference_pivots(vecs, key):
+def _reference_pivots(vecs):
     """Pivot set of a Fraction echelon whose rows are scaled to 1."""
     pivots = {}
     for v in vecs:
         v = {r: Fraction(x) for r, x in v.items()}
         while v:
-            lead = min(v, key=key)
+            lead = min(v)
             row = pivots.get(lead)
             if row is None:
                 pivots[lead] = {r: x / v[lead] for r, x in v.items()}
@@ -80,17 +90,18 @@ def _reference_pivots(vecs, key):
 @settings(max_examples=60, deadline=None)
 @given(sparse_vectors(), st.booleans())
 def test_integer_rows_keep_the_rational_pivot_set(vecs, reverse):
-    key = (lambda i: -i) if reverse else (lambda i: i)
-    ech = Echelon(key)
+    if reverse:
+        vecs = _flipped(vecs)
+    ech = Echelon()
     for v in vecs:
         ech.insert(v)
-    assert set(ech.pivots) == _reference_pivots(vecs, key)
+    assert set(ech.pivots) == _reference_pivots(vecs)
 
 
 @settings(max_examples=30, deadline=None)
 @given(sparse_vectors())
 def test_pivot_set_depends_on_the_span_only(vecs):
-    one, other = Echelon(lambda i: i), Echelon(lambda i: i)
+    one, other = Echelon(), Echelon()
     for v in vecs:
         one.insert(v)
     for v in reversed(vecs):
@@ -110,39 +121,70 @@ def _sparse_columns(rows):
             for j in range(len(rows[0]))]
 
 
+def solve(cols, rhs, size):
+    """(pivots, z): the independent columns and the Solver's solution."""
+    solver = Solver(cols, size)
+    return solver.pivots, solver(rhs)
+
+
+def _fractions(got):
+    """The solution (nums, scale) of a Solver as Fractions, after
+    checking its form: integers over one positive scale, in lowest
+    terms."""
+    nums, scale = got
+    assert all(type(x) is int for x in [scale, *nums])
+    assert scale > 0 and gcd(scale, *nums) == 1
+    return [Fraction(x, scale) for x in nums]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
 def test_solve_exact_or_none(nrows, ncols, reverse, data):
     rows = [[data.draw(RATS) for _ in range(ncols)] for _ in range(nrows)]
     rhs = [data.draw(RATS) for _ in range(nrows)]
-    pivots, z = solve(_sparse_columns(rows),
-                      {i: b for i, b in enumerate(rhs) if b},
-                      (lambda i: -i) if reverse else (lambda i: i))
+    cols = _sparse_columns(rows)
+    rhs_vec = {i: b for i, b in enumerate(rhs) if b}
+    if reverse:
+        cols, [rhs_vec] = _flipped(cols, nrows), _flipped([rhs_vec], nrows)
+    pivots, got = solve(cols, rhs_vec, nrows)
     rank = _sympy_rank(rows)
     assert len(pivots) == rank
     assert pivots == sorted(pivots)
     aug = [row + [b] for row, b in zip(rows, rhs)]
     if _sympy_rank(aug) > rank:
-        assert z is None
+        assert got is None
     else:
+        z = _fractions(got)
         assert [sum(a * x for a, x in zip(row, z)) for row in rows] == rhs
         assert all(z[c] == 0 for c in range(ncols) if c not in pivots)
 
 
 def test_solve_reports_free_columns():
     def run(rows, rhs):
-        return solve(_sparse_columns(rows), dict(enumerate(rhs)),
-                     lambda i: i)
+        return solve(_sparse_columns(rows), dict(enumerate(rhs)), len(rows))
 
-    pivots, z = run([[1, 2, 0], [2, 4, 1]], [Fraction(1), Fraction(3)])
-    assert pivots == [0, 2]
-    assert z == [1, 0, 1]
+    pivots, got = run([[1, 2, 0], [2, 4, 1]], [Fraction(1), Fraction(3)])
+    assert (pivots, got) == ([0, 2], ([1, 0, 1], 1))
     assert run([[1, 2], [2, 4]], [Fraction(1), Fraction(3)]) == ([0], None)
-    # int matrices give Fractions too, never floats
-    pivots, z = solve([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}], {0: 1, 1: 3},
-                      lambda i: i)
-    assert (pivots, z) == ([0, 2], [1, 0, 1])
-    assert all(type(x) is Fraction for x in z)
+    # int matrices give integers over a scale, never floats
+    pivots, got = solve([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}], {0: 1, 1: 3},
+                        2)
+    assert (pivots, got) == ([0, 2], ([1, 0, 1], 1))
+    # a rational solution keeps one positive scale
+    assert solve([{0: -2}], {0: Fraction(1, 3)}, 1) == ([0], ([-1], 6))
+
+
+@pytest.mark.parametrize("col, rhs", [
+    ({0: 1, 2: 1}, {0: 1}),     # a column position past range(size)
+    ({0: 1, -1: 1}, {0: 1}),    # a negative one
+    ({0: 1}, {2: 1}),           # a right-hand side position past it
+    ({0: 1}, {-1: 1}),
+])
+def test_solver_refuses_positions_outside_its_range(col, rhs):
+    # position 2 of a 2-position system would be read as the tag of
+    # column 0 and corrupt the solution without a word
+    with pytest.raises(ValueError, match="outside range"):
+        Solver([col, {1: 1}], 2)(rhs)
 
 
 def _levels(per_level):
@@ -172,13 +214,12 @@ def test_closure_is_the_least_span_closed_under_the_maps():
     def shift(row):
         return ({i + 1: x for i, x in row.items() if i + 1 < 5},)
 
-    ech = closure([{2: Fraction(3, 2)}], shift, lambda i: i)
+    ech = closure([{2: Fraction(3, 2)}], shift)
     assert list(ech.pivots) == [2, 3, 4]
     assert ech.pivots[2] == {2: 1}
     # two maps: the last image offered is inserted first
     ech = closure([{0: 1}], lambda row: ({1: 1} if 0 in row else {},
-                                         {2: 1} if 0 in row else {}),
-                  lambda i: i)
+                                         {2: 1} if 0 in row else {}))
     assert list(ech.pivots) == [0, 2, 1]
 
 

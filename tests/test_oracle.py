@@ -12,6 +12,8 @@ from frescos.errors import DegenerateTruncation, TruncationTooSmall
 from frescos.fresco import AdaptedModel, ModuleElement, Presentation
 from frescos.linalg import axpy, certified_rank
 from frescos.oracle import (
+    TruncatedRep,
+    _shift,
     minimal_annihilator,
     span_closure,
     submodule_analysis,
@@ -82,6 +84,24 @@ def test_matrix_commutation_exact():
     for p in (std2(), std3()):
         rep = truncate_rep(p, M)
         assert commutation_defect(rep) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(4, 9), st.data())
+def test_level_major_index_round_trips(k, M, data):
+    # b^m e_j sits at m k + j - 1: the indices fill range(k M), sort by
+    # level and then by chain position, and level reads m back
+    rep = TruncatedRep(k, M)
+    cells = [(m, j) for m in range(M) for j in range(1, k + 1)]
+    assert [rep.idx(j, m) for m, j in cells] == list(range(rep.dim))
+    assert all(rep.level(rep.idx(j, m)) == m for m, j in cells)
+    # b^i drops exactly the entries that would pass level M - 1
+    vec = data.draw(st.dictionaries(st.sampled_from(cells),
+                                    st.integers(1, 5), max_size=8))
+    i = data.draw(st.integers(0, M + 1))
+    got = _shift(rep, {rep.idx(j, m): c for (m, j), c in vec.items()}, i)
+    assert got == {rep.idx(j, m + i): c for (m, j), c in vec.items()
+                   if m + i < M}
 
 
 def test_b_column_is_pure_shift():

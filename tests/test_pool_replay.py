@@ -1,0 +1,54 @@
+"""The benchmark pools, replayed: a change that moves a report fails here.
+
+Every 10th distinct argv of perfbench/pool/xi-logs.jsonl and
+perfbench/pool/verify-oracle.jsonl goes through cli.main, and the
+digest of its report's mathematical fields (fields_digest in
+perfbench/check.py) must equal the digest stored in the pool.  These
+two workloads are the ones that run the linalg kernel.  The test only
+reads perfbench/.
+"""
+
+import importlib.util
+import io
+import json
+import os
+
+import pytest
+
+from frescos.cli import main
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
+
+
+def _load_check():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_check", os.path.join(PERFBENCH, "check.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECK = _load_check()
+
+
+def _every_tenth(workload):
+    """Every 10th distinct argv of a pool, with its stored digest."""
+    seen = {}
+    with open(os.path.join(PERFBENCH, "pool", workload + ".jsonl")) as fh:
+        for line in fh:
+            item = json.loads(line)
+            seen.setdefault(json.dumps(item["argv"]), item)
+    return [pytest.param(item, id="%s-%d" % (workload, i))
+            for i, item in enumerate(list(seen.values())[::10])]
+
+
+@pytest.mark.parametrize(
+    "item", _every_tenth("xi-logs") + _every_tenth("verify-oracle"))
+def test_pool_report_keeps_its_stored_digest(item):
+    argv = item["argv"]
+    out = io.StringIO()
+    code = main(argv, stdin=io.StringIO(), stdout=out)
+    assert code in (0, 2)
+    digest = CHECK.fields_digest(argv[0], json.loads(out.getvalue()))
+    assert digest == item["digest"]

@@ -264,6 +264,10 @@ def test_span_membership():
     assert span.reduce(x + phi.scale("7/3")).is_zero()
     probe = term("1/2", 0, 0)
     assert not span.reduce(probe).is_zero()
+    # a log power past the source's has no int in the span's order; it
+    # lies outside Xi_lam^(2), so it is its own residual
+    past = x + term("1/2", 5, 3)
+    assert span.reduce(past) == past
 
 
 @pytest.mark.parametrize("j", [2, 0])
@@ -271,7 +275,7 @@ def test_reduce_refuses_another_space(j):
     # the lead (1, 0, 2) of the source is a pivot, (1, 0, 0) is none;
     # either way an expansion of another class is refused
     span = xi_generate_module(term("1/2", 0, 2))
-    assert ((1, 0, j) in span.echelon.pivots) == (j == 2)
+    assert ((1, 0, j) in span.rows) == (j == 2)
     with pytest.raises(SemanticError, match="different spaces"):
         span.reduce(term("1/3", 0, j))
 
@@ -331,12 +335,14 @@ def test_understated_rank_is_rejected():
 def test_rows_are_the_generating_pivots():
     phi = XiExpansion("1/2", DEPTH, 2, {(1, 0, 1): 1, (2, 1, 0): "2/3"})
     span = xi_generate_module(phi)
+    # the echelon runs on the ints of span.order; rows reads them back
+    order = span.order
     pivots = span.echelon.pivots
     rows = span.rows
-    assert list(rows) == list(pivots)
-    for lead, row in rows.items():
+    assert list(rows) == [order.positions[i] for i in pivots]
+    for (lead, row), vec in zip(rows.items(), pivots.values()):
         assert row.lead() == lead
-        assert row.terms == pivots[lead]
+        assert row.terms == order.terms(vec)
     with pytest.raises(AttributeError):
         span.rows = {}
 
@@ -360,6 +366,28 @@ def test_closure_and_annihilator_build_no_expansion(monkeypatch):
     monkeypatch.setattr(XiExpansion, "__init__", forbidden)
     assert invariants() == want
     assert want == (3, {"ranks": (2, 3), "d": 2}, 3)
+
+
+# --- positions as ints ---
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(4, 7),
+       st.booleans())
+def test_position_ints_sort_like_the_keys_and_decode(ncomp, top, depth,
+                                                      logfirst):
+    # linalg eliminates in int order, so the int of (comp, m, j) must sort
+    # like the generation key (m, -j, comp), or like the filtration key
+    # (-j, m, comp), fill one range from 0 and decode back
+    key = xi_module._logkey if logfirst else xi_module._poskey
+    order = xi_module._Order(term("1/2", 0, top, ncomp=ncomp, depth=depth),
+                             key)
+    box = [(comp, m, j) for comp in range(1, ncomp + 1)
+           for m in range(depth) for j in range(top + 1)]
+    index = {pos: next(iter(order.ints({pos: 1}))) for pos in box}
+    assert sorted(box, key=index.get) == sorted(box, key=key)
+    assert sorted(index.values()) == list(range(len(order.positions)))
+    terms = {pos: c for c, pos in enumerate(box, start=1)}
+    assert order.terms(order.ints(terms)) == terms
 
 
 # --- the scaled b against the formula on Fractions ---
@@ -421,7 +449,7 @@ def test_integer_eliminations_match_fraction_b(literal, monkeypatch):
     def invariants():
         span = xi_generate_module(phi)
         ann = _annihilator_from_span(span)
-        return (span.echelon.pivots, span.rank,
+        return (span.rows, span.rank,
                 xi_module._echelon_filtration(span),
                 [c.coeffs for c in ann.coeffs])
 
@@ -614,7 +642,7 @@ def assert_closure_gives_rank_from_xi(phi):
     span = xi_generate_module(phi)
     assert span.rank == top + 1
     rank, _, need = certified_rank(
-        (m for (_, m, _) in span.echelon.pivots), phi.depth)
+        (m for (_, m, _) in span.rows), phi.depth)
     assert (rank, need) == (top + 1, 0)
     want = {"ranks": tuple(range(1, top + 2)), "d": top + 1}
     assert xi_module._echelon_filtration(span) == want
