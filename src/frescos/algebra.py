@@ -9,9 +9,25 @@ Pushing a series left past a power of a uses the rule
 iterated into  S a^n = sum_i (-1)^i C(n,i) a^{n-i} D^i(S)  where
 D(S) = b^2 S'.  D raises the known order by one, so normal ordering
 never erodes series precision.
+
+For a unit S the same rule moves S^-1 left past one factor:
+
+    (a - l b) S^-1 = S^-1 (a - l b - b^2 S'/S).
+
+Moving every unit of (a - l_1 b) S_1^-1 ... (a - l_k b) S_k^-1 to the
+left therefore gives (S_1 ... S_k)^-1 (a - c_1) ... (a - c_k) with
+
+    c_j = l_j b + sum_(i >= j) b^2 S_i'/S_i,
+
+a telescoped sum of the adapted model's diagonals.  The monic
+expansion, the left ideal's generator with top coefficient 1, is the
+product (a - c_1) ... (a - c_k) itself: monic_expansion builds it so,
+with one dense product per slot and factor and no inverse of the top
+coefficient.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .errors import NonMonicDivisor, OrderUnderflow
@@ -169,6 +185,38 @@ def expand_factor_form(factors, order):
         inv = _fit(unit, order).invert()
         acc = acc * AbElement.from_series(inv)
     return acc
+
+
+def monic_expansion(factors, order):
+    """monicize(expand_factor_form(factors, order)), built as
+    (a - c_1) ... (a - c_k) (see the module docstring).
+
+    The result is the same AbElement, every slot known to order.  Each
+    right factor a - c costs one dense product per slot of the monic
+    product so far; its other products are by the slot 1 of a, which
+    the series kernel takes as a monomial.  order < 1, or a unit known
+    to less than order, raises OrderUnderflow.
+    """
+    factors = tuple(factors)
+    logs = [_b2_log_derivative(unit, order) for _, unit in factors]
+    # c_k, ..., c_1: each tail is the sum over i >= j
+    cs = [SeriesB.monomial(lam, 1, order) + tail for (lam, _), tail
+          in zip(reversed(factors), accumulate(reversed(logs)))]
+    one = SeriesB.one(order)
+    acc = AbElement.from_series(one)
+    for c in reversed(cs):
+        acc = acc * AbElement([-c, one])
+    return acc
+
+
+def _b2_log_derivative(unit, order):
+    """b^2 S'/S for a unit S, known to order >= 1: the part of the
+    adapted model's diagonal that S contributes."""
+    if order < 1:
+        raise OrderUnderflow(
+            "b^2 S'/S needs order at least 1, got %d" % order)
+    u = _fit(unit, order)
+    return _D(u) * u.invert()
 
 
 def _fit(s, order):

@@ -22,8 +22,7 @@ from .algebra import (
     check_exchange,
     check_middle_unit_exchange,
     check_unit_exchange,
-    expand_factor_form,
-    monicize,
+    monic_expansion,
 )
 from .alpha import Analysis, is_semisimple
 from .dsl import parse_dsl, print_fresco, print_xi
@@ -244,7 +243,7 @@ def _oracle_check_one(p, M, rng):
     rep = truncate_rep(p, M)
     low = truncate_rep(p, min(M, k + 3))
     closure_rank(low, [low.basis_vector(j, 1) for j in range(1, k + 1)])
-    want = monicize(expand_factor_form(p.factors, M))
+    want = monic_expansion(p.factors, M)
     ann = minimal_annihilator(rep, rep.basis_vector(k))
     if not ann.same_upto(want, M - k):
         fails.append("annihilator")
@@ -256,7 +255,7 @@ def _oracle_check_one(p, M, rng):
         # regenerated units carry reduced orders, so compare where both
         # sides are actually known
         ordq = min(u.order for u in q.units)
-        want_g = monicize(expand_factor_form(q.factors, ordq))
+        want_g = monic_expansion(q.factors, ordq)
         if not ann_g.same_upto(want_g, min(M - k, ordq)):
             fails.append("generator")
         if (ann_g.degree == k and min(c.order for c in ann_g.coeffs) >= k

@@ -20,7 +20,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .algebra import AbElement, _D, _fit, expand_factor_form, initial_form, monicize
+from .algebra import (AbElement, _b2_log_derivative, _D, _fit,
+                      expand_factor_form, initial_form, monic_expansion)
 from .errors import (
     IndexOutOfRange,
     MixedPrimitiveClasses,
@@ -226,12 +227,10 @@ class AdaptedModel:
         self.diag = []
         self.sub = []
         for lam, unit in presentation.factors:
-            u = _fit(unit, order)
             # d_j = lambda_j b + b^2 S_j'/S_j
-            d = SeriesB.monomial(lam, 1, order) + \
-                (u.derive().shift(2) * u.invert()).truncate(order)
-            self.diag.append(d)
-            self.sub.append(u)
+            self.diag.append(SeriesB.monomial(lam, 1, order)
+                             + _b2_log_derivative(unit, order))
+            self.sub.append(_fit(unit, order))
 
     @property
     def rank(self):
@@ -467,7 +466,7 @@ def presentation_from_annihilator(ann, lam, bound):
                              % cur.degree)
     order = min(u.order for u in units)
     p = Presentation([(l, u.truncate(order)) for l, u in zip(lambdas, units)])
-    check = monicize(expand_factor_form(p.factors, order))
+    check = monic_expansion(p.factors, order)
     if not check.same_upto(ann, min(order, ordc) - 1):
         raise AssertionError("reconstructed presentation disagrees "
                              "with the annihilator")

@@ -9,8 +9,11 @@ denominator D; everything downstream is plain exact linear algebra with
 no series machinery involved.  Both a and b only ever raise the b-level
 m, which is why coordinates below the truncation stay exact.  The
 diagonal entries b^2 S_j'/S_j of the a-matrix are solved for here from
-the units' numerators, not by the series kernel, so a fault in the
-series kernel cannot cancel out on both sides of a comparison.  The
+the units' numerators by an integer recurrence, not by the series
+kernel, so a fault in the series kernel cannot cancel out on both sides
+of a comparison.  The columns are assembled on integers too: each
+factor's diagonal and sub-diagonal are brought over D once, and every
+column is a run of index offsets into them.  The
 elimination itself, one fraction-free sparse echelon that also solves
 the annihilator systems, lives in linalg.py, the only module the oracle
 shares with the expansion side; it holds no engine code.  Spans and
@@ -21,7 +24,7 @@ it returns.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import AbElement
 from .errors import DegenerateTruncation, OrderUnderflow, TruncationTooSmall
@@ -35,7 +38,8 @@ class TruncatedRep:
     """The matrix of a on the basis b^m e_j, m < M; b is the shift.
 
     aint holds the integer columns of D a, with D = ascale the lcm of
-    the denominators of a, so a span or a chain of a-images up to scale
+    the denominators of a; they are assembled on integers, and a zero
+    column is not stored.  So a span or a chain of a-images up to scale
     is built without a Fraction; apply_a divides D back out.  An index
     sorts by b-level, then by chain position: the pivot order.
     """
@@ -90,63 +94,85 @@ def _matvec(cols, vec):
 
 
 def truncate_rep(p, M):
-    """The exact a-matrix of a presentation, truncated at depth M >= 4."""
+    """The exact a-matrix of a presentation, truncated at depth M >= 4.
+
+    Column b^m e_j is b^m d_j e_j + m b^(m+1) e_j + b^m S_j e_(j-1).
+    The diagonal d_j and the sub-diagonal S_j are taken once per factor
+    as integer numerators over ascale, the lcm of their lowest-terms
+    denominators, so each column is a run of index offsets into those
+    lists: no entry is ever a Fraction.
+    """
     if M < 4:
         raise ValueError("truncation depth must be at least 4")
     k = p.rank
     rep = TruncatedRep(k, M)
-    cols = {}
+    parts = []
     for j, (lam, unit) in enumerate(p.factors, start=1):
         if unit.order < M:
             raise OrderUnderflow(
                 "series known to order %d, need %d" % (unit.order, M))
         s = unit.nums[:M]
+        q, qden = _b2_log_derivative(s)
+        sub, sden = [], 1
+        if j > 1:
+            # S_j sits at e_(j-1), so S_1 is no entry of the matrix
+            g = gcd(unit.den, *s)
+            sub, sden = [x // g for x in s], unit.den // g
+        parts.append((lam, q, qden, sub, sden))
+    rep.ascale = D = lcm(*(lcm(lam.denominator, qden, sden)
+                           for lam, _, qden, _, sden in parts))
+    dim = rep.dim
+    for j, (lam, q, qden, sub, sden) in enumerate(parts, start=1):
         # d_j = lambda_j b + b^2 S_j'/S_j
-        d = _b2_log_derivative(s)
-        d[1] += lam
-        sub = [(t, Fraction(x, unit.den)) for t, x in enumerate(s) if x]
+        d = [x * (D // qden) for x in q]
+        d[1] += lam.numerator * (D // lam.denominator)
+        # level t of d_j is the offset t k, level t of S_j sits one row
+        # lower, at e_(j-1); both are cut where the index reaches dim
+        dterms = [(t * k, x) for t, x in enumerate(d) if t and x]
+        sterms = [(t * k - 1, x * (D // sden)) for t, x in enumerate(sub)
+                  if x]
         for m in range(M):
-            col = {}
-            # b^m d_j e_j plus the m b^{m+1} e_j crossing term
-            for t in range(1, M - m):
-                if d[t]:
-                    col[rep.idx(j, m + t)] = d[t]
-            if m + 1 < M:
-                r = rep.idx(j, m + 1)
-                col[r] = col.get(r, Fraction(0)) + m
-                if col[r] == 0:
-                    del col[r]
-            if j > 1:
-                for t, x in sub:
-                    if t >= M - m:
-                        break
-                    col[rep.idx(j - 1, m + t)] = x
-            cols[rep.idx(j, m)] = col
-    ints, rep.ascale = integral({(i, r): x for i, col in cols.items()
-                                 for r, x in col.items()})
-    for (i, r), x in ints.items():
-        rep.aint.setdefault(i, {})[r] = x
+            base = m * k + j - 1
+            while dterms and base + dterms[-1][0] >= dim:
+                dterms.pop()
+            while sterms and base + sterms[-1][0] >= dim:
+                sterms.pop()
+            col = {base + o: x for o, x in dterms}
+            if m and m + 1 < M:
+                # the crossing term joins d_j's b^1 entry lambda_j, and
+                # Presentation keeps lambda_j > k - j >= 0: no cancelling
+                col[base + k] += m * D
+            col.update([(base + o, x) for o, x in sterms])
+            if col:
+                rep.aint[base] = col
     return rep
 
 
 def _b2_log_derivative(s):
-    """b^2 S'/S to the length of s, for S = s up to scale, s[0] != 0.
+    """b^2 S'/S to the length n of s, for S = s up to a positive scale,
+    s[0] > 0: integer numerators over one denominator, in lowest terms.
 
-    Solves s q = b^2 s' row by row on plain Fractions: q_t is the b^t
-    coefficient (t - 1) s_(t-1) of b^2 s' minus sum_(i >= 1) s_i q_(t-i),
-    over s_0.  A scale does not change q, so s may be integer numerators.
+    Solves s q = b^2 s' row by row on integers: H_t = s_0^t q_t is the
+    b^t coefficient (t - 1) s_(t-1) s_0^(t-1) of s_0^(t-1) b^2 s' minus
+    sum_(i >= 1) s_i s_0^(i-1) H_(t-i).  Over s_0^(n-1) every q_t is
+    H_t s_0^(n-1-t), reduced by one content gcd.
     """
-    terms = [(i, c) for i, c in enumerate(s) if i and c]
-    inv0 = Fraction(1, s[0])
-    q = []
-    for t in range(len(s)):
-        acc = (t - 1) * s[t - 1] if t >= 2 else 0
-        for i, c in terms:
+    n, s0 = len(s), s[0]
+    pw = [1]
+    for _ in range(n - 1):
+        pw.append(pw[-1] * s0)
+    terms = [(i, c * pw[i - 1]) for i, c in enumerate(s) if i and c]
+    h = []
+    for t in range(n):
+        acc = (t - 1) * s[t - 1] * pw[t - 1] if t >= 2 else 0
+        for i, w in terms:
             if i > t:
                 break
-            acc -= c * q[t - i]
-        q.append(acc * inv0)
-    return q
+            acc -= w * h[t - i]
+        h.append(acc)
+    nums = [x * pw[n - 1 - t] for t, x in enumerate(h)]
+    g = gcd(pw[-1], *nums)
+    return [x // g for x in nums], pw[-1] // g
 
 
 def minimal_annihilator(rep, x):

@@ -13,8 +13,10 @@ from frescos.algebra import (
     expand_factor_form,
     initial_form,
     left_divide,
+    monic_expansion,
+    monicize,
 )
-from frescos.errors import NonMonicDivisor
+from frescos.errors import NonMonicDivisor, OrderUnderflow
 from frescos.series import SeriesB, rat
 
 ORDER = 16
@@ -120,6 +122,75 @@ def test_initial_form_ignores_units():
     trivial = expand_factor_form([(rat("5/2"), SeriesB.one(2)),
                                   (rat("7/2"), SeriesB.one(2))], 2)
     assert initial_form(p, 2).same_upto(trivial, 2)
+
+
+# --- the monic expansion as (a - c_1) ... (a - c_k) ---
+
+COPRIME = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@st.composite
+def factor_lists(draw, order):
+    """Rank 1-5 factors for a geometric presentation at the given order.
+
+    The exponents are principal (l_j + j non decreasing, one class mod
+    1) or arbitrary above k - j; each unit is sparse or dense, with
+    coprime denominators, and known to a little more than the order.
+    """
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        lam = k - 1 + draw(st.fractions(0, 1, max_denominator=6)
+                           .filter(lambda x: x > 0))
+        lams = [lam]
+        for _ in range(k - 1):
+            lams.append(lams[-1] + draw(st.integers(0, 3)) - 1)
+    else:
+        lams = [k - j + draw(st.fractions(0, 5, max_denominator=6)
+                             .filter(lambda x: x > 0))
+                for j in range(1, k + 1)]
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(COPRIME))
+    n = order + draw(st.integers(0, 3))
+    fs = []
+    for lam in lams:
+        if draw(st.booleans()):
+            cs = draw(st.lists(coeff, min_size=n, max_size=n))
+        else:
+            cs = [Fraction(0)] * n
+            for e in draw(st.lists(st.integers(1, n), max_size=3)):
+                cs[e - 1] = draw(coeff)
+        fs.append((lam, SeriesB([1] + cs, n)))
+    return fs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), factor_lists(n))))
+def test_monic_expansion_is_the_monicized_expansion(case):
+    n, fs = case
+    # == also compares every slot's known order
+    assert monic_expansion(fs, n) == monicize(expand_factor_form(fs, n))
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_monic_expansion_refuses_order_below_one(order):
+    with pytest.raises(OrderUnderflow):
+        monic_expansion([(rat(1), SeriesB.one(4))], order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 40).flatmap(
+    lambda n: st.tuples(st.just(n), factor_lists(n - 1))), st.data())
+def test_monic_expansion_refuses_a_short_unit_as_fit_does(case, data):
+    # some units are cut below the order; the first of them is named
+    n, fs = case
+    short = data.draw(st.sets(st.integers(0, len(fs) - 1), min_size=1))
+    fs = [(lam, u.truncate(data.draw(st.integers(0, n - 1))) if j in short
+           else u) for j, (lam, u) in enumerate(fs)]
+    with pytest.raises(OrderUnderflow) as old:
+        expand_factor_form(fs, n)
+    with pytest.raises(OrderUnderflow) as new:
+        monic_expansion(fs, n)
+    assert str(new.value) == str(old.value)
 
 
 @given(rationals, rationals)

@@ -1,5 +1,7 @@
 """Truncated matrix oracle: annihilators, submodules, cross-checks."""
 
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -8,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from frescos.algebra import AbElement, expand_factor_form, monicize
 from frescos.cli import _oracle_check_one
+from frescos.dsl import parse_dsl
 from frescos.errors import DegenerateTruncation, TruncationTooSmall
 from frescos.fresco import AdaptedModel, ModuleElement, Presentation
-from frescos.linalg import axpy, certified_rank
+from frescos.linalg import axpy, certified_rank, integral
 from frescos.oracle import (
     TruncatedRep,
     _shift,
@@ -338,6 +341,71 @@ def test_a_columns_match_the_adapted_model(p):
     rep = truncate_rep(p, M)
     cols = {i: rep.apply_a({i: Fraction(1)}) for i in range(rep.dim)}
     assert cols == _columns_from_model(p)
+
+
+def _fraction_rep(p, M):
+    """(aint, ascale) built the Fraction way: every entry a Fraction,
+    d_j from a Fraction recurrence, then one integral over all of them."""
+    k = p.rank
+    cols = {}
+    for j, (lam, u) in enumerate(p.factors, start=1):
+        s = u.nums[:M]
+        terms = [(i, c) for i, c in enumerate(s) if i and c]
+        d = []
+        for t in range(M):
+            acc = (t - 1) * s[t - 1] if t >= 2 else 0
+            for i, c in terms:
+                if i > t:
+                    break
+                acc -= c * d[t - i]
+            d.append(Fraction(acc, s[0]))
+        d[1] += lam
+        sub = [(t, Fraction(x, u.den)) for t, x in enumerate(s) if x]
+        for m in range(M):
+            col = {}
+            for t in range(1, M - m):
+                if d[t]:
+                    col[(m + t) * k + j - 1] = d[t]
+            if m + 1 < M:
+                r = (m + 1) * k + j - 1
+                col[r] = col.get(r, Fraction(0)) + m
+            if j > 1:
+                for t, x in sub:
+                    if t >= M - m:
+                        break
+                    col[(m + t) * k + j - 2] = x
+            cols[m * k + j - 1] = col
+    ints, ascale = integral({(i, r): x for i, col in cols.items()
+                             for r, x in col.items()})
+    aint = {}
+    for (i, r), x in ints.items():
+        aint.setdefault(i, {})[r] = x
+    return aint, ascale
+
+
+def _verify_pool_presentations():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "perfbench", "pool", "verify-oracle.jsonl")
+    with open(path) as fh:
+        texts = dict.fromkeys(json.loads(line)["argv"][-1] for line in fh)
+    return [parse_dsl(t, order=32) for t in texts]
+
+
+def test_integer_columns_match_the_fraction_build_on_the_verify_pool():
+    ps = _verify_pool_presentations()
+    assert len(ps) > 400
+    for p in ps:
+        for depth in sorted({4, p.rank + 3, 32}):
+            rep = truncate_rep(p, depth)
+            assert (rep.aint, rep.ascale) == _fraction_rep(p, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_presentations(), st.integers(4, M))
+def test_integer_columns_match_the_fraction_build(p, depth):
+    rep = truncate_rep(p, depth)
+    assert (rep.aint, rep.ascale) == _fraction_rep(p, depth)
+    assert all(rep.aint.values())
 
 
 def test_truncate_rep_needs_no_series_arithmetic(monkeypatch):

@@ -1,11 +1,12 @@
 """The benchmark pools, replayed: a change that moves a report fails here.
 
-Every 10th distinct argv of perfbench/pool/xi-logs.jsonl and
-perfbench/pool/verify-oracle.jsonl goes through cli.main, and the
-digest of its report's mathematical fields (fields_digest in
-perfbench/check.py) must equal the digest stored in the pool.  These
-two workloads are the ones that run the linalg kernel.  The test only
-reads perfbench/.
+Every 10th distinct argv of perfbench/pool/xi-logs.jsonl,
+perfbench/pool/verify-oracle.jsonl and perfbench/pool/analyze-mix.jsonl
+goes through cli.main, and the digest of its report's mathematical
+fields (fields_digest in perfbench/check.py) must equal the digest
+stored in the pool.  The first two are the workloads that run the
+linalg kernel; every analyze report builds the adapted model.  The test
+only reads perfbench/.
 """
 
 import importlib.util
@@ -44,7 +45,8 @@ def _every_tenth(workload):
 
 
 @pytest.mark.parametrize(
-    "item", _every_tenth("xi-logs") + _every_tenth("verify-oracle"))
+    "item", _every_tenth("xi-logs") + _every_tenth("verify-oracle")
+    + _every_tenth("analyze-mix"))
 def test_pool_report_keeps_its_stored_digest(item):
     argv = item["argv"]
     out = io.StringIO()
