@@ -230,34 +230,6 @@ def _fit(s, order):
     )
 
 
-def left_divide(u, p):
-    """Division u = q p + r with deg_a r < deg_a p.
-
-    The divisor's top coefficient must be a unit series; otherwise the
-    leading term of u cannot be cancelled and NonMonicDivisor is raised.
-    """
-    d = p.degree
-    top = p.coeff_series(d)
-    if not top.is_unit():
-        raise NonMonicDivisor("leading coefficient is not a unit")
-    top_inv = top.invert()
-    q = AbElement.zero(top.order)
-    r = u
-    while r.degree >= d and not r.is_zero():
-        m = r.degree
-        t = r.coeff_series(m) * top_inv
-        if _is_zero(t):
-            # stray known-zero head; drop it and move on
-            r = AbElement(list(r.coeffs[:m]))
-            continue
-        qterm = AbElement([SeriesB.zero(t.order)] * (m - d) + [t])
-        q = q + qterm
-        r = r - qterm * p
-        # the top slot cancels exactly; strip it so the degree drops
-        r = AbElement(list(r.coeffs[:m]))
-    return q, r
-
-
 def monicize(u):
     """Left-multiply by the inverse of the unit top coefficient.
 

@@ -59,8 +59,14 @@ class Echelon:
     def reduce(self, vec):
         """Residual of vec up to a nonzero scale: a new integer dict
         whose lead, if any, is no pivot."""
+        return self._reduce(vec)[0]
+
+    def _reduce(self, vec):
+        """(residual, primitive): primitive once a step has run, as each
+        step divides out the content."""
         vec, _ = integral(vec)
         pivots = self.pivots
+        primitive = False
         while vec:
             lead = min(vec)
             row = pivots.get(lead)
@@ -77,21 +83,25 @@ class Echelon:
             g = gcd(*vec.values())
             if g > 1:
                 vec = {r: x // g for r, x in vec.items()}
-        return vec
+            primitive = True
+        return vec, primitive
 
     def insert(self, vec):
         """Reduce and insert; returns the new pivot position or None."""
-        return self._store(self.reduce(vec))
+        return self._store(*self._reduce(vec))
 
-    def _store(self, vec):
-        """Insert a residual of reduce without reducing it again."""
+    def _store(self, vec, primitive):
+        """Insert a residual of _reduce without reducing it again; its
+        content is taken only if no step made it primitive."""
         if not vec:
             return None
         lead = min(vec)
-        g = gcd(*vec.values())
+        g = 1 if primitive else gcd(*vec.values())
         if vec[lead] < 0:
             g = -g
-        self.pivots[lead] = {r: x // g for r, x in vec.items()}
+        if g != 1:
+            vec = {r: x // g for r, x in vec.items()}
+        self.pivots[lead] = vec
         return lead
 
 
@@ -111,9 +121,9 @@ class Solver:
         self.echelon = ech = Echelon()
         self.pivots = []
         for j, col in enumerate(cols):
-            vec = ech.reduce({**self._inside(col), size + j: 1})
+            vec, primitive = ech._reduce({**self._inside(col), size + j: 1})
             if min(vec) < size:
-                ech._store(vec)
+                ech._store(vec, primitive)
                 self.pivots.append(j)
 
     def _inside(self, vec):

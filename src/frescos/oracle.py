@@ -16,15 +16,17 @@ factor's diagonal and sub-diagonal are brought over D once, and every
 column is a run of index offsets into them.  The
 elimination itself, one fraction-free sparse echelon that also solves
 the annihilator systems, lives in linalg.py, the only module the oracle
-shares with the expansion side; it holds no engine code.  Spans and
-annihilator chains run on the integer columns, so a vector of a span or
-of a chain is known only up to a scale, which a span ignores and the
-annihilator solve keeps track of, dividing it out of each coefficient
-it returns.
+shares with the expansion side; it holds no engine code.  Spans and the
+vectors a^m x of an annihilator run on the integer columns, so they are
+known only up to a scale, which a span ignores.  The annihilator is
+solved for in b-left order, where b is the exact shift, on integer
+numerators over one running scale, and moved to normal order on
+integers; the scale is divided out only in the series it returns.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import mul
 
 from .algebra import AbElement
 from .errors import DegenerateTruncation, OrderUnderflow, TruncationTooSmall
@@ -39,8 +41,8 @@ class TruncatedRep:
 
     aint holds the integer columns of D a, with D = ascale the lcm of
     the denominators of a; they are assembled on integers, and a zero
-    column is not stored.  So a span or a chain of a-images up to scale
-    is built without a Fraction; apply_a divides D back out.  An index
+    column is not stored.  So a span or the a-images a^m x up to scale
+    are built without a Fraction; apply_a divides D back out.  An index
     sorts by b-level, then by chain position: the pivot order.
     """
 
@@ -178,29 +180,43 @@ def _b2_log_derivative(s):
 def minimal_annihilator(rep, x):
     """Monic operator of least a-degree killing x, modulo b^(M-d-v).
 
-    The unknown is  a^d + sum_m a^m c_m(b)  in normal order, so the
-    series act before the a-powers.  Writing c_m = sum_i c_{m,i} b^i,
-    the level v+t rows of the equation involve c_{m,i} only for i <= t
-    (v is the b-valuation of x), and the i = t block is independent of
-    t because a^m b^t = b^t (a + t b)^m.  Degrees are tried from 1 up
-    to the rank on one set of integer chains a^m b^t x, built only as
-    far as a degree asks and shared with the next (a wrong degree
-    usually fails at level 0); a degenerate constant block raises
-    DegenerateTruncation.
+    It is solved for in b-left order, Q = a^d + sum_m C_m(b) a^m, as
+    b is the shift: Q x needs only the vectors a^m x, one integer matvec
+    each, shared from one degree to the next.  Writing C_m = sum_i
+    C_(m,i) b^i, the level v+t rows of Q x = 0 (v is the b-valuation of
+    x) involve C_(m,i) only for i <= t, and the i = t block is the
+    level-v block of x, ax, ..., a^(d-1) x for every t, so one
+    elimination serves every level.  Degrees are tried from 1 up to the
+    rank (a wrong degree usually fails at level 0); a degenerate
+    level-v block raises DegenerateTruncation.  Q is then moved to
+    normal order on integers, see _normal_order.
     """
     if not x:
         raise ValueError("zero vector has no minimal annihilator")
+    k, M = rep.k, rep.M
     v = rep.level(min(x))
-    chain = _chains(rep, x)
-    for d in range(1, rep.k + 1):
-        got = _solve_layers(rep, chain, d, v)
-        if got is not None:
-            ordc = rep.M - d - v
-            return AbElement(
-                [SeriesB(cs, ordc) for cs in got] + [SeriesB.one(ordc)]
+    w, _ = integral(x)
+    series = [_coordinates(w, k, v, M)]
+    for d in range(1, k + 1):
+        ordc = M - d - v
+        if ordc < 2:
+            raise DegenerateTruncation(
+                "depth %d leaves no room for a degree-%d annihilator; rerun "
+                "with --oracle-depth %d" % (M, d, d + v + 2))
+        w = _matvec(rep.aint, w)
+        series.append(_coordinates(w, k, v, M))
+        block = Solver([{j: c[0] for j, c in enumerate(cs) if c[0]}
+                        for cs in series[:d]], k)
+        if len(block.pivots) < d:
+            raise DegenerateTruncation(
+                "level-%d block has rank < %d at depth %d" % (v, d, M)
             )
+        got = _solve_levels(block, series, ordc)
+        if got is not None:
+            return AbElement(_normal_order(*got, rep.ascale, ordc)
+                             + [SeriesB.one(ordc)])
     raise DegenerateTruncation(
-        "no monic annihilator of degree <= %d at depth %d" % (rep.k, rep.M)
+        "no monic annihilator of degree <= %d at depth %d" % (k, M)
     )
 
 
@@ -211,75 +227,69 @@ def _shift(rep, vec, i):
     return {r + step: c for r, c in vec.items() if r < top}
 
 
-def _chains(rep, x):
-    """chain(t, m): the integer vector a^m b^t x times D^m E, memoized.
+def _coordinates(w, k, v, M):
+    """The k coordinate series of an integer vector of valuation >= v:
+    coordinate j as its list of levels v .. M - 1."""
+    cs = [[0] * (M - v) for _ in range(k)]
+    for r, y in w.items():
+        m, j = divmod(r, k)
+        cs[j][m - v] = y
+    return cs
 
-    E clears the denominators of x and D is the scale of rep.aint, so
-    the scale depends on m alone.
+
+def _solve_levels(block, series, ordc):
+    """(z, s): C_(m,t) = z[m][t] D^m / (s D^d) for t <= ordc, or None if
+    inconsistent.
+
+    series[m] holds the coordinates of W_m = D^m E a^m x, where E clears
+    the denominators of x and D is the scale of rep.aint, so Q x = 0
+    reads W_d + sum_m z_m W_m / s = 0 on integers.  Level v+t is a
+    convolution over the earlier z; the scale of its solution joins the
+    running scale s, which stays the lcm of the denominators so far.
     """
-    base, _ = integral(x)
-    memo = {}
-
-    def chain(t, m):
-        w = memo.get((t, m))
-        if w is None:
-            w = (_matvec(rep.aint, chain(t, m - 1)) if m
-                 else _shift(rep, base, t))
-            memo[(t, m)] = w
-        return w
-
-    return chain
-
-
-def _solve_layers(rep, chain, d, v):
-    """Forward solve, level by level on one residual; None if inconsistent.
-
-    On the integer chains the unknowns are y_(m,t) = s D^(d-m) c_(m,t),
-    where the residual -a^d x - (the slices solved so far) is the
-    integer vector res over the running scale s D^d E, which the scale
-    of each level's integer solution joins; the content that res shares
-    with s is divided out after each level.
-    """
-    M = rep.M
-    ordc = M - d - v
-    if ordc < 2:
-        raise DegenerateTruncation(
-            "depth %d leaves no room for a degree-%d annihilator; rerun "
-            "with --oracle-depth %d" % (M, d, d + v + 2))
-    res = {r: -y for r, y in chain(0, d).items()}
+    d = len(series) - 1
+    z = [[] for _ in range(d)]
     s = 1
-    dpow = [rep.ascale ** (d - m) for m in range(d)]
-    coeffs = [[] for _ in range(d)]
-    # the level-(v+t) block of b^t x, ..., a^{d-1} b^t x equals the
-    # level-v block of x, ax, ..., a^{d-1} x because
-    # a^m b^t = b^t (a + t b)^m, so one elimination serves every level
-    level = range(v * rep.k, (v + 1) * rep.k)
-    block = Solver([{i: c[i] for i in level if i in c}
-                    for c in (chain(0, m) for m in range(d))], rep.dim)
-    if len(block.pivots) < d:
-        raise DegenerateTruncation(
-            "level-%d block has rank < %d at depth %d" % (v, d, M)
-        )
     for t in range(ordc + 1):
-        off = t * rep.k
-        sol = block({i: res[i + off] for i in level if i + off in res})
+        rhs = {}
+        for j, top in enumerate(series[d]):
+            acc = s * top[t]
+            for zm, cs in zip(z, series):
+                acc += sum(map(mul, zm, cs[j][t:0:-1]))
+            if acc:
+                rhs[j] = -acc
+        sol = block(rhs)
         if sol is None:
             return None
         nums, den = sol
-        w = [chain(t, m) for m in range(d)]
         if den > 1:
-            for r in res:
-                res[r] *= den
-        s *= den
-        for m, y in enumerate(nums):
-            coeffs[m].append(Fraction(y, s * dpow[m]))
-            if y:
-                axpy(res, -y, w[m])
-        g = gcd(s, *res.values())
-        if g > 1:
-            s //= g
-            res = {r: y // g for r, y in res.items()}
-    return coeffs
+            s *= den
+            z = [[y * den for y in zm] for zm in z]
+        for zm, y in zip(z, nums):
+            zm.append(y)
+    return z, s
+
+
+def _normal_order(z, s, D, ordc):
+    """The slots c_j of Q in normal order, a^d + sum_j a^j c_j(b).
+
+    C a^m = sum_i (-1)^i C(m,i) a^(m-i) delta^i(C) with delta = b^2 d/db
+    gives c_j = sum_(m >= j) (-1)^(m-j) C(m,j) delta^(m-j)(C_m), which
+    on the numerators z_m D^m of C_m over s D^d stays on integers;
+    delta only raises the order, so c_j is exact to b^ordc.
+    """
+    d = len(z)
+    out = [[0] * (ordc + 1) for _ in range(d)]
+    for m, zm in enumerate(z):
+        p = D ** m
+        y = [c * p for c in zm]
+        for i in range(m + 1):
+            if i:
+                y = [0] + [t * c for t, c in enumerate(y[:-1])]
+            f = (-1) ** i * comb(m, i)
+            out[m - i] = [o + f * c for o, c in zip(out[m - i], y)]
+    den = s * D ** d
+    return [SeriesB._lowest(c, den, ordc) for c in out]
 
 
 def span_closure(rep, gens):

@@ -72,6 +72,26 @@ def test_echelon_spans_what_was_inserted(vecs, reverse):
         assert min(row) == lead
 
 
+@settings(max_examples=60, deadline=None)
+@given(sparse_vectors(), st.booleans())
+def test_stored_rows_are_the_primitive_residuals(vecs, reverse):
+    # a residual that a step already made primitive only has its sign
+    # fixed; one that no step reached has its content taken on store
+    if reverse:
+        vecs = _flipped(vecs)
+    ech = Echelon()
+    for v in vecs:
+        res = ech.reduce(v)
+        lead = ech.insert(v)
+        if lead is not None:
+            g = gcd(*res.values()) * (1 if res[lead] > 0 else -1)
+            assert ech.pivots[lead] == {r: x // g for r, x in res.items()}
+    size = 1 + max((max(v) for v in vecs if v), default=0)
+    rows = Solver(vecs, size).echelon.pivots
+    assert all(row[lead] > 0 and gcd(*row.values()) == 1
+               for lead, row in rows.items())
+
+
 def _reference_pivots(vecs):
     """Pivot set of a Fraction echelon whose rows are scaled to 1."""
     pivots = {}

@@ -4,6 +4,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,10 @@ from frescos.cli import _oracle_check_one
 from frescos.dsl import parse_dsl
 from frescos.errors import DegenerateTruncation, TruncationTooSmall
 from frescos.fresco import AdaptedModel, ModuleElement, Presentation
-from frescos.linalg import axpy, certified_rank, integral
+from frescos.linalg import Solver, axpy, certified_rank, integral
 from frescos.oracle import (
     TruncatedRep,
+    _matvec,
     _shift,
     minimal_annihilator,
     span_closure,
@@ -23,6 +25,7 @@ from frescos.oracle import (
     truncate_rep,
 )
 from frescos.series import SeriesB, rat
+import frescos.oracle as oracle_module
 
 M = 12
 
@@ -182,10 +185,135 @@ def test_annihilator_kills_vector_through_matrices():
     assert all(rep.level(r) >= M - 3 for r in img)
 
 
+def test_annihilator_takes_one_matvec_per_degree(monkeypatch):
+    # the b-left solve reads only x, a x, ..., a^d x, shared by degrees
+    calls = []
+    matvec = oracle_module._matvec
+
+    def counted(cols, vec):
+        calls.append(len(vec))
+        return matvec(cols, vec)
+
+    monkeypatch.setattr(oracle_module, "_matvec", counted)
+    rep = truncate_rep(std3(), M)
+    ann = minimal_annihilator(rep, rep.basis_vector(3))
+    assert ann.degree == 3
+    assert len(calls) == 3
+
+
 def test_annihilator_needs_room():
     rep = truncate_rep(std2(), M)
     with pytest.raises(DegenerateTruncation):
         minimal_annihilator(rep, rep.basis_vector(1, M - 2))
+
+
+def _chain_annihilator(rep, x):
+    """The annihilator solved the chain way, in normal order directly.
+
+    The unknowns c_(m,t) of a^d + sum_m a^m c_m(b) come level by level
+    from the chains a^m b^t x, each its own integer matvec, and the
+    solved slices are subtracted from one whole residual.
+    """
+    M, k = rep.M, rep.k
+    v = rep.level(min(x))
+    base, _ = integral(x)
+    memo = {}
+
+    def chain(t, m):
+        w = memo.get((t, m))
+        if w is None:
+            w = (_matvec(rep.aint, chain(t, m - 1)) if m
+                 else _shift(rep, base, t))
+            memo[(t, m)] = w
+        return w
+
+    def solve(d):
+        ordc = M - d - v
+        if ordc < 2:
+            raise DegenerateTruncation(
+                "depth %d leaves no room for a degree-%d annihilator; "
+                "rerun with --oracle-depth %d" % (M, d, d + v + 2))
+        res = {r: -y for r, y in chain(0, d).items()}
+        s = 1
+        dpow = [rep.ascale ** (d - m) for m in range(d)]
+        coeffs = [[] for _ in range(d)]
+        level = range(v * k, (v + 1) * k)
+        block = Solver([{i: c[i] for i in level if i in c}
+                        for c in (chain(0, m) for m in range(d))], rep.dim)
+        if len(block.pivots) < d:
+            raise DegenerateTruncation(
+                "level-%d block has rank < %d at depth %d" % (v, d, M))
+        for t in range(ordc + 1):
+            off = t * k
+            sol = block({i: res[i + off] for i in level if i + off in res})
+            if sol is None:
+                return None
+            nums, den = sol
+            if den > 1:
+                for r in res:
+                    res[r] *= den
+            s *= den
+            for m, y in enumerate(nums):
+                coeffs[m].append(Fraction(y, s * dpow[m]))
+                if y:
+                    axpy(res, -y, chain(t, m))
+            g = gcd(s, *res.values())
+            if g > 1:
+                s //= g
+                res = {r: y // g for r, y in res.items()}
+        return [SeriesB(cs, ordc) for cs in coeffs] + [SeriesB.one(ordc)]
+
+    for d in range(1, k + 1):
+        got = solve(d)
+        if got is not None:
+            return AbElement(got)
+    raise DegenerateTruncation(
+        "no monic annihilator of degree <= %d at depth %d" % (k, M))
+
+
+def _outcome(solve, rep, x):
+    """The annihilator with its slot orders, or the error it raised."""
+    try:
+        ann = solve(rep, x)
+    except DegenerateTruncation as exc:
+        return type(exc), str(exc)
+    return ann, [c.order for c in ann.coeffs]
+
+
+@st.composite
+def deep_presentations(draw, order=40):
+    """Rank 1-5 with sparse units known to order 40."""
+    k = draw(st.integers(1, 5))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    fs = []
+    for j in range(1, k + 1):
+        lam = draw(st.fractions(min_value=k - j + Fraction(1, 3),
+                                max_value=k - j + 6, max_denominator=3))
+        cs = draw(st.dictionaries(st.integers(1, 8), coeffs, max_size=3))
+        fs.append((lam, unit(*[cs.get(i, 0) for i in range(1, 9)],
+                             order=order)))
+    return Presentation(fs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(deep_presentations(), st.data())
+def test_b_left_solve_matches_the_chain_solve(p, data):
+    # basis vectors b^m e_j and sparse combinations starting at level m
+    k = p.rank
+    depth = data.draw(st.integers(max(4, k + 2), 40))
+    rep = truncate_rep(p, depth)
+    m = data.draw(st.integers(0, min(4, depth - 1)))
+    if data.draw(st.booleans()):
+        x = rep.basis_vector(data.draw(st.integers(1, k)), m)
+    else:
+        cells = st.tuples(st.integers(1, k), st.integers(m, depth - 1))
+        x = {rep.idx(j, n): c for (j, n), c in data.draw(st.dictionaries(
+            cells, st.fractions(min_value=-3, max_value=3,
+                                max_denominator=4).filter(bool),
+            min_size=1, max_size=4)).items()}
+        x[rep.idx(data.draw(st.integers(1, k)), m)] = Fraction(1)
+    assert _outcome(minimal_annihilator, rep, x) == \
+        _outcome(_chain_annihilator, rep, x)
 
 
 def test_full_module_closure():
