@@ -9,10 +9,11 @@ The module is semi-simple exactly when alpha and all the nested alphas
 vanish.
 
 Alpha, semi-simplicity and the maximal sub and quotient theme classes
-all come from that one reduction chain, so an Analysis of a
-presentation runs it once and derives every answer from its result;
-alpha_invariant, is_semisimple, subtheme_class and quotient_theme_class
-are one-shot views of an Analysis.
+all come from reduction chains.  The chain of factors i..j is the chain
+of 1..j read on its factors >= i, so an Analysis grows one chain per
+right end j, each step at most once, and derives every answer from
+them; alpha_invariant, is_semisimple, subtheme_class and
+quotient_theme_class are one-shot views of an Analysis.
 """
 
 from fractions import Fraction
@@ -31,10 +32,8 @@ from .fresco import (
     AdaptedModel,
     ModuleElement,
     Presentation,
-    _apply_linear,
     default_model_order,
     regenerate_presentation,
-    sub_quotient,
 )
 from .series import SeriesB, rat, solve_resonant_ode
 
@@ -166,12 +165,9 @@ def alpha_reduce_step(p, tau=0):
         ) from exc
     if tau:
         x = x + SeriesB.monomial(rat(tau), int(pk1) - 1, x.order)
-    coords = [SeriesB.zero(x.order) for _ in range(k)]
-    coords[k - 1] = SeriesB.one(x.order)
-    coords[k - 2] = x * s.invert().truncate(x.order)
-    e_tilde = ModuleElement(coords)
-    g = _apply_linear(model, lam[k - 1], e_tilde)
-    g = _apply_linear(model, lam[k - 2], g)
+    e_tilde = ModuleElement([SeriesB.zero(x.order)] * (k - 2) + [
+        x * s.invert().truncate(x.order), SeriesB.one(x.order)])
+    g = model.apply_a(model.apply_a(e_tilde, lam[k - 1]), lam[k - 2])
     for j in (k, k - 1):
         if g.coord(j).valuation() is not None:
             raise AssertionError(
@@ -207,52 +203,67 @@ def rank3_alpha_formula(p):
     return (v * s1).coeff(p1 + p2)
 
 
-def _reduce_chain(p):
-    """alpha of a validated presentation, reduced to rank 2 step by step.
-
-    The nested rank-2 sub-quotients must split for the value to be a
-    true invariant, so that is checked before each step;
-    alpha_reduce_step itself fails with NotInF0 outside the class where
-    alpha is defined.  After s steps, factor j < k - s of the reduced
-    fresco is input factor j, and its last factor stands for input
-    factors k - s..k; the NotInF0 message names them.
-    """
-    k = p.rank
-    if k < 2:
-        raise WrongRank("alpha needs rank >= 2, got %d" % k)
-    _require_positive_steps(p)
-    while p.rank > 2:
-        steps = p.p_values()
-        for j in range(1, p.rank):
-            if p.units[j - 1].coeff(int(steps[j - 1])) != 0:
-                raise NotInF0(
-                    "adjacent sub-quotient %d does not split after %d "
-                    "reduction step(s): the reduced S_%d has a nonzero "
-                    "b^%s coefficient; the pair stands for input factors "
-                    "%d..%d" % (j, k - p.rank, j, steps[j - 1], j,
-                                j + 1 if j + 1 < p.rank else k)
-                )
-        p = alpha_reduce_step(p)
-    return classify_rank2(p).alpha
-
-
 class Analysis:
     """Every alpha-derived answer about one presentation.
 
-    The reduction chain runs once, when the analysis is made.  Its
-    value, or the EngineError it raised, is kept, and alpha,
-    semi-simplicity and both theme classes are read off it.
-    Semi-simplicity also asks the alphas of sub-quotients; the
-    recursion keeps one answer per interval i..j of the input's factors.
+    Tower j is the reduction chain of factors 1..j, grown a step at a
+    time as intervals ask.  Read on its factors >= i, its step t is
+    step t of the chain of i..j: the model of i..j is F_j / F_(i-1), and
+    a step reads each coordinate off itself and the one above ((a x)_m
+    needs G_m and G_(m+1), the ODE is on S_(j-1), e~ lives on the top
+    two coordinates, regeneration walks down from the top).  Alpha is
+    tower k read at i = 1, computed at once; its value, or the
+    EngineError it raised, is kept, and the theme classes read it.
     """
 
     def __init__(self, p):
         self.presentation = p
+        self._steps = {(p.rank, 0): p}
+        self._splits = {}
         try:
-            self._alpha = _reduce_chain(self.presentation)
+            if p.rank < 2:
+                raise WrongRank("alpha needs rank >= 2, got %d" % p.rank)
+            _require_positive_steps(p)
+            self._alpha = self._interval_alpha(1, p.rank)
         except EngineError as exc:
             self._alpha = exc
-        self._splits = {}
+
+    def _reduced(self, j, t):
+        """Tower j after t steps; raises the error of a step that failed."""
+        if (j, t) not in self._steps:
+            try:
+                self._steps[j, t] = (
+                    alpha_reduce_step(self._reduced(j, t - 1)) if t
+                    else Presentation(self.presentation.factors[:j]))
+            except EngineError as exc:
+                self._steps[j, t] = exc
+        if isinstance(self._steps[j, t], EngineError):
+            raise self._steps[j, t].with_traceback(None)
+        return self._steps[j, t]
+
+    def _interval_alpha(self, i, j):
+        """alpha of factors i..j, whose steps are positive, off tower j.
+
+        The nested rank-2 sub-quotients must split for the value to be a
+        true invariant, so that is checked before each step (and
+        alpha_reduce_step fails with NotInF0 outside the class where
+        alpha is defined).  After t steps, factor q < j - t of tower j is
+        input factor q, and its last one stands for input factors
+        j - t..j; the NotInF0 message names them.
+        """
+        for t in range(j - i - 1):
+            tower = self._reduced(j, t)
+            steps, units = tower.p_values(), tower.units
+            for q in range(i, j - t):
+                if units[q - 1].coeff(int(steps[q - 1])) != 0:
+                    raise NotInF0(
+                        "adjacent sub-quotient %d does not split after %d "
+                        "reduction step(s): the reduced S_%d has a nonzero "
+                        "b^%s coefficient; the pair stands for input "
+                        "factors %d..%d" % (q, t, q, steps[q - 1], q,
+                                            q + 1 if q + 1 < j - t else j))
+        last = self._reduced(j, j - i - 1)
+        return last.units[i - 1].coeff(int(last.p_values()[i - 1]))
 
     def alpha(self):
         """The alpha invariant; raises what the reduction chain raised."""
@@ -281,34 +292,21 @@ class Analysis:
         sub-quotient.
         """
         p = self.presentation
-        if p.rank <= 1:
-            return True
         _require_primitive(p)
         if not p.is_principal():
             raise SemanticError("semi-simplicity test needs principal order")
-        return self._split(1, p.rank)
+        return 0 not in p.p_values() and self._split(1, p.rank)
 
     def _split(self, i, j):
         """Whether the sub-quotient of factors i..j splits, once per i..j."""
         if (i, j) not in self._splits:
-            self._splits[(i, j)] = self._split_now(i, j)
-        return self._splits[(i, j)]
-
-    def _split_now(self, i, j):
-        p = self.presentation
-        if i == j:
-            return True
-        if any(pj == 0 for pj in p.p_values()[i - 1: j - 1]):
-            return False
-        try:
-            if (i, j) == (1, p.rank):
-                alpha = self.alpha()
-            else:
-                alpha = _reduce_chain(sub_quotient(p, i, j))
-        except NotInF0:
-            return False
-        return alpha == 0 and self._split(i, j - 1) and \
-            self._split(i + 1, j)
+            try:
+                self._splits[i, j] = i == j or (
+                    self._interval_alpha(i, j) == 0
+                    and self._split(i, j - 1) and self._split(i + 1, j))
+            except NotInF0:
+                self._splits[i, j] = False
+        return self._splits[i, j]
 
     def _theme_alpha(self, theme):
         if self.presentation.rank < 2:

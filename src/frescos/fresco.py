@@ -18,7 +18,8 @@ reads the l_j off its Bernstein roots and peels one S_j at a time.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import ceil, lcm
+from operator import mul
 
 from .algebra import (AbElement, _b2_log_derivative, _D, _fit,
                       expand_factor_form, initial_form, monic_expansion)
@@ -165,10 +166,7 @@ def fundamental_invariants(exponents):
 
 def default_model_order(p):
     """Enough room for the alpha pipeline: 2k + sum(max(p_j,1)) + 8."""
-    k = p.rank
-    budget = 2 * k + sum(max(pj, 1) for pj in p.p_values()) + 8
-    budget = rat(budget)
-    return -(-budget.numerator // budget.denominator)
+    return ceil(2 * p.rank + sum(max(pj, 1) for pj in p.p_values()) + 8)
 
 
 class ModuleElement:
@@ -241,21 +239,32 @@ class AdaptedModel:
             raise ValueError("expected %d coordinates" % self.rank)
         return ModuleElement(coords)
 
-    def apply_a(self, x):
-        """Coordinatewise: (a x)_j = d_j G_j + b^2 G_j' + S_{j+1} G_{j+1}.
-
-        x lies in F_m for m = x.rank coordinates, and so does a x.
+    def apply_a(self, x, lam=0):
+        """(a - lam b) x in one pass: coordinate j is the sum
+        (d_j - lam b) G_j + b^2 G_j' + S_{j+1} G_{j+1} over one
+        denominator, with no term for a zero G.  x lies in F_m for
+        m = x.rank coordinates, and so does the result.
         """
-        if x.order < 1:
-            raise OrderUnderflow("coordinates known only to order 0")
-        k = x.rank
+        lam = rat(lam)
+        n, q = min(self.order, x.order), lam.denominator
+        # b^2 G' - lam b G has (i - lam) g_i at b^(i+1): weights over q
+        drift = [i * q - lam.numerator for i in range(n)]
         out = []
-        for j in range(1, k + 1):
-            g = x.coord(j)
-            acc = self.diag[j - 1] * g + g.derive().shift(2)
-            if j < k:
-                acc = acc + self.sub[j] * x.coord(j + 1)
-            out.append(acc)
+        for j, (g, h) in enumerate(zip(x.coords, x.coords[1:] + (None,))):
+            parts = []
+            if any(g.nums):
+                d = self.diag[j] * g
+                parts += [(d.nums, d.den),
+                          ([0, *map(mul, drift, g.nums)], g.den * q)]
+            if h is not None and any(h.nums):
+                s = self.sub[j + 1] * h
+                parts.append((s.nums, s.den))
+            den = lcm(*[d for _, d in parts])
+            total = [0] * (n + 1)
+            for nums, d in parts:
+                f = den // d
+                total = [t + f * y for t, y in zip(total, nums)]
+            out.append(SeriesB._lowest(total, den, n))
         return ModuleElement(out)
 
     def apply_b(self, x):
@@ -306,7 +315,7 @@ def regenerate_presentation(model, g):
             break
         t = sigma.invert()
         x = ModuleElement([t * c for c in coords])
-        y = _apply_linear(model, lambdas[m - 1], x)
+        y = model.apply_a(x, lambdas[m - 1])
         top = y.coord(m)
         if top.valuation() is not None:
             raise AssertionError("stage %d residue should vanish, got %s"
@@ -315,13 +324,6 @@ def regenerate_presentation(model, g):
     order = min(u.order for u in new_units)
     return Presentation(
         [(lam, u.truncate(order)) for lam, u in zip(lambdas, new_units)]
-    )
-
-
-def _apply_linear(model, lam, x):
-    """(a - lam b) x inside the model."""
-    return model.apply_a(x) - model.apply_b(x).scale(
-        SeriesB.monomial(lam, 0, x.order)
     )
 
 

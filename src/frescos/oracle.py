@@ -187,9 +187,9 @@ def minimal_annihilator(rep, x):
     x) involve C_(m,i) only for i <= t, and the i = t block is the
     level-v block of x, ax, ..., a^(d-1) x for every t, so one
     elimination serves every level.  Degrees are tried from 1 up to the
-    rank (a wrong degree usually fails at level 0); a degenerate
-    level-v block raises DegenerateTruncation.  Q is then moved to
-    normal order on integers, see _normal_order.
+    rank (a wrong degree usually fails at level 0).  DegenerateTruncation
+    means a degenerate level-v block or too small a depth; k + v + 2 has
+    room for every degree.  _normal_order then moves Q to normal order.
     """
     if not x:
         raise ValueError("zero vector has no minimal annihilator")
@@ -202,7 +202,7 @@ def minimal_annihilator(rep, x):
         if ordc < 2:
             raise DegenerateTruncation(
                 "depth %d leaves no room for a degree-%d annihilator; rerun "
-                "with --oracle-depth %d" % (M, d, d + v + 2))
+                "with --oracle-depth %d" % (M, d, k + v + 2))
         w = _matvec(rep.aint, w)
         series.append(_coordinates(w, k, v, M))
         block = Solver([{j: c[0] for j, c in enumerate(cs) if c[0]}

@@ -33,7 +33,8 @@ from frescos.errors import (
     SemanticError,
     WrongRank,
 )
-from frescos.fresco import AdaptedModel, Presentation, regenerate_presentation, twist
+from frescos.fresco import (AdaptedModel, Presentation, regenerate_presentation,
+                            sub_quotient, twist)
 from frescos.cli import _random_generator, main
 from frescos.oracle import submodule_analysis, truncate_rep
 from frescos.series import SeriesB, rat
@@ -333,8 +334,15 @@ def test_quotient_theme_rank2_is_alpha():
 @pytest.mark.parametrize("text, steps", [
     # alpha = 1: the chain alone
     ("fresco: (4 | 1 + b^6) (5 | 1) (6 | 1) (7 | 1)", 2),
-    # alpha = 0: one more step per rank-3 edge that semi-simplicity reads
-    ("fresco: (4 | 1 + b^5) (5 | 1) (6 | 1) (7 | 1)", 4),
+    # alpha = 0: semi-simplicity reads every interval, each off the
+    # reduction tower of its right end: one step more for tower 3
+    ("fresco: (4 | 1 + b^5) (5 | 1) (6 | 1) (7 | 1)", 3),
+    # towers 5, 4 and 3: 3 + 2 + 1 steps, where one chain per interval
+    # took 10
+    ("fresco: (5 | 1) (6 | 1) (7 | 1) (8 | 1) (9 | 1)", 6),
+    # towers 6 down to 3: 4 + 3 + 2 + 1 steps, where one chain per
+    # interval took 20
+    ("fresco: (6 | 1) (7 | 1) (8 | 1) (9 | 1) (10 | 1) (11 | 1)", 10),
     # NotInF0 after one step, reported for alpha and the theme classes
     ("fresco: (4 | 1) (5 | 1) (6 | 1 + b^4) (7 | 1)", 1),
 ])
@@ -349,6 +357,45 @@ def test_analyze_reduces_each_presentation_once(monkeypatch, text, steps):
     monkeypatch.setattr(alpha_module, "alpha_reduce_step", counted)
     assert main(["analyze", "--seed", "1", text], stdout=io.StringIO()) == 0
     assert len(seen) == len(set(seen)) == steps
+
+
+@st.composite
+def principal_sparse(draw):
+    """Principal rank 3-6 with positive steps and sparse units to b^9.
+
+    A unit's b^p_j coefficient makes pair j fail NotInF0, so intervals
+    whose tower carries a failing pair left of them turn up often.
+    """
+    k = draw(st.integers(3, 6))
+    lam = k - 1 + draw(st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2)]))
+    order = draw(st.sampled_from([ORDER, 40]))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    fs = []
+    for j in range(k):
+        if j:
+            lam += draw(st.integers(1, 3)) - 1
+        cs = draw(st.dictionaries(st.integers(1, 9), coeffs, max_size=2))
+        fs.append((lam, SeriesB([1] + [cs.get(i, 0) for i in range(1, 10)],
+                                order)))
+    return Presentation(fs)
+
+
+def _outcome(ask):
+    try:
+        return ask()
+    except EngineError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(principal_sparse())
+def test_tower_reads_every_interval_as_its_own_chain(p):
+    # step t of the chain of i..j is step t of tower j on factors >= i
+    an = Analysis(p)
+    for i in range(1, p.rank):
+        for j in range(i + 1, p.rank + 1):
+            assert _outcome(lambda: an._interval_alpha(i, j)) == \
+                _outcome(lambda: alpha_invariant(sub_quotient(p, i, j)))
 
 
 @pytest.mark.parametrize("text, steps, pair, factors", [

@@ -155,6 +155,56 @@ def test_model_commutation(cs):
         assert lhs.coord(j).same_upto(rhs.coord(j), 11)
 
 
+def _minus_lam_b(m, x, lam):
+    """(a - lam b) x the unfused way: a x, then b x scaled, subtracted."""
+    out = []
+    for j in range(1, x.rank + 1):
+        g = x.coord(j)
+        acc = m.diag[j - 1] * g + g.derive().shift(2)
+        if j < x.rank:
+            acc = acc + m.sub[j] * x.coord(j + 1)
+        out.append(acc)
+    ax = ModuleElement(out)
+    return ax - m.apply_b(x).scale(SeriesB.monomial(lam, 0, x.order))
+
+
+@st.composite
+def model_and_element(draw):
+    """A model of rank 1-4 and an element of some F_m: coordinates zero,
+    of positive valuation or units, known below or above the model."""
+    k = draw(st.integers(1, 4))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    p = Presentation([
+        (k + draw(st.fractions(min_value=0, max_value=3, max_denominator=2)),
+         SeriesB([1] + draw(st.lists(coeff, max_size=4)), ORDER))
+        for _ in range(k)])
+    m = AdaptedModel(p, order=draw(st.integers(1, 16)))
+    n = draw(st.integers(1, 18))
+    coords = []
+    for _ in range(draw(st.integers(1, k))):
+        v = draw(st.integers(0, n + 1))
+        cs = draw(st.lists(coeff, max_size=n + 1 - v)) if v <= n else []
+        coords.append(SeriesB([0] * v + cs, n))
+    lam = draw(st.fractions(min_value=-5, max_value=5, max_denominator=3))
+    return m, ModuleElement(coords), lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_and_element())
+def test_fused_apply_a_matches_a_minus_lam_b(arg):
+    m, x, lam = arg
+    assert m.apply_a(x, lam).coords == _minus_lam_b(m, x, lam).coords
+    assert m.apply_a(x).coords == _minus_lam_b(m, x, 0).coords
+
+
+def test_apply_a_at_order_0_reads_the_next_constant():
+    # d_j and b have no constant term, so (a - lam b) x at b^0 is
+    # S_{j+1}(0) G_{j+1}(0) = G_{j+1}(0)
+    m = AdaptedModel(std(), order=12)
+    x = ModuleElement([SeriesB([2], 0), SeriesB([3], 0)])
+    assert m.apply_a(x, 5).coords == (SeriesB([3], 0), SeriesB([0], 0))
+
+
 def test_regenerate_identity_on_ek():
     p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
     m = AdaptedModel(p, order=18)

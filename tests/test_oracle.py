@@ -232,7 +232,7 @@ def _chain_annihilator(rep, x):
         if ordc < 2:
             raise DegenerateTruncation(
                 "depth %d leaves no room for a degree-%d annihilator; "
-                "rerun with --oracle-depth %d" % (M, d, d + v + 2))
+                "rerun with --oracle-depth %d" % (M, d, k + v + 2))
         res = {r: -y for r, y in chain(0, d).items()}
         s = 1
         dpow = [rep.ascale ** (d - m) for m in range(d)]

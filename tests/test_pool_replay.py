@@ -1,12 +1,12 @@
 """The benchmark pools, replayed: a change that moves a report fails here.
 
-Every distinct argv of perfbench/pool/verify-oracle.jsonl and every
-10th of perfbench/pool/xi-logs.jsonl and perfbench/pool/analyze-mix.jsonl
+Every distinct argv of perfbench/pool/xi-logs.jsonl,
+perfbench/pool/verify-oracle.jsonl and perfbench/pool/analyze-mix.jsonl
 goes through cli.main, and the digest of its report's mathematical
 fields (fields_digest in perfbench/check.py) must equal the digest
 stored in the pool.  The first two are the workloads that run the
 linalg kernel; every verify report runs the oracle's annihilator solve,
-all on one route, and every analyze report builds the adapted model.
+all on one route; every analyze and every xi report runs an Analysis.
 The test only reads perfbench/.
 """
 
@@ -34,20 +34,20 @@ def _load_check():
 CHECK = _load_check()
 
 
-def _distinct(workload, step):
-    """Every step-th distinct argv of a pool, with its stored digest."""
+def _distinct(workload):
+    """Every distinct argv of a pool, with its stored digest."""
     seen = {}
     with open(os.path.join(PERFBENCH, "pool", workload + ".jsonl")) as fh:
         for line in fh:
             item = json.loads(line)
             seen.setdefault(json.dumps(item["argv"]), item)
     return [pytest.param(item, id="%s-%d" % (workload, i))
-            for i, item in enumerate(list(seen.values())[::step])]
+            for i, item in enumerate(seen.values())]
 
 
 @pytest.mark.parametrize(
-    "item", _distinct("xi-logs", 10) + _distinct("verify-oracle", 1)
-    + _distinct("analyze-mix", 10))
+    "item", _distinct("xi-logs") + _distinct("verify-oracle")
+    + _distinct("analyze-mix"))
 def test_pool_report_keeps_its_stored_digest(item):
     argv = item["argv"]
     out = io.StringIO()
