@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .errors import NonMonicDivisor, OrderUnderflow
+from .errors import OrderUnderflow
 from .series import SeriesB, rat
 
 
@@ -172,27 +172,14 @@ def normal_form_mul(u, v):
     return AbElement([SeriesB.zero(order0) if c is None else c for c in out])
 
 
-def expand_factor_form(factors, order):
-    """Multiply out (a - l_1 b) S_1^-1 ... (a - l_k b) S_k^-1.
-
-    factors is a sequence of (lambda, unit) pairs; each unit must be
-    invertible at its constant term.  The result has a-degree k with a
-    unit top coefficient (not monic in general).
-    """
-    acc = AbElement.from_series(SeriesB.one(order))
-    for lam, unit in factors:
-        acc = acc * AbElement.linear(lam, order)
-        inv = _fit(unit, order).invert()
-        acc = acc * AbElement.from_series(inv)
-    return acc
-
-
 def monic_expansion(factors, order):
-    """monicize(expand_factor_form(factors, order)), built as
+    """The monic generator of the left ideal of
+    (a - l_1 b) S_1^-1 ... (a - l_k b) S_k^-1, built as
     (a - c_1) ... (a - c_k) (see the module docstring).
 
-    The result is the same AbElement, every slot known to order.  Each
-    right factor a - c costs one dense product per slot of the monic
+    factors is a sequence of (lambda, unit) pairs.  Every slot of the
+    result is known to order, its top coefficient is 1.  Each right
+    factor a - c costs one dense product per slot of the monic
     product so far; its other products are by the slot 1 of a, which
     the series kernel takes as a monomial.  order < 1, or a unit known
     to less than order, raises OrderUnderflow.
@@ -228,18 +215,6 @@ def _fit(s, order):
     raise OrderUnderflow(
         "series known to order %d, need %d" % (s.order, order)
     )
-
-
-def monicize(u):
-    """Left-multiply by the inverse of the unit top coefficient.
-
-    The result generates the same left ideal and has leading term a^d
-    with coefficient exactly 1.
-    """
-    top = u.coeff_series(u.degree)
-    if not top.is_unit():
-        raise NonMonicDivisor("leading coefficient is not a unit")
-    return AbElement.from_series(top.invert()) * u
 
 
 def initial_form(u, k):

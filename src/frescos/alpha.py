@@ -132,11 +132,12 @@ def classify_rank2(p):
     return Rank2Class(lam1, lam2, step, alpha, alpha != 0)
 
 
-def alpha_reduce_step(p, tau=0):
+def alpha_reduce_step(p):
     """Trade rank k >= 3 for rank k-1 without moving alpha.
 
-    With S_k normalized away, pick X with b X' - (p_{k-1} - 1) X =
-    (1 - S_{k-1}) / b and set  e~ = e_k + X S_{k-1}^-1 e_{k-1}.  Then
+    Pick X with b X' - (p_{k-1} - 1) X = (1 - S_{k-1}) / b and set
+    e~ = S_k^-1 e_k + X S_{k-1}^-1 e_{k-1}: the generator S_k^-1 e_k
+    of the same module sees its last unit as 1.  Then
     (a - l_{k-1} b)(a - l_k b) e~ lands in the span of e_1..e_{k-2}
     exactly, with constant coordinate 1, so it generates that
     submodule; reading its presentation off and appending (l_k + 1, 1)
@@ -149,10 +150,7 @@ def alpha_reduce_step(p, tau=0):
         raise WrongRank("reduction needs rank >= 3, got %d" % k)
     _require_positive_steps(p)
     order = min(default_model_order(p), min(u.order for u in p.units))
-    # same module, last unit 1: replaces the generator by S_k^-1 e
-    fs = list(p.factors)
-    fs[-1] = (fs[-1][0], SeriesB.one(order))
-    model = AdaptedModel(Presentation(fs), order=order)
+    model = AdaptedModel(p, order=order)
     lam = p.lambdas
     pk1 = p.p_values()[k - 2]
     s = model.sub[k - 2]
@@ -163,10 +161,11 @@ def alpha_reduce_step(p, tau=0):
         raise NotInF0(
             "unit S_%d obstructs the reduction: %s" % (k - 1, exc)
         ) from exc
-    if tau:
-        x = x + SeriesB.monomial(rat(tau), int(pk1) - 1, x.order)
+    # (a - l_k b) S_k^-1 e_k = e_{k-1}: its top coordinate
+    # (d_k - l_k b) S_k^-1 + b^2 (S_k^-1)' vanishes exactly
     e_tilde = ModuleElement([SeriesB.zero(x.order)] * (k - 2) + [
-        x * s.invert().truncate(x.order), SeriesB.one(x.order)])
+        x * s.invert().truncate(x.order),
+        model.sub[k - 1].invert().truncate(x.order)])
     g = model.apply_a(model.apply_a(e_tilde, lam[k - 1]), lam[k - 2])
     for j in (k, k - 1):
         if g.coord(j).valuation() is not None:

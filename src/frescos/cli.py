@@ -28,7 +28,7 @@ from .alpha import Analysis, is_semisimple
 from .dsl import parse_dsl, print_fresco, print_xi
 from .errors import EngineError, NotMonogenicAtTruncation, SemanticError
 from .fresco import (AdaptedModel, Presentation, _bernstein_invariants,
-                     regenerate_presentation)
+                     fundamental_invariants, regenerate_presentation)
 from .oracle import closure_rank, minimal_annihilator, truncate_rep
 from .series import DEFAULT_ORDER, SeriesB, rat_str
 from .xi import XiExpansion, model_from_xi, xi_generate_module, xi_log_filtration
@@ -228,8 +228,9 @@ def _oracle_check_one(p, M, rng):
     generator: a random generator g regenerates a presentation q, and
     the oracle's annihilator of g is q expanded.  lambdas: a primitive
     fresco has one principal Jordan-Hoelder sequence, so for a
-    primitive principal p the Bernstein roots of that annihilator give
-    back p's l_j + j; q cannot show this, as it copies p's l_j.  They
+    primitive p the Bernstein roots of that annihilator give back the
+    l_j + j of its fundamental invariants, p's l_j + j sorted; q cannot
+    show this, as it copies p's l_j.  They
     are read where the annihilator has degree k and knows b^k.  The
     depth floor M >= k + 3, where the profile [0, k, ..., k] of the
     closure of b e_1..b e_k first has a rank certificate, leaves three
@@ -259,13 +260,14 @@ def _oracle_check_one(p, M, rng):
         if not ann_g.same_upto(want_g, min(M - k, ordq)):
             fails.append("generator")
         if (ann_g.degree == k and min(c.order for c in ann_g.coeffs) >= k
-                and p.is_primitive() and p.is_principal()):
+                and p.is_primitive()):
+            principal = fundamental_invariants(p.lambdas)
             try:
                 got = _bernstein_invariants(ann_g, p.lambdas[0] % 1 or 1, k,
-                                            p.lambdas[-1])
+                                            principal[-1])
             except NotMonogenicAtTruncation:
                 got = None
-            if got != [l + j for j, l in enumerate(p.lambdas, start=1)]:
+            if got != [l + j for j, l in enumerate(principal, start=1)]:
                 fails.append("lambdas")
     except EngineError as exc:
         fails.append("generator:%s" % type(exc).__name__)

@@ -30,10 +30,6 @@ class OrderUnderflow(EngineError):
     """An operation would need series coefficients below known order."""
 
 
-class NonMonicDivisor(EngineError):
-    """Division requires a divisor with unit leading coefficient."""
-
-
 # --- presentations ---
 
 class NotGeometric(EngineError):

@@ -21,8 +21,8 @@ from itertools import accumulate
 from math import ceil, lcm
 from operator import mul
 
-from .algebra import (AbElement, _b2_log_derivative, _D, _fit,
-                      expand_factor_form, initial_form, monic_expansion)
+from .algebra import (AbElement, _b2_log_derivative, _D, _fit, initial_form,
+                      monic_expansion)
 from .errors import (
     IndexOutOfRange,
     MixedPrimitiveClasses,
@@ -114,7 +114,7 @@ class Presentation:
         )
 
 
-def trivial_units(lambdas, order=8):
+def trivial_units(lambdas, order):
     """Presentation with all units 1 (used for Bernstein elements)."""
     return Presentation([(l, SeriesB.one(order)) for l in lambdas])
 
@@ -136,16 +136,19 @@ def bernstein(p):
     The element is the product of the trivialized factors
     (a - l_1 b)...(a - l_k b); the roots of the Bernstein polynomial are
     -(l_j + j - k), all negative by the geometric condition.  The
-    expansion consistency initial_form(expand(p), k) == expand(element)
-    is asserted on the way.
+    expansion consistency initial_form(monic_expansion(p), k) ==
+    monic_expansion(element) is asserted on the way: every term of the
+    expansion has (a,b)-degree >= k, and the monic generator differs
+    from the product of the factors by a left unit 1 + O(b), which
+    leaves the degree-k part alone.
     """
     k = p.rank
     avail = min(u.order for u in p.units)
     # the initial form reads b-coefficients up to b^k, so k is a hard floor
     order = max(k, min(max(2 * k, 4), avail))
     elem = trivial_units(p.lambdas, order=order)
-    full = expand_factor_form(p.factors, order)
-    flat = expand_factor_form(elem.factors, order)
+    full = monic_expansion(p.factors, order)
+    flat = monic_expansion(elem.factors, order)
     if not initial_form(full, k).same_upto(flat, k):
         raise AssertionError("initial form disagrees with the trivialized product")
     return BernsteinData(elem, tuple(sorted(p.bernstein_roots())), p.mu())

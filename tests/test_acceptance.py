@@ -12,9 +12,7 @@ from frescos.algebra import (
     AbElement,
     check_exchange,
     check_unit_exchange,
-    expand_factor_form,
     initial_form,
-    monicize,
 )
 from frescos.alpha import (
     alpha_invariant,
@@ -41,6 +39,7 @@ from frescos.xi import (
     xi_generate_module,
     xi_log_filtration,
 )
+from test_algebra import expand_factor_form, monicize
 
 F = Fraction
 N = 32  # series truncation order

@@ -3,19 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frescos.algebra import (
     AbElement,
+    _fit,
     check_exchange,
     check_middle_unit_exchange,
     check_unit_exchange,
-    expand_factor_form,
     initial_form,
     monic_expansion,
-    monicize,
 )
-from frescos.errors import NonMonicDivisor, OrderUnderflow
+from frescos.errors import EngineError, OrderUnderflow
 from frescos.series import SeriesB, rat
 
 ORDER = 16
@@ -42,6 +41,39 @@ def emb(s):
 
 def a_times(x, order=ORDER):
     return AbElement([SeriesB.zero(order), SeriesB.one(order)]) * x
+
+
+class NonMonicDivisor(EngineError):
+    """Division requires a divisor with unit leading coefficient."""
+
+
+def expand_factor_form(factors, order):
+    """Multiply out (a - l_1 b) S_1^-1 ... (a - l_k b) S_k^-1, the
+    reference for monic_expansion (with monicize) and for the initial
+    form that bernstein checks.
+
+    factors is a sequence of (lambda, unit) pairs; each unit must be
+    invertible at its constant term.  The result has a-degree k with a
+    unit top coefficient (not monic in general).
+    """
+    acc = AbElement.from_series(SeriesB.one(order))
+    for lam, unit in factors:
+        acc = acc * AbElement.linear(lam, order)
+        inv = _fit(unit, order).invert()
+        acc = acc * AbElement.from_series(inv)
+    return acc
+
+
+def monicize(u):
+    """Left-multiply by the inverse of the unit top coefficient.
+
+    The result generates the same left ideal and has leading term a^d
+    with coefficient exactly 1.
+    """
+    top = u.coeff_series(u.degree)
+    if not top.is_unit():
+        raise NonMonicDivisor("leading coefficient is not a unit")
+    return AbElement.from_series(top.invert()) * u
 
 
 def test_expansion_frozen_example():
@@ -197,6 +229,19 @@ def test_monic_expansion_is_the_monicized_expansion(case):
     n, fs = case
     # == also compares every slot's known order
     assert monic_expansion(fs, n) == monicize(expand_factor_form(fs, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), factor_lists(n))))
+def test_monic_expansion_keeps_the_initial_form(case):
+    # bernstein checks the initial form on the monic expansion: the left
+    # unit 1 + O(b) between it and the product leaves degree k alone
+    n, fs = case
+    k = len(fs)
+    assume(k <= n)
+    assert initial_form(monic_expansion(fs, n), k) == \
+        initial_form(expand_factor_form(fs, n), k)
 
 
 @pytest.mark.parametrize("order", [0, -1])

@@ -33,11 +33,12 @@ from frescos.errors import (
     SemanticError,
     WrongRank,
 )
-from frescos.fresco import (AdaptedModel, Presentation, regenerate_presentation,
+from frescos.fresco import (AdaptedModel, ModuleElement, Presentation,
+                            default_model_order, regenerate_presentation,
                             sub_quotient, twist)
 from frescos.cli import _random_generator, main
 from frescos.oracle import submodule_analysis, truncate_rep
-from frescos.series import SeriesB, rat
+from frescos.series import SeriesB, rat, solve_resonant_ode
 
 ORDER = 20
 
@@ -230,9 +231,18 @@ def test_alpha_reduce_matches_formula(p):
 @settings(max_examples=20, deadline=None)
 @given(f0_rank3(), st.fractions(min_value=-3, max_value=3, max_denominator=2))
 def test_alpha_independent_of_tau(p, tau):
-    # tau is the free constant of the reduction step's ODE
-    assert classify_rank2(alpha_reduce_step(p, tau)).alpha == \
-        alpha_invariant(p)
+    # tau is the free constant of the reduction step's ODE: the step
+    # takes the solution plus tau b^c, c the ODE's resonant index
+    solve = alpha_module.solve_resonant_ode
+
+    def with_tau(c, rhs):
+        x = solve(c, rhs)
+        return x + SeriesB.monomial(tau, int(c), x.order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alpha_module, "solve_resonant_ode", with_tau)
+        reduced = alpha_reduce_step(p)
+    assert classify_rank2(reduced).alpha == alpha_invariant(p)
 
 
 @settings(max_examples=20, deadline=None)
@@ -396,6 +406,58 @@ def test_tower_reads_every_interval_as_its_own_chain(p):
         for j in range(i + 1, p.rank + 1):
             assert _outcome(lambda: an._interval_alpha(i, j)) == \
                 _outcome(lambda: alpha_invariant(sub_quotient(p, i, j)))
+
+
+def copy_reduce_step(p):
+    """The reduction step on a copy of p whose last unit is 1, the
+    reference for alpha_reduce_step's generator S_k^-1 e_k in p's own
+    model: the copy's model starts from e~ = e_k + X S_(k-1)^-1 e_(k-1).
+    """
+    k = p.rank
+    if k < 3:
+        raise WrongRank("reduction needs rank >= 3, got %d" % k)
+    alpha_module._require_positive_steps(p)
+    order = min(default_model_order(p), min(u.order for u in p.units))
+    fs = list(p.factors)
+    fs[-1] = (fs[-1][0], SeriesB.one(order))
+    model = AdaptedModel(Presentation(fs), order=order)
+    lam = p.lambdas
+    s = model.sub[k - 2]
+    try:
+        x = solve_resonant_ode(p.p_values()[k - 2] - 1, SeriesB._lowest(
+            [-x for x in s.nums[1:]], s.den, s.order - 1))
+    except ResonantObstruction as exc:
+        raise NotInF0(
+            "unit S_%d obstructs the reduction: %s" % (k - 1, exc)
+        ) from exc
+    e_tilde = ModuleElement([SeriesB.zero(x.order)] * (k - 2) + [
+        x * s.invert().truncate(x.order), SeriesB.one(x.order)])
+    g = model.apply_a(model.apply_a(e_tilde, lam[k - 1]), lam[k - 2])
+    for j in (k, k - 1):
+        if g.coord(j).valuation() is not None:
+            raise AssertionError(
+                "coordinate %d should vanish after the reduction" % j
+            )
+    reduced = regenerate_presentation(model, ModuleElement(g.coords[: k - 2]))
+    tail_order = min(u.order for u in reduced.units)
+    return Presentation(
+        list(reduced.factors) + [(lam[k - 1] + 1, SeriesB.one(tail_order))]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(principal_sparse().filter(lambda p: any(p.units[-1].nums[1:])))
+def test_reduce_step_in_its_own_model_matches_the_copy(p):
+    # e_k -> S_k^-1 e_k inside p's model does what the copy with S_k = 1
+    # did, step by step along tower k
+    for _ in range(p.rank - 2):
+        want = _outcome(lambda: copy_reduce_step(p))
+        got = _outcome(lambda: alpha_reduce_step(p))
+        # == also compares every unit's known order
+        assert got == want
+        if not isinstance(got, Presentation):
+            break
+        p = got
 
 
 @pytest.mark.parametrize("text, steps, pair, factors", [

@@ -434,13 +434,17 @@ def test_verify_renders_each_failing_check(monkeypatch, label):
     ]
 
 
-def test_verify_lambdas_sees_an_oracle_one_step_off(monkeypatch):
+@pytest.mark.parametrize("literal", [
+    pytest.param("fresco: (5/2 | 1 + 3b^2) (7/2 | 1)", id="principal"),
+    # primitive, not principal: its fundamental invariants are (5/2, 5/2)
+    pytest.param("fresco: (7/2 | 1 + b^2) (3/2 | 1)", id="nonprincipal"),
+])
+def test_verify_lambdas_sees_an_oracle_one_step_off(monkeypatch, literal):
     # the regenerated presentation copies the input's exponents, so only
     # the oracle's annihilator can refute them
     real = cli_module.truncate_rep
     monkeypatch.setattr(cli_module, "truncate_rep",
                         lambda p, M: real(twist(p, 1), M))
-    literal = "fresco: (5/2 | 1 + 3b^2) (7/2 | 1)"
     code, (rep,) = run_json(["verify", "--seed", "1", "--order", "12",
                              "--oracle-depth", "12", literal])
     assert code == EXIT_MISMATCH

@@ -6,7 +6,6 @@ from math import ceil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frescos.algebra import expand_factor_form, monicize
 from frescos.dsl import parse_fresco
 from frescos.errors import (
     IndexOutOfRange,
@@ -33,6 +32,8 @@ from frescos.fresco import (
 )
 from frescos.oracle import minimal_annihilator, truncate_rep
 from frescos.series import SeriesB, rat
+import frescos.fresco as fresco_module
+from test_algebra import expand_factor_form, monicize
 
 ORDER = 20
 
@@ -96,6 +97,19 @@ def test_bernstein_frozen():
     assert data.roots == (rat("-7/2"), rat("-3/2"))
     assert data.element.lambdas == (rat("5/2"), rat("7/2"))
     assert all(u.constant() == 1 and u.valuation() == 0 for u in data.element.units)
+
+
+def test_bernstein_check_is_live(monkeypatch):
+    # an expansion of the wrong presentation must trip the initial-form
+    # check, else it checks nothing
+    p = pres(("3", unit(1)), ("3", unit(0, -2)), ("4", unit(2, 1)))
+    wrong = twist(p, 1).factors
+    real = fresco_module.monic_expansion
+    monkeypatch.setattr(
+        fresco_module, "monic_expansion",
+        lambda fs, n: real(wrong if tuple(fs) == p.factors else fs, n))
+    with pytest.raises(AssertionError, match="initial form disagrees"):
+        bernstein(p)
 
 
 def test_bernstein_multiplicative_over_a_split():

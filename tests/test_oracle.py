@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frescos.algebra import AbElement, expand_factor_form, monicize
+from frescos.algebra import AbElement
 from frescos.cli import _oracle_check_one
 from frescos.dsl import parse_dsl
 from frescos.errors import DegenerateTruncation, TruncationTooSmall
@@ -26,6 +26,7 @@ from frescos.oracle import (
 )
 from frescos.series import SeriesB, rat
 import frescos.oracle as oracle_module
+from test_algebra import expand_factor_form, monicize
 
 M = 12
 

@@ -14,7 +14,7 @@ from math import factorial, gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frescos.algebra import AbElement, expand_factor_form, monicize
+from frescos.algebra import AbElement
 from frescos.alpha import classify_rank2, is_semisimple
 from frescos.errors import (
     NotMonogenicAtTruncation,
@@ -43,7 +43,7 @@ from frescos.xi import (
     xi_generate_module,
     xi_log_filtration,
 )
-from test_algebra import left_divide
+from test_algebra import expand_factor_form, left_divide, monicize
 
 DEPTH = 16
 
