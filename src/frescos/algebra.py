@@ -197,8 +197,8 @@ def monic_expansion(factors, order):
 
 
 def _b2_log_derivative(unit, order):
-    """b^2 S'/S for a unit S, known to order >= 1: the part of the
-    adapted model's diagonal that S contributes."""
+    """b^2 S'/S for a unit S, known to order >= 1: the part of each
+    c_j of monic_expansion that S contributes."""
     if order < 1:
         raise OrderUnderflow(
             "b^2 S'/S needs order at least 1, got %d" % order)

@@ -136,9 +136,9 @@ def alpha_reduce_step(p):
     """Trade rank k >= 3 for rank k-1 without moving alpha.
 
     Pick X with b X' - (p_{k-1} - 1) X = (1 - S_{k-1}) / b and set
-    e~ = S_k^-1 e_k + X S_{k-1}^-1 e_{k-1}: the generator S_k^-1 e_k
-    of the same module sees its last unit as 1.  Then
-    (a - l_{k-1} b)(a - l_k b) e~ lands in the span of e_1..e_{k-2}
+    e~ = f_k + X f_{k-1} in the adapted model, f_j = S_j^-1 e_j: the
+    generator f_k of the same module sees its last unit as 1.  Then
+    (a - l_{k-1} b)(a - l_k b) e~ lands in the span of f_1..f_{k-2}
     exactly, with constant coordinate 1, so it generates that
     submodule; reading its presentation off and appending (l_k + 1, 1)
     gives the reduced fresco.  The ODE solution is unique up to
@@ -161,11 +161,9 @@ def alpha_reduce_step(p):
         raise NotInF0(
             "unit S_%d obstructs the reduction: %s" % (k - 1, exc)
         ) from exc
-    # (a - l_k b) S_k^-1 e_k = e_{k-1}: its top coordinate
-    # (d_k - l_k b) S_k^-1 + b^2 (S_k^-1)' vanishes exactly
-    e_tilde = ModuleElement([SeriesB.zero(x.order)] * (k - 2) + [
-        x * s.invert().truncate(x.order),
-        model.sub[k - 1].invert().truncate(x.order)])
+    # (a - l_k b) f_k = S_(k-1) f_(k-1), with no f_k term left
+    e_tilde = ModuleElement([SeriesB.zero(x.order)] * (k - 2)
+                            + [x, SeriesB.one(x.order)])
     g = model.apply_a(model.apply_a(e_tilde, lam[k - 1]), lam[k - 2])
     for j in (k, k - 1):
         if g.coord(j).valuation() is not None:
@@ -209,7 +207,7 @@ class Analysis:
     time as intervals ask.  Read on its factors >= i, its step t is
     step t of the chain of i..j: the model of i..j is F_j / F_(i-1), and
     a step reads each coordinate off itself and the one above ((a x)_m
-    needs G_m and G_(m+1), the ODE is on S_(j-1), e~ lives on the top
+    needs H_m and H_(m+1), the ODE is on S_(j-1), e~ lives on the top
     two coordinates, regeneration walks down from the top).  Alpha is
     tower k read at i = 1, computed at once; its value, or the
     EngineError it raised, is kept, and the theme classes read it.

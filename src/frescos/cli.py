@@ -225,16 +225,17 @@ def _oracle_check_one(p, M, rng):
     """Oracle comparisons on one presentation; returns fail labels.
 
     annihilator: the oracle's annihilator of e_k is p expanded.
-    generator: a random generator g regenerates a presentation q, and
-    the oracle's annihilator of g is q expanded.  lambdas: a primitive
-    fresco has one principal Jordan-Hoelder sequence, so for a
-    primitive p the Bernstein roots of that annihilator give back the
-    l_j + j of its fundamental invariants, p's l_j + j sorted; q cannot
-    show this, as it copies p's l_j.  They
-    are read where the annihilator has degree k and knows b^k.  The
-    depth floor M >= k + 3, where the profile [0, k, ..., k] of the
-    closure of b e_1..b e_k first has a rank certificate, leaves three
-    orders to compare; the certificate is taken on the window
+    generator: a random generator g, drawn as coordinates G_j against
+    e_1..e_k and handed to the model on f_j = S_j^-1 e_j as S_j G_j,
+    regenerates a presentation q, and the oracle's annihilator of g is
+    q expanded.  lambdas: a primitive fresco has one principal
+    Jordan-Hoelder sequence, so for a primitive p the Bernstein roots
+    of that annihilator give back the l_j + j of its fundamental
+    invariants, p's l_j + j sorted; q cannot show this, as it copies
+    p's l_j.  They are read where the annihilator has degree k and
+    knows b^k.  The depth floor M >= k + 3, where the profile
+    [0, k, ..., k] of the closure of b e_1..b e_k first has a rank
+    certificate, leaves three orders to compare; the certificate is taken on the window
     min(M, k + 3).  It comes first: the annihilators below are of
     vectors with a level-0 entry, so degree d <= k needs depth
     d + 2 <= k + 2, and a depth too small is named once.
@@ -251,7 +252,8 @@ def _oracle_check_one(p, M, rng):
     model = AdaptedModel(p, order=M)
     g = _random_generator(model, rng)
     try:
-        q = regenerate_presentation(model, g)
+        q = regenerate_presentation(model, model.element(
+            [s * c for s, c in zip(model.sub, g.coords)]))
         ann_g = minimal_annihilator(rep, rep.embed(g))
         # regenerated units carry reduced orders, so compare where both
         # sides are actually known

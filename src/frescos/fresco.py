@@ -6,12 +6,13 @@ A fresco of rank k is presented by a product
 
 with rational exponents l_j and unit series S_j, S_j(0) = 1.  The
 geometric condition l_j + j > k makes every root of the Bernstein
-polynomial a negative rational.  The adapted model realizes the module
-concretely on a basis e_1..e_k with
+polynomial a negative rational.  The module has a basis e_1..e_k with
+e_{j-1} = (a - l_j b) S_j^-1 e_j, e_0 = 0, and e_k its generator.  The
+adapted model works on f_j = S_j^-1 e_j, where that chain reads
 
-    a e_j = (l_j b + b^2 S_j'/S_j) e_j + S_j e_{j-1},      e_0 = 0,
+    a f_j = l_j b f_j + S_{j-1} f_{j-1},      f_0 = 0,
 
-which is just the chain e_{j-1} = (a - l_j b) S_j^-1 e_j unrolled.
+so it needs no log-derivative and no inverse of a unit.
 Back from a monic annihilator of e_k, presentation_from_annihilator
 reads the l_j off its Bernstein roots and peels one S_j at a time.
 """
@@ -21,8 +22,7 @@ from itertools import accumulate
 from math import ceil, lcm
 from operator import mul
 
-from .algebra import (AbElement, _b2_log_derivative, _D, _fit, initial_form,
-                      monic_expansion)
+from .algebra import AbElement, _D, _fit, initial_form, monic_expansion
 from .errors import (
     IndexOutOfRange,
     MixedPrimitiveClasses,
@@ -173,7 +173,7 @@ def default_model_order(p):
 
 
 class ModuleElement:
-    """Element of an adapted model: coordinate series against e_1..e_k."""
+    """Element of an adapted model: coordinate series against f_1..f_k."""
 
     __slots__ = ("coords",)
 
@@ -191,7 +191,7 @@ class ModuleElement:
         return len(self.coords)
 
     def coord(self, j):
-        """1-based coordinate against e_j."""
+        """1-based coordinate against f_j."""
         return self.coords[j - 1]
 
     def scale(self, s):
@@ -213,9 +213,11 @@ class ModuleElement:
 class AdaptedModel:
     """The concrete C[[b]]-module attached to a presentation.
 
-    Coordinates are series known to the model's order >= 1.  The first
-    m basis vectors span the submodule F_m, which a maps to itself, so
-    apply_a acts on an element of any F_m given by its m coordinates.
+    Coordinates are series known to the model's order >= 1, against
+    f_j = S_j^-1 e_j; an element with e-coordinates G_j has
+    f-coordinates S_j G_j.  The first m basis vectors span the
+    submodule F_m, which a maps to itself, so apply_a acts on an element
+    of any F_m given by its m coordinates.
     """
 
     def __init__(self, presentation, order):
@@ -225,13 +227,7 @@ class AdaptedModel:
             )
         self.presentation = presentation
         self.order = order
-        self.diag = []
-        self.sub = []
-        for lam, unit in presentation.factors:
-            # d_j = lambda_j b + b^2 S_j'/S_j
-            self.diag.append(SeriesB.monomial(lam, 1, order)
-                             + _b2_log_derivative(unit, order))
-            self.sub.append(_fit(unit, order))
+        self.sub = [_fit(unit, order) for unit in presentation.units]
 
     @property
     def rank(self):
@@ -244,23 +240,24 @@ class AdaptedModel:
 
     def apply_a(self, x, lam=0):
         """(a - lam b) x in one pass: coordinate j is the sum
-        (d_j - lam b) G_j + b^2 G_j' + S_{j+1} G_{j+1} over one
-        denominator, with no term for a zero G.  x lies in F_m for
-        m = x.rank coordinates, and so does the result.
+        b^2 H_j' + (l_j - lam) b H_j + S_j H_{j+1} over one denominator,
+        with no term for a zero H.  x lies in F_m for m = x.rank
+        coordinates, and so does the result.
         """
         lam = rat(lam)
-        n, q = min(self.order, x.order), lam.denominator
-        # b^2 G' - lam b G has (i - lam) g_i at b^(i+1): weights over q
-        drift = [i * q - lam.numerator for i in range(n)]
+        n = min(self.order, x.order)
         out = []
-        for j, (g, h) in enumerate(zip(x.coords, x.coords[1:] + (None,))):
+        for j, (l, h, nxt) in enumerate(zip(self.presentation.lambdas,
+                                            x.coords, x.coords[1:] + (None,))):
             parts = []
-            if any(g.nums):
-                d = self.diag[j] * g
-                parts += [(d.nums, d.den),
-                          ([0, *map(mul, drift, g.nums)], g.den * q)]
-            if h is not None and any(h.nums):
-                s = self.sub[j + 1] * h
+            if any(h.nums):
+                # b^2 H' + c b H has (i + c) h_i at b^(i+1): weights over q
+                c = l - lam
+                q = c.denominator
+                drift = range(c.numerator, c.numerator + n * q, q)
+                parts.append(([0, *map(mul, drift, h.nums)], h.den * q))
+            if nxt is not None and any(nxt.nums):
+                s = self.sub[j] * nxt
                 parts.append((s.nums, s.den))
             den = lcm(*[d for _, d in parts])
             total = [0] * (n + 1)
@@ -292,15 +289,15 @@ class AdaptedModel:
 def regenerate_presentation(model, g):
     """Read the presentation of the submodule <g> of F_k off g.
 
-    g is given by its k coordinates against e_1..e_k, k at most the
-    model's rank; the result uses the model's first k factors.  Walks
-    stages m = k..1.  At each stage the new unit is
-    Sigma_m = S_m G_m / G_m(0); the next generator is
-    (a - l_m b)(Sigma_m^-1 g) which lands in the span of e_1..e_{m-1}
-    exactly.  A vanishing constant term G_m(0) means g fails to
+    g is given by its k coordinates H_j against f_1..f_k, k at most the
+    model's rank, and is cut to the model's order on entry; the result
+    uses the model's first k factors.  Walks stages m = k..1.  At each
+    stage the new unit is Sigma_m = H_m / H_m(0); the next generator is
+    (a - l_m b)(Sigma_m^-1 g) which lands in the span of f_1..f_{m-1}
+    exactly.  A vanishing constant term H_m(0) means g fails to
     generate and raises NotAGenerator.
     """
-    coords = list(g.coords)
+    coords = [c.truncate(min(c.order, model.order)) for c in g.coords]
     k = len(coords)
     if k > model.rank:
         raise ValueError("generator has %d coordinates, model rank is %d"
@@ -308,11 +305,11 @@ def regenerate_presentation(model, g):
     lambdas = model.presentation.lambdas[:k]
     new_units = [None] * k
     for m in range(k, 0, -1):
-        gm = coords[m - 1]
-        c0 = gm.constant()
+        hm = coords[m - 1]
+        c0 = hm.constant()
         if c0 == 0:
             raise NotAGenerator("coordinate %d has no constant term" % m)
-        sigma = model.sub[m - 1] * gm * (1 / c0)
+        sigma = hm * (1 / c0)
         new_units[m - 1] = sigma
         if m == 1:
             break

@@ -74,7 +74,7 @@ class TruncatedRep:
         return _shift(self, vec, 1)
 
     def embed(self, x):
-        """Coordinates of an adapted-model element in this basis."""
+        """Coordinates in this basis of an element given on e_1..e_k."""
         out = {}
         for j, c in enumerate(x.coords, start=1):
             for m, v in enumerate(c.nums[: self.M]):

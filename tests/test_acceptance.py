@@ -40,6 +40,7 @@ from frescos.xi import (
     xi_log_filtration,
 )
 from test_algebra import expand_factor_form, monicize
+from test_fresco import f_coords
 
 F = Fraction
 N = 32  # series truncation order
@@ -303,8 +304,9 @@ def test_criterion_07_oracle_equivalence():
         assert ann.degree == k
         assert ann.same_upto(want, M - k)
         model = AdaptedModel(p, order=M)
+        # g is drawn on e_1..e_k; the model takes S_j G_j on f_j
         g = rand_generator(model, rng)
-        q = regenerate_presentation(model, g)
+        q = regenerate_presentation(model, f_coords(model, g))
         ordq = min(u.order for u in q.units)
         assert ordq >= M - k
         want_g = monicize(expand_factor_form(q.factors, ordq))

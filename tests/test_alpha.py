@@ -39,6 +39,8 @@ from frescos.fresco import (AdaptedModel, ModuleElement, Presentation,
 from frescos.cli import _random_generator, main
 from frescos.oracle import submodule_analysis, truncate_rep
 from frescos.series import SeriesB, rat, solve_resonant_ode
+from test_fresco import (EBasisModel, count_inversions, f_coords,
+                         reference_regenerate)
 
 ORDER = 20
 
@@ -409,9 +411,10 @@ def test_tower_reads_every_interval_as_its_own_chain(p):
 
 
 def copy_reduce_step(p):
-    """The reduction step on a copy of p whose last unit is 1, the
-    reference for alpha_reduce_step's generator S_k^-1 e_k in p's own
-    model: the copy's model starts from e~ = e_k + X S_(k-1)^-1 e_(k-1).
+    """The reduction step on a copy of p whose last unit is 1, in the
+    e-basis reference model: the reference for alpha_reduce_step's
+    generator f_k = S_k^-1 e_k in p's own model.  The copy's model
+    starts from e~ = e_k + X S_(k-1)^-1 e_(k-1).
     """
     k = p.rank
     if k < 3:
@@ -420,7 +423,7 @@ def copy_reduce_step(p):
     order = min(default_model_order(p), min(u.order for u in p.units))
     fs = list(p.factors)
     fs[-1] = (fs[-1][0], SeriesB.one(order))
-    model = AdaptedModel(Presentation(fs), order=order)
+    model = EBasisModel(Presentation(fs), order=order)
     lam = p.lambdas
     s = model.sub[k - 2]
     try:
@@ -438,7 +441,7 @@ def copy_reduce_step(p):
             raise AssertionError(
                 "coordinate %d should vanish after the reduction" % j
             )
-    reduced = regenerate_presentation(model, ModuleElement(g.coords[: k - 2]))
+    reduced = reference_regenerate(model, ModuleElement(g.coords[: k - 2]))
     tail_order = min(u.order for u in reduced.units)
     return Presentation(
         list(reduced.factors) + [(lam[k - 1] + 1, SeriesB.one(tail_order))]
@@ -448,8 +451,8 @@ def copy_reduce_step(p):
 @settings(max_examples=60, deadline=None)
 @given(principal_sparse().filter(lambda p: any(p.units[-1].nums[1:])))
 def test_reduce_step_in_its_own_model_matches_the_copy(p):
-    # e_k -> S_k^-1 e_k inside p's model does what the copy with S_k = 1
-    # did, step by step along tower k
+    # the generator f_k = S_k^-1 e_k inside p's model does what the copy
+    # with S_k = 1 did, step by step along tower k
     for _ in range(p.rank - 2):
         want = _outcome(lambda: copy_reduce_step(p))
         got = _outcome(lambda: alpha_reduce_step(p))
@@ -458,6 +461,21 @@ def test_reduce_step_in_its_own_model_matches_the_copy(p):
         if not isinstance(got, Presentation):
             break
         p = got
+
+
+@pytest.mark.parametrize("text, inversions", [
+    ("fresco: (3 | 1 + b) (4 | 1 - b + b^3) (5 | 1 + 2b)", 0),
+    ("fresco: (5 | 1 + b) (6 | 1 - 2b^3) (7 | 1 + b^4) (8 | 1 - b + b^3) "
+     "(9 | 1 + 2b)", 2),
+])
+def test_reduce_step_inverts_only_in_regeneration(monkeypatch, text,
+                                                  inversions):
+    # the model and e~ = f_k + X f_(k-1) invert nothing; regeneration
+    # inverts Sigma_m at its stages m = k-2..2
+    p = parse_fresco(text, order=ORDER)
+    calls = count_inversions(monkeypatch)
+    assert alpha_reduce_step(p).rank == p.rank - 1
+    assert len(calls) == inversions == p.rank - 3
 
 
 @pytest.mark.parametrize("text, steps, pair, factors", [
@@ -529,5 +547,7 @@ def test_alpha_does_not_depend_on_the_generator():
     if (codim, alpha) != (0, 1):
         pytest.fail("the witness moved: codimension %d, alpha %s"
                     % (codim, alpha))
-    # g generates E, so its presentation is one of E's
-    assert Analysis(regenerate_presentation(model, g)).alpha() == alpha
+    # g generates E, so its presentation is one of E's; the model takes
+    # its f-coordinates S_j G_j
+    assert Analysis(regenerate_presentation(
+        model, f_coords(model, g))).alpha() == alpha

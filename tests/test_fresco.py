@@ -1,13 +1,16 @@
 """Presentations, Bernstein data, the adapted model, regeneration."""
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frescos.algebra import _b2_log_derivative, _fit, monic_expansion
 from frescos.dsl import parse_fresco
 from frescos.errors import (
+    EngineError,
     IndexOutOfRange,
     MixedPrimitiveClasses,
     NonUnitSeries,
@@ -47,10 +50,98 @@ def pres(*pairs):
 
 
 def basis(model, j):
-    """e_j of an adapted model as a module element."""
+    """f_j of an adapted model as a module element."""
     n = model.order
     return ModuleElement([SeriesB.one(n) if i == j else SeriesB.zero(n)
                           for i in range(1, model.rank + 1)])
+
+
+def e_vector(model, j):
+    """e_j = S_j f_j of an adapted model as a module element."""
+    return basis(model, j).scale(model.sub[j - 1])
+
+
+def f_coords(model, g):
+    """The f-coordinates S_j G_j of an element with e-coordinates G_j."""
+    return ModuleElement([s * c for s, c in zip(model.sub, g.coords)])
+
+
+class EBasisModel:
+    """The adapted model on e_1..e_k, the reference of the f-basis one:
+
+        a e_j = (l_j b + b^2 S_j'/S_j) e_j + S_j e_{j-1},
+
+    with its diagonals d_j built once and apply_a fused as the engine
+    had it.  Coordinates are series against e_1..e_k.
+    """
+
+    def __init__(self, presentation, order):
+        self.presentation = presentation
+        self.order = order
+        self.diag = []
+        self.sub = []
+        for lam, unit in presentation.factors:
+            # d_j = lambda_j b + b^2 S_j'/S_j
+            self.diag.append(SeriesB.monomial(lam, 1, order)
+                             + _b2_log_derivative(unit, order))
+            self.sub.append(_fit(unit, order))
+
+    @property
+    def rank(self):
+        return self.presentation.rank
+
+    def apply_a(self, x, lam=0):
+        """(a - lam b) x: coordinate j is (d_j - lam b) G_j + b^2 G_j'
+        + S_{j+1} G_{j+1} over one denominator."""
+        lam = rat(lam)
+        n, q = min(self.order, x.order), lam.denominator
+        # b^2 G' - lam b G has (i - lam) g_i at b^(i+1): weights over q
+        drift = [i * q - lam.numerator for i in range(n)]
+        out = []
+        for j, (g, h) in enumerate(zip(x.coords, x.coords[1:] + (None,))):
+            parts = []
+            if any(g.nums):
+                d = self.diag[j] * g
+                parts += [(d.nums, d.den),
+                          ([0, *map(mul, drift, g.nums)], g.den * q)]
+            if h is not None and any(h.nums):
+                s = self.sub[j + 1] * h
+                parts.append((s.nums, s.den))
+            den = lcm(*[d for _, d in parts])
+            total = [0] * (n + 1)
+            for nums, d in parts:
+                f = den // d
+                total = [t + f * y for t, y in zip(total, nums)]
+            out.append(SeriesB._lowest(total, den, n))
+        return ModuleElement(out)
+
+
+def reference_regenerate(model, g):
+    """regenerate_presentation on an EBasisModel, g against e_1..e_k:
+    Sigma_m = S_m G_m / G_m(0) at each stage m = k..1."""
+    coords = list(g.coords)
+    k = len(coords)
+    lambdas = model.presentation.lambdas[:k]
+    new_units = [None] * k
+    for m in range(k, 0, -1):
+        gm = coords[m - 1]
+        c0 = gm.constant()
+        if c0 == 0:
+            raise NotAGenerator("coordinate %d has no constant term" % m)
+        sigma = model.sub[m - 1] * gm * (1 / c0)
+        new_units[m - 1] = sigma
+        if m == 1:
+            break
+        t = sigma.invert()
+        y = model.apply_a(ModuleElement([t * c for c in coords]),
+                          lambdas[m - 1])
+        if y.coord(m).valuation() is not None:
+            raise AssertionError("stage %d residue should vanish" % m)
+        coords = list(y.coords[: m - 1])
+    order = min(u.order for u in new_units)
+    return Presentation(
+        [(lam, u.truncate(order)) for lam, u in zip(lambdas, new_units)]
+    )
 
 
 def std():
@@ -136,23 +227,24 @@ def test_default_model_order():
 
 
 def test_model_chain_relations():
+    # (a - l_j b) f_j = S_(j-1) f_(j-1), and (a - l_1 b) f_1 = 0
     p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
     m = AdaptedModel(p, order=16)
-    for j in range(p.rank, 1, -1):
-        sj_inv = m.sub[j - 1].invert()
-        x = basis(m, j).scale(sj_inv)
+    for j in range(p.rank, 0, -1):
+        x = basis(m, j)
         y = m.apply_a(x) - m.apply_b(x).scale(SeriesB([p.lambdas[j - 1]], 16))
-        expect = basis(m, j - 1)
+        expect = (e_vector(m, j - 1) if j > 1
+                  else ModuleElement([SeriesB.zero(16)] * p.rank))
         for i in range(1, p.rank + 1):
             assert y.coord(i).same_upto(expect.coord(i), 12)
 
 
 def test_presentation_annihilates_generator():
+    # the monic expansion kills the generator e_k = S_k f_k
     p = pres(("3", unit(1, -1, 2)), ("7/2", unit(0, 2)), ("4", unit(5)))
     n = 14
     m = AdaptedModel(p, order=n)
-    op = expand_factor_form(p.factors, n)
-    y = m.apply_op(op, basis(m, p.rank))
+    y = m.apply_op(monic_expansion(p.factors, n), e_vector(m, p.rank))
     assert y.is_zero()
 
 
@@ -170,14 +262,18 @@ def test_model_commutation(cs):
 
 
 def _minus_lam_b(m, x, lam):
-    """(a - lam b) x the unfused way: a x, then b x scaled, subtracted."""
+    """(a - lam b) x the unfused way: a x, then b x scaled, subtracted.
+
+    a x has coordinate b^2 H_j' + l_j b H_j + S_j H_(j+1), known to the
+    lesser of the model's and x's orders."""
+    n = min(m.order, x.order)
     out = []
     for j in range(1, x.rank + 1):
-        g = x.coord(j)
-        acc = m.diag[j - 1] * g + g.derive().shift(2)
+        h = x.coord(j)
+        acc = h.derive().shift(2) + (h * m.presentation.lambdas[j - 1]).shift(1)
         if j < x.rank:
-            acc = acc + m.sub[j] * x.coord(j + 1)
-        out.append(acc)
+            acc = acc + m.sub[j - 1] * x.coord(j + 1)
+        out.append(acc.truncate(n))
     ax = ModuleElement(out)
     return ax - m.apply_b(x).scale(SeriesB.monomial(lam, 0, x.order))
 
@@ -211,9 +307,87 @@ def test_fused_apply_a_matches_a_minus_lam_b(arg):
     assert m.apply_a(x).coords == _minus_lam_b(m, x, 0).coords
 
 
+@st.composite
+def model_and_e_coords(draw):
+    """A presentation of rank 1-5, a model order 1-40, the e-coordinates
+    G of an element of some F_m, known below or above the model, and an
+    integer or non-integer lam."""
+    k = draw(st.integers(1, 5))
+    order = draw(st.integers(1, 40))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    p = Presentation([
+        (k + draw(st.fractions(min_value=0, max_value=3, max_denominator=2)),
+         SeriesB([1] + draw(st.lists(coeff, max_size=order)), 40))
+        for _ in range(k)])
+    n = draw(st.integers(0, 42))
+    coords = []
+    for _ in range(k - draw(st.integers(0, k - 1))):
+        v = draw(st.integers(0, min(2, n + 1)))
+        cs = draw(st.lists(coeff, max_size=n + 1 - v))
+        coords.append(SeriesB([0] * v + cs, n))
+    # g generates exactly when its top constant is nonzero
+    top = coords[-1].coeffs
+    lead = draw(st.sampled_from([1, -2, Fraction(3, 4), 0]))
+    coords[-1] = SeriesB([lead, *top[1:]], n)
+    lam = draw(st.one_of(
+        st.integers(-5, 5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=3)))
+    return p, order, ModuleElement(coords), lam
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except EngineError as exc:
+        return type(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(model_and_e_coords())
+def test_f_basis_model_matches_the_e_basis_reference(arg):
+    # f_j = S_j^-1 e_j: the element with e-coordinates G has
+    # f-coordinates S G, and so has every image of it
+    p, order, g, lam = arg
+    m, ref = AdaptedModel(p, order), EBasisModel(p, order)
+    h = f_coords(m, g)
+    assert m.apply_a(h, lam).coords == f_coords(m, ref.apply_a(g, lam)).coords
+    # == also compares every unit's known order
+    assert _outcome(regenerate_presentation, m, h) == \
+        _outcome(reference_regenerate, ref, g)
+
+
+def count_inversions(monkeypatch):
+    """Record every SeriesB.invert call from here on."""
+    calls = []
+    real = SeriesB.invert
+
+    def invert(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(SeriesB, "invert", invert)
+    return calls
+
+
+def test_model_inverts_nothing(monkeypatch):
+    p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
+    calls = count_inversions(monkeypatch)
+    m = AdaptedModel(p, order=16)
+    m.apply_a(m.element([unit(2), unit(0, 1), unit(-1)]), "1/2")
+    assert calls == []
+
+
+def test_regenerate_cuts_g_to_the_model_order():
+    # the unit is read off g only as far as the model knows S
+    m = AdaptedModel(pres(("3", unit(1, -1))), order=8)
+    q = regenerate_presentation(m, m.element([SeriesB([2, 1, 0, 3], 16)]))
+    assert q.units[0].order == 8
+    assert q.units[0] == SeriesB([1, Fraction(1, 2), 0, Fraction(3, 2)], 8)
+
+
 def test_apply_a_at_order_0_reads_the_next_constant():
-    # d_j and b have no constant term, so (a - lam b) x at b^0 is
-    # S_{j+1}(0) G_{j+1}(0) = G_{j+1}(0)
+    # b has no constant term, so (a - lam b) x at b^0 is
+    # S_j(0) H_{j+1}(0) = H_{j+1}(0)
     m = AdaptedModel(std(), order=12)
     x = ModuleElement([SeriesB([2], 0), SeriesB([3], 0)])
     assert m.apply_a(x, 5).coords == (SeriesB([3], 0), SeriesB([0], 0))
@@ -222,7 +396,7 @@ def test_apply_a_at_order_0_reads_the_next_constant():
 def test_regenerate_identity_on_ek():
     p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
     m = AdaptedModel(p, order=18)
-    q = regenerate_presentation(m, basis(m, 3))
+    q = regenerate_presentation(m, e_vector(m, 3))
     assert q.lambdas == p.lambdas
     for old, new in zip(p.units, q.units):
         assert old.same_upto(new, new.order)
@@ -259,7 +433,7 @@ def test_apply_a_acts_on_a_prefix_span():
 def test_regenerate_reads_a_prefix_span():
     p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
     m = AdaptedModel(p, order=18)
-    q = regenerate_presentation(m, ModuleElement(basis(m, 2).coords[:2]))
+    q = regenerate_presentation(m, ModuleElement(e_vector(m, 2).coords[:2]))
     assert q.lambdas == p.lambdas[:2]
     for old, new in zip(p.units, q.units):
         assert old.same_upto(new, new.order)

@@ -27,6 +27,7 @@ from frescos.oracle import (
 from frescos.series import SeriesB, rat
 import frescos.oracle as oracle_module
 from test_algebra import expand_factor_form, monicize
+from test_fresco import EBasisModel
 
 M = 12
 
@@ -42,10 +43,16 @@ def pres(*pairs, order=M):
 
 
 def basis(model, j):
-    """e_j of an adapted model as a module element."""
+    """f_j of an adapted model as a module element."""
     n = model.order
     return ModuleElement([SeriesB.one(n) if i == j else SeriesB.zero(n)
                           for i in range(1, model.rank + 1)])
+
+
+def e_coords(model, x):
+    """The e-coordinates H_j / S_j of an adapted-model element, which
+    has coordinates H_j against f_j = S_j^-1 e_j: what embed takes."""
+    return ModuleElement([c * s.invert() for s, c in zip(model.sub, x.coords)])
 
 
 def std2():
@@ -135,15 +142,15 @@ def test_annihilator_sees_unit_correction():
     # a e_1 = (l_1 b + b^2 S_1'/S_1) e_1, so the unit shows up here
     p = std2()
     rep = truncate_rep(p, M)
-    model = AdaptedModel(p, order=M)
+    ref = EBasisModel(p, order=M)
     ann = minimal_annihilator(rep, rep.basis_vector(1))
-    want = AbElement([-model.diag[0], SeriesB.one(M)])
+    want = AbElement([-ref.diag[0], SeriesB.one(M)])
     assert ann.degree == 1
     assert ann.same_upto(want, M - 1)
-    # while the normalised generator of the same line drops it again
-    g = rep.embed(model.element(
-        [model.sub[0].invert(), SeriesB.zero(M)]
-    ))
+    # while the normalised generator f_1 = S_1^-1 e_1 of the same line
+    # drops it again
+    model = AdaptedModel(p, order=M)
+    g = rep.embed(e_coords(model, basis(model, 1)))
     ann2 = minimal_annihilator(rep, g)
     assert ann2.same_upto(AbElement.linear(rat("5/2"), M - 1), M - 1)
 
@@ -382,13 +389,14 @@ def test_embed_round_trip():
 
 
 def test_rep_agrees_with_model_action():
+    # through the change of basis f_j = S_j^-1 e_j
     p = std3()
     rep = truncate_rep(p, M)
     model = AdaptedModel(p, order=M)
     for j in (1, 2, 3):
         x = basis(model, j)
-        va = rep.apply_a(rep.embed(x))
-        wa = rep.embed(model.apply_a(x))
+        va = rep.apply_a(rep.embed(e_coords(model, x)))
+        wa = rep.embed(e_coords(model, model.apply_a(x)))
         assert {r: c for r, c in va.items() if rep.level(r) < M} == wa
 
 
@@ -444,8 +452,8 @@ def unit_presentations(draw):
 
 
 def _columns_from_model(p):
-    """The a-columns built from AdaptedModel.diag, the engine's own d_j."""
-    model = AdaptedModel(p, order=M)
+    """The a-columns built from the d_j of the e-basis reference model."""
+    model = EBasisModel(p, order=M)
     rep = truncate_rep(p, M)
     cols = {}
     for j in range(1, p.rank + 1):
