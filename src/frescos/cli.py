@@ -193,8 +193,8 @@ def run_one(command, obj):
 # --- randomized verification ---
 
 
-def _random_presentation(rng, order, kmax=3):
-    k = rng.randint(1, kmax)
+def _random_presentation(rng, order):
+    k = rng.randint(1, 3)
     factors = []
     for j in range(1, k + 1):
         lam = k - j + Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
@@ -224,21 +224,22 @@ def _random_generator(model, rng):
 def _oracle_check_one(p, M, rng):
     """Oracle comparisons on one presentation; returns fail labels.
 
-    annihilator: the oracle's annihilator of e_k is p expanded.
-    generator: a random generator g, drawn as coordinates G_j against
-    e_1..e_k and handed to the model on f_j = S_j^-1 e_j as S_j G_j,
-    regenerates a presentation q, and the oracle's annihilator of g is
-    q expanded.  lambdas: a primitive fresco has one principal
-    Jordan-Hoelder sequence, so for a primitive p the Bernstein roots
-    of that annihilator give back the l_j + j of its fundamental
-    invariants, p's l_j + j sorted; q cannot show this, as it copies
-    p's l_j.  They are read where the annihilator has degree k and
-    knows b^k.  The depth floor M >= k + 3, where the profile
-    [0, k, ..., k] of the closure of b e_1..b e_k first has a rank
-    certificate, leaves three orders to compare; the certificate is taken on the window
-    min(M, k + 3).  It comes first: the annihilators below are of
-    vectors with a level-0 entry, so degree d <= k needs depth
-    d + 2 <= k + 2, and a depth too small is named once.
+    The oracle and the model both work on f_j = S_j^-1 e_j, so each is
+    handed the same f-coordinates.  annihilator: the oracle's
+    annihilator of e_k = S_k f_k is p expanded.  generator: a random
+    generator g, drawn as coordinates G_j against e_1..e_k and handed
+    over as S_j G_j, regenerates a presentation q, and the oracle's
+    annihilator of g is q expanded.  lambdas: a primitive fresco has one
+    principal Jordan-Hoelder sequence, so for a primitive p the
+    Bernstein roots of that annihilator give back the l_j + j of its
+    fundamental invariants, p's l_j + j sorted; q cannot show this, as
+    it copies p's l_j.  They are read where the annihilator has degree
+    k and knows b^k.  The depth floor M >= k + 3, where the profile
+    [0, k, ..., k] of the closure of b f_1..b f_k first has a rank
+    certificate, leaves three orders to compare; the certificate is
+    taken on the window min(M, k + 3).  It comes first: the annihilators
+    below are of vectors with a level-0 entry, so degree d <= k needs
+    depth d + 2 <= k + 2, and a depth too small is named once.
     """
     fails = []
     k = p.rank
@@ -246,14 +247,15 @@ def _oracle_check_one(p, M, rng):
     low = truncate_rep(p, min(M, k + 3))
     closure_rank(low, [low.basis_vector(j, 1) for j in range(1, k + 1)])
     want = monic_expansion(p.factors, M)
-    ann = minimal_annihilator(rep, rep.basis_vector(k))
+    model = AdaptedModel(p, order=M)
+    e_k = model.element([SeriesB.zero(M)] * (k - 1) + [model.sub[k - 1]])
+    ann = minimal_annihilator(rep, rep.embed(e_k))
     if not ann.same_upto(want, M - k):
         fails.append("annihilator")
-    model = AdaptedModel(p, order=M)
     g = _random_generator(model, rng)
     try:
-        q = regenerate_presentation(model, model.element(
-            [s * c for s, c in zip(model.sub, g.coords)]))
+        g = model.element([s * c for s, c in zip(model.sub, g.coords)])
+        q = regenerate_presentation(model, g)
         ann_g = minimal_annihilator(rep, rep.embed(g))
         # regenerated units carry reduced orders, so compare where both
         # sides are actually known

@@ -252,19 +252,20 @@ def _summands(p):
     return lam, terms, top_comp
 
 
-def _xi(p, depth, ncomp=None):
+def _xi(p, depth):
     lam, terms, top_comp = _literal(p, "xi", _summands, "the expansion")
-    return XiExpansion(lam, depth, ncomp or top_comp, terms)
+    return XiExpansion(lam, depth, top_comp, terms)
 
 
-def parse_xi(text, depth=DEFAULT_ORDER, ncomp=None):
+def parse_xi(text, depth=DEFAULT_ORDER):
     """Expansion literal to an XiExpansion, checked when it is built.
 
     Summands look like '2 * s^(3/2) * log^2 * [1 + 2s] @ v1'; the
     coefficient, log part, shift polynomial and component are each
-    optional.  Exponents must all lie in one class mod 1.
+    optional.  Exponents must all lie in one class mod 1.  The component
+    count is the highest component named, v1 if none is.
     """
-    return _xi(_Parser(text), depth, ncomp)
+    return _xi(_Parser(text), depth)
 
 
 def parse_dsl(text, order=None, depth=DEFAULT_ORDER):

@@ -92,9 +92,8 @@ class Presentation:
         return tuple(-(l + j - k) for j, l in enumerate(self.lambdas, 1))
 
     def is_primitive(self):
-        """All exponents in one class mod 1."""
-        ls = self.lambdas
-        return all((l - ls[0]).denominator == 1 for l in ls)
+        """One class mod 1: every step p_j = l_(j+1) - l_j + 1 integral."""
+        return all(p.denominator == 1 for p in self._p_values)
 
     def is_principal(self):
         """l_j + j non decreasing, i.e. every p_j >= 0 an integer."""

@@ -1,27 +1,26 @@
 """Independent cross-check: exact truncated matrices for a and b.
 
 A rank-k module truncated at depth M becomes a k*M dimensional vector
-space over the rationals with basis b^m e_j (m < M, j = 1..k), indexed
-level-major (b^m e_j is m k + j - 1) so that index order is the pivot
-order.  b is the exact shift b^m e_j -> b^(m+1) e_j, so only a is
-stored, once, as the sparse integer columns of D a over one common
-denominator D; everything downstream is plain exact linear algebra with
-no series machinery involved.  Both a and b only ever raise the b-level
-m, which is why coordinates below the truncation stay exact.  The
-diagonal entries b^2 S_j'/S_j of the a-matrix are solved for here from
-the units' numerators by an integer recurrence, not by the series
-kernel, so a fault in the series kernel cannot cancel out on both sides
-of a comparison.  The columns are assembled on integers too: each
-factor's diagonal and sub-diagonal are brought over D once, and every
-column is a run of index offsets into them.  The
-elimination itself, one fraction-free sparse echelon that also solves
-the annihilator systems, lives in linalg.py, the only module the oracle
-shares with the expansion side; it holds no engine code.  Spans and the
-vectors a^m x of an annihilator run on the integer columns, so they are
-known only up to a scale, which a span ignores.  The annihilator is
-solved for in b-left order, where b is the exact shift, on integer
-numerators over one running scale, and moved to normal order on
-integers; the scale is divided out only in the series it returns.
+space over the rationals with basis b^m f_j (m < M, j = 1..k), where
+f_j = S_j^-1 e_j is the normalized chain vector, indexed level-major
+(b^m f_j is m k + j - 1) so that index order is the pivot order.  b is
+the exact shift b^m f_j -> b^(m+1) f_j, so only a is stored, once, as
+the sparse integer columns of D a over one common denominator D.  On
+f_j the chain reads a f_j = l_j b f_j + S_(j-1) f_(j-1), so every
+column is read off an exponent and the numerators of one unit: the
+oracle computes nothing from the units, and everything downstream is
+plain exact linear algebra with no series machinery involved.  Both a
+and b only ever raise the b-level m, which is why coordinates below the
+truncation stay exact, and the change of basis from b^m e_j is
+unitriangular with the identity at each level.  The elimination itself,
+one fraction-free sparse echelon that also solves the annihilator
+systems, lives in linalg.py, the only module the oracle shares with the
+expansion side; it holds no engine code.  Spans and the vectors a^m x
+of an annihilator run on the integer columns, so they are known only up
+to a scale, which a span ignores.  The annihilator is solved for in
+b-left order, where b is the exact shift, on integer numerators over
+one running scale, and moved to normal order on integers; the scale is
+divided out only in the series it returns.
 """
 
 from fractions import Fraction
@@ -37,13 +36,13 @@ from .series import SeriesB
 
 
 class TruncatedRep:
-    """The matrix of a on the basis b^m e_j, m < M; b is the shift.
+    """The matrix of a on the basis b^m f_j, m < M; b is the shift.
 
     aint holds the integer columns of D a, with D = ascale the lcm of
-    the denominators of a; they are assembled on integers, and a zero
-    column is not stored.  So a span or the a-images a^m x up to scale
-    are built without a Fraction; apply_a divides D back out.  An index
-    sorts by b-level, then by chain position: the pivot order.
+    the denominators of a, and a zero column is not stored.  So a span
+    or the a-images a^m x up to scale are built without a Fraction;
+    apply_a divides D back out.  An index sorts by b-level, then by
+    chain position: the pivot order.
     """
 
     __slots__ = ("k", "M", "aint", "ascale")
@@ -59,7 +58,7 @@ class TruncatedRep:
         return self.k * self.M
 
     def idx(self, j, m):
-        """Index of b^m e_j (j is 1-based)."""
+        """Index of b^m f_j (j is 1-based)."""
         return m * self.k + j - 1
 
     def level(self, idx):
@@ -74,7 +73,16 @@ class TruncatedRep:
         return _shift(self, vec, 1)
 
     def embed(self, x):
-        """Coordinates in this basis of an element given on e_1..e_k."""
+        """Coordinates of an adapted-model element on this basis: its
+        coordinate H_j against f_j fills b^m f_j, m < M.  An element of
+        F_m has m <= k coordinates; more than k would be misplaced and
+        ones known below order M zero-filled, so both are refused."""
+        if x.rank > self.k:
+            raise ValueError("element has %d coordinates, rank is %d"
+                             % (x.rank, self.k))
+        if x.order < self.M:
+            raise OrderUnderflow(
+                "series known to order %d, need %d" % (x.order, self.M))
         out = {}
         for j, c in enumerate(x.coords, start=1):
             for m, v in enumerate(c.nums[: self.M]):
@@ -83,6 +91,10 @@ class TruncatedRep:
         return out
 
     def basis_vector(self, j, m=0):
+        """b^m f_j, for j in 1..k and m in 0..M-1."""
+        if not (1 <= j <= self.k and 0 <= m < self.M):
+            raise ValueError("no basis vector b^%d f_%d at rank %d, depth %d"
+                             % (m, j, self.k, self.M))
         return {self.idx(j, m): Fraction(1)}
 
 
@@ -96,85 +108,36 @@ def _matvec(cols, vec):
 
 
 def truncate_rep(p, M):
-    """The exact a-matrix of a presentation, truncated at depth M >= 4.
+    """The exact a-matrix of a presentation on b^m f_j, at depth M >= 4.
 
-    Column b^m e_j is b^m d_j e_j + m b^(m+1) e_j + b^m S_j e_(j-1).
-    The diagonal d_j and the sub-diagonal S_j are taken once per factor
-    as integer numerators over ascale, the lcm of their lowest-terms
-    denominators, so each column is a run of index offsets into those
-    lists: no entry is ever a Fraction.
+    As a b^m = b^m a + m b^(m+1), column b^m f_j is (l_j + m) b^(m+1) f_j
+    + b^m S_(j-1) f_(j-1).  Its entries are integers over ascale, the lcm
+    of the exponents' denominators and of the lowest-terms denominators
+    of S_1..S_(k-1): no entry is ever a Fraction.
     """
     if M < 4:
         raise ValueError("truncation depth must be at least 4")
-    k = p.rank
-    rep = TruncatedRep(k, M)
-    parts = []
-    for j, (lam, unit) in enumerate(p.factors, start=1):
+    for unit in p.units:
         if unit.order < M:
             raise OrderUnderflow(
                 "series known to order %d, need %d" % (unit.order, M))
-        s = unit.nums[:M]
-        q, qden = _b2_log_derivative(s)
-        sub, sden = [], 1
+    rep = TruncatedRep(p.rank, M)
+    dens = [u.den // gcd(u.den, *u.nums[:M]) for u in p.units[:-1]]
+    rep.ascale = D = lcm(*(l.denominator for l in p.lambdas), *dens)
+    for j, lam in enumerate(p.lambdas, start=1):
+        sub = []
         if j > 1:
-            # S_j sits at e_(j-1), so S_1 is no entry of the matrix
-            g = gcd(unit.den, *s)
-            sub, sden = [x // g for x in s], unit.den // g
-        parts.append((lam, q, qden, sub, sden))
-    rep.ascale = D = lcm(*(lcm(lam.denominator, qden, sden)
-                           for lam, _, qden, _, sden in parts))
-    dim = rep.dim
-    for j, (lam, q, qden, sub, sden) in enumerate(parts, start=1):
-        # d_j = lambda_j b + b^2 S_j'/S_j
-        d = [x * (D // qden) for x in q]
-        d[1] += lam.numerator * (D // lam.denominator)
-        # level t of d_j is the offset t k, level t of S_j sits one row
-        # lower, at e_(j-1); both are cut where the index reaches dim
-        dterms = [(t * k, x) for t, x in enumerate(d) if t and x]
-        sterms = [(t * k - 1, x * (D // sden)) for t, x in enumerate(sub)
-                  if x]
+            u = p.units[j - 2]
+            sub = [(t, x * D // u.den) for t, x in enumerate(u.nums[:M]) if x]
+        step = lam.numerator * (D // lam.denominator)
         for m in range(M):
-            base = m * k + j - 1
-            while dterms and base + dterms[-1][0] >= dim:
-                dterms.pop()
-            while sterms and base + sterms[-1][0] >= dim:
-                sterms.pop()
-            col = {base + o: x for o, x in dterms}
-            if m and m + 1 < M:
-                # the crossing term joins d_j's b^1 entry lambda_j, and
-                # Presentation keeps lambda_j > k - j >= 0: no cancelling
-                col[base + k] += m * D
-            col.update([(base + o, x) for o, x in sterms])
+            col = {rep.idx(j - 1, m + t): x for t, x in sub if m + t < M}
+            if m + 1 < M:
+                # Presentation keeps l_j > k - j >= 0: never zero
+                col[rep.idx(j, m + 1)] = step + m * D
             if col:
-                rep.aint[base] = col
+                rep.aint[rep.idx(j, m)] = col
     return rep
-
-
-def _b2_log_derivative(s):
-    """b^2 S'/S to the length n of s, for S = s up to a positive scale,
-    s[0] > 0: integer numerators over one denominator, in lowest terms.
-
-    Solves s q = b^2 s' row by row on integers: H_t = s_0^t q_t is the
-    b^t coefficient (t - 1) s_(t-1) s_0^(t-1) of s_0^(t-1) b^2 s' minus
-    sum_(i >= 1) s_i s_0^(i-1) H_(t-i).  Over s_0^(n-1) every q_t is
-    H_t s_0^(n-1-t), reduced by one content gcd.
-    """
-    n, s0 = len(s), s[0]
-    pw = [1]
-    for _ in range(n - 1):
-        pw.append(pw[-1] * s0)
-    terms = [(i, c * pw[i - 1]) for i, c in enumerate(s) if i and c]
-    h = []
-    for t in range(n):
-        acc = (t - 1) * s[t - 1] * pw[t - 1] if t >= 2 else 0
-        for i, w in terms:
-            if i > t:
-                break
-            acc -= w * h[t - i]
-        h.append(acc)
-    nums = [x * pw[n - 1 - t] for t, x in enumerate(h)]
-    g = gcd(pw[-1], *nums)
-    return [x // g for x in nums], pw[-1] // g
 
 
 def minimal_annihilator(rep, x):

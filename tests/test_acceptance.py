@@ -40,7 +40,7 @@ from frescos.xi import (
     xi_log_filtration,
 )
 from test_algebra import expand_factor_form, monicize
-from test_fresco import f_coords
+from test_fresco import e_vector, f_coords
 
 F = Fraction
 N = 32  # series truncation order
@@ -299,14 +299,15 @@ def test_criterion_07_oracle_equivalence():
         p = rand_presentation(rng, kmax=3)
         k = p.rank
         rep = truncate_rep(p, M)
+        model = AdaptedModel(p, order=M)
         want = monicize(expand_factor_form(p.factors, M))
-        ann = minimal_annihilator(rep, rep.basis_vector(k))
+        ann = minimal_annihilator(rep, rep.embed(e_vector(model, k)))
         assert ann.degree == k
         assert ann.same_upto(want, M - k)
-        model = AdaptedModel(p, order=M)
-        # g is drawn on e_1..e_k; the model takes S_j G_j on f_j
-        g = rand_generator(model, rng)
-        q = regenerate_presentation(model, f_coords(model, g))
+        # g is drawn on e_1..e_k; the model and the oracle take S_j G_j
+        # on f_j
+        g = f_coords(model, rand_generator(model, rng))
+        q = regenerate_presentation(model, g)
         ordq = min(u.order for u in q.units)
         assert ordq >= M - k
         want_g = monicize(expand_factor_form(q.factors, ordq))
@@ -372,8 +373,7 @@ def test_criterion_10_principal_line_uniqueness():
         p = Presentation([(lam1, s1), (lam2, s2)])
         assert p.p_values()[0] >= 1
         rep = truncate_rep(p, M)
-        model = AdaptedModel(p, order=M)
-        t = rep.embed(model.element([s1.invert(), SeriesB.zero(M)]))
+        t = rep.basis_vector(1)
         image = rep.apply_a(t)
         for i, v in rep.apply_b(t).items():
             image[i] = image.get(i, F(0)) - lam1 * v

@@ -540,14 +540,14 @@ ALPHA_WITNESS = ("fresco: (8 | 1 + 3/2b^4 + b^11) (9 | 1 - b^4) (11 | 1 + b) "
 def test_alpha_does_not_depend_on_the_generator():
     p = parse_fresco(ALPHA_WITNESS, order=48)
     model = AdaptedModel(p, order=48)
-    g = _random_generator(model, random.Random(0))
+    # g is drawn on e_1..e_k; the model and the oracle take its
+    # f-coordinates S_j G_j
+    g = f_coords(model, _random_generator(model, random.Random(0)))
     rep = truncate_rep(p, 48)
     codim = submodule_analysis(rep, [rep.embed(g)])["codim"]
     alpha = Analysis(p).alpha()
     if (codim, alpha) != (0, 1):
         pytest.fail("the witness moved: codimension %d, alpha %s"
                     % (codim, alpha))
-    # g generates E, so its presentation is one of E's; the model takes
-    # its f-coordinates S_j G_j
-    assert Analysis(regenerate_presentation(
-        model, f_coords(model, g))).alpha() == alpha
+    # g generates E, so its presentation is one of E's
+    assert Analysis(regenerate_presentation(model, g)).alpha() == alpha

@@ -522,6 +522,19 @@ def test_verify_counts_do_not_move_with_depth():
     assert got[0][1]["pass"] == 6
 
 
+@pytest.mark.parametrize("depth", [6, 9, 16, 24])
+def test_verify_sweep_passes_at_the_window_edge(depth):
+    # the benchmark pool runs depth 32 on one-term units; shallow depths
+    # and units of up to three terms reach the edge where the columns of
+    # a are cut
+    for seed in range(1, 41):
+        code, (rep,) = run_json(["verify", "--seed", str(seed), "--samples",
+                                 "5", "--order", "40", "--oracle-depth",
+                                 str(depth)])
+        assert code == EXIT_OK
+        assert rep["counts"]["fail"] == 0
+
+
 def test_analyze_reports_do_not_move_with_order():
     # six seeded random presentations, each analyzed at both orders
     rng = random.Random(11)
@@ -628,7 +641,7 @@ def test_unstable_profiles_name_the_least_window_past_them(
 
 
 def _oracle_room_message(v):
-    """The oracle's message on b^v e_3 as a function of the depth."""
+    """The oracle's message on b^v f_3 as a function of the depth."""
     p = parse_fresco("fresco: (11/3 | 1 - b) (5/3 | 1 + 1/2b^4) "
                      "(5 | 1 - 2b^2)", order=32)
 

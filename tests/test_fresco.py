@@ -182,6 +182,27 @@ def test_nonprimitive_is_flagged_not_fatal():
     assert not p.is_primitive()
 
 
+@st.composite
+def exponent_lists(draw):
+    """Geometric exponents of rank 1-5, in one class mod 1 or in
+    several: a class draw per exponent, from one or from three."""
+    k = draw(st.integers(1, 5))
+    classes = draw(st.sampled_from([[Fraction(0)], [Fraction(1, 2)],
+                                    [Fraction(0), Fraction(1, 3),
+                                     Fraction(1, 2)]]))
+    return [k - j + draw(st.integers(1, 6)) + draw(st.sampled_from(classes))
+            for j in range(1, k + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_lists())
+def test_is_primitive_reads_the_steps(lams):
+    # one class mod 1 is every exponent difference integral
+    p = Presentation([(l, unit()) for l in lams])
+    assert p.is_primitive() == all((l - lams[0]).denominator == 1
+                                   for l in lams)
+
+
 def test_bernstein_frozen():
     data = bernstein(std())
     assert data.mu == 6
@@ -520,7 +541,8 @@ def test_oracle_annihilator_gives_back_the_presentation(literal):
     assert p.is_primitive() and p.is_principal()
     k = p.rank
     rep = truncate_rep(p, WITNESS_DEPTH)
-    ann = minimal_annihilator(rep, rep.basis_vector(k))
+    model = AdaptedModel(p, order=WITNESS_DEPTH)
+    ann = minimal_annihilator(rep, rep.embed(e_vector(model, k)))
     lam = p.lambdas[0] + 1 - ceil(p.lambdas[0])
     q = presentation_from_annihilator(ann, lam, WITNESS_DEPTH)
     assert q.lambdas == p.lambdas

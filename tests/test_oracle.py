@@ -4,7 +4,7 @@ import json
 import os
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from frescos.algebra import AbElement
 from frescos.cli import _oracle_check_one
 from frescos.dsl import parse_dsl
-from frescos.errors import DegenerateTruncation, TruncationTooSmall
+from frescos.errors import (DegenerateTruncation, OrderUnderflow,
+                            TruncationTooSmall)
 from frescos.fresco import AdaptedModel, ModuleElement, Presentation
 from frescos.linalg import Solver, axpy, certified_rank, integral
 from frescos.oracle import (
@@ -27,7 +28,7 @@ from frescos.oracle import (
 from frescos.series import SeriesB, rat
 import frescos.oracle as oracle_module
 from test_algebra import expand_factor_form, monicize
-from test_fresco import EBasisModel
+from test_fresco import EBasisModel, e_vector
 
 M = 12
 
@@ -53,6 +54,105 @@ def e_coords(model, x):
     """The e-coordinates H_j / S_j of an adapted-model element, which
     has coordinates H_j against f_j = S_j^-1 e_j: what embed takes."""
     return ModuleElement([c * s.invert() for s, c in zip(model.sub, x.coords)])
+
+
+def e_generator(rep, p):
+    """e_k = S_k f_k on the oracle's basis b^m f_j."""
+    return rep.embed(e_vector(AdaptedModel(p, order=rep.M), p.rank))
+
+
+def to_f(rep, p, x):
+    """A vector given on b^m e_j, moved to b^m f_j: b^n e_j = b^n S_j f_j."""
+    out = {}
+    for r, c in x.items():
+        n, j = divmod(r, rep.k)
+        u = p.units[j]
+        axpy(out, c, {rep.idx(j + 1, n + t): Fraction(y, u.den)
+                      for t, y in enumerate(u.nums[:rep.M - n]) if y})
+    return out
+
+
+def e_basis_rep(p, M):
+    """The oracle on the basis b^m e_j, the reference of the one on f_j.
+
+    Column b^m e_j is b^m d_j e_j + m b^(m+1) e_j + b^m S_j e_(j-1).
+    The diagonal d_j = l_j b + b^2 S_j'/S_j and the sub-diagonal S_j are
+    taken once per factor as integer numerators over ascale, the lcm of
+    their lowest-terms denominators, so each column is a run of index
+    offsets into those lists.  As b^m e_j = b^m S_j f_j with S_j(0) = 1,
+    the change of basis is unitriangular with the identity at each
+    level, so both give the same annihilator of the same element.
+    """
+    if M < 4:
+        raise ValueError("truncation depth must be at least 4")
+    k = p.rank
+    rep = TruncatedRep(k, M)
+    parts = []
+    for j, (lam, unit) in enumerate(p.factors, start=1):
+        if unit.order < M:
+            raise OrderUnderflow(
+                "series known to order %d, need %d" % (unit.order, M))
+        s = unit.nums[:M]
+        q, qden = _b2_log_derivative(s)
+        sub, sden = [], 1
+        if j > 1:
+            # S_j sits at e_(j-1), so S_1 is no entry of the matrix
+            g = gcd(unit.den, *s)
+            sub, sden = [x // g for x in s], unit.den // g
+        parts.append((lam, q, qden, sub, sden))
+    rep.ascale = D = lcm(*(lcm(lam.denominator, qden, sden)
+                           for lam, _, qden, _, sden in parts))
+    dim = rep.dim
+    for j, (lam, q, qden, sub, sden) in enumerate(parts, start=1):
+        d = [x * (D // qden) for x in q]
+        d[1] += lam.numerator * (D // lam.denominator)
+        # level t of d_j is the offset t k, level t of S_j sits one row
+        # lower, at e_(j-1); both are cut where the index reaches dim
+        dterms = [(t * k, x) for t, x in enumerate(d) if t and x]
+        sterms = [(t * k - 1, x * (D // sden)) for t, x in enumerate(sub)
+                  if x]
+        for m in range(M):
+            base = m * k + j - 1
+            while dterms and base + dterms[-1][0] >= dim:
+                dterms.pop()
+            while sterms and base + sterms[-1][0] >= dim:
+                sterms.pop()
+            col = {base + o: x for o, x in dterms}
+            if m and m + 1 < M:
+                # the crossing term joins d_j's b^1 entry lambda_j, and
+                # Presentation keeps lambda_j > k - j >= 0: no cancelling
+                col[base + k] += m * D
+            col.update([(base + o, x) for o, x in sterms])
+            if col:
+                rep.aint[base] = col
+    return rep
+
+
+def _b2_log_derivative(s):
+    """b^2 S'/S to the length n of s, for S = s up to a positive scale,
+    s[0] > 0: integer numerators over one denominator, in lowest terms.
+
+    Solves s q = b^2 s' row by row on integers: H_t = s_0^t q_t is the
+    b^t coefficient (t - 1) s_(t-1) s_0^(t-1) of s_0^(t-1) b^2 s' minus
+    sum_(i >= 1) s_i s_0^(i-1) H_(t-i).  Over s_0^(n-1) every q_t is
+    H_t s_0^(n-1-t), reduced by one content gcd.
+    """
+    n, s0 = len(s), s[0]
+    pw = [1]
+    for _ in range(n - 1):
+        pw.append(pw[-1] * s0)
+    terms = [(i, c * pw[i - 1]) for i, c in enumerate(s) if i and c]
+    h = []
+    for t in range(n):
+        acc = (t - 1) * s[t - 1] * pw[t - 1] if t >= 2 else 0
+        for i, w in terms:
+            if i > t:
+                break
+            acc -= w * h[t - i]
+        h.append(acc)
+    nums = [x * pw[n - 1 - t] for t, x in enumerate(h)]
+    g = gcd(pw[-1], *nums)
+    return [x // g for x in nums], pw[-1] // g
 
 
 def std2():
@@ -139,19 +239,19 @@ def test_annihilator_of_first_basis_vector():
 
 
 def test_annihilator_sees_unit_correction():
-    # a e_1 = (l_1 b + b^2 S_1'/S_1) e_1, so the unit shows up here
+    # a e_1 = (l_1 b + b^2 S_1'/S_1) e_1, so the unit shows up in the
+    # annihilator of e_1 = S_1 f_1
     p = std2()
     rep = truncate_rep(p, M)
     ref = EBasisModel(p, order=M)
-    ann = minimal_annihilator(rep, rep.basis_vector(1))
+    model = AdaptedModel(p, order=M)
+    ann = minimal_annihilator(rep, rep.embed(e_vector(model, 1)))
     want = AbElement([-ref.diag[0], SeriesB.one(M)])
     assert ann.degree == 1
     assert ann.same_upto(want, M - 1)
     # while the normalised generator f_1 = S_1^-1 e_1 of the same line
     # drops it again
-    model = AdaptedModel(p, order=M)
-    g = rep.embed(e_coords(model, basis(model, 1)))
-    ann2 = minimal_annihilator(rep, g)
+    ann2 = minimal_annihilator(rep, rep.basis_vector(1))
     assert ann2.same_upto(AbElement.linear(rat("5/2"), M - 1), M - 1)
 
 
@@ -168,7 +268,7 @@ def test_annihilator_of_shifted_vector():
 def test_annihilator_of_generator_matches_expansion():
     p = std2()
     rep = truncate_rep(p, M)
-    ann = minimal_annihilator(rep, rep.basis_vector(2))
+    ann = minimal_annihilator(rep, e_generator(rep, p))
     want = monicize(expand_factor_form(p.factors, M))
     assert ann.degree == 2
     assert ann.same_upto(want, M - 2)
@@ -177,7 +277,7 @@ def test_annihilator_of_generator_matches_expansion():
 def test_annihilator_rank_three():
     p = std3()
     rep = truncate_rep(p, M)
-    ann = minimal_annihilator(rep, rep.basis_vector(3))
+    ann = minimal_annihilator(rep, e_generator(rep, p))
     want = monicize(expand_factor_form(p.factors, M))
     assert ann.degree == 3
     assert ann.same_upto(want, M - 3)
@@ -290,36 +390,45 @@ def _outcome(solve, rep, x):
 
 @st.composite
 def deep_presentations(draw, order=40):
-    """Rank 1-5 with sparse units known to order 40."""
+    """Rank 1-5 with units known to order 40, each sparse or dense."""
     k = draw(st.integers(1, 5))
     coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     fs = []
     for j in range(1, k + 1):
         lam = draw(st.fractions(min_value=k - j + Fraction(1, 3),
                                 max_value=k - j + 6, max_denominator=3))
-        cs = draw(st.dictionaries(st.integers(1, 8), coeffs, max_size=3))
-        fs.append((lam, unit(*[cs.get(i, 0) for i in range(1, 9)],
-                             order=order)))
+        if draw(st.booleans()):
+            cs = draw(st.dictionaries(st.integers(1, 8), coeffs, max_size=3))
+            cs = [cs.get(i, 0) for i in range(1, 9)]
+        else:
+            cs = draw(st.lists(coeffs, min_size=order - 1,
+                               max_size=order - 1))
+        fs.append((lam, unit(*cs, order=order)))
     return Presentation(fs)
+
+
+def _draw_vector(data, rep):
+    """A basis vector at level m, or a sparse combination starting at
+    level m, on rep's basis."""
+    k, depth = rep.k, rep.M
+    m = data.draw(st.integers(0, min(4, depth - 1)))
+    if data.draw(st.booleans()):
+        return rep.basis_vector(data.draw(st.integers(1, k)), m)
+    cells = st.tuples(st.integers(1, k), st.integers(m, depth - 1))
+    x = {rep.idx(j, n): c for (j, n), c in data.draw(st.dictionaries(
+        cells, st.fractions(min_value=-3, max_value=3,
+                            max_denominator=4).filter(bool),
+        min_size=1, max_size=4)).items()}
+    x[rep.idx(data.draw(st.integers(1, k)), m)] = Fraction(1)
+    return x
 
 
 @settings(max_examples=80, deadline=None)
 @given(deep_presentations(), st.data())
 def test_b_left_solve_matches_the_chain_solve(p, data):
-    # basis vectors b^m e_j and sparse combinations starting at level m
-    k = p.rank
-    depth = data.draw(st.integers(max(4, k + 2), 40))
+    depth = data.draw(st.integers(max(4, p.rank + 2), 40))
     rep = truncate_rep(p, depth)
-    m = data.draw(st.integers(0, min(4, depth - 1)))
-    if data.draw(st.booleans()):
-        x = rep.basis_vector(data.draw(st.integers(1, k)), m)
-    else:
-        cells = st.tuples(st.integers(1, k), st.integers(m, depth - 1))
-        x = {rep.idx(j, n): c for (j, n), c in data.draw(st.dictionaries(
-            cells, st.fractions(min_value=-3, max_value=3,
-                                max_denominator=4).filter(bool),
-            min_size=1, max_size=4)).items()}
-        x[rep.idx(data.draw(st.integers(1, k)), m)] = Fraction(1)
+    x = _draw_vector(data, rep)
     assert _outcome(minimal_annihilator, rep, x) == \
         _outcome(_chain_annihilator, rep, x)
 
@@ -389,15 +498,18 @@ def test_embed_round_trip():
 
 
 def test_rep_agrees_with_model_action():
+    # on the model's own basis f_j, and on e_j for the reference,
     # through the change of basis f_j = S_j^-1 e_j
     p = std3()
     rep = truncate_rep(p, M)
+    ref = e_basis_rep(p, M)
     model = AdaptedModel(p, order=M)
     for j in (1, 2, 3):
         x = basis(model, j)
-        va = rep.apply_a(rep.embed(e_coords(model, x)))
-        wa = rep.embed(e_coords(model, model.apply_a(x)))
-        assert {r: c for r, c in va.items() if rep.level(r) < M} == wa
+        assert rep.apply_a(rep.embed(x)) == rep.embed(model.apply_a(x))
+        va = ref.apply_a(ref.embed(e_coords(model, x)))
+        wa = ref.embed(e_coords(model, model.apply_a(x)))
+        assert {r: c for r, c in va.items() if ref.level(r) < M} == wa
 
 
 @st.composite
@@ -421,7 +533,7 @@ def small_presentations(draw):
 @given(small_presentations())
 def test_oracle_annihilator_matches_expansion(p):
     rep = truncate_rep(p, M)
-    ann = minimal_annihilator(rep, rep.basis_vector(p.rank))
+    ann = minimal_annihilator(rep, e_generator(rep, p))
     want = monicize(expand_factor_form(p.factors, M))
     assert ann.degree == p.rank
     assert ann.same_upto(want, M - p.rank)
@@ -431,7 +543,7 @@ def test_oracle_annihilator_matches_expansion(p):
 @given(small_presentations())
 def test_oracle_presentation_kills_generator(p):
     rep = truncate_rep(p, M)
-    x = rep.basis_vector(p.rank)
+    x = e_generator(rep, p)
     u = expand_factor_form(p.factors, M)
     img = apply_operator(rep, u, x)
     assert all(rep.level(r) >= M - p.rank for r in img)
@@ -452,9 +564,23 @@ def unit_presentations(draw):
 
 
 def _columns_from_model(p):
+    """The a-columns of the adapted model: a b^m f_j, embedded."""
+    model = AdaptedModel(p, order=M)
+    rep = TruncatedRep(p.rank, M)
+    cols = {}
+    for j in range(1, p.rank + 1):
+        for m in range(M):
+            x = model.element([SeriesB.monomial(1, m, M) if i == j
+                               else SeriesB.zero(M)
+                               for i in range(1, p.rank + 1)])
+            cols[rep.idx(j, m)] = rep.embed(model.apply_a(x))
+    return cols
+
+
+def _columns_from_e_model(p):
     """The a-columns built from the d_j of the e-basis reference model."""
     model = EBasisModel(p, order=M)
-    rep = truncate_rep(p, M)
+    rep = TruncatedRep(p.rank, M)
     cols = {}
     for j in range(1, p.rank + 1):
         d, s = model.diag[j - 1], model.sub[j - 1]
@@ -478,39 +604,46 @@ def test_a_columns_match_the_adapted_model(p):
     rep = truncate_rep(p, M)
     cols = {i: rep.apply_a({i: Fraction(1)}) for i in range(rep.dim)}
     assert cols == _columns_from_model(p)
+    # and the e-basis reference matches the e-basis reference model
+    ref = e_basis_rep(p, M)
+    cols = {i: ref.apply_a({i: Fraction(1)}) for i in range(ref.dim)}
+    assert cols == _columns_from_e_model(p)
+
+
+def _unit_terms(p, j, depth):
+    """Nonzero coefficients of S_j below b^depth; S_0 has none."""
+    return sum(1 for x in p.units[j - 1].nums[:depth] if x) if j else 0
+
+
+def test_columns_hold_one_entry_per_unit_term():
+    # column b^m f_j is (l_j + m) b^(m+1) f_j plus the terms of S_(j-1)
+    for p in _verify_pool_presentations():
+        rep = truncate_rep(p, 32)
+        for j in range(1, p.rank + 1):
+            most = 1 + _unit_terms(p, j - 1, 32)
+            for m in range(32):
+                assert len(rep.aint.get(rep.idx(j, m), ())) <= most
 
 
 def _fraction_rep(p, M):
     """(aint, ascale) built the Fraction way: every entry a Fraction,
-    d_j from a Fraction recurrence, then one integral over all of them."""
+    then one integral over all of them."""
     k = p.rank
     cols = {}
-    for j, (lam, u) in enumerate(p.factors, start=1):
-        s = u.nums[:M]
-        terms = [(i, c) for i, c in enumerate(s) if i and c]
-        d = []
-        for t in range(M):
-            acc = (t - 1) * s[t - 1] if t >= 2 else 0
-            for i, c in terms:
-                if i > t:
-                    break
-                acc -= c * d[t - i]
-            d.append(Fraction(acc, s[0]))
-        d[1] += lam
-        sub = [(t, Fraction(x, u.den)) for t, x in enumerate(s) if x]
+    for j, lam in enumerate(p.lambdas, start=1):
+        sub = []
+        if j > 1:
+            u = p.units[j - 2]
+            sub = [(t, Fraction(x, u.den))
+                   for t, x in enumerate(u.nums[:M]) if x]
         for m in range(M):
             col = {}
-            for t in range(1, M - m):
-                if d[t]:
-                    col[(m + t) * k + j - 1] = d[t]
             if m + 1 < M:
-                r = (m + 1) * k + j - 1
-                col[r] = col.get(r, Fraction(0)) + m
-            if j > 1:
-                for t, x in sub:
-                    if t >= M - m:
-                        break
-                    col[(m + t) * k + j - 2] = x
+                col[(m + 1) * k + j - 1] = lam + m
+            for t, x in sub:
+                if t >= M - m:
+                    break
+                col[(m + t) * k + j - 2] = x
             cols[m * k + j - 1] = col
     ints, ascale = integral({(i, r): x for i, col in cols.items()
                              for r, x in col.items()})
@@ -545,6 +678,45 @@ def test_integer_columns_match_the_fraction_build(p, depth):
     assert all(rep.aint.values())
 
 
+@settings(max_examples=60, deadline=None)
+@given(deep_presentations(), st.data())
+def test_f_basis_annihilators_match_the_e_basis_reference(p, data):
+    # G on b^m e_j, b^m e_j itself or a sparse combination; the oracle
+    # takes S G on b^m f_j
+    depth = data.draw(st.integers(max(4, p.rank + 2), 40))
+    ref = e_basis_rep(p, depth)
+    x = _draw_vector(data, ref)
+    rep = truncate_rep(p, depth)
+    assert _outcome(minimal_annihilator, rep, to_f(rep, p, x)) == \
+        _outcome(minimal_annihilator, ref, x)
+
+
+def test_embed_refuses_more_coordinates_than_the_rank():
+    # b^2 f_3 of a rank-3 element would land on b^3 f_1 of a rank 2 rep
+    rep = truncate_rep(std2(), M)
+    x = ModuleElement([SeriesB.zero(M), SeriesB.zero(M),
+                       SeriesB.monomial(1, 2, M)])
+    with pytest.raises(ValueError):
+        rep.embed(x)
+    assert rep.embed(ModuleElement([SeriesB.one(M)])) == {0: 1}
+
+
+def test_embed_refuses_coordinates_known_below_the_depth():
+    # zero-filled to depth 8, an element known to order 3 would get an
+    # annihilator known to order 6
+    rep = truncate_rep(std2(), 8)
+    x = ModuleElement([SeriesB.zero(3), SeriesB.one(3)])
+    with pytest.raises(OrderUnderflow):
+        rep.embed(x)
+
+
+@pytest.mark.parametrize("j, m", [(0, 0), (3, 0), (1, -1), (2, M)])
+def test_basis_vector_refuses_a_position_outside_the_rep(j, m):
+    rep = truncate_rep(std2(), M)
+    with pytest.raises(ValueError):
+        rep.basis_vector(j, m)
+
+
 def test_truncate_rep_needs_no_series_arithmetic(monkeypatch):
     p = pres((3, (1, "-1/2", 2)), (3, ()), (3, (0, -2, 0, "5/3")))
     want = truncate_rep(p, M)
@@ -565,7 +737,7 @@ def _b_image(rep):
 @settings(max_examples=30, deadline=None)
 @given(unit_presentations(), st.integers(0, 6))
 def test_b_image_is_certified_from_rank_plus_three(p, extra):
-    # the closure of b e_1..b e_k is every b^m e_j with m >= 1, so it has
+    # the closure of b f_1..b f_k is every b^m f_j with m >= 1, so it has
     # codimension k, and its profile first certifies at depth k + 3:
     # verify refuses a shallower depth with the same message
     k = p.rank
