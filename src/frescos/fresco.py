@@ -416,6 +416,10 @@ def _peel_unit(ann, mu, k):
     s_0 + d(q_0), for d(f) = b^2 f' + mu b f.  T and Q lose k orders.
     """
     tmax = min(c.order for c in ann.coeffs) - k
+    if tmax < 0:
+        raise NotMonogenicAtTruncation(
+            "the annihilator is known to order %d; the unit peel at "
+            "exponent %s needs %d" % (tmax + k, mu, k))
     rho, _ = _remainders(ann, mu, k, tmax)
     if rho(0, 0):
         raise NotMonogenicAtTruncation(

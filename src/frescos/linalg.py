@@ -10,13 +10,14 @@ Comp. 22, 1968), so the pivot set is that of the rational span.  The
 Solver runs on it and returns integer numerators over one positive
 scale, so Fractions appear only at the callers' edges; closure builds a
 module's span under its operators, and certified_rank reads its rank
-off the pivot levels.  Both the matrix oracle and the expansion module
-use this kernel, and it imports nothing from the rest of the package,
-so the oracle still shares no engine code.
+off the pivot levels; solve_levels and normal_order solve an
+annihilator where b is the shift.  The oracle and xi both use it, and it
+imports nothing else from the package, so the oracle shares no engine code.
 """
 
 from collections import Counter
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import mul
 
 
 def axpy(dst, f, src):
@@ -28,6 +29,27 @@ def axpy(dst, f, src):
         elif r in dst:
             del dst[r]
     return dst
+
+
+def matvec(cols, vec):
+    """The matrix of sparse columns cols, a zero one left out, times vec."""
+    out = {}
+    for i, x in vec.items():
+        col = cols.get(i)
+        if col:
+            axpy(out, x, col)
+    return out
+
+
+def coordinates(w, k, v, M):
+    """The k coordinate series of a vector of valuation >= v, with
+    position m k + j at level m: coordinate j as its levels v .. M - 1."""
+    cs = [[0] * (M - v) for _ in range(k)]
+    for r, y in w.items():
+        m, j = divmod(r, k)
+        if m < M:
+            cs[j][m - v] = y
+    return cs
 
 
 def integral(vec):
@@ -183,3 +205,56 @@ def certified_rank(levels, depth):
                default=0)
     need = last + count[depth - 1] + 2
     return count[depth - 1], last, need if need > depth else 0
+
+
+def solve_levels(block, series, ordc):
+    """(z, s): C_(m,t) = z[m][t] / s, t <= ordc, solve sum_m C_m(b) W_m
+    = -W_d on integers, or None if inconsistent.
+
+    series[m] holds the coordinates of W_m, each as its levels from one
+    base up, and block the Solver of the full-rank base block of W_m,
+    m < d.  As b is the shift, level t is a convolution over the earlier
+    z and meets its new unknowns C_(m,t) in the base block alone; the
+    scale of its solution joins the running scale s, the lcm so far.
+    """
+    d = len(series) - 1
+    z = [[] for _ in range(d)]
+    s = 1
+    for t in range(ordc + 1):
+        rhs = {}
+        for j, top in enumerate(series[d]):
+            acc = s * top[t]
+            for zm, cs in zip(z, series):
+                acc += sum(map(mul, zm, cs[j][t:0:-1]))
+            if acc:
+                rhs[j] = -acc
+        sol = block(rhs)
+        if sol is None:
+            return None
+        nums, den = sol
+        if den > 1:
+            s *= den
+            z = [[y * den for y in zm] for zm in z]
+        for zm, y in zip(z, nums):
+            zm.append(y)
+    return z, s
+
+
+def normal_order(z, s, D, ordc):
+    """(rows, den): c_j = rows[j] / den to b^ordc in the normal order
+    a^d + sum_j a^j c_j(b) of a^d + sum_m C_m(b) a^m, C_m = z_m D^m /
+    (s D^d).  C a^m = sum_i (-1)^i C(m,i) a^(m-i) delta^i(C), delta =
+    b^2 d/db, gives c_j = sum_(m >= j) (-1)^(m-j) C(m,j) delta^(m-j)(C_m)
+    on integers, exact to b^ordc as delta only raises the order.
+    """
+    d = len(z)
+    out = [[0] * (ordc + 1) for _ in range(d)]
+    for m, zm in enumerate(z):
+        p = D ** m
+        y = [c * p for c in zm]
+        for i in range(m + 1):
+            if i:
+                y = [0] + [t * c for t, c in enumerate(y[:-1])]
+            f = (-1) ** i * comb(m, i)
+            out[m - i] = [o + f * c for o, c in zip(out[m - i], y)]
+    return out, s * D ** d

@@ -19,17 +19,17 @@ expansion side; it holds no engine code.  Spans and the vectors a^m x
 of an annihilator run on the integer columns, so they are known only up
 to a scale, which a span ignores.  The annihilator is solved for in
 b-left order, where b is the exact shift, on integer numerators over
-one running scale, and moved to normal order on integers; the scale is
-divided out only in the series it returns.
+one running scale, and moved to normal order on integers, both in
+linalg; the scale is divided out only in the series it returns.
 """
 
 from fractions import Fraction
-from math import comb, gcd, lcm
-from operator import mul
+from math import gcd, lcm
 
 from .algebra import AbElement
 from .errors import DegenerateTruncation, OrderUnderflow, TruncationTooSmall
-from .linalg import Solver, axpy, certified_rank, closure, integral
+from .linalg import (Solver, certified_rank, closure, coordinates, integral,
+                     matvec, normal_order, solve_levels)
 # perfbench/tracer.py counts span_closure's inserts through oracle._Echelon
 from .linalg import Echelon as _Echelon
 from .series import SeriesB
@@ -67,7 +67,7 @@ class TruncatedRep:
 
     def apply_a(self, vec):
         d = self.ascale
-        return {r: Fraction(x, d) for r, x in _matvec(self.aint, vec).items()}
+        return {r: Fraction(x, d) for r, x in matvec(self.aint, vec).items()}
 
     def apply_b(self, vec):
         return _shift(self, vec, 1)
@@ -96,15 +96,6 @@ class TruncatedRep:
             raise ValueError("no basis vector b^%d f_%d at rank %d, depth %d"
                              % (m, j, self.k, self.M))
         return {self.idx(j, m): Fraction(1)}
-
-
-def _matvec(cols, vec):
-    out = {}
-    for i, x in vec.items():
-        col = cols.get(i)
-        if col:
-            axpy(out, x, col)
-    return out
 
 
 def truncate_rep(p, M):
@@ -152,31 +143,33 @@ def minimal_annihilator(rep, x):
     elimination serves every level.  Degrees are tried from 1 up to the
     rank (a wrong degree usually fails at level 0).  DegenerateTruncation
     means a degenerate level-v block or too small a depth; k + v + 2 has
-    room for every degree.  _normal_order then moves Q to normal order.
+    room for every degree.  series[m] is D^m E a^m x, D = rep.ascale.
     """
+    x = {r: y for r, y in x.items() if y}
     if not x:
         raise ValueError("zero vector has no minimal annihilator")
     k, M = rep.k, rep.M
     v = rep.level(min(x))
     w, _ = integral(x)
-    series = [_coordinates(w, k, v, M)]
+    series = [coordinates(w, k, v, M)]
     for d in range(1, k + 1):
         ordc = M - d - v
         if ordc < 2:
             raise DegenerateTruncation(
                 "depth %d leaves no room for a degree-%d annihilator; rerun "
                 "with --oracle-depth %d" % (M, d, k + v + 2))
-        w = _matvec(rep.aint, w)
-        series.append(_coordinates(w, k, v, M))
+        w = matvec(rep.aint, w)
+        series.append(coordinates(w, k, v, M))
         block = Solver([{j: c[0] for j, c in enumerate(cs) if c[0]}
                         for cs in series[:d]], k)
         if len(block.pivots) < d:
             raise DegenerateTruncation(
                 "level-%d block has rank < %d at depth %d" % (v, d, M)
             )
-        got = _solve_levels(block, series, ordc)
+        got = solve_levels(block, series, ordc)
         if got is not None:
-            return AbElement(_normal_order(*got, rep.ascale, ordc)
+            rows, den = normal_order(*got, rep.ascale, ordc)
+            return AbElement([SeriesB._lowest(c, den, ordc) for c in rows]
                              + [SeriesB.one(ordc)])
     raise DegenerateTruncation(
         "no monic annihilator of degree <= %d at depth %d" % (k, M)
@@ -190,78 +183,13 @@ def _shift(rep, vec, i):
     return {r + step: c for r, c in vec.items() if r < top}
 
 
-def _coordinates(w, k, v, M):
-    """The k coordinate series of an integer vector of valuation >= v:
-    coordinate j as its list of levels v .. M - 1."""
-    cs = [[0] * (M - v) for _ in range(k)]
-    for r, y in w.items():
-        m, j = divmod(r, k)
-        cs[j][m - v] = y
-    return cs
-
-
-def _solve_levels(block, series, ordc):
-    """(z, s): C_(m,t) = z[m][t] D^m / (s D^d) for t <= ordc, or None if
-    inconsistent.
-
-    series[m] holds the coordinates of W_m = D^m E a^m x, where E clears
-    the denominators of x and D is the scale of rep.aint, so Q x = 0
-    reads W_d + sum_m z_m W_m / s = 0 on integers.  Level v+t is a
-    convolution over the earlier z; the scale of its solution joins the
-    running scale s, which stays the lcm of the denominators so far.
-    """
-    d = len(series) - 1
-    z = [[] for _ in range(d)]
-    s = 1
-    for t in range(ordc + 1):
-        rhs = {}
-        for j, top in enumerate(series[d]):
-            acc = s * top[t]
-            for zm, cs in zip(z, series):
-                acc += sum(map(mul, zm, cs[j][t:0:-1]))
-            if acc:
-                rhs[j] = -acc
-        sol = block(rhs)
-        if sol is None:
-            return None
-        nums, den = sol
-        if den > 1:
-            s *= den
-            z = [[y * den for y in zm] for zm in z]
-        for zm, y in zip(z, nums):
-            zm.append(y)
-    return z, s
-
-
-def _normal_order(z, s, D, ordc):
-    """The slots c_j of Q in normal order, a^d + sum_j a^j c_j(b).
-
-    C a^m = sum_i (-1)^i C(m,i) a^(m-i) delta^i(C) with delta = b^2 d/db
-    gives c_j = sum_(m >= j) (-1)^(m-j) C(m,j) delta^(m-j)(C_m), which
-    on the numerators z_m D^m of C_m over s D^d stays on integers;
-    delta only raises the order, so c_j is exact to b^ordc.
-    """
-    d = len(z)
-    out = [[0] * (ordc + 1) for _ in range(d)]
-    for m, zm in enumerate(z):
-        p = D ** m
-        y = [c * p for c in zm]
-        for i in range(m + 1):
-            if i:
-                y = [0] + [t * c for t, c in enumerate(y[:-1])]
-            f = (-1) ** i * comb(m, i)
-            out[m - i] = [o + f * c for o, c in zip(out[m - i], y)]
-    den = s * D ** d
-    return [SeriesB._lowest(c, den, ordc) for c in out]
-
-
 def span_closure(rep, gens):
     """Smallest truncated subspace containing gens and stable under a, b.
 
     It is built on integers: the image of a row under rep.aint spans
     the same line as its image under a, and b is an exact shift.
     """
-    return closure(gens, lambda row: (_matvec(rep.aint, row),
+    return closure(gens, lambda row: (matvec(rep.aint, row),
                                       _shift(rep, row, 1)))
 
 

@@ -12,19 +12,19 @@ with mu = lam + m > 0.  Both operators act componentwise and only ever
 raise m, which keeps everything below the truncation depth exact.  With
 lam = a/q, mu = p_m/q for the positive integer p_m = a + m q, so on an
 integer term dict b is an integer map up to one integer scale (the lcm
-of the p_m^(j+1)); the module closure and the annihilator apply it so,
-and every elimination over an expansion's span runs on integers, on
-positions mapped to ints in their order (_Order) where they enter
-linalg.  One component with top log power J generates a module of rank
-J + 1 in the free module Xi_lam^(J); only several components run
-linalg.closure under the two maps and certify its rank
-(xi_generate_module).  The source's annihilator, solved for that rank,
-checks it and becomes a presentation in fresco.
+of the p_m^(j+1)); the module closure applies it so, and every
+elimination over an expansion's span runs on integers, on positions
+mapped to ints in their order (_Order) where they enter linalg.  One
+component with top log power J generates a module of rank J + 1 in the
+free module Xi_lam^(J); only several components run linalg.closure
+under the two maps and certify its rank (xi_generate_module).  The
+source's annihilator, solved for that rank in b-coordinates, where an
+expansion is a polynomial in b, checks it and becomes a presentation.
 """
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import AbElement
 from .errors import (
@@ -33,7 +33,9 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fresco import presentation_from_annihilator
-from .linalg import Echelon, Solver, axpy, certified_rank, closure, integral
+from .linalg import (Echelon, Solver, axpy, certified_rank, closure,
+                     coordinates, integral, matvec, normal_order,
+                     solve_levels)
 from .series import SeriesB, rat
 
 
@@ -285,8 +287,8 @@ class XiSpan:
 
 def _annihilator_depth(phi, r):
     """Least depth with room for a degree-r annihilator of phi and its r
-    unit peels: the order _annihilator_from_span trusts must cover the
-    1 + ... + r orders the peels cost and keep one."""
+    unit peels: the order _annihilator_from_span cuts its exact solution
+    to must cover the 1 + ... + r orders the peels cost and keep one."""
     vlo = min(m for (_, m, _) in phi.terms)
     vhi = max(m for (_, m, _) in phi.terms)
     return r + vhi + (vhi - vlo) + 1 + r * (r + 1) // 2
@@ -396,25 +398,25 @@ def _echelon_filtration(span):
 def _annihilator_from_span(span):
     """Monic normal-order annihilator of the source, degree = rank.
 
-    The coefficient of a^j b^i acts on the generator between levels
-    vlo + j + i and vhi + j + i, where vlo and vhi are the lowest and
-    highest shifts in the generator's support.  Unknowns with
-    j + i <= depth - 1 - vhi are fully visible, and rows up to level
-    vlo + (depth - 1 - vhi) are free of dropped-coefficient
-    contamination.  Coefficients are only trusted to order
-    depth - rank - vhi - (vhi - vlo): the crust of unknowns above that
-    sees too few independent rows, so it is solved with slack and
-    truncated away.  The system runs on the ints of span.order, and each
-    a^m series is read off the Solver's integer solution over one
-    denominator for the trusted orders alone.
+    On u_j = s^(lam-1) (Log s)^j, b is the exact shift and, for lam =
+    p/q, q a b^n u_j = b^(n+1) (p + q n + q N) u_j, N u_j = j u_(j-1).
+    So W_m = (q a)^m phi has exact integer b-coordinates (K per level,
+    u_j v_comp), and sum_m C_m(b) W_m = -W_r is linalg's level solve
+    once the lowest levels of the columns are independent.  W_m starts
+    at level vlo + m, so while they are dependent, the column of highest
+    level that a dependency uses becomes the combination, each column
+    shifted up to that level: a unimodular change U over C[b].  A column
+    of lowest level e is solved as b^(e-vlo) times one starting at vlo,
+    through every level of the window, then mapped back through U and
+    cut to order depth - r - vhi - (vhi - vlo), vlo and vhi the lowest
+    and highest shifts in phi.  A rank above the span's leaves the
+    columns dependent, one below it has no solution.
     """
     phi = span.source
     r = span.rank
     depth = span.depth
     vlo = min(m for (_, m, _) in phi.terms)
     vhi = max(m for (_, m, _) in phi.terms)
-    top_ji = depth - 1 - vhi
-    mmax = top_ji + vlo
     ordc = depth - r - vhi - (vhi - vlo)
     need = _annihilator_depth(phi, r)
     if depth < need:
@@ -422,49 +424,60 @@ def _annihilator_from_span(span):
             "depth %d leaves no room for a degree-%d annihilator and its "
             "%d unit peels; rerun with --order %d" % (depth, r, r, need)
         )
-    # both operators only raise levels, so nothing above mmax is needed;
-    # the chain b^i phi runs on integers, s0 ratio[i] times the true one
-    w = {}
-    shifted, _ = integral(phi.terms)
-    ratio = [Fraction(1)]
-    for i in range(top_ji + 1):
-        if i:
-            shifted, D = _integrate(shifted, phi.lam, mmax + 1)
-            g = gcd(*shifted.values())
-            shifted = {p: x // g for p, x in shifted.items()}
-            ratio.append(ratio[-1] * Fraction(D, g))
-        cur = shifted
-        for m in range(r):
-            if m + i <= top_ji:
-                w[(m, i)] = cur
-            cur = _times_s(cur, mmax + 1)
-        if i == 0:
-            top = cur
-    # interior columns first so slack at the crust never steals a pivot
-    cols = sorted(w, key=lambda c: (c[0] + c[1], c))
-    order = span.order
-    solver = Solver([order.ints(w[col]) for col in cols],
-                    len(order.positions))
-    got = solver(order.ints({p: -x for p, x in top.items()}))
-    pivots = set(solver.pivots)
-    for c, col in enumerate(cols):
-        if c not in pivots and col[1] <= ordc:
+    p, q = phi.lam.numerator, phi.lam.denominator
+    logs = max(j for (_, _, j) in phi.terms) + 1
+    K = phi.ncomp * logs
+    # q a: u_j at level n goes to (p + q n) u_j + q j u_(j-1) at n + 1
+    qa = {n * K + i: {(n + 1) * K + i: p + q * n,
+                      (n + 1) * K + i - 1: q * (i % logs)}
+          for n in range(vhi + r) for i in range(K)}
+    # Horner in q a, as s^(lam+n-1) Log^j = a^n u_j: q^vhi E phi
+    ints, _ = integral(phi.terms)
+    w = [{}]
+    for n in range(vhi, -1, -1):
+        w[0] = axpy(matvec(qa, w[0]), q ** (vhi - n), {
+            (c - 1) * logs + j: x for (c, m, j), x in ints.items() if m == n})
+    for _ in range(r):
+        w.append(matvec(qa, w[-1]))
+    # a column (e, W, U): W = sum_m U_m(b) W_m of lowest level e, where
+    # U holds the b^t coefficient of U_m at t r + m
+    cols = [(vlo + m, w[m], {m: 1}) for m in range(r)]
+    while True:
+        cols.sort(key=lambda col: col[0])
+        leads = [{i - e * K: x for i, x in W.items() if i < (e + 1) * K}
+                 for e, W, _ in cols]
+        block = Solver(leads, K)
+        h = next(i for i, j in enumerate(block.pivots + [None]) if i != j)
+        if h == r:
+            break
+        nums, s = Solver(leads[:h], K)(leads[h])
+        e, W, U = cols[h][0], {}, {}
+        for (ei, Wi, Ui), f in zip(cols, [-x for x in nums] + [s]):
+            axpy(W, f, {i + (e - ei) * K: x for i, x in Wi.items()})
+            axpy(U, f, {i + (e - ei) * r: x for i, x in Ui.items()})
+        if not W or min(W) >= depth * K:
             raise NotMonogenicAtTruncation(
-                "annihilator coefficient %s is undetermined" % (col,)
-            )
-    if got is None:
+                "annihilator of degree %d is undetermined at depth %d"
+                % (r, depth))
+        cols[h] = (min(W) // K, W, U)
+    shifts = [e - vlo for e, _, _ in cols]
+    top = max(depth - 1 - vlo, ordc + max(shifts))
+    got = solve_levels(block, [coordinates(W, K, e, e + top + 1)
+                               for e, W, _ in cols]
+                       + [coordinates(w[r], K, vlo, vlo + top + 1)], top)
+    if got is None or any(any(zi[:k]) for zi, k in zip(got[0], shifts)):
         raise NotMonogenicAtTruncation(
             "no annihilator of degree %d at depth %d" % (r, depth)
         )
-    # sum_c nums[c] ratio[i] a^m b^i phi = -den a^r phi over c = (m, i)
-    nums, den = got
-    z = dict(zip(cols, nums))
-    ratio = ratio[:ordc + 1]
-    L = lcm(*(q.denominator for q in ratio))
-    mult = [q.numerator * (L // q.denominator) for q in ratio]
-    return AbElement([SeriesB._lowest(
-        [z[(m, i)] * f for i, f in enumerate(mult)], den * L, ordc)
-        for m in range(r)] + [SeriesB.one(ordc)])
+    z, s = got
+    # the slot of (q a)^m is z_m / s, z_m = sum_i U_m b^-shift z_i
+    Z = {}
+    for (_, _, U), zi, k in zip(cols, z, shifts):
+        for i, f in U.items():
+            axpy(Z, f, {i + t * r: x for t, x in enumerate(zi[k:])})
+    rows, den = normal_order(coordinates(Z, r, 0, ordc + 1), s, q, ordc)
+    return AbElement([SeriesB._lowest(c, den, ordc) for c in rows]
+                     + [SeriesB.one(ordc)])
 
 
 def model_from_xi(span):

@@ -55,6 +55,26 @@ def test_oracle_imports_no_engine_code():
             assert want is None or names <= want, (node.module, names)
 
 
+@pytest.mark.parametrize("module", ["oracle", "xi"])
+def test_one_level_solve_serves_the_oracle_and_xi(module):
+    # both annihilators solve level by level and move to normal order
+    # through linalg; neither keeps a copy of its own
+    tree = dict(_trees())[module + ".py"]
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "linalg" for a in node.names}
+    assert {"solve_levels", "normal_order"} <= imported
+    assert {"solve_levels", "normal_order"} <= set(_called_names(tree))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not {n for n in defined
+                if "solve_levels" in n or "normal_order" in n}
+    # the normal-order binomials belong to linalg alone
+    assert "comb" not in {a.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom)
+                          for a in node.names}
+
+
 def _imported_modules(tree):
     """The frescos modules a module imports from, by short name."""
     for node in ast.walk(tree):

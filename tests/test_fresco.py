@@ -551,6 +551,17 @@ def test_oracle_annihilator_gives_back_the_presentation(literal):
     assert got.same_upto(ann, min(order, WITNESS_DEPTH - k) - 1)
 
 
+def test_peel_refuses_an_annihilator_known_to_too_few_orders():
+    # the peel of a degree-3 factor needs its annihilator to order 3;
+    # presentation_from_annihilator guards it, the peel names it itself
+    p = pres(("5/2", unit(1)), ("7/2", unit(0, 2)), ("9/2", unit()))
+    short = monic_expansion(p.factors, 2)
+    with pytest.raises(NotMonogenicAtTruncation,
+                       match=r"known to order 2; the unit peel at exponent "
+                             r"9/2 needs 3$"):
+        fresco_module._peel_unit(short, p.lambdas[-1], 3)
+
+
 def test_presentation_from_annihilator_refuses_what_it_cannot_peel():
     p = pres(("7/2", unit(2)), ("9/2", unit()))
     ann = monicize(expand_factor_form(p.factors, 12))

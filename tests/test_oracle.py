@@ -15,10 +15,9 @@ from frescos.dsl import parse_dsl
 from frescos.errors import (DegenerateTruncation, OrderUnderflow,
                             TruncationTooSmall)
 from frescos.fresco import AdaptedModel, ModuleElement, Presentation
-from frescos.linalg import Solver, axpy, certified_rank, integral
+from frescos.linalg import Solver, axpy, certified_rank, integral, matvec
 from frescos.oracle import (
     TruncatedRep,
-    _matvec,
     _shift,
     minimal_annihilator,
     span_closure,
@@ -296,17 +295,30 @@ def test_annihilator_kills_vector_through_matrices():
 def test_annihilator_takes_one_matvec_per_degree(monkeypatch):
     # the b-left solve reads only x, a x, ..., a^d x, shared by degrees
     calls = []
-    matvec = oracle_module._matvec
-
     def counted(cols, vec):
         calls.append(len(vec))
         return matvec(cols, vec)
 
-    monkeypatch.setattr(oracle_module, "_matvec", counted)
+    monkeypatch.setattr(oracle_module, "matvec", counted)
     rep = truncate_rep(std3(), M)
     ann = minimal_annihilator(rep, rep.basis_vector(3))
     assert ann.degree == 3
     assert len(calls) == 3
+
+
+def test_annihilator_ignores_explicit_zero_entries():
+    # a zero at b^0 f_1 moves neither the valuation nor the answer
+    rep = truncate_rep(std3(), M)
+    x = rep.basis_vector(2, 1)
+    want = minimal_annihilator(rep, x)
+    assert want.degree == 2
+    assert minimal_annihilator(rep, {**x, rep.idx(1, 0): Fraction(0)}) == want
+
+
+def test_all_zero_vector_has_no_annihilator():
+    rep = truncate_rep(std3(), M)
+    with pytest.raises(ValueError, match="zero vector"):
+        minimal_annihilator(rep, {rep.idx(1, 0): Fraction(0)})
 
 
 def test_annihilator_needs_room():
@@ -330,7 +342,7 @@ def _chain_annihilator(rep, x):
     def chain(t, m):
         w = memo.get((t, m))
         if w is None:
-            w = (_matvec(rep.aint, chain(t, m - 1)) if m
+            w = (matvec(rep.aint, chain(t, m - 1)) if m
                  else _shift(rep, base, t))
             memo[(t, m)] = w
         return w

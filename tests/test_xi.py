@@ -28,7 +28,7 @@ from frescos.fresco import (
     bernstein,
 )
 from frescos.dsl import parse_xi
-from frescos.linalg import Echelon, axpy, certified_rank
+from frescos.linalg import Echelon, Solver, axpy, certified_rank, integral
 from frescos.series import SeriesB
 import frescos.algebra as algebra_module
 import frescos.fresco as fresco_module
@@ -369,6 +369,21 @@ def test_closure_and_annihilator_build_no_expansion(monkeypatch):
     assert want == (3, {"ranks": (2, 3), "d": 2}, 3)
 
 
+def test_one_component_annihilator_integrates_nothing(monkeypatch):
+    # on one component the solve reads b-coordinates, where b is the
+    # shift: it neither integrates a term dict nor orders positions
+    span = xi_generate_module(parse_xi("-s^(0) * log - s^(1) * log^2", 24))
+    want = _annihilator_outcome(chain_annihilator, span)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the annihilator integrated or ordered terms")
+
+    monkeypatch.setattr(xi_module, "_integrate", forbidden)
+    monkeypatch.setattr(XiSpan, "order", property(forbidden))
+    assert _annihilator_outcome(_annihilator_from_span, span) == want
+    assert _annihilator_from_span(span).degree == 3
+
+
 # --- positions as ints ---
 
 @settings(max_examples=40, deadline=None)
@@ -443,8 +458,9 @@ def test_scaled_b_is_b(lam, entries, k):
     "1/3 * s^(-1/3) * log + 3 * s^(2/3) * log + 2/3 * s^(5/3) * log",
 ])
 def test_integer_eliminations_match_fraction_b(literal, monkeypatch):
-    # the closure, the annihilator and the filtration give the same
-    # answers when b comes from the Fraction formula
+    # the closure and the filtration give the same answers when b comes
+    # from the Fraction formula; _integrate no longer feeds the
+    # annihilator, which reads b-coordinates, so it cannot move either
     phi = parse_xi(literal, 26)
 
     def invariants():
@@ -457,6 +473,132 @@ def test_integer_eliminations_match_fraction_b(literal, monkeypatch):
     want = invariants()
     monkeypatch.setattr(xi_module, "_integrate", reference_integrate)
     assert invariants() == want
+
+
+# --- the level solve against the windowed chain solve ---
+
+def chain_annihilator(span):
+    """The annihilator solved the chain way, in normal order directly.
+
+    The unknowns c_(m,i) of a^r + sum_m a^m c_m(b) multiply the chain
+    a^m b^i phi, built with _integrate on integers, for m + i <= top_ji
+    = depth - 1 - vhi, and one Solver over the positions of span.order
+    takes them all, interior columns first so slack at the crust never
+    steals a pivot.  Only orders up to depth - r - vhi - (vhi - vlo) are
+    trusted, and an undetermined coefficient among them is refused.
+    """
+    phi = span.source
+    r = span.rank
+    depth = span.depth
+    vlo = min(m for (_, m, _) in phi.terms)
+    vhi = max(m for (_, m, _) in phi.terms)
+    top_ji = depth - 1 - vhi
+    mmax = top_ji + vlo
+    ordc = depth - r - vhi - (vhi - vlo)
+    need = xi_module._annihilator_depth(phi, r)
+    if depth < need:
+        raise NotMonogenicAtTruncation(
+            "depth %d leaves no room for a degree-%d annihilator and its "
+            "%d unit peels; rerun with --order %d" % (depth, r, r, need)
+        )
+    # the chain b^i phi runs on integers, s0 ratio[i] times the true one
+    w = {}
+    shifted, _ = integral(phi.terms)
+    ratio = [F(1)]
+    for i in range(top_ji + 1):
+        if i:
+            shifted, D = _integrate(shifted, phi.lam, mmax + 1)
+            g = gcd(*shifted.values())
+            shifted = {p: x // g for p, x in shifted.items()}
+            ratio.append(ratio[-1] * F(D, g))
+        cur = shifted
+        for m in range(r):
+            if m + i <= top_ji:
+                w[(m, i)] = cur
+            cur = xi_module._times_s(cur, mmax + 1)
+        if i == 0:
+            top = cur
+    cols = sorted(w, key=lambda c: (c[0] + c[1], c))
+    order = span.order
+    solver = Solver([order.ints(w[col]) for col in cols],
+                    len(order.positions))
+    got = solver(order.ints({p: -x for p, x in top.items()}))
+    pivots = set(solver.pivots)
+    for c, col in enumerate(cols):
+        if c not in pivots and col[1] <= ordc:
+            raise NotMonogenicAtTruncation(
+                "annihilator coefficient %s is undetermined" % (col,)
+            )
+    if got is None:
+        raise NotMonogenicAtTruncation(
+            "no annihilator of degree %d at depth %d" % (r, depth)
+        )
+    # sum_c nums[c] ratio[i] a^m b^i phi = -den a^r phi over c = (m, i)
+    nums, den = got
+    z = dict(zip(cols, nums))
+    ratio = ratio[:ordc + 1]
+    L = lcm(*(q.denominator for q in ratio))
+    mult = [q.numerator * (L // q.denominator) for q in ratio]
+    return AbElement([SeriesB._lowest(
+        [z[(m, i)] * f for i, f in enumerate(mult)], den * L, ordc)
+        for m in range(r)] + [SeriesB.one(ordc)])
+
+
+def _annihilator_outcome(solve, span):
+    """The slots with their orders, or the error class and message."""
+    try:
+        ann = solve(span)
+    except NotMonogenicAtTruncation as err:
+        return type(err), str(err)
+    return [(c.nums, c.den, c.order) for c in ann.coeffs]
+
+
+@st.composite
+def spread_expansions(draw):
+    """(lam, terms, depth offset): 1-3 components, log powers up to 4
+    at levels up to 5, the top log power often above the lowest
+    level."""
+    ncomp = draw(st.integers(1, 3))
+    entry = st.tuples(st.integers(1, ncomp), st.integers(0, 5),
+                      st.integers(0, 4),
+                      st.sampled_from([F(1), F(-1), F(2), F(-1, 3), F(3, 2)]))
+    entries = draw(st.lists(entry, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # a low term under the top log power, one level up
+        comp, m, j, c = max(entries, key=lambda e: e[2])
+        entries.append((comp, m + 1 if m < 5 else m, j, c))
+        entries.append((comp, max(m - 1, 0), max(j - 1, 0), -c))
+    lam = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(1), F(3, 5)]))
+    return lam, ncomp, entries, draw(st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@example((F(1, 2), 1, [(1, 0, 1, F(-1)), (1, 1, 2, F(-1))], 0))
+@given(spread_expansions())
+def test_level_solve_is_the_chain_solve(case):
+    # at the span's rank both solves give the same slots, or the same
+    # refusal; at rank - 1 both find no annihilator
+    lam, ncomp, entries, off = case
+    terms = {}
+    for comp, m, j, c in entries:
+        terms[(comp, m, j)] = terms.get((comp, m, j), 0) + c
+    try:
+        span = xi_generate_module(XiExpansion(lam, 40, ncomp, terms))
+    except (SemanticError, TruncationTooSmall):
+        return
+    r = span.rank
+    need = xi_module._annihilator_depth(span.source, r)
+    depth = min(max(need, 4) + off, 40)
+    phi = XiExpansion(lam, depth, ncomp, span.source.terms)
+    for rank in (r, r - 1):
+        if rank:
+            at = XiSpan(phi, rank)
+            got = _annihilator_outcome(_annihilator_from_span, at)
+            assert got == _annihilator_outcome(chain_annihilator, at)
+            if rank < r and depth >= need:
+                assert got == (NotMonogenicAtTruncation,
+                               "no annihilator of degree %d at depth %d"
+                               % (rank, depth))
 
 
 # --- reconstruction properties ---
