@@ -42,10 +42,6 @@ def _D(s):
                            s.den, s.order + 1)
 
 
-def _is_zero(s):
-    return not any(s.nums)
-
-
 class AbElement:
     """A finite sum a^m c_m(b) in canonical normal order.
 
@@ -59,7 +55,7 @@ class AbElement:
         cs = list(coeffs)
         if not cs:
             cs = [SeriesB.zero(0)]
-        while len(cs) > 1 and _is_zero(cs[-1]):
+        while len(cs) > 1 and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -92,7 +88,7 @@ class AbElement:
         return self.coeffs[m]
 
     def is_zero(self):
-        return all(_is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     # --- ring operations ---
 
@@ -152,10 +148,10 @@ def normal_form_mul(u, v):
     """Product of two normal forms, again in normal order."""
     out = [None] * (u.degree + v.degree + 1)
     for m, c in enumerate(u.coeffs):
-        if _is_zero(c):
+        if not c:
             continue
         for n, d in enumerate(v.coeffs):
-            if _is_zero(d):
+            if not d:
                 continue
             dic = c
             for i in range(n + 1):

@@ -5,8 +5,10 @@ presentation whose p-steps p_j = l_{j+1} - l_j + 1 are all positive
 integers.  Rank 2 reads it straight off the first unit; higher ranks
 shrink by one through a reduction that trades the last two factors for
 one factor (l_k + 1, 1), at the price of solving one resonant ODE in b.
-The module is semi-simple exactly when alpha and all the nested alphas
-vanish.
+The reduction is read off the chain relation
+(a - l_j b) f_j = S_(j-1) f_(j-1) of the basis f_j = S_j^-1 e_j, one
+unit per stage, with no module model.  The module is semi-simple
+exactly when alpha and all the nested alphas vanish.
 
 Alpha, semi-simplicity and the maximal sub and quotient theme classes
 all come from reduction chains.  The chain of factors i..j is the chain
@@ -28,13 +30,7 @@ from .errors import (
     SemanticError,
     WrongRank,
 )
-from .fresco import (
-    AdaptedModel,
-    ModuleElement,
-    Presentation,
-    default_model_order,
-    regenerate_presentation,
-)
+from .fresco import Presentation, _drift, _model_order, default_model_order
 from .series import SeriesB, rat, solve_resonant_ode
 
 
@@ -135,46 +131,52 @@ def classify_rank2(p):
 def alpha_reduce_step(p):
     """Trade rank k >= 3 for rank k-1 without moving alpha.
 
-    Pick X with b X' - (p_{k-1} - 1) X = (1 - S_{k-1}) / b and set
-    e~ = f_k + X f_{k-1} in the adapted model, f_j = S_j^-1 e_j: the
-    generator f_k of the same module sees its last unit as 1.  Then
-    (a - l_{k-1} b)(a - l_k b) e~ lands in the span of f_1..f_{k-2}
-    exactly, with constant coordinate 1, so it generates that
-    submodule; reading its presentation off and appending (l_k + 1, 1)
-    gives the reduced fresco.  The ODE solution is unique up to
-    tau b^(p_{k-1}-1); alpha does not depend on tau precisely on the
+    Read off the chain relation (a - l_j b) f_j = S_(j-1) f_(j-1) of
+    f_j = S_j^-1 e_j.  X solves b X' - (p_(k-1) - 1) X = (1 - S_(k-1))/b,
+    so S_(k-1) + b^2 X' - (p_(k-1) - 1) b X = 1, and the generator
+    f_k + X f_(k-1) of the same module has
+
+        (a - l_k b)(f_k + X f_(k-1)) = f_(k-1) + Y f_(k-2),  Y = X S_(k-2).
+
+    Each stage m = k-2, ..., 1 then has
+    (a - l_(m+1) b)(f_(m+1) + Y f_m) = Sigma_m f_m + Y S_(m-1) f_(m-1)
+    with the unit Sigma_m = S_m + b^2 Y' - (p_m - 1) b Y, and for m > 1
+    sets Y <- Y S_(m-1) Sigma_m^-1: k - 3 inversions.  The reduced
+    fresco is (l_1 | Sigma_1) ... (l_(k-2) | Sigma_(k-2)) (l_k + 1 | 1),
+    all known to the step's order - 1.  X is unique up to
+    tau b^(p_(k-1)-1); alpha does not depend on tau precisely on the
     class where it is defined.
     """
     k = p.rank
     if k < 3:
         raise WrongRank("reduction needs rank >= 3, got %d" % k)
     _require_positive_steps(p)
-    order = min(default_model_order(p), min(u.order for u in p.units))
-    model = AdaptedModel(p, order=order)
-    lam = p.lambdas
-    pk1 = p.p_values()[k - 2]
-    s = model.sub[k - 2]
+    order = _model_order(min(default_model_order(p),
+                             min(u.order for u in p.units)))
+    n = order - 1
+    units = [u.truncate(order) for u in p.units[: k - 1]]
+    steps = p.p_values()
+    s = units[k - 2]
     try:
-        x = solve_resonant_ode(pk1 - 1, SeriesB._lowest(
-            [-x for x in s.nums[1:]], s.den, s.order - 1))
+        x = solve_resonant_ode(steps[k - 2] - 1, SeriesB._lowest(
+            [-c for c in s.nums[1:]], s.den, n))
     except ResonantObstruction as exc:
         raise NotInF0(
             "unit S_%d obstructs the reduction: %s" % (k - 1, exc)
         ) from exc
-    # (a - l_k b) f_k = S_(k-1) f_(k-1), with no f_k term left
-    e_tilde = ModuleElement([SeriesB.zero(x.order)] * (k - 2)
-                            + [x, SeriesB.one(x.order)])
-    g = model.apply_a(model.apply_a(e_tilde, lam[k - 1]), lam[k - 2])
-    for j in (k, k - 1):
-        if g.coord(j).valuation() is not None:
-            raise AssertionError(
-                "coordinate %d should vanish after the reduction" % j
-            )
-    # g generates the submodule F_{k-2} of the same model
-    reduced = regenerate_presentation(model, ModuleElement(g.coords[: k - 2]))
-    tail_order = min(u.order for u in reduced.units)
+    if _drift(x, 1 - steps[k - 2], n, s) != SeriesB.one(n):
+        raise AssertionError(
+            "S_%d + b^2 X' - (p_%d - 1) b X should be 1" % (k - 1, k - 1)
+        )
+    y = x * units[k - 3]
+    sigmas = [None] * (k - 2)
+    for m in range(k - 2, 0, -1):
+        sigmas[m - 1] = _drift(y, 1 - steps[m - 1], n, units[m - 1])
+        if m > 1:
+            y = y * units[m - 2] * sigmas[m - 1].invert()
+    lam = p.lambdas
     return Presentation(
-        list(reduced.factors) + [(lam[k - 1] + 1, SeriesB.one(tail_order))]
+        list(zip(lam, sigmas)) + [(lam[k - 1] + 1, SeriesB.one(n))]
     )
 
 
@@ -205,12 +207,12 @@ class Analysis:
 
     Tower j is the reduction chain of factors 1..j, grown a step at a
     time as intervals ask.  Read on its factors >= i, its step t is
-    step t of the chain of i..j: the model of i..j is F_j / F_(i-1), and
-    a step reads each coordinate off itself and the one above ((a x)_m
-    needs H_m and H_(m+1), the ODE is on S_(j-1), e~ lives on the top
-    two coordinates, regeneration walks down from the top).  Alpha is
-    tower k read at i = 1, computed at once; its value, or the
-    EngineError it raised, is kept, and the theme classes read it.
+    step t of the chain of i..j: the module of i..j is F_j / F_(i-1),
+    and a step reads Sigma_m off S_m, p_m and the Y of the stage above
+    (the ODE is on S_(j-1), Y starts as X S_(j-2), the stages walk down
+    from the top).  Alpha is tower k read at i = 1, computed at once;
+    its value, or the EngineError it raised, is kept, and the theme
+    classes read it.
     """
 
     def __init__(self, p):

@@ -171,6 +171,37 @@ def default_model_order(p):
     return ceil(2 * p.rank + sum(max(pj, 1) for pj in p.p_values()) + 8)
 
 
+def _model_order(order):
+    """order itself; below 1 neither the adapted model nor the reduction
+    step, which reads the same units, has room."""
+    if order < 1:
+        raise OrderUnderflow(
+            "the adapted model needs order at least 1, got %d" % order
+        )
+    return order
+
+
+def _drift(h, c, n, rest):
+    """b^2 H' + c b H + rest to order n, over one denominator: coordinate
+    j of (a - lam b) x for c = l_j - lam, H = H_j and rest = S_j H_(j+1).
+    b^2 H' + c b H has (i + c) h_i at b^(i+1), with integer weights
+    i q + p over c = p/q; a zero H and a missing rest add no term.
+    """
+    parts = []
+    if h:
+        q = c.denominator
+        weights = range(c.numerator, c.numerator + n * q, q)
+        parts.append(([0, *map(mul, weights, h.nums)], h.den * q))
+    if rest is not None:
+        parts.append((rest.nums, rest.den))
+    den = lcm(*[d for _, d in parts])
+    total = [0] * (n + 1)
+    for nums, d in parts:
+        f = den // d
+        total = [t + f * y for t, y in zip(total, nums)]
+    return SeriesB._lowest(total, den, n)
+
+
 class ModuleElement:
     """Element of an adapted model: coordinate series against f_1..f_k."""
 
@@ -220,12 +251,8 @@ class AdaptedModel:
     """
 
     def __init__(self, presentation, order):
-        if order < 1:
-            raise OrderUnderflow(
-                "the adapted model needs order at least 1, got %d" % order
-            )
         self.presentation = presentation
-        self.order = order
+        self.order = _model_order(order)
         self.sub = [_fit(unit, order) for unit in presentation.units]
 
     @property
@@ -248,22 +275,8 @@ class AdaptedModel:
         out = []
         for j, (l, h, nxt) in enumerate(zip(self.presentation.lambdas,
                                             x.coords, x.coords[1:] + (None,))):
-            parts = []
-            if any(h.nums):
-                # b^2 H' + c b H has (i + c) h_i at b^(i+1): weights over q
-                c = l - lam
-                q = c.denominator
-                drift = range(c.numerator, c.numerator + n * q, q)
-                parts.append(([0, *map(mul, drift, h.nums)], h.den * q))
-            if nxt is not None and any(nxt.nums):
-                s = self.sub[j] * nxt
-                parts.append((s.nums, s.den))
-            den = lcm(*[d for _, d in parts])
-            total = [0] * (n + 1)
-            for nums, d in parts:
-                f = den // d
-                total = [t + f * y for t, y in zip(total, nums)]
-            out.append(SeriesB._lowest(total, den, n))
+            rest = self.sub[j] * nxt if nxt else None
+            out.append(_drift(h, l - lam, n, rest))
         return ModuleElement(out)
 
     def apply_b(self, x):

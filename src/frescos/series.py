@@ -25,7 +25,9 @@ command builds (two random order-128 series of 64-bit integers: 0.53 ms
 packed, 1.27 ms on the pairs, CPython 3.11, x86-64).
 
 The inverse runs the recurrence of 1/f over the nonzero f_i on the
-numerators, over the common denominator f_0^n (see _inverse).
+numerators, over the common denominator f_0^n (see _inverse).  Neither
+it nor the product falls back to Fractions on wide denominators: no
+input of the benchmark pools comes near a width where Fractions win.
 Newton iteration on the product (Brent & Kung 1978, "Fast algorithms
 for manipulating formal power series", J. ACM 25) has the better
 exponent, but measured at orders 20 to 128 (CPython 3.11) it was 2x to
@@ -272,15 +274,7 @@ def _common(x, y):
 
 
 def _product(x, y):
-    """x * y to the lesser order, on the stored numerators.
-
-    The pairs run as Fractions once the two denominators together pass
-    2400 bits: an lcm of many unrelated denominators puts all of them
-    on every numerator.  On dense series at orders 16..128 with
-    unrelated denominators of 4 to 128 bits the integers won up to
-    3600 bits and the Fractions from 4000 on; structured denominators
-    (powers of a few primes) stay far below the bound.
-    """
+    """x * y to the lesser order, on the stored numerators."""
     n = min(x.order, y.order)
     m = n + 1
     sx = [(i, a) for i, a in enumerate(x.nums[:m]) if a]
@@ -294,16 +288,12 @@ def _product(x, y):
         (e, s), = sx
         return SeriesB._lowest((0,) * e + tuple([s * b for b in y.nums[: m - e]]),
                                x.den * y.den, n)
-    if x.den.bit_length() + y.den.bit_length() > 2400:
-        xd, yd = x.den, y.den
-        return SeriesB(_pairs([(i, Fraction(a, xd)) for i, a in sx],
-                              [(j, Fraction(b, yd)) for j, b in sy], m, _ZERO), n)
-    return SeriesB._lowest(_pairs(sx, sy, m, 0), x.den * y.den, n)
+    return SeriesB._lowest(_pairs(sx, sy, m), x.den * y.den, n)
 
 
-def _pairs(xs, ys, m, zero):
+def _pairs(xs, ys, m):
     """Sums of x_i y_j over the (index, value) pairs with i + j < m."""
-    out = [zero] * m
+    out = [0] * m
     for i, x in xs:
         for j, y in ys:
             if i + j >= m:
@@ -317,39 +307,31 @@ def _inverse(s):
 
     H_m = f_0^(m+1) (1/f)_m obeys H_0 = 1, H_m = -sum_i f_i f_0^(i-1)
     H_(m-i), so (1/s)_m = den H_m f_0^(n-1-m) / f_0^n, reduced by one
-    content gcd.  H_m carries m * bits(f_0) bits, which outgrows the
-    coefficients themselves when den is an lcm of many unrelated
-    denominators; past n * bits(f_0) = 8000 the same recurrence runs on
-    Fractions.  That bound is where the two broke even on dense series
-    at orders 16..128 with denominators of 3 to 1146 bits.
+    content gcd.  Only the nonzero f_i take part, so a sparse unit costs
+    its terms whatever the width of f_0 (1 + 3^-44 (b - b^2 + b^3) at
+    order 128: 4.2 ms here, 18.7 ms on Fractions).  H_m carries
+    m * bits(f_0) bits, which outgrows the coefficients when den is an
+    lcm of many unrelated denominators: a dense order-40 unit over 40
+    unrelated 31-bit denominators takes 114 ms here, 24 ms on Fractions
+    (CPython 3.11, x86-64), but no command builds one.
     """
     n, den = s.order + 1, s.den
     f0 = s.nums[0]
-    terms = [(i, f) for i, f in enumerate(s.nums) if i and f]
-    if n * f0.bit_length() > 8000:
-        r = Fraction(den, f0)
-        return SeriesB(_recurrence([(i, Fraction(f, den)) for i, f in terms],
-                                   r, r, n), s.order)
-    h = _recurrence([(i, f * f0 ** (i - 1)) for i, f in terms], 1, 1, n)
-    # the sign of f_0^n goes on the numerators, so power ends positive
-    power = -den if f0 < 0 and n % 2 else den
-    for m in range(n - 1, -1, -1):
-        h[m] *= power
-        power *= f0
-    return SeriesB._lowest(h, power // den, s.order)
-
-
-def _recurrence(weights, h0, scale, n):
-    """h_0 = h0, h_m = -scale * sum_i w_i h_(m-i) for m < n."""
-    h = [h0]
+    weights = [(i, f * f0 ** (i - 1)) for i, f in enumerate(s.nums) if i and f]
+    h = [1]
     for m in range(1, n):
         acc = 0
         for i, w in weights:
             if i > m:
                 break
             acc += w * h[m - i]
-        h.append(-acc * scale)
-    return h
+        h.append(-acc)
+    # the sign of f_0^n goes on the numerators, so power ends positive
+    power = -den if f0 < 0 and n % 2 else den
+    for m in range(n - 1, -1, -1):
+        h[m] *= power
+        power *= f0
+    return SeriesB._lowest(h, power // den, s.order)
 
 
 def format_series(s):

@@ -463,15 +463,114 @@ def test_reduce_step_in_its_own_model_matches_the_copy(p):
         p = got
 
 
+def model_reduce_step(p):
+    """The reduction step on p's adapted model, the reference for
+    alpha_reduce_step: two apply_a passes take e~ = f_k + X f_(k-1) to
+    (a - l_(k-1) b)(a - l_k b) e~ in F_(k-2), and regenerate_presentation
+    reads the presentation of that submodule off it.
+    """
+    k = p.rank
+    if k < 3:
+        raise WrongRank("reduction needs rank >= 3, got %d" % k)
+    alpha_module._require_positive_steps(p)
+    order = min(default_model_order(p), min(u.order for u in p.units))
+    model = AdaptedModel(p, order=order)
+    lam = p.lambdas
+    pk1 = p.p_values()[k - 2]
+    s = model.sub[k - 2]
+    try:
+        x = solve_resonant_ode(pk1 - 1, SeriesB._lowest(
+            [-x for x in s.nums[1:]], s.den, s.order - 1))
+    except ResonantObstruction as exc:
+        raise NotInF0(
+            "unit S_%d obstructs the reduction: %s" % (k - 1, exc)
+        ) from exc
+    e_tilde = ModuleElement([SeriesB.zero(x.order)] * (k - 2)
+                            + [x, SeriesB.one(x.order)])
+    g = model.apply_a(model.apply_a(e_tilde, lam[k - 1]), lam[k - 2])
+    for j in (k, k - 1):
+        if g.coord(j).valuation() is not None:
+            raise AssertionError(
+                "coordinate %d should vanish after the reduction" % j
+            )
+    reduced = regenerate_presentation(model, ModuleElement(g.coords[: k - 2]))
+    tail_order = min(u.order for u in reduced.units)
+    return Presentation(
+        list(reduced.factors) + [(lam[k - 1] + 1, SeriesB.one(tail_order))]
+    )
+
+
+@st.composite
+def principal_towers(draw):
+    """Principal rank 3-6, mostly with positive steps, and units known
+    to orders 0-40, below and above default_model_order: each unit
+    sparse (up to three terms) or dense (every known coefficient drawn).
+
+    A nonzero b^(p_j) coefficient in S_j stops the tower with NotInF0,
+    so it is often cleared to let the tower go on.
+    """
+    k = draw(st.integers(3, 6))
+    steps = draw(st.lists(st.sampled_from([0] + [1, 2, 3] * 4),
+                          min_size=k - 1, max_size=k - 1))
+    lam = k - 1 + draw(st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2)]))
+    base = draw(st.integers(0, 36))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    fs = []
+    for j in range(k):
+        order = base + draw(st.integers(0, 4))
+        if order and draw(st.booleans()):
+            cs = draw(st.lists(coeffs, min_size=order, max_size=order))
+        else:
+            terms = draw(st.dictionaries(st.integers(1, max(order, 1)),
+                                         coeffs, max_size=3))
+            cs = [terms.get(i, 0) for i in range(1, order + 1)]
+        if j < k - 1 and 0 < steps[j] <= order and draw(st.booleans()):
+            cs[steps[j] - 1] = 0
+        fs.append((lam, SeriesB([1] + cs, order)))
+        if j < k - 1:
+            lam += steps[j] - 1
+    return Presentation(fs)
+
+
+def _step_outcome(step, p):
+    try:
+        return step(p)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(principal_towers())
+def test_reduce_step_matches_the_model_route_along_whole_towers(p):
+    # step by step down tower k: the same Presentation, every unit's
+    # known order included, or the same error and message
+    while p.rank >= 3:
+        got = _step_outcome(alpha_reduce_step, p)
+        assert got == _step_outcome(model_reduce_step, p)
+        if not isinstance(got, Presentation):
+            break
+        p = got
+
+
+def test_reduce_step_checks_the_last_unit_it_trades(monkeypatch):
+    # a wrong X leaves S_(k-1) + b^2 X' - (p_(k-1) - 1) b X apart from 1
+    solve = alpha_module.solve_resonant_ode
+    monkeypatch.setattr(
+        alpha_module, "solve_resonant_ode",
+        lambda c, rhs: solve(c, rhs) + SeriesB.monomial(1, 2, rhs.order))
+    with pytest.raises(AssertionError, match="should be 1"):
+        alpha_reduce_step(pres((3, unit()), (3, unit(0, 1)), (3, unit())))
+
+
 @pytest.mark.parametrize("text, inversions", [
     ("fresco: (3 | 1 + b) (4 | 1 - b + b^3) (5 | 1 + 2b)", 0),
     ("fresco: (5 | 1 + b) (6 | 1 - 2b^3) (7 | 1 + b^4) (8 | 1 - b + b^3) "
      "(9 | 1 + 2b)", 2),
 ])
-def test_reduce_step_inverts_only_in_regeneration(monkeypatch, text,
+def test_reduce_step_inverts_sigma_between_stages(monkeypatch, text,
                                                   inversions):
-    # the model and e~ = f_k + X f_(k-1) invert nothing; regeneration
-    # inverts Sigma_m at its stages m = k-2..2
+    # X and Y = X S_(k-2) invert nothing; the stage m = k-2..2 inverts
+    # Sigma_m for the Y of the stage below
     p = parse_fresco(text, order=ORDER)
     calls = count_inversions(monkeypatch)
     assert alpha_reduce_step(p).rank == p.rank - 1

@@ -75,6 +75,17 @@ def test_one_level_solve_serves_the_oracle_and_xi(module):
                           for a in node.names}
 
 
+def test_alpha_reduces_without_the_module_model():
+    # the reduction step reads its units off the chain relation; the
+    # model, its elements and regeneration serve verify alone
+    tree = dict(_trees())["alpha.py"]
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    names = set(_referenced_names(tree))
+    for name in ("AdaptedModel", "ModuleElement", "regenerate_presentation"):
+        assert name not in imported | names, name
+
+
 def _imported_modules(tree):
     """The frescos modules a module imports from, by short name."""
     for node in ast.walk(tree):
