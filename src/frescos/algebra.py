@@ -121,6 +121,12 @@ class AbElement:
             return normal_form_mul(AbElement.from_series(other), self)
         return NotImplemented
 
+    def __truediv__(self, other):
+        """Right division by a unit series: sum a^m (c_m / other)."""
+        if not isinstance(other, SeriesB):
+            return NotImplemented
+        return AbElement([c / other for c in self.coeffs])
+
     def __eq__(self, other):
         if not isinstance(other, AbElement):
             return NotImplemented
@@ -199,7 +205,7 @@ def _b2_log_derivative(unit, order):
         raise OrderUnderflow(
             "b^2 S'/S needs order at least 1, got %d" % order)
     u = _fit(unit, order)
-    return _D(u) * u.invert()
+    return _D(u) / u
 
 
 def _fit(s, order):
@@ -279,9 +285,9 @@ def check_unit_exchange(lam1, p1, rho, order):
     u2 = AbElement.from_series(u * u)
     lhs = AbElement.linear(lam1, order) * AbElement.linear(lam2, order)
     rhs = ui * AbElement.linear(lam2 + 1, order) * u2 \
-        * AbElement.linear(lam1 - 1, order) * ui
-    n = order - 2  # two inversions cost nothing, D costs nothing; keep slack
-    return lhs.same_upto(rhs, n)
+        * AbElement.linear(lam1 - 1, order) / u
+    # inversion and division keep the known order, D raises it
+    return lhs.same_upto(rhs, order)
 
 
 def check_middle_unit_exchange(lam1, p1, p2, alpha, order):
@@ -296,13 +302,11 @@ def check_middle_unit_exchange(lam1, p1, p2, alpha, order):
     lam1, alpha = rat(lam1), rat(alpha)
     lam3 = lam1 + p1 + p2 - 2
     beta = (1 + Fraction(p2, p1)) * alpha
-    w_inv = AbElement.from_series(
-        (SeriesB.one(order) + SeriesB.monomial(alpha, p2, order)).invert()
-    )
+    w = SeriesB.one(order) + SeriesB.monomial(alpha, p2, order)
     v = SeriesB.one(order) + SeriesB.monomial(beta, p2, order)
     vi = AbElement.from_series(v.invert())
     v2 = AbElement.from_series(v * v)
-    lhs = AbElement.linear(lam1 - 1, order) * w_inv * AbElement.linear(lam3, order)
-    rhs = vi * AbElement.linear(lam3 + 1, order) * v2 * w_inv \
-        * AbElement.linear(lam1 - 2, order) * vi
-    return lhs.same_upto(rhs, order - 2)
+    lhs = AbElement.linear(lam1 - 1, order) / w * AbElement.linear(lam3, order)
+    rhs = vi * AbElement.linear(lam3 + 1, order) * v2 / w \
+        * AbElement.linear(lam1 - 2, order) / v
+    return lhs.same_upto(rhs, order)

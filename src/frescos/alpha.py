@@ -141,7 +141,7 @@ def alpha_reduce_step(p):
     Each stage m = k-2, ..., 1 then has
     (a - l_(m+1) b)(f_(m+1) + Y f_m) = Sigma_m f_m + Y S_(m-1) f_(m-1)
     with the unit Sigma_m = S_m + b^2 Y' - (p_m - 1) b Y, and for m > 1
-    sets Y <- Y S_(m-1) Sigma_m^-1: k - 3 inversions.  The reduced
+    sets Y <- Y S_(m-1) / Sigma_m: k - 3 divisions.  The reduced
     fresco is (l_1 | Sigma_1) ... (l_(k-2) | Sigma_(k-2)) (l_k + 1 | 1),
     all known to the step's order - 1.  X is unique up to
     tau b^(p_(k-1)-1); alpha does not depend on tau precisely on the
@@ -173,7 +173,7 @@ def alpha_reduce_step(p):
     for m in range(k - 2, 0, -1):
         sigmas[m - 1] = _drift(y, 1 - steps[m - 1], n, units[m - 1])
         if m > 1:
-            y = y * units[m - 2] * sigmas[m - 1].invert()
+            y = y * units[m - 2] / sigmas[m - 1]
     lam = p.lambdas
     return Presentation(
         list(zip(lam, sigmas)) + [(lam[k - 1] + 1, SeriesB.one(n))]

@@ -13,7 +13,8 @@ class EngineError(Exception):
 # --- series layer ---
 
 class InversionOfNonUnit(EngineError):
-    """Attempt to invert a series with vanishing constant term."""
+    """Attempt to invert, or divide by, a series with vanishing constant
+    term."""
 
 
 class CoefficientBeyondOrder(EngineError):

@@ -22,12 +22,20 @@ over the distinct inputs of the benchmark pools it ran at most 0.76
 times per report, its cost rule 4 to 25 times, and without both every
 workload ran as fast or faster.  It wins only on dense products no
 command builds (two random order-128 series of 64-bit integers: 0.53 ms
-packed, 1.27 ms on the pairs, CPython 3.11, x86-64).
+packed, 1.27 ms on the pairs, CPython 3.11, x86-64).  The dense products
+of identities at order 128 (numerators of 200 to 500 bits) do not
+change that: over the 233 products of the first 200 distinct
+identities-deep argv whose operands both have more than half their
+terms nonzero, the pairs took 0.32 to 0.39 s, the packed product 0.42
+to 0.49 s.
 
-The inverse runs the recurrence of 1/f over the nonzero f_i on the
-numerators, over the common denominator f_0^n (see _inverse).  Neither
-it nor the product falls back to Fractions on wide denominators: no
-input of the benchmark pools comes near a width where Fractions win.
+Division by a unit and the inverse run one recurrence, that of x/f
+over the nonzero f_i, on the numerators over the common denominator
+f_0^n (see _quotient); invert() divides 1.  So x / s costs n times the
+terms of s, where x * s.invert() costs a dense product.  Neither the
+recurrence nor the product falls back to Fractions on wide
+denominators: no input of the benchmark pools comes near a width where
+Fractions win.
 Newton iteration on the product (Brent & Kung 1978, "Fast algorithms
 for manipulating formal power series", J. ACM 25) has the better
 exponent, but measured at orders 20 to 128 (CPython 3.11) it was 2x to
@@ -198,11 +206,18 @@ class SeriesB:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """self * other^-1 for a unit other, to the lesser order; there is
+        no scalar division."""
+        if not isinstance(other, SeriesB):
+            return NotImplemented
+        if not other.nums[0]:
+            raise InversionOfNonUnit("constant term is zero")
+        return _quotient(self, other)
+
     def invert(self):
         """Multiplicative inverse, same known order."""
-        if not self.nums[0]:
-            raise InversionOfNonUnit("constant term is zero")
-        return _inverse(self)
+        return SeriesB.one(self.order) / self
 
     def derive(self):
         """d/db.  The known order drops by one."""
@@ -302,36 +317,41 @@ def _pairs(xs, ys, m):
     return out
 
 
-def _inverse(s):
-    """1/s for a unit s = f / den, over the nonzero numerators f_i.
+def _quotient(x, s):
+    """x / s for a unit s = g / ds, to the lesser order of x and s, over
+    the nonzero numerators g_i.
 
-    H_m = f_0^(m+1) (1/f)_m obeys H_0 = 1, H_m = -sum_i f_i f_0^(i-1)
-    H_(m-i), so (1/s)_m = den H_m f_0^(n-1-m) / f_0^n, reduced by one
-    content gcd.  Only the nonzero f_i take part, so a sparse unit costs
-    its terms whatever the width of f_0 (1 + 3^-44 (b - b^2 + b^3) at
-    order 128: 4.2 ms here, 18.7 ms on Fractions).  H_m carries
-    m * bits(f_0) bits, which outgrows the coefficients when den is an
-    lcm of many unrelated denominators: a dense order-40 unit over 40
-    unrelated 31-bit denominators takes 114 ms here, 24 ms on Fractions
-    (CPython 3.11, x86-64), but no command builds one.
+    On x = X / dx, H_m = g_0^(m+1) (X/g)_m obeys H_m = g_0^m X_m -
+    sum_(i>=1) g_i g_0^(i-1) H_(m-i), so (x/s)_m = ds H_m g_0^(n-1-m) /
+    (dx g_0^n), reduced by one content gcd.  Only the nonzero g_i take
+    part, so a sparse unit costs n times its terms whatever the width
+    of g_0 (1 / (1 + 3^-44 (b - b^2 + b^3)) at order 128: 4.2 ms here,
+    18.7 ms on Fractions).
+    H_m carries m * bits(g_0) bits, which outgrows the coefficients when
+    ds is an lcm of many unrelated denominators: inverting a dense
+    order-40 unit over 40 unrelated 31-bit denominators takes 114 ms
+    here, 24 ms on Fractions (CPython 3.11, x86-64), but no command
+    builds one.
     """
-    n, den = s.order + 1, s.den
-    f0 = s.nums[0]
-    weights = [(i, f * f0 ** (i - 1)) for i, f in enumerate(s.nums) if i and f]
-    h = [1]
-    for m in range(1, n):
+    n = min(x.order, s.order) + 1
+    g0, ds, xs = s.nums[0], s.den, x.nums
+    weights = [(i, g * g0 ** (i - 1))
+               for i, g in enumerate(s.nums[:n]) if i and g]
+    h = []
+    for m in range(n):
         acc = 0
         for i, w in weights:
             if i > m:
                 break
             acc += w * h[m - i]
-        h.append(-acc)
-    # the sign of f_0^n goes on the numerators, so power ends positive
-    power = -den if f0 < 0 and n % 2 else den
+        xm = xs[m]
+        h.append(xm * g0 ** m - acc if xm else -acc)
+    # the sign of g_0^n goes on the numerators, so power ends positive
+    power = -ds if g0 < 0 and n % 2 else ds
     for m in range(n - 1, -1, -1):
         h[m] *= power
-        power *= f0
-    return SeriesB._lowest(h, power // den, s.order)
+        power *= g0
+    return SeriesB._lowest(h, x.den * (power // ds), n - 1)
 
 
 def format_series(s):

@@ -292,16 +292,91 @@ def test_middle_unit_exchange_needs_right_beta():
 
 
 def _wrong_beta_variant():
-    from frescos.series import SeriesB as SB
-
+    # the check's own route, division and full order, on beta = alpha
     order = 24
     lam1, p1, p2, alpha = rat("7/2"), 2, 1, rat(1)
     lam3 = lam1 + p1 + p2 - 2
     beta = alpha  # deliberately missing the (1 + p2/p1) factor
-    w_inv = emb((SB.one(order) + SB.monomial(alpha, p2, order)).invert())
-    v = SB.one(order) + SB.monomial(beta, p2, order)
+    w = SeriesB.one(order) + SeriesB.monomial(alpha, p2, order)
+    v = SeriesB.one(order) + SeriesB.monomial(beta, p2, order)
     vi, v2 = emb(v.invert()), emb(v * v)
+    lhs = AbElement.linear(lam1 - 1, order) / w * AbElement.linear(lam3, order)
+    rhs = vi * AbElement.linear(lam3 + 1, order) * v2 / w \
+        * AbElement.linear(lam1 - 2, order) / v
+    return lhs.same_upto(rhs, order)
+
+
+# --- the two unit exchanges as they were built, on inverses ---
+
+
+def reference_unit_exchange(lam1, p1, rho, order):
+    """Both sides of check_unit_exchange, multiplying by U^-1."""
+    lam1, rho = rat(lam1), rat(rho)
+    lam2 = lam1 + p1 - 1
+    u = SeriesB.one(order) + SeriesB.monomial(rho, p1, order)
+    ui = emb(u.invert())
+    u2 = emb(u * u)
+    lhs = AbElement.linear(lam1, order) * AbElement.linear(lam2, order)
+    rhs = ui * AbElement.linear(lam2 + 1, order) * u2 \
+        * AbElement.linear(lam1 - 1, order) * ui
+    return lhs, rhs
+
+
+def reference_middle_unit_exchange(lam1, p1, p2, alpha, order):
+    """Both sides of check_middle_unit_exchange, multiplying by W^-1
+    and V^-1."""
+    lam1, alpha = rat(lam1), rat(alpha)
+    lam3 = lam1 + p1 + p2 - 2
+    beta = (1 + Fraction(p2, p1)) * alpha
+    w_inv = emb(
+        (SeriesB.one(order) + SeriesB.monomial(alpha, p2, order)).invert()
+    )
+    v = SeriesB.one(order) + SeriesB.monomial(beta, p2, order)
+    vi = emb(v.invert())
+    v2 = emb(v * v)
     lhs = AbElement.linear(lam1 - 1, order) * w_inv * AbElement.linear(lam3, order)
     rhs = vi * AbElement.linear(lam3 + 1, order) * v2 * w_inv \
         * AbElement.linear(lam1 - 2, order) * vi
-    return lhs.same_upto(rhs, order - 2)
+    return lhs, rhs
+
+
+def compared_sides(check, *args, order):
+    """The verdict of check, and the two sides and the order it compared."""
+    seen = []
+    real = AbElement.same_upto
+
+    def spy(u, v, n):
+        seen.append((u, v, n))
+        return real(u, v, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AbElement, "same_upto", spy)
+        verdict = check(*args, order=order)
+    (lhs, rhs, n), = seen
+    return verdict, lhs, rhs, n
+
+
+# the sampling ranges of the identities command
+cli_lambdas = st.builds(Fraction, st.integers(2, 9), st.sampled_from((1, 2)))
+cli_units = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cli_lambdas, st.integers(1, 4), cli_units, st.integers(4, 64))
+def test_unit_exchange_divides_to_the_reference_sides(lam1, p1, rho, order):
+    verdict, lhs, rhs, n = compared_sides(check_unit_exchange, lam1, p1, rho,
+                                          order=order)
+    assert (lhs, rhs) == reference_unit_exchange(lam1, p1, rho, order)
+    assert verdict and n == order
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 9).map(Fraction), st.integers(1, 3), st.integers(1, 3),
+       cli_units, st.integers(4, 64))
+def test_middle_unit_exchange_divides_to_the_reference_sides(lam1, p1, p2,
+                                                             alpha, order):
+    verdict, lhs, rhs, n = compared_sides(
+        check_middle_unit_exchange, lam1, p1, p2, alpha, order=order)
+    assert (lhs, rhs) == reference_middle_unit_exchange(lam1, p1, p2, alpha,
+                                                        order)
+    assert verdict and n == order

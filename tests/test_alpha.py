@@ -562,19 +562,28 @@ def test_reduce_step_checks_the_last_unit_it_trades(monkeypatch):
         alpha_reduce_step(pres((3, unit()), (3, unit(0, 1)), (3, unit())))
 
 
-@pytest.mark.parametrize("text, inversions", [
+@pytest.mark.parametrize("text, divisions", [
     ("fresco: (3 | 1 + b) (4 | 1 - b + b^3) (5 | 1 + 2b)", 0),
     ("fresco: (5 | 1 + b) (6 | 1 - 2b^3) (7 | 1 + b^4) (8 | 1 - b + b^3) "
      "(9 | 1 + 2b)", 2),
 ])
-def test_reduce_step_inverts_sigma_between_stages(monkeypatch, text,
-                                                  inversions):
-    # X and Y = X S_(k-2) invert nothing; the stage m = k-2..2 inverts
-    # Sigma_m for the Y of the stage below
+def test_reduce_step_divides_by_sigma_between_stages(monkeypatch, text,
+                                                     divisions):
+    # X and Y = X S_(k-2) divide by nothing; the stage m = k-2..2 divides
+    # the Y of the stage below by Sigma_m, and nothing is inverted
     p = parse_fresco(text, order=ORDER)
-    calls = count_inversions(monkeypatch)
+    inversions = count_inversions(monkeypatch)
+    quotients = []
+    real = SeriesB.__truediv__
+
+    def divide(x, s):
+        quotients.append(s)
+        return real(x, s)
+
+    monkeypatch.setattr(SeriesB, "__truediv__", divide)
     assert alpha_reduce_step(p).rank == p.rank - 1
-    assert len(calls) == inversions == p.rank - 3
+    assert len(quotients) == divisions == p.rank - 3
+    assert inversions == []
 
 
 @pytest.mark.parametrize("text, steps, pair, factors", [

@@ -736,7 +736,7 @@ def test_truncate_rep_needs_no_series_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle used series arithmetic")
 
-    for name in ("__mul__", "__rmul__", "invert", "derive"):
+    for name in ("__mul__", "__rmul__", "__truediv__", "invert", "derive"):
         monkeypatch.setattr(SeriesB, name, refuse)
     got = truncate_rep(p, M)
     assert (got.aint, got.ascale) == (want.aint, want.ascale)

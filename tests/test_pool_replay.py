@@ -1,13 +1,15 @@
 """The benchmark pools, replayed: a change that moves a report fails here.
 
 Every distinct argv of perfbench/pool/xi-logs.jsonl,
-perfbench/pool/verify-oracle.jsonl and perfbench/pool/analyze-mix.jsonl
-goes through cli.main, and the digest of its report's mathematical
-fields (fields_digest in perfbench/check.py) must equal the digest
-stored in the pool.  The first two are the workloads that run the
-linalg kernel; every verify report runs the oracle's annihilator solve,
-all on one route; every analyze and every xi report runs an Analysis.
-The test only reads perfbench/.
+perfbench/pool/verify-oracle.jsonl, perfbench/pool/analyze-mix.jsonl
+and perfbench/pool/identities-deep.jsonl goes through cli.main, and the
+digest of its report's mathematical fields (fields_digest in
+perfbench/check.py) must equal the digest stored in the pool.  The
+first two are the workloads that run the linalg kernel; every verify
+report runs the oracle's annihilator solve, all on one route; every
+analyze and every xi report runs an Analysis; every identities report
+checks the exchange relations at order 128, dividing by units.  The
+test only reads perfbench/.
 """
 
 import importlib.util
@@ -47,7 +49,7 @@ def _distinct(workload):
 
 @pytest.mark.parametrize(
     "item", _distinct("xi-logs") + _distinct("verify-oracle")
-    + _distinct("analyze-mix"))
+    + _distinct("analyze-mix") + _distinct("identities-deep"))
 def test_pool_report_keeps_its_stored_digest(item):
     argv = item["argv"]
     out = io.StringIO()

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frescos.algebra import _D
+from frescos.algebra import AbElement, _D
 from frescos.errors import (
     CoefficientBeyondOrder,
     InversionOfNonUnit,
@@ -116,14 +116,18 @@ def schoolbook_product(x, y):
     return out
 
 
+def schoolbook_quotient(x, s):
+    n = min(x.order, s.order)
+    xs, ss = x.coeffs, s.coeffs
+    q = []
+    for m in range(n + 1):
+        acc = sum((ss[i] * q[m - i] for i in range(1, m + 1)), Fraction(0))
+        q.append((xs[m] - acc) / ss[0])
+    return q
+
+
 def schoolbook_inverse(x):
-    xs = x.coeffs
-    inv = [1 / xs[0]]
-    for n in range(1, x.order + 1):
-        acc = sum((xs[i] * inv[n - i] for i in range(1, n + 1)),
-                  Fraction(0))
-        inv.append(-acc / xs[0])
-    return inv
+    return schoolbook_quotient(SeriesB.one(x.order), x)
 
 
 def at_rest(s):
@@ -152,8 +156,9 @@ kernel_coeffs = small_coeffs | st.builds(
 
 @st.composite
 def kernel_series(draw, max_order=140, unit=False, big_dense_order=140,
-                  kinds=("zero", "sparse", "dense", "constant")):
-    """Zero, sparse (up to 4 terms), dense or constant, at orders 0..max_order.
+                  kinds=("zero", "sparse", "dense", "constant"), min_order=0):
+    """Zero, sparse (up to 4 terms), dense or constant, at orders
+    min_order..max_order.
 
     A constant series c + c b + c b^2 + ... makes every product
     coefficient as large as its operands' sizes allow.
@@ -163,7 +168,7 @@ def kernel_series(draw, max_order=140, unit=False, big_dense_order=140,
     denominators has coefficients of thousands of digits at order 140,
     and the schoolbook reference alone needs seconds for one.
     """
-    order = draw(st.integers(0, max_order))
+    order = draw(st.integers(min_order, max_order))
     kind = draw(st.sampled_from(kinds))
     cs = [Fraction(0)] * (order + 1)
     if kind == "constant":
@@ -215,6 +220,65 @@ def test_inverse_matches_schoolbook(s):
     assert s * inv == SeriesB.one(s.order)
 
 
+# negative, and numerators and denominators of 30 bits and more
+unit_constants = st.builds(
+    Fraction,
+    st.integers(-(1 << 40), -1) | st.integers(1 << 30, 1 << 40),
+    st.integers(1, 1 << 36),
+)
+
+
+@pytest.mark.parametrize("kind", ["zero", "sparse", "dense", "constant"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_quotient_matches_schoolbook_and_the_inverse(kind, data):
+    # x and s at orders 0..140 drawn apart, so the orders differ
+    x = data.draw(kernel_series(kinds=(kind,), big_dense_order=60))
+    s = data.draw(kernel_series(unit=True, big_dense_order=24))
+    c0 = data.draw(st.none() | unit_constants)
+    if c0 is not None:
+        s = SeriesB((c0,) + s.coeffs[1:], s.order)
+    got = x / s
+    assert got.order == min(x.order, s.order)
+    assert list(got.coeffs) == schoolbook_quotient(x, s)
+    assert at_rest(got)
+    assert got == x * s.invert()
+
+
+def test_division_by_a_nonunit_raises():
+    with pytest.raises(InversionOfNonUnit):
+        S(1, 2, order=4) / S(0, 1, order=4)
+    with pytest.raises(InversionOfNonUnit):
+        SeriesB.one(3) / SeriesB.zero(3)
+    with pytest.raises(InversionOfNonUnit):
+        AbElement([S(1, order=3), S(0, 1, order=3)]) / S(0, 0, 1, order=3)
+
+
+@pytest.mark.parametrize("divisor", [2, Fraction(3, 2), "3/2"])
+def test_division_refuses_a_divisor_that_is_not_a_series(divisor):
+    s = S(1, 2, order=3)
+    with pytest.raises(TypeError):
+        s / divisor
+    with pytest.raises(TypeError):
+        AbElement([s, s]) / divisor
+    with pytest.raises(TypeError):
+        divisor / s
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 10), st.data())
+def test_right_division_of_ab_elements_undoes_the_product(n, extra, data):
+    # every slot known to n, the unit to n + extra
+    u = AbElement(data.draw(st.lists(
+        kernel_series(min_order=n, max_order=n, big_dense_order=24),
+        min_size=1, max_size=4)))
+    s = data.draw(kernel_series(min_order=n + extra, max_order=n + extra,
+                                unit=True, big_dense_order=24))
+    q = u / s
+    assert q.coeffs == tuple(c / s for c in u.coeffs)
+    assert q * s == u
+
+
 def test_product_of_unrelated_denominators_matches_schoolbook():
     # 129 unrelated 33-bit denominators a side: each stored
     # denominator, their lcm, has about 3600 bits, and the pairs run on
@@ -257,6 +321,8 @@ def test_every_operation_keeps_the_form_at_rest(x, y, r, e, data):
         cases.append((_D(x), [Fraction(0)] + [i * a for i, a in enumerate(xs)]))
     if xs[0]:
         cases.append((x.invert(), schoolbook_inverse(x)))
+    if ys[0]:
+        cases.append((x / y, schoolbook_quotient(x, y)))
     for got, want in cases:
         assert at_rest(got)
         assert list(got.coeffs) == want
