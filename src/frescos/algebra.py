@@ -8,7 +8,10 @@ Pushing a series left past a power of a uses the rule
 
 iterated into  S a^n = sum_i (-1)^i C(n,i) a^{n-i} D^i(S)  where
 D(S) = b^2 S'.  D raises the known order by one, so normal ordering
-never erodes series precision.
+never erodes series precision.  normal_form_mul adds every such term
+into its slot on integer numerators over one common denominator and
+builds each slot once, with one content gcd: it forms no series
+product and no series sum.
 
 For a unit S the same rule moves S^-1 left past one factor:
 
@@ -28,16 +31,18 @@ coefficient.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 
 from .errors import OrderUnderflow
-from .series import SeriesB, rat
+from .series import SeriesB, _pairs, _terms, rat
+
+_UNDERFLOW = "series known only to order 0 cannot cross a"
 
 
 def _D(s):
     """b^2 d/db, the correction picked up when a series crosses one a."""
     if s.order == 0:
-        raise OrderUnderflow("series known only to order 0 cannot cross a")
+        raise OrderUnderflow(_UNDERFLOW)
     return SeriesB._lowest([0] + [i * x for i, x in enumerate(s.nums)],
                            s.den, s.order + 1)
 
@@ -151,27 +156,52 @@ class AbElement:
 
 
 def normal_form_mul(u, v):
-    """Product of two normal forms, again in normal order."""
-    out = [None] * (u.degree + v.degree + 1)
-    for m, c in enumerate(u.coeffs):
-        if not c:
-            continue
-        for n, d in enumerate(v.coeffs):
-            if not d:
-                continue
-            dic = c
+    """Product of two normal forms, again in normal order.
+
+    a^m c_m times a^n d_n is sum_i (-1)^i C(n,i) a^(m+n-i) D^i(c_m) d_n,
+    and D^i moves the b^k term of c_m to b^(k+i) times k(k+1)..(k+i-1).
+    Every term adds into its slot as integers: the c_m over the lcm of
+    u's denominators, the d_n over that of v's, so each slot sits over
+    their product.  A slot is known to the least order of the terms
+    that reach it and takes one content gcd at the end; a slot no term
+    reaches is zero at the least order of u and v.  A nonzero c_m known
+    only to order 0 cannot cross the a of a nonzero d_n, n >= 1.
+    """
+    cs = [(m, c) for m, c in enumerate(u.coeffs) if c]
+    ds = [(n, d) for n, d in enumerate(v.coeffs) if d]
+    if ds and ds[-1][0] and any(c.order == 0 for _, c in cs):
+        raise OrderUnderflow(_UNDERFLOW)
+    orders = [None] * (u.degree + v.degree + 1)
+    for m, c in cs:
+        for n, d in ds:
             for i in range(n + 1):
-                term = dic * d
-                if i % 2:
-                    term = -term
-                if comb(n, i) != 1:
-                    term = term * comb(n, i)
-                k = m + n - i
-                out[k] = term if out[k] is None else out[k] + term
-                if i < n:
-                    dic = _D(dic)
+                o, k = min(c.order + i, d.order), m + n - i
+                if orders[k] is None or o < orders[k]:
+                    orders[k] = o
+    out = [None if o is None else [0] * (o + 1) for o in orders]
+    du = lcm(*[c.den for _, c in cs])
+    dv = lcm(*[d.den for _, d in ds])
+    top = max([o for o in orders if o is not None], default=0) + 1
+    dterms = [(n, _terms(d, top, dv // d.den)) for n, d in ds]
+    for m, c in cs:
+        # D^i(c_m) for i = 0, 1, ...: each D drops b^0 and moves b^k to
+        # b^(k+1) times k
+        dics = [_terms(c, top, du // c.den)]
+        for n, dl in dterms:
+            while len(dics) <= n:
+                dics.append([(k + 1, k * x) for k, x in dics[-1] if k])
+            for i in range(n + 1):
+                xs, ys = dics[i], dl
+                if len(xs) > len(ys):
+                    xs, ys = ys, xs
+                w = -comb(n, i) if i % 2 else comb(n, i)
+                if w != 1:
+                    xs = [(k, w * x) for k, x in xs]
+                _pairs(xs, ys, out[m + n - i])
     order0 = min(c.order for c in u.coeffs + v.coeffs)
-    return AbElement([SeriesB.zero(order0) if c is None else c for c in out])
+    return AbElement([SeriesB.zero(order0) if x is None
+                      else SeriesB._lowest(x, du * dv, o)
+                      for x, o in zip(out, orders)])
 
 
 def monic_expansion(factors, order):
@@ -181,10 +211,11 @@ def monic_expansion(factors, order):
 
     factors is a sequence of (lambda, unit) pairs.  Every slot of the
     result is known to order, its top coefficient is 1.  Each right
-    factor a - c costs one dense product per slot of the monic
-    product so far; its other products are by the slot 1 of a, which
-    the series kernel takes as a monomial.  order < 1, or a unit known
-    to less than order, raises OrderUnderflow.
+    factor a - c costs, per slot of the monic product so far, one dense
+    pair product by -c and two single-term passes by the 1 of a, one of
+    them through D, all added on integers; then one content gcd per
+    slot.  order < 1, or a unit known to less than order, raises
+    OrderUnderflow.
     """
     factors = tuple(factors)
     logs = [_b2_log_derivative(unit, order) for _, unit in factors]

@@ -233,7 +233,7 @@ class Analysis:
             try:
                 self._steps[j, t] = (
                     alpha_reduce_step(self._reduced(j, t - 1)) if t
-                    else Presentation(self.presentation.factors[:j]))
+                    else self.presentation.prefix(j))
             except EngineError as exc:
                 self._steps[j, t] = exc
         if isinstance(self._steps[j, t], EngineError):

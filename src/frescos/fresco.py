@@ -22,7 +22,13 @@ from itertools import accumulate
 from math import ceil, lcm
 from operator import mul
 
-from .algebra import AbElement, _D, _fit, initial_form, monic_expansion
+from .algebra import (
+    _UNDERFLOW,
+    AbElement,
+    _fit,
+    initial_form,
+    monic_expansion,
+)
 from .errors import (
     IndexOutOfRange,
     MixedPrimitiveClasses,
@@ -33,7 +39,7 @@ from .errors import (
     OrderUnderflow,
     SemanticError,
 )
-from .series import SeriesB, rat
+from .series import SeriesB, _pairs, _terms, rat
 
 
 class Presentation:
@@ -66,6 +72,16 @@ class Presentation:
         # a presentation is immutable, so its steps are computed once
         ls = self.lambdas
         self._p_values = tuple(ls[j + 1] - ls[j] + 1 for j in range(k - 1))
+
+    def prefix(self, j):
+        """Factors 1..j, built unchecked: l_m + m > k >= j keeps them
+        geometric, and their units are units already."""
+        if not 1 <= j <= self.rank:
+            raise IndexOutOfRange("need 1 <= j <= %d" % self.rank)
+        p = object.__new__(Presentation)
+        p.factors = self.factors[:j]
+        p._p_values = self._p_values[:j - 1]
+        return p
 
     @property
     def rank(self):
@@ -426,7 +442,8 @@ def _peel_unit(ann, mu, k):
     den to the least common denominator of the t_i, the unit's.  Q comes
     off ann T = sum a^m s_m by synthetic division: as S a = a S - b^2 S',
     q_(deg-1) = s_deg, q_(m-1) = s_m + d(q_m) and the remainder is
-    s_0 + d(q_0), for d(f) = b^2 f' + mu b f.  T and Q lose k orders.
+    s_0 + d(q_0), for d(f) = b^2 f' + mu b f, all on integer numerators
+    with one content gcd per slot of Q.  T and Q lose k orders.
     """
     tmax = min(c.order for c in ann.coeffs) - k
     if tmax < 0:
@@ -448,12 +465,37 @@ def _peel_unit(ann, mu, k):
         nums = [x * t.denominator for x in nums] + [t.numerator]
         den *= t.denominator
     unit = SeriesB._make(tuple(nums), den, tmax)
-    q = [ann.coeffs[-1] * unit]
-    for c in reversed(ann.coeffs[:-1]):
-        q.append(c * unit + _D(q[-1]) + (q[-1] * mu).shift(1))
-    if q.pop():
+    if not tmax and ann.degree:
+        raise OrderUnderflow(_UNDERFLOW)
+    # on integers: s_m = c_m T over dc den, and the quotient slot
+    # q_(deg-1-j) over dc den q^j for mu = p/q; then with
+    # d(f)_t = (t - 1 + mu) f_(t-1) each step is
+    # Q_(j+1),t = q^(j+1) S_t + (p + (t - 1) q) Q_j,(t-1)
+    n = tmax + 1
+    dc = lcm(*[c.den for c in ann.coeffs])
+    p, q = mu.numerator, mu.denominator
+    ts = _terms(unit, n)
+    s = []
+    for c in ann.coeffs:
+        xs, ys = ts, _terms(c, n, dc // c.den)
+        if len(xs) > len(ys):
+            xs, ys = ys, xs
+        s.append(_pairs(xs, ys, [0] * n))
+    quot = [s.pop()]
+    qj = q
+    while s:
+        sm, prev = s.pop(), quot[-1]
+        quot.append([sm[0] * qj] + [
+            sm[t] * qj + (p + (t - 1) * q) * prev[t - 1] for t in range(1, n)])
+        qj *= q
+    if any(quot.pop()):
         raise AssertionError("peel remainder should vanish")
-    return unit, AbElement(q[::-1])
+    den_j = dc * den
+    slots = []
+    for x in quot:
+        slots.append(SeriesB._lowest(x, den_j, tmax))
+        den_j *= q
+    return unit, AbElement(slots[::-1])
 
 
 def presentation_from_annihilator(ann, lam, bound):

@@ -288,6 +288,12 @@ def _common(x, y):
     return n, [a * (den // xd) for a in xs], [b * (den // yd) for b in ys], den
 
 
+def _terms(s, n, scale=1):
+    """(index, numerator * scale) for the nonzero numerators of s below
+    index n, in increasing index."""
+    return [(i, x * scale) for i, x in enumerate(s.nums[:n]) if x]
+
+
 def _product(x, y):
     """x * y to the lesser order, on the stored numerators."""
     n = min(x.order, y.order)
@@ -303,12 +309,13 @@ def _product(x, y):
         (e, s), = sx
         return SeriesB._lowest((0,) * e + tuple([s * b for b in y.nums[: m - e]]),
                                x.den * y.den, n)
-    return SeriesB._lowest(_pairs(sx, sy, m), x.den * y.den, n)
+    return SeriesB._lowest(_pairs(sx, sy, [0] * m), x.den * y.den, n)
 
 
-def _pairs(xs, ys, m):
-    """Sums of x_i y_j over the (index, value) pairs with i + j < m."""
-    out = [0] * m
+def _pairs(xs, ys, out):
+    """Add x_i y_j into out[i + j] over the (index, value) pairs with
+    i + j < len(out); ys in increasing index.  Returns out."""
+    m = len(out)
     for i, x in xs:
         for j, y in ys:
             if i + j >= m:
@@ -337,7 +344,7 @@ def _quotient(x, s):
     g0, ds, xs = s.nums[0], s.den, x.nums
     weights = [(i, g * g0 ** (i - 1))
                for i, g in enumerate(s.nums[:n]) if i and g]
-    h = []
+    h, g0m = [], 1
     for m in range(n):
         acc = 0
         for i, w in weights:
@@ -345,7 +352,8 @@ def _quotient(x, s):
                 break
             acc += w * h[m - i]
         xm = xs[m]
-        h.append(xm * g0 ** m - acc if xm else -acc)
+        h.append(xm * g0m - acc if xm else -acc)
+        g0m *= g0
     # the sign of g_0^n goes on the numerators, so power ends positive
     power = -ds if g0 < 0 and n % 2 else ds
     for m in range(n - 1, -1, -1):

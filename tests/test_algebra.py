@@ -1,18 +1,21 @@
 """Operator algebra: normal ordering, division, initial forms, identities."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from frescos.algebra import (
     AbElement,
+    _D,
     _fit,
     check_exchange,
     check_middle_unit_exchange,
     check_unit_exchange,
     initial_form,
     monic_expansion,
+    normal_form_mul,
 )
 from frescos.errors import EngineError, OrderUnderflow
 from frescos.series import SeriesB, rat
@@ -380,3 +383,98 @@ def test_middle_unit_exchange_divides_to_the_reference_sides(lam1, p1, p2,
     assert (lhs, rhs) == reference_middle_unit_exchange(lam1, p1, p2, alpha,
                                                         order)
     assert verdict and n == order
+
+
+# --- the normal-order product as it was built, on series operations ---
+
+
+def reference_normal_form_mul(u, v):
+    """normal_form_mul term by term: each (-1)^i C(n,i) D^i(c_m) d_n is
+    a series product, added into its slot as a series."""
+    out = [None] * (u.degree + v.degree + 1)
+    for m, c in enumerate(u.coeffs):
+        if not c:
+            continue
+        for n, d in enumerate(v.coeffs):
+            if not d:
+                continue
+            dic = c
+            for i in range(n + 1):
+                term = dic * d
+                if i % 2:
+                    term = -term
+                if comb(n, i) != 1:
+                    term = term * comb(n, i)
+                k = m + n - i
+                out[k] = term if out[k] is None else out[k] + term
+                if i < n:
+                    dic = _D(dic)
+    order0 = min(c.order for c in u.coeffs + v.coeffs)
+    return AbElement([SeriesB.zero(order0) if c is None else c for c in out])
+
+
+def stored_or_error(f, *args):
+    """What f returns, as stored (numerators, denominator, order per
+    series), or the type and message of the error it raises."""
+    def stored(x):
+        if isinstance(x, SeriesB):
+            return x.nums, x.den, x.order
+        if isinstance(x, AbElement):
+            return [stored(c) for c in x.coeffs]
+        return tuple(stored(y) for y in x)
+
+    try:
+        return stored(f(*args))
+    except (EngineError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+# numerators over denominators with no common factor, and some that share
+unrelated = st.builds(Fraction, st.integers(-60, 60).filter(bool),
+                      st.sampled_from((1, 2, 3, 4, 5, 7, 9, 11, 13, 49)))
+
+
+@st.composite
+def mul_slots(draw):
+    """A slot known to order 0-12: zero, sparse (up to three terms) or
+    dense (every term nonzero)."""
+    order = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("zero", "sparse", "dense")))
+    cs = [0] * (order + 1)
+    if kind == "dense":
+        cs = draw(st.lists(unrelated, min_size=order + 1,
+                           max_size=order + 1))
+    elif kind == "sparse":
+        for i in draw(st.lists(st.integers(0, order), max_size=3)):
+            cs[i] = draw(unrelated)
+    return SeriesB(cs, order)
+
+
+# degrees 0-4; a zero slot below the top stays
+mul_operands = st.lists(mul_slots(), min_size=1, max_size=5).map(AbElement)
+
+
+@settings(max_examples=300, deadline=None)
+@example(AbElement([SeriesB([3], 0)]),
+         AbElement([SeriesB.zero(4), SeriesB([1, 2], 4)]))
+@example(AbElement([SeriesB([3], 0), SeriesB([1, 0, 5], 6)]),
+         AbElement([SeriesB([0, 1, 2], 3)]))
+@given(mul_operands, mul_operands)
+def test_normal_form_mul_is_the_reference(u, v):
+    assert stored_or_error(normal_form_mul, u, v) == \
+        stored_or_error(reference_normal_form_mul, u, v)
+
+
+def test_an_order_0_slot_cannot_cross_a():
+    # an order-0 slot left of a degree-0 factor stays put, but no nonzero
+    # slot of v above degree 0 may pass it
+    c = AbElement([SeriesB([3], 0)])
+    assert normal_form_mul(c, AbElement([SeriesB([1, 2], 4)])) == \
+        AbElement([SeriesB([3], 0)])
+    a = AbElement([SeriesB.zero(4), SeriesB([1, 2], 4)])
+    with pytest.raises(OrderUnderflow,
+                       match="^series known only to order 0 cannot cross a$"):
+        normal_form_mul(c, a)
+    # a zero slot of order 0 crosses nothing
+    z = AbElement([SeriesB.zero(0), SeriesB.one(3)])
+    assert normal_form_mul(z, a) == reference_normal_form_mul(z, a)

@@ -5,9 +5,15 @@ from math import ceil, lcm
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from frescos.algebra import _b2_log_derivative, _fit, monic_expansion
+from frescos.algebra import (
+    AbElement,
+    _D,
+    _b2_log_derivative,
+    _fit,
+    monic_expansion,
+)
 from frescos.dsl import parse_fresco
 from frescos.errors import (
     EngineError,
@@ -36,7 +42,12 @@ from frescos.fresco import (
 from frescos.oracle import minimal_annihilator, truncate_rep
 from frescos.series import SeriesB, rat
 import frescos.fresco as fresco_module
-from test_algebra import expand_factor_form, monicize
+from test_algebra import (
+    expand_factor_form,
+    monicize,
+    stored_or_error,
+    unrelated,
+)
 
 ORDER = 20
 
@@ -484,6 +495,20 @@ def test_sub_quotient_bounds():
         sub_quotient(p, 2, 3)
 
 
+@settings(max_examples=100, deadline=None)
+@given(exponent_lists(), st.data())
+def test_prefix_is_the_checked_build(lams, data):
+    # the unchecked prefix equals the prefix that Presentation checks
+    p = Presentation([(l, unit(*data.draw(st.lists(unrelated, max_size=3))))
+                      for l in lams])
+    j = data.draw(st.integers(1, p.rank))
+    got, want = p.prefix(j), Presentation(p.factors[:j])
+    assert got == want and got.p_values() == want.p_values()
+    for bad in (0, p.rank + 1):
+        with pytest.raises(IndexOutOfRange):
+            p.prefix(bad)
+
+
 def test_sub_quotient_requires_principal():
     p = pres(("9/2", unit()), ("5/2", unit()))
     assert not p.is_principal()
@@ -560,6 +585,88 @@ def test_peel_refuses_an_annihilator_known_to_too_few_orders():
                        match=r"known to order 2; the unit peel at exponent "
                              r"9/2 needs 3$"):
         fresco_module._peel_unit(short, p.lambdas[-1], 3)
+
+
+# --- the peel's division as it was built, on series operations ---
+
+
+def reference_peel_unit(ann, mu, k):
+    """_peel_unit with its synthetic division on series: q_(deg-1) =
+    c_deg T, q_(m-1) = c_m T + b^2 q_m' + mu b q_m."""
+    tmax = min(c.order for c in ann.coeffs) - k
+    if tmax < 0:
+        raise NotMonogenicAtTruncation(
+            "the annihilator is known to order %d; the unit peel at "
+            "exponent %s needs %d" % (tmax + k, mu, k))
+    rho, _ = fresco_module._remainders(ann, mu, k, tmax)
+    if rho(0, 0):
+        raise NotMonogenicAtTruncation(
+            "%s is not a right root of the annihilator" % mu)
+    nums, den = [1], 1
+    for n in range(1, tmax + 1):
+        acc = sum(x * rho(i, n) for i, x in enumerate(nums) if x)
+        dn = rho(n, n)
+        if acc and not dn:
+            raise NotMonogenicAtTruncation(
+                "unit peel at exponent %s is obstructed in slot %d" % (mu, n))
+        t = Fraction(-acc, dn or 1)
+        nums = [x * t.denominator for x in nums] + [t.numerator]
+        den *= t.denominator
+    unit = SeriesB._make(tuple(nums), den, tmax)
+    q = [ann.coeffs[-1] * unit]
+    for c in reversed(ann.coeffs[:-1]):
+        q.append(c * unit + _D(q[-1]) + (q[-1] * mu).shift(1))
+    if q.pop():
+        raise AssertionError("peel remainder should vanish")
+    return unit, AbElement(q[::-1])
+
+
+def peel_case(lambdas, units, bump=None, off=0, k=None):
+    """The annihilator of the factors, maybe with x added at b^i of slot
+    m for bump = (m, i, x), and the exponent and rank to peel at."""
+    order = min(u.order for u in units)
+    ann = monic_expansion(list(zip(lambdas, units)), order)
+    if bump is not None:
+        m, i, x = bump
+        coeffs = list(ann.coeffs)
+        coeffs[m] = coeffs[m] + SeriesB.monomial(x, i, order)
+        ann = AbElement(coeffs)
+    return ann, lambdas[-1] + off, len(lambdas) if k is None else k
+
+
+@st.composite
+def peel_cases(draw):
+    """Rank 1-4 with exponents off the integers, units sparse or dense
+    over unrelated denominators known to order 1-14, at times one
+    coefficient moved or mu off the root, peeled at a rank 1..r: so
+    the peel also obstructs, underflows or keeps a remainder."""
+    r = draw(st.integers(1, 4))
+    lam = draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3),
+                                Fraction(2, 5), Fraction(3, 7), Fraction(1))))
+    lambdas = [lam + r - j + draw(st.integers(0, 3)) for j in range(1, r + 1)]
+    order = draw(st.integers(1, 14))
+    units = [SeriesB([1] + draw(st.lists(st.just(0) | unrelated,
+                                         min_size=order, max_size=order)),
+                     order) for _ in range(r)]
+    bump = draw(st.none() | st.tuples(st.integers(0, r), st.integers(0, order),
+                                      unrelated))
+    return peel_case(lambdas, units, bump, draw(st.sampled_from((0, 0, 1, -1))),
+                     draw(st.integers(1, r)))
+
+
+@settings(max_examples=150, deadline=None)
+@example(peel_case([Fraction(4, 3)], [SeriesB([1, 1, -1], 2)], (0, 0, 1)))
+@example(peel_case([Fraction(1, 3)], [SeriesB([1, 1], 1)]))
+@example(peel_case([Fraction(4, 3)] * 2, [SeriesB([1, -1, 1], 2),
+                                          SeriesB([1, 0, 1], 2)],
+                   (1, 2, -1), k=1))
+@given(peel_cases())
+def test_peel_unit_is_the_reference(case):
+    # equal stored forms, or the same error: an obstruction, a unit
+    # known to order 0 with a remainder of degree >= 1, a remainder
+    # that does not vanish
+    assert stored_or_error(fresco_module._peel_unit, *case) == \
+        stored_or_error(reference_peel_unit, *case)
 
 
 def test_presentation_from_annihilator_refuses_what_it_cannot_peel():
