@@ -1,29 +1,25 @@
 """Formal expansions in one exponent class and their generated modules.
 
 An expansion is a finite sum of terms c s^(lam+m-1) (Log s)^j v_q with
-rational c, a fixed class representative lam in (0,1], a shift m below
-the truncation depth, a log power j, and an abstract component index q.
-The operator a is multiplication by s, so a pure shift m -> m+1; the
-operator b integrates from 0, which also shifts but sheds log powers:
+rational c, a class representative lam in (0,1], a shift m below the
+truncation depth, a log power j and a component index q.  a multiplies
+by s, a pure shift m -> m+1; b integrates from 0, which also shifts but
+sheds log powers:
 
     b:  s^(mu-1) Log^j  |->  s^mu sum_i (-1)^(j-i) (j!/i!) mu^(i-j-1) Log^i
 
-with mu = lam + m > 0.  Both operators act componentwise and only ever
-raise m, which keeps everything below the truncation depth exact.  With
-lam = a/q, mu = p_m/q for the positive integer p_m = a + m q, so on an
-integer term dict b is an integer map up to one integer scale (the lcm
-of the p_m^(j+1)); the module closure applies it so, and every
-elimination over an expansion's span runs on integers, on positions
-mapped to ints in their order (_Order) where they enter linalg.  One
-component with top log power J generates a module of rank J + 1 in the
-free module Xi_lam^(J); only several components run linalg.closure
-under the two maps and certify its rank (xi_generate_module).  The
-source's annihilator, solved for that rank in b-coordinates, where an
-expansion is a polynomial in b, checks it and becomes a presentation.
+with mu = lam + m > 0, so both keep everything below the depth exact.
+The rank and the log filtration of the module an expansion generates
+come off its coefficients (_log_ranks); its annihilator, solved for
+that rank in b-coordinates, becomes a presentation.  Eliminations run
+on integers, on positions mapped to ints, and only the components that
+carry a term get positions.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 from .algebra import AbElement
@@ -33,9 +29,8 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fresco import presentation_from_annihilator
-from .linalg import (Echelon, Solver, axpy, certified_rank, closure,
-                     coordinates, integral, matvec, normal_order,
-                     solve_levels)
+from .linalg import (Echelon, Solver, axpy, closure, coordinates, integral,
+                     matvec, normal_order, solve_levels)
 from .series import SeriesB, rat
 
 
@@ -56,22 +51,22 @@ def _poskey(pos):
     return (m, -j, comp)
 
 
-def _logkey(pos):
-    """Filtration order: higher logs first."""
-    comp, m, j = pos
-    return (-j, m, comp)
+def _components(phi):
+    """The components that carry a term, each mapped to its rank."""
+    comps = sorted({c for (c, _, _) in phi.terms})
+    return {c: i for i, c in enumerate(comps)}
 
 
 class _Order:
-    """The positions (comp, m, j) of phi's space up to its top log power
-    as ints: an int is its position's rank under key, so int order is
-    key's order."""
+    """The positions (comp, m, j) of phi's space, on the components that
+    carry a term and up to its top log power, as ints: an int is its
+    position's rank in generation order (_poskey)."""
 
-    def __init__(self, phi, key):
+    def __init__(self, phi):
         top = max((j for (_, _, j) in phi.terms), default=0)
         self.positions = sorted(
-            ((c, m, j) for c in range(1, phi.ncomp + 1)
-             for m in range(phi.depth) for j in range(top + 1)), key=key)
+            ((c, m, j) for c in _components(phi) for m in range(phi.depth)
+             for j in range(top + 1)), key=_poskey)
         self.index = {pos: i for i, pos in enumerate(self.positions)}
 
     def ints(self, terms):
@@ -226,27 +221,66 @@ class XiExpansion:
         return "XiExpansion(%s)" % " + ".join(bits)
 
 
-class XiSpan:
-    """The module generated by an expansion: its source, its rank and
-    the echelon of its linalg.closure under a and b, built on first use.
+def _log_ranks(phi):
+    """(rank S_1, .., rank S_(J+1)) of the module phi generates, J its
+    top log power, S_j its elements with log powers below j: the last
+    is the rank.
 
-    The echelon runs on the ints of order, the generation order.  Each
-    pivot row is primitive with a positive entry at its lead, every
-    other term after it, and rows shows them as expansions.  The pivots
-    keep their insertion order: the source, then depth first along the
-    b images (scaled to integers) before the a images, so the b-chain
-    of the top log power comes first.  A span of one component gets its
-    rank without the closure (see xi_generate_module), so only rows,
-    reduce and a span of several components build it.
+    On u_j = s^(lam-1) (Log s)^j, a b^n u_j = b^(n+1) (lam + n + N) u_j
+    with N u_j = j u_(j-1).  So s^(lam+m-1) Log^j = a^m u_j = b^m P_m(N)
+    u_j, P_m(N) = (lam + N) .. (lam + m - 1 + N) invertible, and phi =
+    sum_m b^m P_m(N) x_m with x_m in V = Q^(components x logs).  The
+    rank is that of the C((b))-span M of the a^m phi, the least space
+    holding phi and stable under D = b^-1 a = lam + n + N on b^n V.
+    For W the least N-stable subspace of V holding every x_m, W((b)) is
+    one, so M lies in it.  Conversely the product of (D - lam - k)^(J+1)
+    over the other shifts k of phi maps it to b^m Q(N) P_m(N) x_m, Q(N)
+    invertible, and (D - lam - m) b^m = b^m N: M holds every b^m f(N)
+    x_m, so M = W((b)).  Hence the rank is dim W, and as b^n u_j is
+    triangular in Log, rank S_j = dim(W cut to logs below j): the pivots
+    of W's echelon on (comp, j), higher logs first, that lie there.
+    """
+    top = max(j for (_, _, j) in phi.terms)
+    comps = _components(phi)
+    k = len(comps)
+    # (comp, j) at (top - j) k + its component's rank
+    shifts = {}
+    for (c, m, j), x in phi.terms.items():
+        shifts.setdefault(m, {})[(top - j) * k + comps[c]] = x
+    ech = Echelon()
+    for vec in shifts.values():
+        while vec:
+            ech.insert(vec)
+            # N moves (comp, j) to j (comp, j - 1), one block of k later
+            vec = {i + k: (top - i // k) * x for i, x in vec.items()
+                   if i < top * k}
+    count = Counter(top - lead // k for lead in ech.pivots)
+    return tuple(accumulate(count[j] for j in range(top + 1)))
+
+
+class XiSpan:
+    """The module generated by an expansion: its source, its rank (by
+    default the last of log_ranks, from _log_ranks) and, for rows and
+    reduce only, the echelon of its linalg.closure under a and b on the
+    ints of order, built on first use.  Each pivot row is primitive
+    with a positive entry at its lead, every other term after it; the
+    pivots keep their insertion order: the source, then depth first
+    along the b images (scaled to integers) before the a images.
     """
 
-    def __init__(self, source, rank):
+    def __init__(self, source, rank=None):
         self.source = source
-        self.rank = rank
+        self.lam = source.lam
+        self.depth = source.depth
+        self.rank = self.log_ranks[-1] if rank is None else rank
+
+    @cached_property
+    def log_ranks(self):
+        return _log_ranks(self.source)
 
     @cached_property
     def order(self):
-        return _Order(self.source, _poskey)
+        return _Order(self.source)
 
     @cached_property
     def echelon(self):
@@ -258,14 +292,6 @@ class XiSpan:
                     order.ints(_integrate(terms, lam, depth)[0]))
 
         return closure([order.ints(self.source.terms)], images)
-
-    @property
-    def lam(self):
-        return self.source.lam
-
-    @property
-    def depth(self):
-        return self.source.depth
 
     @property
     def rows(self):
@@ -280,7 +306,8 @@ class XiSpan:
         self.source._compat(x)
         order = self.order
         if any(pos not in order.index for pos in x.terms):
-            return x  # a log power past the source's: outside the span
+            # a component or log power the source has not: outside the span
+            return x
         return XiExpansion(x.lam, x.depth, x.ncomp, order.terms(
             self.echelon.reduce(order.ints(x.terms))))
 
@@ -297,120 +324,47 @@ def _annihilator_depth(phi, r):
 def xi_generate_module(phi):
     """The module generated by phi under a and b, with its rank.
 
-    A top log power J makes the rank at least J + 1 (the log filtration
-    has d = J + 1), and certifying rank r takes depth r + 2 or more, so
-    depth < J + 3 is refused up front.  One component lives in
-    Xi_lam^(J) = sum_(j<=J) C[[b]] s^(lam-1) (Log s)^j, free of rank
-    J + 1, so its rank is J + 1 with no elimination; the annihilator
-    solve checks it, as a wrong rank has no determined monic
-    annihilator of that degree.  Its whole need is then known, so the
-    refusal names the depth that solve needs (_annihilator_depth).
-
-    Several components close the span (XiSpan.echelon), whose pivot
-    levels give the rank through linalg.certified_rank; a window too
-    short to certify it raises TruncationTooSmall naming one that could.
+    Depth < J + 3, J the top log power, is refused up front, naming the
+    depth the annihilator of that rank needs (_annihilator_depth, J + 3
+    or more); from J + 3 on, that solve refuses a short window itself.
     """
     if phi.is_zero():
         raise SemanticError("the zero expansion generates nothing")
-    depth = phi.depth
+    span = XiSpan(phi)
     top = max(j for (_, _, j) in phi.terms)
-    if top + 3 > depth:
-        least = (_annihilator_depth(phi, top + 1) if phi.ncomp == 1
-                 else top + 3)
+    if top + 3 > phi.depth:
         raise TruncationTooSmall(
             "log^%d generates rank at least %d, which depth %d cannot "
             "certify; the bound needs --order %d or more"
-            % (top, top + 1, depth, least)
-        )
-    if phi.ncomp == 1:
-        return XiSpan(phi, top + 1)
-    span = XiSpan(phi, None)
-    span.rank, last, need = certified_rank(
-        (span.order.positions[i][1] for i in span.echelon.pivots), depth)
-    if need:
-        raise TruncationTooSmall(
-            "pivot profile still grows at level %d of %d; cannot certify "
-            "rank %d; rerun with --order %d"
-            % (last, depth, span.rank, need)
+            % (top, top + 1, phi.depth, _annihilator_depth(phi, span.rank))
         )
     return span
 
 
 def xi_log_filtration(span):
-    """Ranks of the sub-modules cut out by log degree, plus d(E).
-
-    S_j collects the elements using log powers below j.  The returned
-    dict has 'ranks', the tuple rank S_1 .. rank S_(maxlog+1), and 'd',
-    the least j with rank S_j equal to the full rank.
-
-    One component with top log power J: each S_j / S_(j-1) embeds in a
-    rank-1 log step of Xi_lam^(J) and the J + 1 steps reach rank J + 1,
-    so the ranks are 1, 2, .., J + 1 and d = J + 1.
-    """
-    if span.source.ncomp == 1:
-        top = max(j for (_, _, j) in span.source.terms)
-        return {"ranks": tuple(range(1, top + 2)), "d": top + 1}
-    return _echelon_filtration(span)
-
-
-def _echelon_filtration(span):
-    """xi_log_filtration on the closure.
-
-    The log-first echelon takes the span rows in reverse insertion
-    order: the long b-chain of the top log power, inserted first, then
-    reduces against the short rows of the lower logs instead of growing
-    them.  The pivot set, hence every rank and d, depends on the span
-    alone, not on the order.
-    """
-    depth, gen = span.depth, span.order
-    # splitting by the highest log power present needs an echelon that
-    # eliminates high logs first
-    logs = _Order(span.source, _logkey)
-    ech = Echelon()
-    groups = {}
-    for v in reversed(span.echelon.pivots.values()):
-        lead = ech.insert(logs.ints(gen.terms(v)))
-        if lead is not None:
-            groups.setdefault(logs.positions[lead][2], []).append(
-                gen.ints(logs.terms(ech.pivots[lead])))
-    total = max(groups) + 1 if groups else 1
-    level_ech = Echelon()
-    ranks = []
-    d = None
-    for cut in range(total):
-        for v in groups.get(cut, ()):
-            level_ech.insert(v)
-        rank, _, need = certified_rank(
-            (gen.positions[i][1] for i in level_ech.pivots), depth)
-        if need:
-            raise TruncationTooSmall(
-                "log filtration has not stabilised at depth %d; rerun "
-                "with --order %d" % (depth, need)
-            )
-        ranks.append(rank)
-        if d is None and rank == span.rank:
-            d = cut + 1
-    if d is None:
-        raise AssertionError("filtration never reaches the full rank")
-    return {"ranks": tuple(ranks), "d": d}
+    """Ranks of the sub-modules cut out by log degree, plus d(E): the
+    dict of 'ranks', rank S_1 .. rank S_(maxlog+1) (_log_ranks), and
+    'd', the least j with rank S_j the full rank.  One component with
+    top log power J has ranks 1, .., J + 1 and d = J + 1."""
+    ranks = span.log_ranks
+    return {"ranks": ranks, "d": ranks.index(ranks[-1]) + 1}
 
 
 def _annihilator_from_span(span):
     """Monic normal-order annihilator of the source, degree = rank.
 
-    On u_j = s^(lam-1) (Log s)^j, b is the exact shift and, for lam =
-    p/q, q a b^n u_j = b^(n+1) (p + q n + q N) u_j, N u_j = j u_(j-1).
-    So W_m = (q a)^m phi has exact integer b-coordinates (K per level,
-    u_j v_comp), and sum_m C_m(b) W_m = -W_r is linalg's level solve
-    once the lowest levels of the columns are independent.  W_m starts
-    at level vlo + m, so while they are dependent, the column of highest
-    level that a dependency uses becomes the combination, each column
-    shifted up to that level: a unimodular change U over C[b].  A column
-    of lowest level e is solved as b^(e-vlo) times one starting at vlo,
-    through every level of the window, then mapped back through U and
-    cut to order depth - r - vhi - (vhi - vlo), vlo and vhi the lowest
-    and highest shifts in phi.  A rank above the span's leaves the
-    columns dependent, one below it has no solution.
+    For lam = p/q, q a b^n u_j = b^(n+1) (p + q n + q N) u_j on u_j =
+    s^(lam-1) (Log s)^j, where b is the exact shift: W_m = (q a)^m phi
+    has integer b-coordinates, K per level (u_j v_comp on the components
+    that carry a term), and sum_m C_m(b) W_m = -W_r is linalg's level
+    solve once the lowest levels of the columns are independent.  W_m
+    starts at level vlo + m; while they are dependent, the column of
+    highest level that a dependency uses becomes the combination, each
+    column shifted up to that level: a unimodular change U over C[b].  A
+    column of lowest level e is solved as b^(e-vlo) times one at vlo,
+    mapped back through U and cut to order depth - r - vhi - (vhi - vlo),
+    vlo and vhi the lowest and highest shifts in phi.  A rank above the
+    span's leaves the columns dependent, one below it has no solution.
     """
     phi = span.source
     r = span.rank
@@ -426,7 +380,8 @@ def _annihilator_from_span(span):
         )
     p, q = phi.lam.numerator, phi.lam.denominator
     logs = max(j for (_, _, j) in phi.terms) + 1
-    K = phi.ncomp * logs
+    comps = _components(phi)
+    K = len(comps) * logs
     # q a: u_j at level n goes to (p + q n) u_j + q j u_(j-1) at n + 1
     qa = {n * K + i: {(n + 1) * K + i: p + q * n,
                       (n + 1) * K + i - 1: q * (i % logs)}
@@ -436,7 +391,7 @@ def _annihilator_from_span(span):
     w = [{}]
     for n in range(vhi, -1, -1):
         w[0] = axpy(matvec(qa, w[0]), q ** (vhi - n), {
-            (c - 1) * logs + j: x for (c, m, j), x in ints.items() if m == n})
+            comps[c] * logs + j: x for (c, m, j), x in ints.items() if m == n})
     for _ in range(r):
         w.append(matvec(qa, w[-1]))
     # a column (e, W, U): W = sum_m U_m(b) W_m of lowest level e, where

@@ -8,6 +8,7 @@ rank-2 theme with exponents (3/2, 3/2) and alpha = -1/2.
 
 import json
 import os
+import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -32,6 +33,7 @@ from frescos.linalg import Echelon, Solver, axpy, certified_rank, integral
 from frescos.series import SeriesB
 import frescos.algebra as algebra_module
 import frescos.fresco as fresco_module
+import frescos.linalg as linalg_module
 import frescos.xi as xi_module
 from frescos.xi import (
     XiExpansion,
@@ -294,15 +296,23 @@ def test_span_closed_under_word(x, word):
 
 
 def test_generation_needs_depth():
-    # log^J needs depth J + 3 whatever the components; one component
-    # names the depth its annihilator needs, r + 1 + r(r+1)/2 for rank
-    # r = J + 1 at shift 0, and two components also need a window whose
-    # pivot profile has stopped growing
-    with pytest.raises(TruncationTooSmall, match="--order 15 or more"):
+    # log^J needs depth J + 3 whatever the components, and the refusal
+    # names the depth the annihilator of the module's rank needs,
+    # r + vhi + (vhi - vlo) + 1 + r(r+1)/2: 15 for rank r = J + 1 = 4 at
+    # shift 0, and 5 + 1 + 1 + 1 + 15 = 23 for the rank-5 pair below
+    with pytest.raises(TruncationTooSmall, match="--order 15 or more$"):
         xi_generate_module(term("1/2", 0, 3, depth=5))
-    phi = XiExpansion("1/2", 8, 2, {(1, 0, 3): 1, (2, 1, 0): 1})
-    with pytest.raises(TruncationTooSmall, match="pivot profile still grows"):
+    phi = XiExpansion("1/2", 5, 2, {(1, 0, 3): 1, (2, 1, 0): 1})
+    with pytest.raises(TruncationTooSmall, match="--order 23 or more$"):
         xi_generate_module(phi)
+    # from J + 3 on the rank needs no depth; the annihilator names 23
+    span = xi_generate_module(XiExpansion("1/2", 8, 2, phi.terms))
+    assert span.rank == 5
+    with pytest.raises(NotMonogenicAtTruncation,
+                       match="rerun with --order 23$"):
+        model_from_xi(span)
+    assert model_from_xi(xi_generate_module(
+        XiExpansion("1/2", 23, 2, phi.terms))).rank == 5
 
 
 def test_certified_rank_does_not_move_with_the_depth():
@@ -386,6 +396,31 @@ def test_one_component_annihilator_integrates_nothing(monkeypatch):
 
 # --- positions as ints ---
 
+def _logkey(pos):
+    """Filtration order: higher logs first."""
+    comp, m, j = pos
+    return (-j, m, comp)
+
+
+class KeyOrder:
+    """The positions (comp, m, j) of phi's space, every component up to
+    ncomp and every log up to its top, as ints in the order of key: the
+    position order the closure's log filtration ran on."""
+
+    def __init__(self, phi, key):
+        top = max((j for (_, _, j) in phi.terms), default=0)
+        self.positions = sorted(
+            ((c, m, j) for c in range(1, phi.ncomp + 1)
+             for m in range(phi.depth) for j in range(top + 1)), key=key)
+        self.index = {pos: i for i, pos in enumerate(self.positions)}
+
+    def ints(self, terms):
+        return {self.index[pos]: x for pos, x in terms.items()}
+
+    def terms(self, vec):
+        return {self.positions[i]: x for i, x in vec.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(4, 7),
        st.booleans())
@@ -393,10 +428,15 @@ def test_position_ints_sort_like_the_keys_and_decode(ncomp, top, depth,
                                                       logfirst):
     # linalg eliminates in int order, so the int of (comp, m, j) must sort
     # like the generation key (m, -j, comp), or like the filtration key
-    # (-j, m, comp), fill one range from 0 and decode back
-    key = xi_module._logkey if logfirst else xi_module._poskey
-    order = xi_module._Order(term("1/2", 0, top, ncomp=ncomp, depth=depth),
-                             key)
+    # (-j, m, comp) of the test-side KeyOrder, fill one range from 0 and
+    # decode back
+    phi = XiExpansion("1/2", depth, ncomp,
+                      {(c, 0, top if c == 1 else 0): 1
+                       for c in range(1, ncomp + 1)})
+    if logfirst:
+        key, order = _logkey, KeyOrder(phi, _logkey)
+    else:
+        key, order = xi_module._poskey, xi_module._Order(phi)
     box = [(comp, m, j) for comp in range(1, ncomp + 1)
            for m in range(depth) for j in range(top + 1)]
     index = {pos: next(iter(order.ints({pos: 1}))) for pos in box}
@@ -404,6 +444,17 @@ def test_position_ints_sort_like_the_keys_and_decode(ncomp, top, depth,
     assert sorted(index.values()) == list(range(len(order.positions)))
     terms = {pos: c for c, pos in enumerate(box, start=1)}
     assert order.terms(order.ints(terms)) == terms
+
+
+def test_generation_order_skips_the_components_without_terms():
+    # only the components that carry a term are indexed, so a high
+    # component index costs nothing
+    phi = XiExpansion("1/2", 5, 10 ** 6, {(1, 0, 1): 1, (10 ** 6, 1, 0): 1})
+    order = xi_module._Order(phi)
+    assert len(order.positions) == 2 * 5 * 2
+    assert {c for (c, _, _) in order.positions} == {1, 10 ** 6}
+    assert XiSpan(phi).reduce(term("1/2", 0, 0, comp=2, ncomp=10 ** 6,
+                                   depth=5)).terms == {(2, 0, 0): 1}
 
 
 # --- the scaled b against the formula on Fractions ---
@@ -467,7 +518,7 @@ def test_integer_eliminations_match_fraction_b(literal, monkeypatch):
         span = xi_generate_module(phi)
         ann = _annihilator_from_span(span)
         return (span.rows, span.rank,
-                xi_module._echelon_filtration(span),
+                echelon_filtration(span, span.rank),
                 [c.coeffs for c in ann.coeffs])
 
     want = invariants()
@@ -789,7 +840,7 @@ def assert_closure_gives_rank_from_xi(phi):
         (m for (_, m, _) in span.rows), phi.depth)
     assert (rank, need) == (top + 1, 0)
     want = {"ranks": tuple(range(1, top + 2)), "d": top + 1}
-    assert xi_module._echelon_filtration(span) == want
+    assert echelon_filtration(span, rank) == want
     assert xi_log_filtration(span) == want
 
 
@@ -805,28 +856,193 @@ def test_closure_certifies_the_rank_from_xi(phi):
         assert_closure_gives_rank_from_xi(phi)
 
 
-def test_one_component_needs_no_closure(monkeypatch):
-    # a closure certified rank 2 at depth 6 and rank 3 from depth 11;
-    # with the rank from Xi, and no Echelon, every short window names
-    # the same order
-    literal = "-s^(1/2)*log + s^(7/2)*log^2"
+def assert_no_closure_and_one_order(literal, monkeypatch):
+    # the rule takes the rank and the filtration off the coefficients,
+    # the same at every depth, so with no closure every short window
+    # names the same order, and the report succeeds there
+    want = xi_log_filtration(xi_generate_module(parse_xi(literal, 40)))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("an Echelon was built")
+        raise AssertionError("a closure was built")
 
     spans = {}
     with monkeypatch.context() as patch:
-        patch.setattr(Echelon, "insert", forbidden)
-        for depth in range(6, 18):
+        patch.setattr(linalg_module, "closure", forbidden)
+        patch.setattr(xi_module, "closure", forbidden)
+        for depth in range(6, 40):
             spans[depth] = xi_generate_module(parse_xi(literal, depth))
-            assert spans[depth].rank == 3
-            assert xi_log_filtration(spans[depth]) == \
-                {"ranks": (1, 2, 3), "d": 3}
-    for depth in range(6, 17):
+            assert xi_log_filtration(spans[depth]) == want
+            assert spans[depth].rank == want["ranks"][-1]
+    need = xi_module._annihilator_depth(spans[6].source, spans[6].rank)
+    for depth in range(6, need):
         with pytest.raises(NotMonogenicAtTruncation,
-                           match=r"rerun with --order 17$"):
+                           match=r"rerun with --order %d$" % need):
             model_from_xi(spans[depth])
-    assert model_from_xi(spans[17]).rank == 3
+    assert model_from_xi(spans[need]).rank == spans[need].rank
+    return need
+
+
+def test_one_component_needs_no_closure(monkeypatch):
+    # a closure certified rank 2 at depth 6 and rank 3 from depth 11
+    literal = "-s^(1/2)*log + s^(7/2)*log^2"
+    assert assert_no_closure_and_one_order(literal, monkeypatch) == 17
+    assert xi_log_filtration(xi_generate_module(parse_xi(literal, 6))) == \
+        {"ranks": (1, 2, 3), "d": 3}
+
+
+@pytest.mark.parametrize("literal", [
+    "-s^(1/2) * log @ v1 + s^(1/2) @ v2",
+    "-s^(1/2) * log @ v1 + s^(7/2) * log^2 @ v1 + s^(1/2) @ v3",
+])
+def test_several_components_need_no_closure(literal, monkeypatch):
+    assert_no_closure_and_one_order(literal, monkeypatch)
+
+
+# --- the closure's certified rank and log filtration as references ---
+
+def echelon_filtration(span, rank):
+    """The log filtration read off the closure, certified level by
+    level, with d the least j at which rank S_j reaches rank; None
+    where a window is too short to certify a rank S_j.
+
+    The log-first echelon takes the span rows in reverse insertion
+    order: the long b-chain of the top log power, inserted first, then
+    reduces against the short rows of the lower logs instead of growing
+    them.  The pivot set, hence every rank and d, depends on the span
+    alone, not on the order.
+    """
+    depth, gen = span.depth, span.order
+    # splitting by the highest log power present needs an echelon that
+    # eliminates high logs first
+    logs = KeyOrder(span.source, _logkey)
+    ech = Echelon()
+    groups = {}
+    for v in reversed(span.echelon.pivots.values()):
+        lead = ech.insert(logs.ints(gen.terms(v)))
+        if lead is not None:
+            groups.setdefault(logs.positions[lead][2], []).append(
+                gen.ints(logs.terms(ech.pivots[lead])))
+    total = max(groups) + 1 if groups else 1
+    level_ech = Echelon()
+    ranks = []
+    d = None
+    for cut in range(total):
+        for v in groups.get(cut, ()):
+            level_ech.insert(v)
+        r, _, need = certified_rank(
+            (gen.positions[i][1] for i in level_ech.pivots), depth)
+        if need:
+            return None
+        ranks.append(r)
+        if d is None and r == rank:
+            d = cut + 1
+    if d is None:
+        raise AssertionError("filtration never reaches the full rank")
+    return {"ranks": tuple(ranks), "d": d}
+
+
+def closure_invariants(phi):
+    """(rank, ranks, d) as the closure certifies them, the route several
+    components took before the rule, or None where the window cannot
+    certify them."""
+    span = XiSpan(phi, 0)
+    rank, _, need = certified_rank(
+        (span.order.positions[i][1] for i in span.echelon.pivots),
+        phi.depth)
+    filt = None if need else echelon_filtration(span, rank)
+    return filt and (rank, filt["ranks"], filt["d"])
+
+
+def rule_invariants(phi):
+    span = xi_generate_module(phi)
+    filt = xi_log_filtration(span)
+    return span.rank, filt["ranks"], filt["d"]
+
+
+@st.composite
+def component_expansions(draw, depth):
+    """1-3 components, shifts 0-6, log powers 0-4, up to four terms."""
+    ncomp = draw(st.integers(1, 3))
+    entry = st.tuples(st.integers(1, ncomp), st.integers(0, 6),
+                      st.integers(0, 4),
+                      st.sampled_from([F(1), F(-1), F(2), F(-1, 3), F(3, 2)]))
+    terms = {}
+    for comp, m, j, c in draw(st.lists(entry, min_size=1, max_size=4)):
+        terms[(comp, m, j)] = terms.get((comp, m, j), 0) + c
+    lam = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(1), F(3, 5)]))
+    return XiExpansion(lam, depth, ncomp, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@example(parse_xi("-s^(1/2) * log @ v1 + s^(7/2) * log^2 @ v1 "
+                  "+ s^(1/2) @ v2", 30))
+@given(component_expansions(30))
+def test_rule_is_the_certified_closure(phi):
+    # where the closure certifies the rank and every rank S_j, the rule
+    # gives the same rank, ranks and d
+    if phi.is_zero():
+        return
+    want = closure_invariants(phi)
+    if want is not None:
+        assert rule_invariants(phi) == want
+
+
+@pytest.mark.parametrize("literal", [
+    "s^(-1/2) * log^3 @ v1 + s^(1/2) @ v2",
+    "s^(1/2) * log^3 @ v1 + s^(-1/2) * log @ v2",
+    "- s^(1/2) * log @ v1 + s^(7/2) * log^2 @ v1 + s^(1/2) @ v2",
+    "- s^(1/2) * log @ v1 + s^(5/2) * log^2 @ v1 + s^(3/2) @ v2",
+    # N u_j = j u_(j-1): the shift u_j -> u_(j-1) alone would close the
+    # coefficients to a space of dimension 3
+    "s^(-1/2) * log^2 @ v1 + s^(-1/2) * log @ v2 + s^(1/2) * log @ v1 "
+    "+ s^(1/2) @ v2",
+])
+def test_rule_is_the_certified_closure_on_several_components(literal):
+    phi = parse_xi(literal, 40)
+    want = closure_invariants(phi)
+    assert want is not None
+    assert rule_invariants(phi) == want
+
+
+def report_outcome(phi):
+    """The xi report's invariants at phi's depth, or the named order."""
+    try:
+        span = xi_generate_module(phi)
+        p = model_from_xi(span)
+    except (TruncationTooSmall, NotMonogenicAtTruncation) as err:
+        return int(re.search(r"--order (\d+)", str(err)).group(1))
+    return span.rank, p.lambdas, xi_log_filtration(span)
+
+
+@settings(max_examples=25, deadline=None)
+@example(parse_xi("-s^(1/2) * log @ v1 + s^(7/2) * log^2 @ v1 "
+                  "+ s^(1/2) @ v2", 6))
+@given(st.integers(7, 16).flatmap(component_expansions))
+def test_each_refusal_names_one_order(phi):
+    # a refusal names the least order that works: the report succeeds
+    # there, and at that order - 1 it names the same order again; a
+    # rank above 5 needs an order past 30, too slow to solve here
+    if phi.is_zero() or XiSpan(phi).rank > 5:
+        return
+    named = report_outcome(phi)
+    if not isinstance(named, int):
+        return
+    again = XiExpansion(phi.lam, named - 1, phi.ncomp, phi.terms)
+    assert report_outcome(again) == named
+    at = XiExpansion(phi.lam, named, phi.ncomp, phi.terms)
+    rank, _, filt = report_outcome(at)
+    assert rank == filt["ranks"][-1]
+
+
+def test_several_component_refusal_names_the_order_that_works():
+    # the closure named --order 13 at 6, and 22 at 13; the rule names
+    # 22 at once, and at 22 the report gives rank 4 = sum_q (J_q + 1)
+    literal = "-s^(1/2) * log @ v1 + s^(7/2) * log^2 @ v1 + s^(1/2) @ v2"
+    for depth in (6, 13, 21):
+        assert report_outcome(parse_xi(literal, depth)) == 22
+    rank, lambdas, filt = report_outcome(parse_xi(literal, 22))
+    assert rank == len(lambdas) == 4
+    assert filt == {"ranks": (2, 3, 4), "d": 3}
 
 
 # --- the integer peel against the peel on Fractions ---
