@@ -25,8 +25,11 @@ left therefore gives (S_1 ... S_k)^-1 (a - c_1) ... (a - c_k) with
 a telescoped sum of the adapted model's diagonals.  The monic
 expansion, the left ideal's generator with top coefficient 1, is the
 product (a - c_1) ... (a - c_k) itself: monic_expansion builds it so,
-with one dense product per slot and factor and no inverse of the top
-coefficient.
+with no inverse of the top coefficient and no normal_form_mul.  As
+A a = a A - D(A), a right factor a - c turns slot m of the product so
+far into A_(m-1) - D(A_m) - A_m c: one dense product per slot and
+factor, on integer numerators over one denominator, and one content
+gcd per slot at the end.
 """
 
 from fractions import Fraction
@@ -210,23 +213,31 @@ def monic_expansion(factors, order):
     (a - c_1) ... (a - c_k) (see the module docstring).
 
     factors is a sequence of (lambda, unit) pairs.  Every slot of the
-    result is known to order, its top coefficient is 1.  Each right
-    factor a - c costs, per slot of the monic product so far, one dense
-    pair product by -c and two single-term passes by the 1 of a, one of
-    them through D, all added on integers; then one content gcd per
-    slot.  order < 1, or a unit known to less than order, raises
-    OrderUnderflow.
+    result is known to order, its top coefficient is 1.  The slots are
+    integer numerators over one denominator, the product of the dc: a
+    right factor a - c with c = C / dc makes slot m dc A_(m-1) - dc
+    D(A_m) - A_m C, one dense pair product per slot, and each slot takes
+    one content gcd at the end.  order < 1, or a unit known to less than
+    order, raises OrderUnderflow.
     """
     factors = tuple(factors)
     logs = [_b2_log_derivative(unit, order) for _, unit in factors]
     # c_k, ..., c_1: each tail is the sum over i >= j
     cs = [SeriesB.monomial(lam, 1, order) + tail for (lam, _), tail
           in zip(reversed(factors), accumulate(reversed(logs)))]
-    one = SeriesB.one(order)
-    acc = AbElement.from_series(one)
+    # the slots A_m of the product so far, numerators over den
+    slots, den = [list(SeriesB.one(order).nums)], 1
     for c in reversed(cs):
-        acc = acc * AbElement([-c, one])
-    return acc
+        dc, neg = c.den, [(i, -x) for i, x in _terms(c, order + 1)]
+        new = [[0] * (order + 1)] + [[dc * x for x in a] for a in slots]
+        for a, out in zip(slots, new):
+            terms = [(i, x) for i, x in enumerate(a) if x]
+            for i, x in terms:
+                if 0 < i < order:
+                    out[i + 1] -= dc * i * x
+            _pairs(terms, neg, out)
+        slots, den = new, den * dc
+    return AbElement([SeriesB._lowest(x, den, order) for x in slots])
 
 
 def _b2_log_derivative(unit, order):

@@ -244,7 +244,7 @@ def _oracle_check_one(p, M, rng):
     fails = []
     k = p.rank
     rep = truncate_rep(p, M)
-    low = truncate_rep(p, min(M, k + 3))
+    low = rep if M <= k + 3 else truncate_rep(p, k + 3)
     closure_rank(low, [low.basis_vector(j, 1) for j in range(1, k + 1)])
     # each expansion is built to the order it is compared at
     want = monic_expansion(p.factors, M - k)

@@ -341,8 +341,7 @@ def regenerate_presentation(model, g):
         new_units[m - 1] = sigma
         if m == 1:
             break
-        t = sigma.invert()
-        x = ModuleElement([t * c for c in coords])
+        x = ModuleElement([c / sigma for c in coords])
         y = model.apply_a(x, lambdas[m - 1])
         top = y.coord(m)
         if top.valuation() is not None:

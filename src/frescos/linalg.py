@@ -11,8 +11,10 @@ Solver runs on it and returns integer numerators over one positive
 scale, so Fractions appear only at the callers' edges; closure builds a
 module's span under its operators, and certified_rank reads its rank
 off the pivot levels; solve_levels and normal_order solve an
-annihilator where b is the shift.  The oracle and xi both use it, and it
-imports nothing else from the package, so the oracle shares no engine code.
+annihilator where b is the shift, every level past the first without
+an elimination, on the sparse taps of the base block's integer inverse.
+The oracle and xi both use it, and it imports nothing else from the
+package, so the oracle shares no engine code.
 """
 
 from collections import Counter
@@ -212,32 +214,65 @@ def solve_levels(block, series, ordc):
     = -W_d on integers, or None if inconsistent.
 
     series[m] holds the coordinates of W_m, each as its levels from one
-    base up, and block the Solver of the full-rank base block of W_m,
-    m < d.  As b is the shift, level t is a convolution over the earlier
-    z and meets its new unknowns C_(m,t) in the base block alone; the
-    scale of its solution joins the running scale s, the lcm so far.
+    base up, and block the Solver of the full-rank base block B of W_m,
+    m < d.  As b is the shift, level t reads B z_t = -(s W_d[t] +
+    sum_(i >= 1) W_m[i] z_m[t - i]), with the same B at every level.
+    Level 0 runs through block, so a wrong degree fails there at once.
+    Then, once: on the block's lead rows R, adj = delta B_R^-1 on
+    integers maps the right side to delta z_t, and each other row j
+    gives delta e_j - B_j adj, which vanishes on it exactly when level t
+    is consistent.  Each of these functionals is folded into its drive,
+    its values on W_d, and its nonzero taps w on z_m[t - i], so a later
+    level costs its taps and one gcd with delta.  The scale of its
+    solution joins the running scale s, the lcm so far.
     """
-    d = len(series) - 1
-    z = [[] for _ in range(d)]
-    s = 1
-    for t in range(ordc + 1):
-        rhs = {}
-        for j, top in enumerate(series[d]):
-            acc = s * top[t]
-            for zm, cs in zip(z, series):
-                acc += sum(map(mul, zm, cs[j][t:0:-1]))
-            if acc:
-                rhs[j] = -acc
-        sol = block(rhs)
-        if sol is None:
+    d, k = len(series) - 1, len(series[0])
+    sol = block({j: -top[0] for j, top in enumerate(series[d]) if top[0]})
+    if sol is None:
+        return None
+    z, s = sol
+    # column i of adj solves B_R against the unit vector at lead[i]
+    lead = sorted(block.echelon.pivots)
+    base = Solver([{i: W[r][0] for i, r in enumerate(lead) if W[r][0]}
+                   for W in series[:d]], d)
+    inv = [base({i: 1}) for i in range(d)]
+    delta = lcm(*(scale for _, scale in inv))
+    funcs = [[0] * k for _ in range(d)]
+    for r, (nums, scale) in zip(lead, inv):
+        for f, x in zip(funcs, nums):
+            f[r] = x * (delta // scale)
+    for j in sorted(set(range(k)) - set(lead)):
+        f = [delta if r == j else 0 for r in range(k)]
+        for W, u in zip(series, funcs[:d]):
+            f = [x - W[j][0] * y for x, y in zip(f, u)]
+        funcs.append(f)
+    # the nonzero levels 1..ordc of each W_m
+    cols = [[(i, c) for i, c in enumerate(zip(*W)) if 0 < i <= ordc
+             and any(c)] for W in series]
+    # z is level-major: z_m[t - i] sits at t d - (i d - m)
+    drives = [[0] * len(funcs) for _ in range(ordc + 1)]
+    taps = []
+    for h, f in enumerate(funcs):
+        for i, c in cols[d]:
+            drives[i][h] = sum(map(mul, f, c))
+        taps += [(i * d - m, h, w) for m, W in enumerate(cols[:d])
+                 for i, c in W if (w := sum(map(mul, f, c)))]
+    taps.sort()
+    for t in range(1, ordc + 1):
+        n = t * d
+        accs = [s * x for x in drives[t]]
+        for o, h, w in taps:
+            if o > n:
+                break
+            accs[h] += w * z[n - o]
+        if any(accs[d:]):
             return None
-        nums, den = sol
-        if den > 1:
-            s *= den
-            z = [[y * den for y in zm] for zm in z]
-        for zm, y in zip(z, nums):
-            zm.append(y)
-    return z, s
+        g = gcd(delta, *accs[:d])
+        if delta > g:
+            s *= delta // g
+            z = [y * (delta // g) for y in z]
+        z += [-acc // g for acc in accs[:d]]
+    return [z[m::d] for m in range(d)], s
 
 
 def normal_order(z, s, D, ordc):

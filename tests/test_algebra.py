@@ -1,6 +1,7 @@
 """Operator algebra: normal ordering, division, initial forms, identities."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from frescos.algebra import (
     AbElement,
     _D,
+    _b2_log_derivative,
     _fit,
     check_exchange,
     check_middle_unit_exchange,
@@ -267,6 +269,61 @@ def test_monic_expansion_refuses_a_short_unit_as_fit_does(case, data):
     with pytest.raises(OrderUnderflow) as new:
         monic_expansion(fs, n)
     assert str(new.value) == str(old.value)
+
+
+def chain_monic_expansion(factors, order):
+    """monic_expansion as it multiplied (a - c_1) ... (a - c_k) out, one
+    normal_form_mul per factor: the reference of its integer slots."""
+    factors = tuple(factors)
+    logs = [_b2_log_derivative(unit, order) for _, unit in factors]
+    cs = [SeriesB.monomial(lam, 1, order) + tail for (lam, _), tail
+          in zip(reversed(factors), accumulate(reversed(logs)))]
+    one = SeriesB.one(order)
+    acc = AbElement.from_series(one)
+    for c in reversed(cs):
+        acc = normal_form_mul(acc, AbElement([-c, one]))
+    return acc
+
+
+@st.composite
+def expansion_cases(draw):
+    """(factors, order): rank 0-5 at order 0-40, each unit sparse or
+    dense over unrelated denominators; now and then a unit is known to
+    less than the order or has no constant term, so both sides raise."""
+    order = draw(st.integers(0, 40))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(COPRIME))
+    fs = []
+    for _ in range(draw(st.integers(0, 5))):
+        lam = draw(st.fractions(-3, 8, max_denominator=6))
+        n = max(0, order + draw(st.sampled_from([0, 0, 1, 3, -1])))
+        cs = [Fraction(0)] * n
+        if draw(st.booleans()):
+            cs = draw(st.lists(coeff, min_size=n, max_size=n))
+        elif n:
+            for e in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                cs[e] = draw(coeff)
+        head = draw(st.sampled_from([1, 1, 1, Fraction(-7, 3), 0]))
+        fs.append((lam, SeriesB([head] + cs, n)))
+    return fs, order
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansion_cases())
+def test_monic_expansion_is_the_normal_form_chain(case):
+    fs, order = case
+    want = _outcome(chain_monic_expansion, fs, order)
+    got = _outcome(monic_expansion, fs, order)
+    # == on the slots also compares their known orders
+    assert got == want
+    if isinstance(want, AbElement):
+        assert [c.order for c in got.coeffs] == [order] * (len(fs) + 1)
 
 
 @given(rationals, rationals)

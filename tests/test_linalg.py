@@ -10,12 +10,13 @@ import ast
 import os
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frescos.linalg import (
-    Echelon, Solver, axpy, certified_rank, closure, integral,
+    Echelon, Solver, axpy, certified_rank, closure, integral, solve_levels,
 )
 
 RATS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -205,6 +206,103 @@ def test_solver_refuses_positions_outside_its_range(col, rhs):
     # column 0 and corrupt the solution without a word
     with pytest.raises(ValueError, match="outside range"):
         Solver([col, {1: 1}], 2)(rhs)
+
+
+def dense_solve_levels(block, series, ordc):
+    """solve_levels as it ran before its sparse recurrence: at every
+    level one dense convolution per coordinate and column, then one
+    Solver call.  The reference of the recurrence."""
+    d = len(series) - 1
+    z = [[] for _ in range(d)]
+    s = 1
+    for t in range(ordc + 1):
+        rhs = {}
+        for j, top in enumerate(series[d]):
+            acc = s * top[t]
+            for zm, cs in zip(z, series):
+                acc += sum(map(mul, zm, cs[j][t:0:-1]))
+            if acc:
+                rhs[j] = -acc
+        sol = block(rhs)
+        if sol is None:
+            return None
+        nums, den = sol
+        if den > 1:
+            s *= den
+            z = [[y * den for y in zm] for zm in z]
+        for zm, y in zip(z, nums):
+            zm.append(y)
+    return z, s
+
+
+def _base_block(W, k):
+    return Solver([{j: c[0] for j, c in enumerate(cs) if c[0]} for cs in W],
+                  k)
+
+
+@st.composite
+def level_systems(draw):
+    """(block, series, ordc, late): W_0..W_(d-1) on k = 1..5 coordinates
+    and 1..9 levels, sparse or dense, with a base block of full rank
+    d <= k, and W_d.
+
+    W_d is arbitrary, or sum_m C_m(b) W_m / q for integer series C_m, so
+    that a solution exists whose scales come from q and from the block's
+    inverse; that one may be broken at one level, and with late it is
+    broken above level 0 on a row outside the span of the block."""
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, k))
+    n = draw(st.integers(1, 9))
+    entry = st.integers(-9, 9) if draw(st.booleans()) else \
+        st.sampled_from([0] * 20 + [1, -1, 2, -3, 7])
+    W = [[[draw(entry) for _ in range(n)] for _ in range(k)]
+         for _ in range(d)]
+    if len(_base_block(W, k).pivots) < d:
+        # make the block triangular on d distinct rows
+        rows = draw(st.permutations(range(k)))
+        for m, cs in enumerate(W):
+            for r in rows[:m]:
+                cs[r][0] = 0
+            cs[rows[m]][0] = draw(st.sampled_from([1, -2, 3, 5]))
+    top = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    late = False
+    if draw(st.booleans()):
+        C = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(d)]
+        top = [[sum(C[m][i] * W[m][j][t - i] for m in range(d)
+                    for i in range(t + 1)) for t in range(n)]
+               for j in range(k)]
+        q = draw(st.integers(1, 4))
+        W = [[[q * x for x in c] for c in cs] for cs in W]
+        block = _base_block(W, k)
+        outside = [j for j in range(k) if block({j: 1}) is None]
+        if outside and n > 1 and draw(st.booleans()):
+            late = True
+            j = draw(st.sampled_from(outside))
+            top[j][draw(st.integers(1, n - 1))] += 1
+        elif draw(st.booleans()):
+            top[draw(st.integers(0, k - 1))][draw(st.integers(0, n - 1))] -= 1
+    return _base_block(W, k), W + [top], n - 1, late
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_systems())
+def test_level_recurrence_is_the_dense_solve(case):
+    block, series, ordc, late = case
+    want = dense_solve_levels(block, series, ordc)
+    assert solve_levels(block, series, ordc) == want
+    if late:
+        # the break shows only past level 0
+        assert want is None and dense_solve_levels(block, series, 0)
+
+
+def test_level_recurrence_refuses_a_late_inconsistency():
+    # k = 2 > d = 1 with B = (2, 0): delta = 2, and row 1 tests each
+    # level's consistency; W_1 breaks it at level 2 only
+    series = [[[2, 1, 0], [0, 3, 0]], [[4, 1, 1], [0, 6, 5]]]
+    block = _base_block(series[:1], 2)
+    assert solve_levels(block, series, 1) == ([[-4, 1]], 2)
+    assert solve_levels(block, series, 2) is None
+    assert dense_solve_levels(block, series, 2) is None
 
 
 def _levels(per_level):

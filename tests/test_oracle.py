@@ -306,6 +306,28 @@ def test_annihilator_takes_one_matvec_per_degree(monkeypatch):
     assert len(calls) == 3
 
 
+def test_annihilator_levels_past_zero_run_no_solver(monkeypatch):
+    # each degree solves its level 0 through the Solver, and the degree
+    # that holds solves its base block once per column for the inverse;
+    # a Solver call per level would make 32 calls here
+    calls = []
+    real = Solver.__call__
+    def counted(self, rhs):
+        calls.append(rhs)
+        return real(self, rhs)
+
+    monkeypatch.setattr(Solver, "__call__", counted)
+    k, depth = 4, 32
+    p = pres(("9/2", [0, 1]), ("7/2", [0, 0, Fraction(1, 2)]),
+             ("5/2", [Fraction(-2, 3)]), ("3/2", [0, 0, 0, 3]), order=depth)
+    rep = truncate_rep(p, depth)
+    ann = minimal_annihilator(rep, e_generator(rep, p))
+    assert ann.degree == k
+    want = monicize(expand_factor_form(p.factors, depth))
+    assert ann.same_upto(want, depth - k)
+    assert len(calls) <= 2 * k
+
+
 def test_annihilator_ignores_explicit_zero_entries():
     # a zero at b^0 f_1 moves neither the valuation nor the answer
     rep = truncate_rep(std3(), M)
