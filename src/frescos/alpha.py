@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import (
     AlphaZero,
+    CoefficientBeyondOrder,
     EngineError,
     NotInF0,
     NotPrimitive,
@@ -104,6 +105,23 @@ def _require_positive_steps(p):
             raise PValueZero("p_%d = 0" % j)
 
 
+def _step_coeff(p, i, j, t, tower, q):
+    """b^(p_q) of S_q in tower, the alpha chain of p's factors i..j after
+    t reduction steps.  Each step loses one order and the last rank-2
+    step is p(E), the sum of the steps, so every such read has room once
+    each unit of p is known to order p(E) + k - 2."""
+    unit, step = tower.factors[q - 1][1], tower.p_values()[q - 1]
+    try:
+        return unit.coeff(int(step))
+    except CoefficientBeyondOrder:
+        need = int(sum(p.p_values())) + p.rank - 2
+        raise CoefficientBeyondOrder(
+            "alpha of factors %d..%d reads b^%s of S_%d after %d reduction "
+            "step(s), known to order %d; every alpha read has room with "
+            "units known to order %d (--order %d for a literal)"
+            % (i, j, step, q, t, unit.order, need, need)) from None
+
+
 def classify_rank2(p):
     """Full isomorphism class of a rank-2 presentation.
 
@@ -124,7 +142,7 @@ def classify_rank2(p):
         )
     if step == 0:
         return Rank2Class(lam1, lam2, step, Fraction(1), True)
-    alpha = p.units[0].coeff(int(step))
+    alpha = _step_coeff(p, 1, 2, 0, p, 1)
     return Rank2Class(lam1, lam2, step, alpha, alpha != 0)
 
 
@@ -250,19 +268,19 @@ class Analysis:
         input factor q, and its last one stands for input factors
         j - t..j; the NotInF0 message names them.
         """
+        p = self.presentation
         for t in range(j - i - 1):
             tower = self._reduced(j, t)
-            steps, units = tower.p_values(), tower.units
+            steps = tower.p_values()
             for q in range(i, j - t):
-                if units[q - 1].coeff(int(steps[q - 1])) != 0:
+                if _step_coeff(p, i, j, t, tower, q):
                     raise NotInF0(
                         "adjacent sub-quotient %d does not split after %d "
                         "reduction step(s): the reduced S_%d has a nonzero "
                         "b^%s coefficient; the pair stands for input "
                         "factors %d..%d" % (q, t, q, steps[q - 1], q,
                                             q + 1 if q + 1 < j - t else j))
-        last = self._reduced(j, j - i - 1)
-        return last.units[i - 1].coeff(int(last.p_values()[i - 1]))
+        return _step_coeff(p, i, j, j - i - 1, self._reduced(j, j - i - 1), i)
 
     def alpha(self):
         """The alpha invariant; raises what the reduction chain raised."""

@@ -39,7 +39,7 @@ from .errors import (
     OrderUnderflow,
     SemanticError,
 )
-from .series import SeriesB, _pairs, _terms, rat
+from .series import SeriesB, rat
 
 
 class Presentation:
@@ -407,94 +407,74 @@ def _bernstein_invariants(ann, lam, r, bound):
     return invariants
 
 
-def _remainders(ann, mu, k, tmax):
-    """(rho, L): rho(i, n) is L times the b^(k+n) coefficient of the
-    remainder rho_i = ann.(b^i e) of ann b^i by (a - mu b).
-
-    As a^m b^s e = (mu+s)...(mu+s+m-1) b^(s+m) e when a e = mu b e, that
-    is sum_m W[N][m] c_(m,N-m-i) for N = k+n, with W[N][m] =
-    (mu+N-m)...(mu+N-1) free of i: one table serves every remainder.
-    With mu = p/q and c_m = nums/d_m, L = lcm_m(d_m q^m) clears it.
-    """
-    p, q, cs = mu.numerator, mu.denominator, [c.nums for c in ann.coeffs]
-    dens = [c.den * q ** m for m, c in enumerate(ann.coeffs)]
-    L = lcm(*dens)
-    W = [[w * (L // d) for w, d in zip(
-        accumulate(range(1, len(cs)), lambda w, m: w * (p + (N - m) * q),
-                   initial=1), dens)]
-         for N in range(k, k + tmax + 1)]
-
-    def rho(i, n):
-        top = k + n - i
-        return sum(w * c[top - m] for m, (w, c) in enumerate(zip(W[n], cs))
-                   if m <= top and c[top - m])
-    return rho, L
-
-
 def _peel_unit(ann, mu, k):
     """Factor ann T = Q (a - mu b) with T a unit, T(0) = 1.
 
-    The remainders rho_i = ann.(b^i e) sit in b^(k+i) C[[b]], so the
-    system for the t_i is triangular with one resonant row; the resonant
-    coefficient is pinned to 0 and its row must close.  The scale of
-    _remainders cancels in t_n; den times t_n, in lowest terms, extends
-    den to the least common denominator of the t_i, the unit's.  Q comes
-    off ann T = sum a^m s_m by synthetic division: as S a = a S - b^2 S',
-    q_(deg-1) = s_deg, q_(m-1) = s_m + d(q_m) and the remainder is
-    s_0 + d(q_0), for d(f) = b^2 f' + mu b f, all on integer numerators
-    with one content gcd per slot of Q.  T and Q lose k orders.
+    On a e = mu b e, a^m b^s e = (mu+s)...(mu+s+m-1) b^(s+m) e, so the
+    b^(k+n) coefficient of ann T e is row n, sum_m W[n][m] s_(m,k+n-m),
+    for s_m = c_m T and, with mu = p/q, the integer weights W[n][m] =
+    q^(deg-m) (p + (k+n-1) q)...(p + (k+n-m) q).  As ann.(b^i e) lies
+    in b^(k+i) C[[b]], row n holds t_i for i <= n only: the system is
+    triangular with one resonant row, whose t_n is pinned to 0 and whose
+    row must close.  Each t_n, once fixed, is added into the s_m, kept on
+    integers over dc den (dc the lcm of the c_m's denominators), so the
+    products that solve for T are the slots of ann T = sum a^m s_m that
+    Q comes off by synthetic division: as S a = a S - b^2 S', q_(deg-1) =
+    s_deg, q_(m-1) = s_m + d(q_m) and the remainder is s_0 + d(q_0), for
+    d(f)_t = (t - 1 + mu) f_(t-1), slot q_(deg-1-j) over dc den q^j.
+    T and Q lose k orders.
     """
     tmax = min(c.order for c in ann.coeffs) - k
     if tmax < 0:
         raise NotMonogenicAtTruncation(
             "the annihilator is known to order %d; the unit peel at "
             "exponent %s needs %d" % (tmax + k, mu, k))
-    rho, _ = _remainders(ann, mu, k, tmax)
-    if rho(0, 0):
+    p, q, deg = mu.numerator, mu.denominator, ann.degree
+    dc = lcm(*[c.den for c in ann.coeffs])
+    # c_m over dc, as far as row tmax (b^(k+tmax-m)) or Q (b^tmax) reads;
+    # they grow into s_m in place
+    s = [[x * (dc // c.den) for x in c.nums[:tmax + max(k - m, 0) + 1]]
+         for m, c in enumerate(ann.coeffs)]
+    terms = [[(j, x) for j, x in enumerate(c) if x] for c in s]
+    lead = [c[k - m] if m <= k else 0 for m, c in enumerate(s)]
+    W = [[w * q ** (deg - m) for m, w in enumerate(accumulate(
+        range(1, deg + 1), lambda w, m: w * (p + (k + n - m) * q),
+        initial=1))] for n in range(tmax + 1)]
+    if sum(map(mul, W[0], lead)):
         raise NotMonogenicAtTruncation(
             "%s is not a right root of the annihilator" % mu)
     nums, den = [1], 1
     for n in range(1, tmax + 1):
-        acc = sum(x * rho(i, n) for i, x in enumerate(nums) if x)
-        dn = rho(n, n)
+        acc = sum(w * sm[k + n - m] for m, (w, sm) in enumerate(zip(W[n], s))
+                  if m <= k + n)
+        dn = sum(map(mul, W[n], lead))
         if acc and not dn:
             raise NotMonogenicAtTruncation(
                 "unit peel at exponent %s is obstructed in slot %d" % (mu, n))
         t = Fraction(-acc, dn or 1)
-        nums = [x * t.denominator for x in nums] + [t.numerator]
-        den *= t.denominator
+        if t.denominator != 1:
+            nums = [x * t.denominator for x in nums]
+            s = [[x * t.denominator for x in sm] for sm in s]
+            den *= t.denominator
+        nums.append(t.numerator)
+        if t.numerator:
+            for sm, ts in zip(s, terms):
+                for j, x in ts:
+                    if n + j >= len(sm):
+                        break
+                    sm[n + j] += t.numerator * x
     unit = SeriesB._make(tuple(nums), den, tmax)
-    if not tmax and ann.degree:
+    if not tmax and deg:
         raise OrderUnderflow(_UNDERFLOW)
-    # on integers: s_m = c_m T over dc den, and the quotient slot
-    # q_(deg-1-j) over dc den q^j for mu = p/q; then with
-    # d(f)_t = (t - 1 + mu) f_(t-1) each step is
-    # Q_(j+1),t = q^(j+1) S_t + (p + (t - 1) q) Q_j,(t-1)
-    n = tmax + 1
-    dc = lcm(*[c.den for c in ann.coeffs])
-    p, q = mu.numerator, mu.denominator
-    ts = _terms(unit, n)
-    s = []
-    for c in ann.coeffs:
-        xs, ys = ts, _terms(c, n, dc // c.den)
-        if len(xs) > len(ys):
-            xs, ys = ys, xs
-        s.append(_pairs(xs, ys, [0] * n))
-    quot = [s.pop()]
-    qj = q
-    while s:
-        sm, prev = s.pop(), quot[-1]
-        quot.append([sm[0] * qj] + [
-            sm[t] * qj + (p + (t - 1) * q) * prev[t - 1] for t in range(1, n)])
-        qj *= q
+    quot = [s.pop()[:tmax + 1]]
+    for j, sm in enumerate(reversed(s), 1):
+        qj, prev = q ** j, quot[-1]
+        quot.append([sm[0] * qj] + [sm[t] * qj + (p + (t - 1) * q) * prev[t - 1]
+                                    for t in range(1, tmax + 1)])
     if any(quot.pop()):
         raise AssertionError("peel remainder should vanish")
-    den_j = dc * den
-    slots = []
-    for x in quot:
-        slots.append(SeriesB._lowest(x, den_j, tmax))
-        den_j *= q
-    return unit, AbElement(slots[::-1])
+    return unit, AbElement([SeriesB._lowest(x, dc * den * q ** j, tmax)
+                            for j, x in enumerate(quot)][::-1])
 
 
 def presentation_from_annihilator(ann, lam, bound):

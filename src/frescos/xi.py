@@ -249,30 +249,30 @@ def _log_ranks(phi):
         shifts.setdefault(m, {})[(top - j) * k + comps[c]] = x
     ech = Echelon()
     for vec in shifts.values():
-        while vec:
-            ech.insert(vec)
-            # N moves (comp, j) to j (comp, j - 1), one block of k later
-            vec = {i + k: (top - i // k) * x for i, x in vec.items()
-                   if i < top * k}
+        # N moves (comp, j) to j (comp, j - 1), one block of k later, here
+        # on the stored primitive row; an image in the span ends the chain
+        while (lead := ech.insert(vec)) is not None:
+            vec = {i + k: (top - i // k) * x
+                   for i, x in ech.pivots[lead].items() if i < top * k}
     count = Counter(top - lead // k for lead in ech.pivots)
     return tuple(accumulate(count[j] for j in range(top + 1)))
 
 
 class XiSpan:
-    """The module generated by an expansion: its source, its rank (by
-    default the last of log_ranks, from _log_ranks) and, for rows and
-    reduce only, the echelon of its linalg.closure under a and b on the
-    ints of order, built on first use.  Each pivot row is primitive
-    with a positive entry at its lead, every other term after it; the
-    pivots keep their insertion order: the source, then depth first
-    along the b images (scaled to integers) before the a images.
+    """The module generated by an expansion: its source, its rank (the
+    last of log_ranks, from _log_ranks) and, for rows and reduce only,
+    the echelon of its linalg.closure under a and b on the ints of
+    order, built on first use.  Each pivot row is primitive with a
+    positive entry at its lead, every other term after it; the pivots
+    keep their insertion order: the source, then depth first along the
+    b images (scaled to integers) before the a images.
     """
 
-    def __init__(self, source, rank=None):
+    def __init__(self, source):
         self.source = source
         self.lam = source.lam
         self.depth = source.depth
-        self.rank = self.log_ranks[-1] if rank is None else rank
+        self.rank = self.log_ranks[-1]
 
     @cached_property
     def log_ranks(self):

@@ -25,6 +25,7 @@ from frescos.alpha import (
 from frescos.dsl import from_json, parse_fresco
 from frescos.errors import (
     AlphaZero,
+    CoefficientBeyondOrder,
     EngineError,
     NotInF0,
     NotPrimitive,
@@ -600,6 +601,67 @@ def test_not_in_f0_names_the_input_factors(text, steps, pair, factors):
     assert message.startswith("adjacent sub-quotient %d does not split "
                               "after %d reduction step(s)" % (pair, steps))
     assert message.endswith("the pair stands for input factors " + factors)
+
+
+@st.composite
+def principal_polynomial_units(draw):
+    """(lambdas, unit coefficient lists, p(E) + k - 2) of a principal
+    rank 2-5 presentation with steps 1-4, units sparse polynomials that
+    reach past that order."""
+    k = draw(st.integers(2, 5))
+    steps = draw(st.lists(st.integers(1, 4), min_size=k - 1, max_size=k - 1))
+    lam = k + draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1]))
+    lambdas = [lam]
+    for step in steps:
+        lambdas.append(lambdas[-1] + step - 1)
+    need = sum(steps) + k - 2
+    coeffs = st.just(0) | st.just(0) | st.fractions(-3, 3, max_denominator=3)
+    units = [draw(st.lists(coeffs, max_size=need + 6)) for _ in range(k)]
+    return lambdas, units, need
+
+
+def alpha_chain_answers(lambdas, units, order):
+    """Every alpha-derived field with units known to order: a value or
+    the error's class, with the message of a CoefficientBeyondOrder."""
+    an = Analysis(Presentation([(l, SeriesB([1] + cs[:order], order))
+                                for l, cs in zip(lambdas, units)]))
+    answers = []
+    for ask in (an.shown_alpha, an.alpha, an.semisimple, an.subtheme,
+                an.quotient_theme):
+        try:
+            answers.append(ask())
+        except CoefficientBeyondOrder as exc:
+            answers.append(str(exc))
+        except EngineError as exc:
+            answers.append(type(exc))
+    return answers
+
+
+@settings(max_examples=80, deadline=None)
+@given(principal_polynomial_units())
+def test_alpha_chain_refusals_name_the_order_that_works(case):
+    # with every unit known to p(E) + k - 2 no read of the chain runs
+    # past a unit, and the answers are those of 5 orders more; one order
+    # less, alpha raises that refusal unless a domain error comes first
+    lambdas, units, need = case
+    at_need = alpha_chain_answers(lambdas, units, need)
+    assert not any(isinstance(a, str) for a in at_need)
+    assert at_need == alpha_chain_answers(lambdas, units, need + 5)
+    alpha = alpha_chain_answers(lambdas, units, need - 1)[1]
+    assert alpha is NotInF0 or alpha.endswith(
+        "every alpha read has room with units known to order %d "
+        "(--order %d for a literal)" % (need, need))
+
+
+def test_alpha_refusal_names_the_stage_and_the_order():
+    text = "fresco: (3 | 1) (4 | 1) (5 | 1)"
+    out = io.StringIO()
+    assert main(["alpha", "--order", "4", text], stdout=out) == 2
+    assert "message: alpha of factors 1..3 reads b^4 of S_1 after 1 " \
+        "reduction step(s), known to order 3; every alpha read has room " \
+        "with units known to order 5 (--order 5 for a literal)" \
+        in out.getvalue()
+    assert main(["alpha", "--order", "5", text], stdout=io.StringIO()) == 0
 
 
 def test_analysis_keeps_the_rank2_asymmetry():

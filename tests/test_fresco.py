@@ -1,6 +1,7 @@
 """Presentations, Bernstein data, the adapted model, regeneration."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, lcm
 from operator import mul
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frescos.algebra import (
+    _UNDERFLOW,
     AbElement,
     _D,
     _b2_log_derivative,
@@ -40,10 +42,12 @@ from frescos.fresco import (
     twist,
 )
 from frescos.oracle import minimal_annihilator, truncate_rep
-from frescos.series import SeriesB, rat
+from frescos.series import SeriesB, _pairs, _terms, rat
 import frescos.fresco as fresco_module
+import frescos.series as series_module
 from test_algebra import (
     expand_factor_form,
+    left_divide,
     monicize,
     stored_or_error,
     unrelated,
@@ -587,18 +591,43 @@ def test_peel_refuses_an_annihilator_known_to_too_few_orders():
         fresco_module._peel_unit(short, p.lambdas[-1], 3)
 
 
-# --- the peel's division as it was built, on series operations ---
+# --- the two-pass peel as it was built: the remainders solve for T, and
+# the products c_m T are formed again for the division ---
 
 
-def reference_peel_unit(ann, mu, k):
-    """_peel_unit with its synthetic division on series: q_(deg-1) =
-    c_deg T, q_(m-1) = c_m T + b^2 q_m' + mu b q_m."""
+def reference_remainders(ann, mu, k, tmax):
+    """(rho, L): rho(i, n) is L times the b^(k+n) coefficient of the
+    remainder rho_i = ann.(b^i e) of ann b^i by (a - mu b).
+
+    As a^m b^s e = (mu+s)...(mu+s+m-1) b^(s+m) e when a e = mu b e, that
+    is sum_m W[N][m] c_(m,N-m-i) for N = k+n, with W[N][m] =
+    (mu+N-m)...(mu+N-1) free of i: one table serves every remainder.
+    With mu = p/q and c_m = nums/d_m, L = lcm_m(d_m q^m) clears it.
+    """
+    p, q, cs = mu.numerator, mu.denominator, [c.nums for c in ann.coeffs]
+    dens = [c.den * q ** m for m, c in enumerate(ann.coeffs)]
+    L = lcm(*dens)
+    W = [[w * (L // d) for w, d in zip(
+        accumulate(range(1, len(cs)), lambda w, m: w * (p + (N - m) * q),
+                   initial=1), dens)]
+         for N in range(k, k + tmax + 1)]
+
+    def rho(i, n):
+        top = k + n - i
+        return sum(w * c[top - m] for m, (w, c) in enumerate(zip(W[n], cs))
+                   if m <= top and c[top - m])
+    return rho, L
+
+
+def reference_unit(ann, mu, k):
+    """T of ann T = Q (a - mu b): t_n = -sum_(i<n) t_i rho(i, n) /
+    rho(n, n) on integers, the resonant t_n pinned to 0."""
     tmax = min(c.order for c in ann.coeffs) - k
     if tmax < 0:
         raise NotMonogenicAtTruncation(
             "the annihilator is known to order %d; the unit peel at "
             "exponent %s needs %d" % (tmax + k, mu, k))
-    rho, _ = fresco_module._remainders(ann, mu, k, tmax)
+    rho, _ = reference_remainders(ann, mu, k, tmax)
     if rho(0, 0):
         raise NotMonogenicAtTruncation(
             "%s is not a right root of the annihilator" % mu)
@@ -612,13 +641,101 @@ def reference_peel_unit(ann, mu, k):
         t = Fraction(-acc, dn or 1)
         nums = [x * t.denominator for x in nums] + [t.numerator]
         den *= t.denominator
-    unit = SeriesB._make(tuple(nums), den, tmax)
+    return SeriesB._make(tuple(nums), den, tmax)
+
+
+def two_pass_peel_unit(ann, mu, k):
+    """reference_unit, then s_m = c_m T formed again on _pairs over
+    dc den and divided synthetically on integers: the quotient slot
+    q_(deg-1-j) over dc den q^j, Q_(j+1),t = q^(j+1) S_t +
+    (p + (t - 1) q) Q_j,(t-1) for mu = p/q."""
+    unit = reference_unit(ann, mu, k)
+    tmax = unit.order
+    if not tmax and ann.degree:
+        raise OrderUnderflow(_UNDERFLOW)
+    n = tmax + 1
+    dc = lcm(*[c.den for c in ann.coeffs])
+    p, q = mu.numerator, mu.denominator
+    ts = _terms(unit, n)
+    s = []
+    for c in ann.coeffs:
+        xs, ys = ts, _terms(c, n, dc // c.den)
+        if len(xs) > len(ys):
+            xs, ys = ys, xs
+        s.append(_pairs(xs, ys, [0] * n))
+    quot = [s.pop()]
+    qj = q
+    while s:
+        sm, prev = s.pop(), quot[-1]
+        quot.append([sm[0] * qj] + [
+            sm[t] * qj + (p + (t - 1) * q) * prev[t - 1] for t in range(1, n)])
+        qj *= q
+    if any(quot.pop()):
+        raise AssertionError("peel remainder should vanish")
+    den_j = dc * unit.den
+    slots = []
+    for x in quot:
+        slots.append(SeriesB._lowest(x, den_j, tmax))
+        den_j *= q
+    return unit, AbElement(slots[::-1])
+
+
+def reference_peel_unit(ann, mu, k):
+    """reference_unit with its synthetic division on series: q_(deg-1) =
+    c_deg T, q_(m-1) = c_m T + b^2 q_m' + mu b q_m."""
+    unit = reference_unit(ann, mu, k)
     q = [ann.coeffs[-1] * unit]
     for c in reversed(ann.coeffs[:-1]):
         q.append(c * unit + _D(q[-1]) + (q[-1] * mu).shift(1))
     if q.pop():
         raise AssertionError("peel remainder should vanish")
     return unit, AbElement(q[::-1])
+
+
+ACTION_ORDER = 12
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(small, max_size=6), min_size=1, max_size=4),
+       small, st.integers(0, 3), st.integers(0, 2))
+def test_peel_remainders_are_the_division_remainders(slots, mu, i, k):
+    # left_divide is the reference: u b^i = q (a - mu b) + r
+    u = AbElement([SeriesB(cs, ACTION_ORDER) for cs in slots])
+    shifted = AbElement([c.shift(i) for c in u.coeffs])
+    _, r = left_divide(shifted, AbElement.linear(mu, ACTION_ORDER + 2))
+    assert r.degree == 0
+    rho, scale = reference_remainders(u, mu, k, ACTION_ORDER - k)
+    assert type(scale) is int and scale > 0
+    for n in range(ACTION_ORDER - k + 1):
+        assert type(rho(i, n)) is int
+        assert rho(i, n) == scale * r.coeff_series(0).coeff(k + n)
+
+
+def test_peel_remainders_need_no_series(monkeypatch):
+    ann = monicize(expand_factor_form(
+        [(Fraction(7, 2), SeriesB([1, 2, -1], 10)),
+         (Fraction(3, 2), SeriesB.one(10))], 10))
+    values = {}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the weight table built a series")
+
+    for name in ("shift", "__add__", "__init__"):
+        monkeypatch.setattr(SeriesB, name, forbidden)
+    rho, scale = reference_remainders(ann, Fraction(5, 2), 2, 8)
+    for i in range(4):
+        for n in range(9):
+            values[i, n] = rho(i, n)
+    monkeypatch.undo()
+    # ann b^i is divided by a - 5/2 b: rho(i, n) is scale times its
+    # remainder's b^(2+n) coefficient, up to the order ann is known to
+    for i in range(4):
+        shifted = AbElement([c.shift(i) for c in ann.coeffs])
+        _, r = left_divide(shifted, AbElement.linear(Fraction(5, 2), 12))
+        rem = r.coeff_series(0)
+        assert [values[i, n] for n in range(9)] == \
+            [scale * rem.coeff(2 + n) for n in range(9)]
 
 
 def peel_case(lambdas, units, bump=None, off=0, k=None):
@@ -635,23 +752,25 @@ def peel_case(lambdas, units, bump=None, off=0, k=None):
 
 
 @st.composite
-def peel_cases(draw):
-    """Rank 1-4 with exponents off the integers, units sparse or dense
-    over unrelated denominators known to order 1-14, at times one
-    coefficient moved or mu off the root, peeled at a rank 1..r: so
-    the peel also obstructs, underflows or keeps a remainder."""
-    r = draw(st.integers(1, 4))
+def peel_cases(draw, max_rank=4, tmaxes=None):
+    """Rank 1..max_rank with exponents off the integers, units sparse or
+    dense over unrelated denominators, at times one coefficient moved or
+    mu off the root, peeled at a rank k in 1..r: so the peel also
+    obstructs, underflows or keeps a remainder.  The units are known to
+    order 1-14, or to k + tmax for tmax drawn from tmaxes."""
+    r = draw(st.integers(1, max_rank))
     lam = draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3),
                                 Fraction(2, 5), Fraction(3, 7), Fraction(1))))
     lambdas = [lam + r - j + draw(st.integers(0, 3)) for j in range(1, r + 1)]
-    order = draw(st.integers(1, 14))
+    k = draw(st.integers(1, r))
+    order = draw(st.integers(1, 14)) if tmaxes is None else k + draw(tmaxes)
     units = [SeriesB([1] + draw(st.lists(st.just(0) | unrelated,
                                          min_size=order, max_size=order)),
                      order) for _ in range(r)]
     bump = draw(st.none() | st.tuples(st.integers(0, r), st.integers(0, order),
                                       unrelated))
     return peel_case(lambdas, units, bump, draw(st.sampled_from((0, 0, 1, -1))),
-                     draw(st.integers(1, r)))
+                     k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -667,6 +786,40 @@ def test_peel_unit_is_the_reference(case):
     # that does not vanish
     assert stored_or_error(fresco_module._peel_unit, *case) == \
         stored_or_error(reference_peel_unit, *case)
+
+
+@settings(max_examples=120, deadline=None)
+@example(peel_case([Fraction(4, 3)], [SeriesB([1, 1, -1], 2)], (0, 0, 1)))
+@example(peel_case([Fraction(1, 2)] * 2, [SeriesB([1, 1], 1)] * 2, k=2))
+@given(peel_cases(5, st.integers(0, 25)))
+def test_one_pass_peel_is_the_two_pass_peel(case):
+    # degree 1-5 and tmax 0-25: equal stored forms and slot orders, or
+    # the same error class and message
+    assert stored_or_error(fresco_module._peel_unit, *case) == \
+        stored_or_error(two_pass_peel_unit, *case)
+
+
+def test_the_peel_forms_each_product_once(monkeypatch):
+    # the products c_m T that solve for T are the slots the quotient
+    # divides: no product on _pairs and no series product after T is known
+    calls, pairs = [], series_module._pairs
+
+    def counted(xs, ys, out):
+        calls.append(len(out))
+        return pairs(xs, ys, out)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the peel formed a series product")
+
+    monkeypatch.setattr(fresco_module, "_pairs", counted, raising=False)
+    monkeypatch.setattr(series_module, "_pairs", counted)
+    monkeypatch.setattr(SeriesB, "__mul__", forbidden)
+    p = pres(("7/2", unit(2, 0, -1)), ("9/2", unit(1, 3)), ("9/2", unit()))
+    ann = monic_expansion(p.factors, 12)
+    got, _ = fresco_module._peel_unit(ann, p.lambdas[-1], 3)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == reference_unit(ann, p.lambdas[-1], 3)
 
 
 def test_presentation_from_annihilator_refuses_what_it_cannot_peel():
