@@ -70,10 +70,6 @@ class AbElement:
     # --- constructors ---
 
     @classmethod
-    def zero(cls, order=0):
-        return cls([SeriesB.zero(order)])
-
-    @classmethod
     def from_series(cls, s):
         """Embed a series as a degree-0 element."""
         return cls([s])

@@ -31,7 +31,8 @@ from .errors import (
     SemanticError,
     WrongRank,
 )
-from .fresco import Presentation, _drift, _model_order, default_model_order
+from .fresco import (Presentation, _drift, _model_order, default_model_order,
+                     sub_quotient)
 from .series import SeriesB, rat, solve_resonant_ode
 
 
@@ -223,14 +224,14 @@ def rank3_alpha_formula(p):
 class Analysis:
     """Every alpha-derived answer about one presentation.
 
-    Tower j is the reduction chain of factors 1..j, grown a step at a
-    time as intervals ask.  Read on its factors >= i, its step t is
-    step t of the chain of i..j: the module of i..j is F_j / F_(i-1),
-    and a step reads Sigma_m off S_m, p_m and the Y of the stage above
-    (the ODE is on S_(j-1), Y starts as X S_(j-2), the stages walk down
-    from the top).  Alpha is tower k read at i = 1, computed at once;
-    its value, or the EngineError it raised, is kept, and the theme
-    classes read it.
+    Tower j is the reduction chain of the cut sub_quotient(p, 1, j),
+    grown a step at a time as intervals ask.  Read on its factors >= i,
+    its step t is step t of the chain of i..j: the module of i..j is
+    F_j / F_(i-1), and a step reads Sigma_m off S_m, p_m and the Y of
+    the stage above (the ODE is on S_(j-1), Y starts as X S_(j-2), the
+    stages walk down from the top).  Alpha is tower k read at i = 1,
+    computed at once; its value, or the EngineError it raised, is kept,
+    and the theme classes read it.
     """
 
     def __init__(self, p):
@@ -251,7 +252,7 @@ class Analysis:
             try:
                 self._steps[j, t] = (
                     alpha_reduce_step(self._reduced(j, t - 1)) if t
-                    else self.presentation.prefix(j))
+                    else sub_quotient(self.presentation, 1, j))
             except EngineError as exc:
                 self._steps[j, t] = exc
         if isinstance(self._steps[j, t], EngineError):

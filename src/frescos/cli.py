@@ -268,7 +268,7 @@ def _oracle_check_one(p, M, rng):
                 and p.is_primitive()):
             principal = fundamental_invariants(p.lambdas)
             try:
-                got = _bernstein_invariants(ann_g, p.lambdas[0] % 1 or 1, k,
+                got = _bernstein_invariants(ann_g, p.lambdas[0] % 1 or 1,
                                             principal[-1])
             except NotMonogenicAtTruncation:
                 got = None

@@ -45,11 +45,11 @@ from .series import SeriesB, rat
 class Presentation:
     """An ordered list of (exponent, unit) factors defining a fresco.
 
-    Checked when built, so every Presentation in hand is valid: at least
-    one factor (else SemanticError), rational exponents with
-    l_j + j > k (else NotGeometric), units that are series with constant
-    term exactly 1 (else NonUnitSeries).  Non-primitive exponent lists
-    are allowed; the flag is queried where it matters.
+    Checked when built, however it is built, so every Presentation in
+    hand is valid: at least one factor (else SemanticError), rational
+    exponents with l_j + j > k (else NotGeometric), units that are series
+    with constant term exactly 1 (else NonUnitSeries).  Non-primitive
+    exponent lists are allowed; the flag is queried where it matters.
     """
 
     __slots__ = ("factors", "_p_values")
@@ -60,28 +60,19 @@ class Presentation:
         if k == 0:
             raise SemanticError("a presentation needs at least one factor")
         for j, (lam, unit) in enumerate(self.factors, start=1):
-            if lam + j <= k:
+            # integer reads, so neither check builds a Fraction
+            if lam <= k - j:
                 raise NotGeometric(
                     "exponent %s at position %d violates lambda_j + j > %d"
                     % (lam, j, k)
                 )
-            if not isinstance(unit, SeriesB) or unit.constant() != 1:
+            if not isinstance(unit, SeriesB) or unit.nums[0] != unit.den:
                 raise NonUnitSeries(
                     "unit at position %d must have constant term 1" % j
                 )
         # a presentation is immutable, so its steps are computed once
         ls = self.lambdas
         self._p_values = tuple(ls[j + 1] - ls[j] + 1 for j in range(k - 1))
-
-    def prefix(self, j):
-        """Factors 1..j, built unchecked: l_m + m > k >= j keeps them
-        geometric, and their units are units already."""
-        if not 1 <= j <= self.rank:
-            raise IndexOutOfRange("need 1 <= j <= %d" % self.rank)
-        p = object.__new__(Presentation)
-        p.factors = self.factors[:j]
-        p._p_values = self._p_values[:j - 1]
-        return p
 
     @property
     def rank(self):
@@ -322,8 +313,9 @@ def regenerate_presentation(model, g):
     uses the model's first k factors.  Walks stages m = k..1.  At each
     stage the new unit is Sigma_m = H_m / H_m(0); the next generator is
     (a - l_m b)(Sigma_m^-1 g) which lands in the span of f_1..f_{m-1}
-    exactly.  A vanishing constant term H_m(0) means g fails to
-    generate and raises NotAGenerator.
+    exactly.  Only its first m - 1 coordinates are divided: the top one,
+    H_m / Sigma_m, is the constant H_m(0).  A vanishing constant term
+    H_m(0) means g fails to generate and raises NotAGenerator.
     """
     coords = [c.truncate(min(c.order, model.order)) for c in g.coords]
     k = len(coords)
@@ -341,7 +333,8 @@ def regenerate_presentation(model, g):
         new_units[m - 1] = sigma
         if m == 1:
             break
-        x = ModuleElement([c / sigma for c in coords])
+        x = ModuleElement([c / sigma for c in coords[:m - 1]]
+                          + [SeriesB([c0], hm.order)])
         y = model.apply_a(x, lambdas[m - 1])
         top = y.coord(m)
         if top.valuation() is not None:
@@ -373,18 +366,19 @@ def twist(p, delta):
     return Presentation([(l + d, u) for l, u in p.factors])
 
 
-def _bernstein_invariants(ann, lam, r, bound):
+def _bernstein_invariants(ann, lam, bound):
     """Principal invariants read off the Bernstein polynomial of ann.
 
-    The homogeneous part sum_m h_m a^m b^(r-m) of the monic ann sends
-    the generator of the rank-1 module a e = mu b e to P(mu) b^r e with
-    P(mu) = sum_m h_m (mu+r-m)...(mu+r-1).  For (a - l_1 b)...(a - l_r b)
-    it is prod_j (mu - l_j - j + r), so the invariants l_j + j are the
-    roots of P plus r.  Its roots lam + n, n <= bound, are divided out
-    synthetically one at a time.
+    The homogeneous part sum_m h_m a^m b^(r-m) of the monic ann of
+    degree r sends the generator of the rank-1 module a e = mu b e to
+    P(mu) b^r e with P(mu) = sum_m h_m (mu+r-m)...(mu+r-1).  For
+    (a - l_1 b)...(a - l_r b) it is prod_j (mu - l_j - j + r), so the
+    invariants l_j + j are the roots of P plus r.  Its roots lam + n,
+    n <= bound, are divided out synthetically one at a time.
     """
     # P nested: Q_r = 1, Q_m = h_m + (mu+r-1-m) Q_(m+1), P = Q_0; the
     # coefficients are kept highest power first
+    r = ann.degree
     poly = [Fraction(1)]
     for m in range(r - 1, -1, -1):
         shift = r - 1 - m
@@ -495,7 +489,7 @@ def presentation_from_annihilator(ann, lam, bound):
         raise NotMonogenicAtTruncation(
             "the annihilator is known to order %d; its %d unit peels need "
             "%d" % (ordc, r, need))
-    invariants = _bernstein_invariants(ann, lam, r, bound)
+    invariants = _bernstein_invariants(ann, lam, bound)
     lambdas = [inv - j for j, inv in enumerate(invariants, start=1)]
     units, cur = [None] * r, ann
     for j in range(r, 0, -1):

@@ -157,18 +157,6 @@ class XiExpansion:
     def is_zero(self):
         return not self.terms
 
-    def valuation(self):
-        """Least shift m present, or None for zero."""
-        if not self.terms:
-            return None
-        return min(m for (_, m, _) in self.terms)
-
-    def lead(self):
-        """Position of the leading term in generation order."""
-        if not self.terms:
-            return None
-        return min(self.terms, key=_poskey)
-
     def __add__(self, other):
         self._compat(other)
         return XiExpansion(self.lam, self.depth, self.ncomp,

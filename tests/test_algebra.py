@@ -134,7 +134,7 @@ def left_divide(u, p):
     if not top.is_unit():
         raise NonMonicDivisor("leading coefficient is not a unit")
     top_inv = top.invert()
-    q = AbElement.zero(top.order)
+    q = AbElement([SeriesB.zero(top.order)])
     r = u
     while r.degree >= d and not r.is_zero():
         m = r.degree

@@ -5,9 +5,11 @@ exported through frescos.__all__, or called from somewhere in src/.
 A function that neither exports nor calls belongs in the tests that
 use it, and an export that nothing in src/ refers to is on the
 explicit list of library API.  A private top-level function or class
-that nothing in src/ refers to is dead code.  The layers import
-downwards only: the engine core (series, algebra, linalg, fresco,
-alpha) knows nothing of xi, the oracle, the parser or the command line.
+that nothing in src/ refers to is dead code, and so is a public method
+that src/ never reads and the benchmark's tracer does not wrap.  The
+layers import downwards only: the engine core (series, algebra, linalg,
+fresco, alpha) knows nothing of xi, the oracle, the parser or the
+command line.
 """
 
 import ast
@@ -178,3 +180,36 @@ def test_every_unreferenced_export_is_library_api():
             for n in _referenced_names(tree)}
     assert LIBRARY <= set(frescos.__all__)
     assert set(frescos.__all__) - used - LIBRARY == set()
+
+
+def _traced_methods():
+    """perfbench/tracer.py's METHODS, as (class name, method) pairs."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "perfbench", "tracer.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), "tracer.py")
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["METHODS"])
+    return {(cls, meth) for classes in table.values()
+            for cls, methods in classes.items() for meth in methods}
+
+
+def test_every_public_method_is_read_in_src_or_traced():
+    # a method that only tests call belongs in those tests; the tracer
+    # wraps the methods its METHODS names, and its xi hook reads rows
+    trees = dict(_trees())
+    used = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    allowed = _traced_methods() | {("XiSpan", "rows")}
+    orphans = [
+        "%s:%s.%s" % (name, cls.name, node.name)
+        for name, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in used
+        and (cls.name, node.name) not in allowed
+    ]
+    assert orphans == []

@@ -413,7 +413,7 @@ def test_verify_renders_each_failing_check(monkeypatch, label):
                         minimal_annihilator)
     if label == "lambdas":
         monkeypatch.setattr(cli_module, "_bernstein_invariants",
-                            lambda ann, lam, r, bound: [lam] * r)
+                            lambda ann, lam, bound: [lam] * ann.degree)
     if label == "generator:NotAGenerator":
         def regenerate_presentation(model, g):
             raise NotAGenerator("coordinate 2 has no constant term")

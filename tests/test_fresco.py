@@ -16,6 +16,7 @@ from frescos.algebra import (
     _fit,
     monic_expansion,
 )
+from frescos.alpha import Analysis
 from frescos.dsl import parse_fresco
 from frescos.errors import (
     EngineError,
@@ -190,6 +191,78 @@ def test_presentation_is_checked_when_built():
         Presentation([(rat(0), unit())])
     with pytest.raises(NonUnitSeries):
         Presentation([(rat("5/2"), 1)])
+
+
+def reference_presentation(factors):
+    """Presentation.__init__ with the Fraction checks it had, lam + j <= k
+    and unit.constant() != 1: the reference of its integer reads."""
+    p = object.__new__(Presentation)
+    p.factors = tuple((rat(l), u) for l, u in factors)
+    k = len(p.factors)
+    if k == 0:
+        raise SemanticError("a presentation needs at least one factor")
+    for j, (lam, unit) in enumerate(p.factors, start=1):
+        if lam + j <= k:
+            raise NotGeometric(
+                "exponent %s at position %d violates lambda_j + j > %d"
+                % (lam, j, k))
+        if not isinstance(unit, SeriesB) or unit.constant() != 1:
+            raise NonUnitSeries(
+                "unit at position %d must have constant term 1" % j)
+    ls = p.lambdas
+    p._p_values = tuple(ls[j + 1] - ls[j] + 1 for j in range(k - 1))
+    return p
+
+
+def built_or_error(build, factors):
+    """The presentation and its steps, or the error's type and message."""
+    try:
+        p = build(factors)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return p, p.p_values()
+
+
+@st.composite
+def unit_candidates(draw):
+    """Constant term 1 over various denominators (1 + 1/2b is stored as
+    (2, 1)/2), constant terms 0, 2, 1/2 and -1, and no series at all."""
+    kind = draw(st.sampled_from(["unit", "unit", "unit", "other", "foreign"]))
+    if kind == "foreign":
+        return draw(st.sampled_from([1, Fraction(1), "1", None,
+                                     AbElement([SeriesB.one(4)])]))
+    c0 = 1 if kind == "unit" else draw(
+        st.sampled_from([0, 2, Fraction(1, 2), -1]))
+    rest = draw(st.lists(unrelated, max_size=4))
+    return SeriesB([c0, *rest], draw(st.integers(len(rest), len(rest) + 3)))
+
+
+@st.composite
+def factor_lists(draw):
+    """Ranks 0-6, each exponent at the geometric bound k - j, one 1/q
+    either side of it, or anywhere near it, as a Fraction, int or str."""
+    k = draw(st.integers(0, 6))
+    factors = []
+    for j in range(1, k + 1):
+        q = draw(st.sampled_from([1, 2, 3, 7, 60]))
+        lam = k - j + draw(st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1, q), Fraction(-1, q)]),
+            st.fractions(min_value=-2, max_value=6, max_denominator=q)))
+        lam = draw(st.sampled_from([lam, str(lam)] + (
+            [int(lam)] if lam.denominator == 1 else [])))
+        factors.append((lam, draw(unit_candidates())))
+    return factors
+
+
+@settings(max_examples=400, deadline=None)
+@given(factor_lists())
+@example([(1, SeriesB([1, Fraction(1, 2)], 3)), ("3/2", unit())])
+@example([(Fraction(1, 2), unit()), (1, SeriesB([Fraction(1, 2)], 0))])
+def test_constructor_checks_as_the_fraction_reference(factors):
+    # equal presentations with equal steps, or the same refusal: the
+    # first failing check, in factor order, geometric before unit
+    assert built_or_error(Presentation, factors) == \
+        built_or_error(reference_presentation, factors)
 
 
 def test_nonprimitive_is_flagged_not_fatal():
@@ -483,6 +556,26 @@ def test_regenerate_rejects_nongenerator():
         regenerate_presentation(m, g)
 
 
+def test_regeneration_divides_only_what_the_next_stage_reads(monkeypatch):
+    # stage m divides its m - 1 lower coordinates by Sigma_m: the top
+    # quotient is the constant H_m(0), so rank 3 makes 2 + 1 divisions
+    p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
+    m = AdaptedModel(p, order=18)
+    g = ModuleElement([unit(2, order=18), unit(0, 1, order=18),
+                       SeriesB([3, 1, 0, 2], 18)])
+    want = reference_regenerate(EBasisModel(p, 18), g)
+    calls = []
+    real = SeriesB.__truediv__
+
+    def truediv(x, s):
+        calls.append(s)
+        return real(x, s)
+
+    monkeypatch.setattr(SeriesB, "__truediv__", truediv)
+    assert regenerate_presentation(m, f_coords(m, g)) == want
+    assert len(calls) == 3
+
+
 def test_mu_additive_over_splits():
     p = pres(("4", unit(2)), ("4", unit()), ("5", unit(0, 1)), ("6", unit()))
     for i in range(1, p.rank):
@@ -499,18 +592,38 @@ def test_sub_quotient_bounds():
         sub_quotient(p, 2, 3)
 
 
-@settings(max_examples=100, deadline=None)
-@given(exponent_lists(), st.data())
-def test_prefix_is_the_checked_build(lams, data):
-    # the unchecked prefix equals the prefix that Presentation checks
-    p = Presentation([(l, unit(*data.draw(st.lists(unrelated, max_size=3))))
-                      for l in lams])
-    j = data.draw(st.integers(1, p.rank))
-    got, want = p.prefix(j), Presentation(p.factors[:j])
-    assert got == want and got.p_values() == want.p_values()
-    for bad in (0, p.rank + 1):
-        with pytest.raises(IndexOutOfRange):
-            p.prefix(bad)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
+def test_every_tower_base_is_the_checked_cut(lam, steps, data):
+    # tower j of an Analysis starts from F_j = sub_quotient(p, 1, j),
+    # built by Presentation.__init__; with trivial units alpha and every
+    # nested alpha vanish, so semi-simplicity grows every tower
+    k = len(steps) + 1
+    lambdas = list(accumulate([k - 1 + lam] + [n - 1 for n in steps]))
+    trivial = data.draw(st.booleans())
+    units = [unit() if trivial else
+             unit(*data.draw(st.lists(st.integers(-2, 2), max_size=3)))
+             for _ in lambdas]
+    built = []
+    real = Presentation.__init__
+
+    def init(self, factors):
+        real(self, factors)
+        built.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Presentation, "__init__", init)
+        p = Presentation(list(zip(lambdas, units)))
+        a = Analysis(p)
+        a.semisimple()
+    bases = {j: tower for (j, t), tower in a._steps.items() if t == 0}
+    if trivial:
+        assert set(bases) == set(range(2, k + 1))
+    for j, tower in bases.items():
+        assert tower == sub_quotient(p, 1, j)
+        assert tower.p_values() == p.p_values()[:j - 1]
+        assert any(tower is b for b in built)
 
 
 def test_sub_quotient_requires_principal():

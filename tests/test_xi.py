@@ -39,6 +39,7 @@ from frescos.xi import (
     XiSpan,
     _annihilator_from_span,
     _integrate,
+    _poskey,
     model_from_xi,
     xi_exponent_split,
     xi_generate_module,
@@ -353,7 +354,7 @@ def test_rows_are_the_generating_pivots():
     rows = span.rows
     assert list(rows) == [order.positions[i] for i in pivots]
     for (lead, row), vec in zip(rows.items(), pivots.values()):
-        assert row.lead() == lead
+        assert min(row.terms, key=_poskey) == lead
         assert row.terms == order.terms(vec)
     with pytest.raises(AttributeError):
         span.rows = {}
@@ -684,7 +685,7 @@ def test_reconstruction_round_trip(phi):
     ordc = min(c.order for c in ann.coeffs[:-1])
     vlo = min(m for (_, m, _) in phi.terms)
     res = apply_element(ann, phi)
-    assert res.is_zero() or res.valuation() > vlo + ordc
+    assert res.is_zero() or min(m for (_, m, _) in res.terms) > vlo + ordc
     # exponents stay inside the class of lam
     assert all((l - span.lam).denominator == 1 for l in p.lambdas)
 
@@ -752,12 +753,12 @@ def test_bernstein_roots_are_the_invariants(lam, steps, rhos):
     lambdas = [lam + r - j + n for j, n in enumerate(steps, start=1)]
     units = [SeriesB([1, rho], 8) for rho in rhos[:r]]
     ann = monicize(expand_factor_form(list(zip(lambdas, units)), 8))
-    got = _bernstein_invariants(ann, lam, r, 12)
+    got = _bernstein_invariants(ann, lam, 12)
     assert sorted(got) == sorted(l + j for j, l in enumerate(lambdas, 1))
     # the search only moves up, which presentation_from_annihilator uses
     assert got == sorted(got)
     with pytest.raises(NotMonogenicAtTruncation):
-        _bernstein_invariants(ann, lam, r, int(min(got) - lam - r) - 1)
+        _bernstein_invariants(ann, lam, int(min(got) - lam - r) - 1)
 
 
 # --- one component: the rank and the filtration from Xi ---
