@@ -31,8 +31,7 @@ from .errors import (
     SemanticError,
     WrongRank,
 )
-from .fresco import (Presentation, _drift, _model_order, default_model_order,
-                     sub_quotient)
+from .fresco import Presentation, _drift, _model_order, sub_quotient
 from .series import SeriesB, rat, solve_resonant_ode
 
 
@@ -106,16 +105,21 @@ def _require_positive_steps(p):
             raise PValueZero("p_%d = 0" % j)
 
 
+def _chain_order(p):
+    """p(E) + k - 2, the order the alpha chain of p works at."""
+    return int(sum(p.p_values())) + p.rank - 2
+
+
 def _step_coeff(p, i, j, t, tower, q):
     """b^(p_q) of S_q in tower, the alpha chain of p's factors i..j after
     t reduction steps.  Each step loses one order and the last rank-2
-    step is p(E), the sum of the steps, so every such read has room once
-    each unit of p is known to order p(E) + k - 2."""
+    step is p(E), so every such read has room once each unit of p is
+    known to _chain_order(p), the order the chain works at."""
     unit, step = tower.factors[q - 1][1], tower.p_values()[q - 1]
     try:
         return unit.coeff(int(step))
     except CoefficientBeyondOrder:
-        need = int(sum(p.p_values())) + p.rank - 2
+        need = _chain_order(p)
         raise CoefficientBeyondOrder(
             "alpha of factors %d..%d reads b^%s of S_%d after %d reduction "
             "step(s), known to order %d; every alpha read has room with "
@@ -162,7 +166,8 @@ def alpha_reduce_step(p):
     with the unit Sigma_m = S_m + b^2 Y' - (p_m - 1) b Y, and for m > 1
     sets Y <- Y S_(m-1) / Sigma_m: k - 3 divisions.  The reduced
     fresco is (l_1 | Sigma_1) ... (l_(k-2) | Sigma_(k-2)) (l_k + 1 | 1),
-    all known to the step's order - 1.  X is unique up to
+    all known to one below the step's working order, the least of
+    _chain_order(p) and the units' orders.  X is unique up to
     tau b^(p_(k-1)-1); alpha does not depend on tau precisely on the
     class where it is defined.
     """
@@ -170,8 +175,7 @@ def alpha_reduce_step(p):
     if k < 3:
         raise WrongRank("reduction needs rank >= 3, got %d" % k)
     _require_positive_steps(p)
-    order = _model_order(min(default_model_order(p),
-                             min(u.order for u in p.units)))
+    order = _model_order(min(_chain_order(p), min(u.order for u in p.units)))
     n = order - 1
     units = [u.truncate(order) for u in p.units[: k - 1]]
     steps = p.p_values()

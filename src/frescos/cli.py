@@ -288,7 +288,7 @@ def run_verify(ns, inputs):
     checked = []
     if inputs:
         for text in inputs:
-            obj = parse_dsl(text, order=ord0, depth=ns.order)
+            obj = parse_dsl(text, order=ord0)
             checked.append(_want_presentation(obj, "verify"))
     else:
         checked = [_random_presentation(rng, ord0) for _ in range(ns.samples)]
@@ -394,7 +394,7 @@ def main(argv=None, stdin=None, stdout=None):
 
 
 def _run_line(ns, text):
-    obj = parse_dsl(text, order=ns.order, depth=ns.order)
+    obj = parse_dsl(text, order=ns.order)
     return run_one(ns.command, obj), EXIT_OK
 
 

@@ -268,13 +268,15 @@ def parse_xi(text, depth=DEFAULT_ORDER):
     return _xi(_Parser(text), depth)
 
 
-def parse_dsl(text, order=None, depth=DEFAULT_ORDER):
+def parse_dsl(text, order=None):
     """One input, either grammar: returns a Presentation or an XiExpansion.
 
     Lines starting with '{' are treated as the JSON mirror; otherwise
     the line is tokenized once and its leading token decides ('fresco'
-    against an expansion literal).
+    against an expansion literal).  order truncates a literal or a
+    depthless expansion payload; without it an expansion takes DEFAULT_ORDER.
     """
+    depth = DEFAULT_ORDER if order is None else order
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)

@@ -19,7 +19,7 @@ reads the l_j off its Bernstein roots and peels one S_j at a time.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, lcm
+from math import lcm
 from operator import mul
 
 from .algebra import (
@@ -171,11 +171,6 @@ def fundamental_invariants(exponents):
         raise MixedPrimitiveClasses("exponents span several classes mod 1")
     shifted = sorted(m + i for i, m in enumerate(ms, start=1))
     return tuple(s - i for i, s in enumerate(shifted, start=1))
-
-
-def default_model_order(p):
-    """Enough room for the alpha pipeline: 2k + sum(max(p_j,1)) + 8."""
-    return ceil(2 * p.rank + sum(max(pj, 1) for pj in p.p_values()) + 8)
 
 
 def _model_order(order):

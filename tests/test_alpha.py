@@ -35,8 +35,7 @@ from frescos.errors import (
     WrongRank,
 )
 from frescos.fresco import (AdaptedModel, ModuleElement, Presentation,
-                            default_model_order, regenerate_presentation,
-                            sub_quotient, twist)
+                            regenerate_presentation, sub_quotient, twist)
 from frescos.cli import _random_generator, main
 from frescos.oracle import submodule_analysis, truncate_rep
 from frescos.series import SeriesB, rat, solve_resonant_ode
@@ -106,11 +105,13 @@ def test_classify_needs_principal_order():
 
 
 def test_reduce_step_worked_example():
+    # p(E) + k - 2 = 3: the reduced units are known to b^2
     p = pres((3, unit(0, 1)), (3, unit()), (3, unit()))
     q = alpha_reduce_step(p)
     assert q.lambdas == (3, 4)
-    assert q.units[0].same_upto(unit(0, 1), 10)
-    assert q.units[1].same_upto(unit(), 10)
+    assert [u.order for u in q.units] == [2, 2]
+    assert q.units[0].same_upto(unit(0, 1), 2)
+    assert q.units[1].same_upto(unit(), 2)
     assert alpha_invariant(p) == 1
 
 
@@ -118,8 +119,23 @@ def test_reduce_step_trivial_units():
     p = pres((3, unit()), (3, unit()), (3, unit()))
     q = alpha_reduce_step(p)
     assert q.lambdas == (3, 4)
-    assert all(u.same_upto(unit(), 10) for u in q.units)
+    assert [u.order for u in q.units] == [2, 2]
+    assert all(u.same_upto(unit(), 2) for u in q.units)
     assert alpha_invariant(p) == 0
+
+
+@pytest.mark.parametrize("order, known", [
+    (20, [7, 6]), (9, [7, 6]), (8, [7, 6]), (7, [6, 5]), (3, [2, 1]),
+])
+def test_reduce_step_works_at_the_chain_order(order, known):
+    # p(E) + k - 2 = 6 + 4 - 2 = 8: units known past it come back known
+    # to 7, shorter ones to their order - 1, and the next step of the
+    # tower, whose p(E) + k - 2 is 7, loses one order more
+    p = parse_fresco("fresco: (4 | 1 + b) (5 | 1 - b) (6 | 1 + 2b) (7 | 1)",
+                     order=order)
+    for want in known:
+        p = alpha_reduce_step(p)
+        assert {u.order for u in p.units} == {want}
 
 
 def test_reduce_step_needs_rank_three():
@@ -415,13 +431,14 @@ def copy_reduce_step(p):
     """The reduction step on a copy of p whose last unit is 1, in the
     e-basis reference model: the reference for alpha_reduce_step's
     generator f_k = S_k^-1 e_k in p's own model.  The copy's model
-    starts from e~ = e_k + X S_(k-1)^-1 e_(k-1).
+    starts from e~ = e_k + X S_(k-1)^-1 e_(k-1).  It works at the step's
+    own order, so it checks the walk, not the truncation.
     """
     k = p.rank
     if k < 3:
         raise WrongRank("reduction needs rank >= 3, got %d" % k)
     alpha_module._require_positive_steps(p)
-    order = min(default_model_order(p), min(u.order for u in p.units))
+    order = min(alpha_module._chain_order(p), min(u.order for u in p.units))
     fs = list(p.factors)
     fs[-1] = (fs[-1][0], SeriesB.one(order))
     model = EBasisModel(Presentation(fs), order=order)
@@ -468,13 +485,14 @@ def model_reduce_step(p):
     """The reduction step on p's adapted model, the reference for
     alpha_reduce_step: two apply_a passes take e~ = f_k + X f_(k-1) to
     (a - l_(k-1) b)(a - l_k b) e~ in F_(k-2), and regenerate_presentation
-    reads the presentation of that submodule off it.
+    reads the presentation of that submodule off it.  It works at the
+    step's own order, so it checks the walk, not the truncation.
     """
     k = p.rank
     if k < 3:
         raise WrongRank("reduction needs rank >= 3, got %d" % k)
     alpha_module._require_positive_steps(p)
-    order = min(default_model_order(p), min(u.order for u in p.units))
+    order = min(alpha_module._chain_order(p), min(u.order for u in p.units))
     model = AdaptedModel(p, order=order)
     lam = p.lambdas
     pk1 = p.p_values()[k - 2]
@@ -504,8 +522,9 @@ def model_reduce_step(p):
 @st.composite
 def principal_towers(draw):
     """Principal rank 3-6, mostly with positive steps, and units known
-    to orders 0-40, below and above default_model_order: each unit
-    sparse (up to three terms) or dense (every known coefficient drawn).
+    to orders 0-40, below and above the chain's order p(E) + k - 2: each
+    unit sparse (up to three terms) or dense (every known coefficient
+    drawn).
 
     A nonzero b^(p_j) coefficient in S_j stops the tower with NotInF0,
     so it is often cleared to let the tower go on.
@@ -554,13 +573,16 @@ def test_reduce_step_matches_the_model_route_along_whole_towers(p):
 
 
 def test_reduce_step_checks_the_last_unit_it_trades(monkeypatch):
-    # a wrong X leaves S_(k-1) + b^2 X' - (p_(k-1) - 1) b X apart from 1
+    # a wrong X leaves S_(k-1) + b^2 X' - (p_(k-1) - 1) b X apart from 1;
+    # p(E) + k - 2 = 5 keeps the 2b^3 that a b^2 in X adds in view
+    p = pres((3, unit()), (5, unit(0, 1)), (5, unit()))
+    assert alpha_reduce_step(p).rank == 2
     solve = alpha_module.solve_resonant_ode
     monkeypatch.setattr(
         alpha_module, "solve_resonant_ode",
         lambda c, rhs: solve(c, rhs) + SeriesB.monomial(1, 2, rhs.order))
     with pytest.raises(AssertionError, match="should be 1"):
-        alpha_reduce_step(pres((3, unit()), (3, unit(0, 1)), (3, unit())))
+        alpha_reduce_step(p)
 
 
 @pytest.mark.parametrize("text, divisions", [

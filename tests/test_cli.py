@@ -339,6 +339,22 @@ def test_json_shift_past_the_depth_is_refused_like_the_literal():
         assert rep["message"] == "shift 40 is past the truncation depth 12"
 
 
+@pytest.mark.parametrize("text", [
+    "s^(1/2) * log",
+    '{"lambda": "1/2", "terms": [[1, 0, 1, "1"]]}',
+    # shift 11 lies between --order and --oracle-depth: verify parses at
+    # the deeper one, so it refuses the kind, not the shift
+    "s^(21/2)",
+    '{"lambda": "1/2", "terms": [[1, 11, 0, "1"]]}',
+])
+def test_verify_refuses_every_expansion(text):
+    code, (rep,) = run_json(["verify", "--seed", "1", "--order", "8",
+                             "--oracle-depth", "16", text])
+    assert code == EXIT_DOMAIN
+    assert rep["error"] == "SemanticError"
+    assert rep["message"] == "verify expects a presentation"
+
+
 def test_a_log_power_past_the_window_is_refused_at_once():
     start = time.perf_counter()
     code, (rep,) = run_json(["xi", "--seed", "1", "s^(1/2) * log^1000"])

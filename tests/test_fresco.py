@@ -34,7 +34,6 @@ from frescos.fresco import (
     ModuleElement,
     Presentation,
     bernstein,
-    default_model_order,
     fundamental_invariants,
     presentation_from_annihilator,
     regenerate_presentation,
@@ -329,10 +328,6 @@ def test_fundamental_invariants_example():
 def test_fundamental_invariants_mixed():
     with pytest.raises(MixedPrimitiveClasses):
         fundamental_invariants([rat("3/2"), rat("2")])
-
-
-def test_default_model_order():
-    assert default_model_order(std()) == 2 * 2 + 2 + 8
 
 
 def test_model_chain_relations():
