@@ -13,9 +13,9 @@ exactly when alpha and all the nested alphas vanish.
 Alpha, semi-simplicity and the maximal sub and quotient theme classes
 all come from reduction chains.  The chain of factors i..j is the chain
 of 1..j read on its factors >= i, so an Analysis grows one chain per
-right end j, each step at most once, and derives every answer from
-them; alpha_invariant, is_semisimple, subtheme_class and
-quotient_theme_class are one-shot views of an Analysis.
+right end j, each step at most once, reads each interval's alpha at most
+once, and derives every answer from them; classify_rank2 and
+is_semisimple are views of an Analysis.
 """
 
 from fractions import Fraction
@@ -131,24 +131,14 @@ def classify_rank2(p):
     """Full isomorphism class of a rank-2 presentation.
 
     After normalizing the second unit to 1 (same module, generator
-    S_2^-1 e) the class is decided by the b^p coefficient of S_1:
-    nonzero gives the theme with that parameter, zero splits.  The
-    borderline p = 0 has a single class, a theme by convention written
-    with parameter 1.
+    S_2^-1 e) the class is decided by the b^p coefficient of S_1, the
+    alpha of an Analysis: nonzero gives the theme with that parameter,
+    zero splits.  The borderline p = 0 has a single class, a theme by
+    convention written with parameter 1.
     """
     if p.rank != 2:
         raise WrongRank("rank-2 classification got rank %d" % p.rank)
-    _require_primitive(p)
-    lam1, lam2 = p.lambdas
-    step = p.p_values()[0]
-    if step < 0:
-        raise SemanticError(
-            "p_1 = %s: factors are not in principal order" % step
-        )
-    if step == 0:
-        return Rank2Class(lam1, lam2, step, Fraction(1), True)
-    alpha = _step_coeff(p, 1, 2, 0, p, 1)
-    return Rank2Class(lam1, lam2, step, alpha, alpha != 0)
+    return Rank2Class(*p.lambdas, p.p_values()[0], *Analysis(p).shown_alpha())
 
 
 def alpha_reduce_step(p):
@@ -235,7 +225,7 @@ class Analysis:
     the stage above (the ODE is on S_(j-1), Y starts as X S_(j-2), the
     stages walk down from the top).  Alpha is tower k read at i = 1,
     computed at once; its value, or the EngineError it raised, is kept,
-    and the theme classes read it.
+    and the rank-2 class, semi-simplicity and the theme classes read it.
     """
 
     def __init__(self, p):
@@ -299,10 +289,13 @@ class Analysis:
         At rank 2 that is the classify_rank2 class, whose alpha is 1 at
         p_1 = 0 where alpha() raises PValueZero.
         """
-        if self.presentation.rank != 2:
+        p = self.presentation
+        if p.rank != 2:
             return self.alpha(), None
-        cls = classify_rank2(self.presentation)
-        return cls.alpha, cls.theme
+        if p.p_values()[0] == 0:
+            return Fraction(1), True
+        a = self.alpha()
+        return a, a != 0
 
     def semisimple(self):
         """Whether the module splits into rank-1 pieces.
@@ -320,11 +313,13 @@ class Analysis:
         return 0 not in p.p_values() and self._split(1, p.rank)
 
     def _split(self, i, j):
-        """Whether the sub-quotient of factors i..j splits, once per i..j."""
+        """Whether the sub-quotient of factors i..j splits, once per i..j;
+        1..k reads the alpha that __init__ kept."""
         if (i, j) not in self._splits:
             try:
                 self._splits[i, j] = i == j or (
-                    self._interval_alpha(i, j) == 0
+                    (self.alpha() if j - i == self.presentation.rank - 1
+                     else self._interval_alpha(i, j)) == 0
                     and self._split(i, j - 1) and self._split(i + 1, j))
             except NotInF0:
                 self._splits[i, j] = False
@@ -369,24 +364,9 @@ class Analysis:
         return ThemeClass(p.lambdas[0] - k + 2, p.lambdas[-1], sum(steps), beta)
 
 
-def alpha_invariant(p):
-    """The alpha invariant of a presentation with positive p-steps."""
-    return Analysis(p).alpha()
-
-
 def is_semisimple(p):
     """Whether the module splits into rank-1 pieces."""
     return Analysis(p).semisimple()
-
-
-def subtheme_class(p):
-    """Class of the maximal subtheme pinned by a nonzero alpha."""
-    return Analysis(p).subtheme()
-
-
-def quotient_theme_class(p):
-    """Class of the maximal quotient theme; parameter scaled from alpha."""
-    return Analysis(p).quotient_theme()
 
 
 def dual_twist_rank2(t, delta):

@@ -273,8 +273,9 @@ def parse_dsl(text, order=None):
 
     Lines starting with '{' are treated as the JSON mirror; otherwise
     the line is tokenized once and its leading token decides ('fresco'
-    against an expansion literal).  order truncates a literal or a
-    depthless expansion payload; without it an expansion takes DEFAULT_ORDER.
+    against an expansion literal).  order truncates a literal, a
+    depthless expansion payload or an orderless unit payload; without it
+    a payload takes DEFAULT_ORDER.
     """
     depth = DEFAULT_ORDER if order is None else order
     if text.lstrip().startswith("{"):
@@ -335,11 +336,11 @@ def series_to_json(s):
     return {"order": s.order, "coeffs": [rat_str(c) for c in s.coeffs]}
 
 
-def series_from_json(d):
+def series_from_json(d, order=None):
     if not isinstance(d, dict) or \
             not isinstance(d.get("coeffs"), (list, tuple)):
         raise SemanticError("series payload needs a 'coeffs' list")
-    order = d.get("order")
+    order = d.get("order", order)
     try:
         return SeriesB([rat(c) for c in d["coeffs"]],
                        None if order is None else _json_int(order, "order"))
@@ -356,7 +357,7 @@ def fresco_to_json(p):
     }
 
 
-def fresco_from_json(d):
+def fresco_from_json(d, order=None):
     if not isinstance(d, dict) or not isinstance(d.get("factors"), list):
         raise SemanticError("presentation payload needs a 'factors' list")
     factors = []
@@ -364,7 +365,7 @@ def fresco_from_json(d):
         if not isinstance(f, dict) or "lambda" not in f or "unit" not in f:
             raise SemanticError("each factor needs 'lambda' and 'unit'")
         factors.append((_json_rat(f["lambda"], "exponent"),
-                        series_from_json(f["unit"])))
+                        series_from_json(f["unit"], order)))
     return Presentation(factors)
 
 
@@ -428,10 +429,11 @@ def to_json(obj):
 def from_json(payload, depth=DEFAULT_ORDER):
     """Inverse of to_json, deciding the kind by the keys present.
 
-    depth is the truncation of an expansion whose payload gives none.
+    depth is the truncation of an expansion, and the order of a unit,
+    whose payload gives none.
     """
     if isinstance(payload, dict) and "factors" in payload:
-        return fresco_from_json(payload)
+        return fresco_from_json(payload, depth)
     if isinstance(payload, dict) and "terms" in payload:
         return xi_from_json(payload, depth)
     raise SemanticError("payload is neither a presentation nor an expansion")

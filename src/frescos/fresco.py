@@ -361,7 +361,7 @@ def twist(p, delta):
     return Presentation([(l + d, u) for l, u in p.factors])
 
 
-def _bernstein_invariants(ann, lam, bound):
+def _bernstein_invariants(ann, lam):
     """Principal invariants read off the Bernstein polynomial of ann.
 
     The homogeneous part sum_m h_m a^m b^(r-m) of the monic ann of
@@ -369,7 +369,10 @@ def _bernstein_invariants(ann, lam, bound):
     P(mu) b^r e with P(mu) = sum_m h_m (mu+r-m)...(mu+r-1).  For
     (a - l_1 b)...(a - l_r b) it is prod_j (mu - l_j - j + r), so the
     invariants l_j + j are the roots of P plus r.  Its roots lam + n,
-    n <= bound, are divided out synthetically one at a time.
+    n = 0, 1, ..., are divided out synthetically one at a time.  The d
+    roots left sum to minus P's second coefficient; once d (lam + n)
+    passes that sum they cannot all lie at lam + n or above, so the
+    search refuses there.
     """
     # P nested: Q_r = 1, Q_m = h_m + (mu+r-1-m) Q_(m+1), P = Q_0; the
     # coefficients are kept highest power first
@@ -382,11 +385,11 @@ def _bernstein_invariants(ann, lam, bound):
     invariants = []
     n = 0
     while len(invariants) < r:
-        if n > bound:
+        mu = lam + n
+        if (len(poly) - 1) * mu > -poly[1]:
             raise NotMonogenicAtTruncation(
                 "initial form has no right root in the exponent class"
             )
-        mu = lam + n
         horner = list(accumulate(poly, lambda acc, c: acc * mu + c))
         if horner[-1]:
             n += 1
@@ -466,11 +469,11 @@ def _peel_unit(ann, mu, k):
                             for j, x in enumerate(quot)][::-1])
 
 
-def presentation_from_annihilator(ann, lam, bound):
+def presentation_from_annihilator(ann, lam):
     """Principal presentation of the fresco ann.e = 0, e its generator.
 
     ann is monic of degree r >= 1; lam in (0, 1] is the exponent class.
-    The Bernstein roots lam + n, n <= bound, give the principal
+    The Bernstein roots lam + n give the principal
     invariants in increasing order; then _peel_unit takes one unit off
     each factor from the right, peel j costing j orders, so an ann known
     to fewer than 1 + r(r+1)/2 orders is refused.  The result is
@@ -484,7 +487,7 @@ def presentation_from_annihilator(ann, lam, bound):
         raise NotMonogenicAtTruncation(
             "the annihilator is known to order %d; its %d unit peels need "
             "%d" % (ordc, r, need))
-    invariants = _bernstein_invariants(ann, lam, bound)
+    invariants = _bernstein_invariants(ann, lam)
     lambdas = [inv - j for j, inv in enumerate(invariants, start=1)]
     units, cur = [None] * r, ann
     for j in range(r, 0, -1):

@@ -54,8 +54,11 @@ from .errors import (
     ResonantObstruction,
 )
 
-#: the one truncation default: the CLI's --order, the parsers when given
-#: no order or depth, and the SeriesB constructors
+#: the one truncation default: the CLI's --order, the order of a literal
+#: parsed with none (or its largest exponent, if higher), the depth or
+#: unit order of a JSON payload given none, and the order of SeriesB.zero,
+#: one and monomial; SeriesB(coeffs) with no order is known to its last
+#: coefficient
 DEFAULT_ORDER = 32
 
 _ZERO = Fraction(0)

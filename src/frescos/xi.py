@@ -425,7 +425,6 @@ def _annihilator_from_span(span):
 
 def model_from_xi(span):
     """Presentation of the module generated by the source expansion:
-    its annihilator through presentation_from_annihilator, with the
-    Bernstein roots lam + n searched up to n = depth + rank."""
+    its annihilator through presentation_from_annihilator."""
     return presentation_from_annihilator(
-        _annihilator_from_span(span), span.lam, span.depth + span.rank)
+        _annihilator_from_span(span), span.lam)

@@ -15,11 +15,10 @@ from frescos.algebra import (
     initial_form,
 )
 from frescos.alpha import (
-    alpha_invariant,
+    Analysis,
     classify_rank2,
     is_semisimple,
     rank3_alpha_formula,
-    subtheme_class,
 )
 from frescos.fresco import (
     AdaptedModel,
@@ -257,18 +256,18 @@ def test_criterion_05_rank3_alpha_agreement():
     rng = random.Random(105)
     for _ in range(50):
         p = rand_f0_rank3(rng)
-        assert alpha_invariant(p) == rank3_alpha_formula(p)
+        assert Analysis(p).alpha() == rank3_alpha_formula(p)
     # with S_2 = 1 the closed form collapses to one coefficient of S_1
     for _ in range(20):
         p = rand_f0_rank3(rng, trivial_s2=True)
         p1, p2 = (int(x) for x in p.p_values())
-        assert alpha_invariant(p) == p.units[0].coeff(p1 + p2)
+        assert Analysis(p).alpha() == p.units[0].coeff(p1 + p2)
     # worked instance
     p = Presentation([
         (3, SeriesB([1, 0, 1], N)), (3, SeriesB.one(N)), (3, SeriesB.one(N)),
     ])
-    assert alpha_invariant(p) == 1
-    t = subtheme_class(p)
+    assert Analysis(p).alpha() == 1
+    t = Analysis(p).subtheme()
     assert (t.low, t.high, t.p, t.parameter) == (3, 4, 2, 1)
 
 
@@ -290,7 +289,7 @@ def test_criterion_06_semisimplicity():
         assert not is_semisimple(q)
     for i in range(50):
         p = rand_f0_rank3(rng, trivial=(i % 3 == 0))
-        assert is_semisimple(p) == (alpha_invariant(p) == 0)
+        assert is_semisimple(p) == (Analysis(p).alpha() == 0)
 
 
 def test_criterion_07_oracle_equivalence():

@@ -6,21 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import frescos.alpha as alpha_module
 from frescos.alpha import (
     Analysis,
     Rank2Class,
     ThemeClass,
-    alpha_invariant,
     alpha_reduce_step,
     classify_rank2,
     dual_twist_rank2,
     is_semisimple,
-    quotient_theme_class,
     rank3_alpha_formula,
-    subtheme_class,
 )
 from frescos.dsl import from_json, parse_fresco
 from frescos.errors import (
@@ -104,6 +101,62 @@ def test_classify_needs_principal_order():
         classify_rank2(pres(("9/2", unit()), ("5/2", unit())))
 
 
+def reference_classify_rank2(p):
+    """classify_rank2 as it was before it became a view of an Analysis:
+    its own checks and its own read of the b^p coefficient of S_1."""
+    if p.rank != 2:
+        raise WrongRank("rank-2 classification got rank %d" % p.rank)
+    alpha_module._require_primitive(p)
+    lam1, lam2 = p.lambdas
+    step = p.p_values()[0]
+    if step < 0:
+        raise SemanticError(
+            "p_1 = %s: factors are not in principal order" % step
+        )
+    if step == 0:
+        return Rank2Class(lam1, lam2, step, Fraction(1), True)
+    alpha = alpha_module._step_coeff(p, 1, 2, 0, p, 1)
+    return Rank2Class(lam1, lam2, step, alpha, alpha != 0)
+
+
+@st.composite
+def rank2_any(draw):
+    """Rank 2 with p_1 from -1 to 4, a third of the time off the class of
+    l_1, and units known to orders 0..6, often short of b^(p_1)."""
+    lam1 = draw(st.sampled_from([Fraction(3), Fraction(7, 2), Fraction(4)]))
+    lam2 = lam1 + draw(st.integers(-2, 3)) + \
+        draw(st.sampled_from([0, 0, Fraction(1, 2)]))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    units = []
+    for _ in range(2):
+        order = draw(st.integers(0, 6))
+        units.append(SeriesB([1] + draw(st.lists(coeffs, max_size=order)),
+                             order))
+    return Presentation(list(zip((lam1, lam2), units)))
+
+
+def _class_or_error(classify, p):
+    try:
+        c = classify(p)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return c.lam1, c.lam2, c.p, c.alpha, c.theme
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank2_any())
+@example(pres((3, unit(1)), (2, unit())))                  # p_1 = 0
+@example(pres(("9/2", unit()), ("5/2", unit())))           # p_1 < 0
+@example(pres(("5/2", unit()), (3, unit())))               # not primitive
+@example(pres((3, unit(1, order=1)), (5, unit())))         # S_1 too short
+@example(pres((3, unit(order=0)), (5, unit())))
+@example(pres((3, unit())))                                # wrong rank
+@example(pres((3, unit()), (3, unit()), (3, unit())))
+def test_classify_rank2_is_the_analysis_view(p):
+    assert _class_or_error(classify_rank2, p) == \
+        _class_or_error(reference_classify_rank2, p)
+
+
 def test_reduce_step_worked_example():
     # p(E) + k - 2 = 3: the reduced units are known to b^2
     p = pres((3, unit(0, 1)), (3, unit()), (3, unit()))
@@ -112,7 +165,7 @@ def test_reduce_step_worked_example():
     assert [u.order for u in q.units] == [2, 2]
     assert q.units[0].same_upto(unit(0, 1), 2)
     assert q.units[1].same_upto(unit(), 2)
-    assert alpha_invariant(p) == 1
+    assert Analysis(p).alpha() == 1
 
 
 def test_reduce_step_trivial_units():
@@ -121,7 +174,7 @@ def test_reduce_step_trivial_units():
     assert q.lambdas == (3, 4)
     assert [u.order for u in q.units] == [2, 2]
     assert all(u.same_upto(unit(), 2) for u in q.units)
-    assert alpha_invariant(p) == 0
+    assert Analysis(p).alpha() == 0
 
 
 @pytest.mark.parametrize("order, known", [
@@ -172,24 +225,24 @@ def test_reduce_step_tolerates_first_unit():
     assert q.lambdas == (3, 4)
     # ...but the invariant refuses, since the value would depend on tau
     with pytest.raises(NotInF0):
-        alpha_invariant(p)
+        Analysis(p).alpha()
 
 
 def test_alpha_rank2_delegates():
     p = pres((3, unit(0, 0, 0, 9)), (6, unit()))
-    assert alpha_invariant(p) == 9
+    assert Analysis(p).alpha() == 9
 
 
 def test_alpha_wrong_rank():
     with pytest.raises(WrongRank):
-        alpha_invariant(pres((3, unit())))
+        Analysis(pres((3, unit()))).alpha()
 
 
 def test_alpha_specialized_middle_unit_trivial():
     # with S_2 = 1 nothing moves: alpha is the b^(p1+p2) slot of S_1
     p = pres((3, unit(0, 0, 5)), (3, unit()), (4, unit()))
     assert p.p_values() == (1, 2)
-    assert alpha_invariant(p) == 5
+    assert Analysis(p).alpha() == 5
     assert rank3_alpha_formula(p) == 5
 
 
@@ -197,7 +250,7 @@ def test_alpha_specialized_first_unit_trivial():
     # with S_1 = 1 the value is -(p2/p1) s2_(p1+p2)
     p = pres((3, unit()), (4, unit(0, 0, 4)), (4, unit()))
     assert p.p_values() == (2, 1)
-    assert alpha_invariant(p) == -2
+    assert Analysis(p).alpha() == -2
     assert rank3_alpha_formula(p) == -2
 
 
@@ -226,7 +279,7 @@ def rank3_f0(lam1, p1, p2, c1, c2, c3=()):
 
 def test_alpha_reduce_matches_formula_frozen():
     p = rank3_f0("7/2", 2, 2, (3, -1), (2, 5), (1, 1))
-    assert alpha_invariant(p) == rank3_alpha_formula(p)
+    assert Analysis(p).alpha() == rank3_alpha_formula(p)
 
 
 @st.composite
@@ -244,7 +297,7 @@ def f0_rank3(draw):
 @settings(max_examples=30, deadline=None)
 @given(f0_rank3())
 def test_alpha_reduce_matches_formula(p):
-    assert alpha_invariant(p) == rank3_alpha_formula(p)
+    assert Analysis(p).alpha() == rank3_alpha_formula(p)
 
 
 @settings(max_examples=20, deadline=None)
@@ -261,13 +314,13 @@ def test_alpha_independent_of_tau(p, tau):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(alpha_module, "solve_resonant_ode", with_tau)
         reduced = alpha_reduce_step(p)
-    assert classify_rank2(reduced).alpha == alpha_invariant(p)
+    assert classify_rank2(reduced).alpha == Analysis(p).alpha()
 
 
 @settings(max_examples=20, deadline=None)
 @given(f0_rank3(), st.integers(0, 3))
 def test_alpha_twist_invariance(p, m):
-    assert alpha_invariant(twist(p, m)) == alpha_invariant(p)
+    assert Analysis(twist(p, m)).alpha() == Analysis(p).alpha()
 
 
 @st.composite
@@ -322,7 +375,7 @@ def test_semisimple_needs_principal():
 def test_semisimple_detects_inner_theme():
     # alpha of the whole may vanish while an edge sub-quotient is a theme
     p = pres((3, unit(0, 1)), (3, unit()), (3, unit()))
-    assert alpha_invariant(p) == 1
+    assert Analysis(p).alpha() == 1
     assert not is_semisimple(p)
     q = pres((3, unit()), (3, unit()), (3, unit()))
     assert is_semisimple(q)
@@ -331,7 +384,7 @@ def test_semisimple_detects_inner_theme():
 @settings(max_examples=25, deadline=None)
 @given(f0_rank3())
 def test_semisimple_iff_alpha_zero_on_split_class(p):
-    a = alpha_invariant(p)
+    a = Analysis(p).alpha()
     ss = is_semisimple(p)
     if ss:
         assert a == 0
@@ -341,23 +394,23 @@ def test_semisimple_iff_alpha_zero_on_split_class(p):
 
 def test_subtheme_frozen():
     p = pres((3, unit(0, 1)), (3, unit()), (3, unit()))
-    assert subtheme_class(p) == ThemeClass(3, 4, 2, 1)
+    assert Analysis(p).subtheme() == ThemeClass(3, 4, 2, 1)
 
 
 def test_subtheme_needs_nonzero_alpha():
     with pytest.raises(AlphaZero):
-        subtheme_class(pres((3, unit()), (4, unit())))
+        Analysis(pres((3, unit()), (4, unit()))).subtheme()
 
 
 def test_quotient_theme_frozen():
     p = pres((3, unit(0, 1)), (3, unit()), (3, unit()))
-    assert quotient_theme_class(p) == ThemeClass(2, 3, 2, -1)
+    assert Analysis(p).quotient_theme() == ThemeClass(2, 3, 2, -1)
 
 
 def test_quotient_theme_rank2_is_alpha():
     p = pres((3, unit(0, 0, 5)), (5, unit()))
-    assert quotient_theme_class(p) == ThemeClass(3, 5, 3, 5)
-    assert subtheme_class(p) == ThemeClass(3, 5, 3, 5)
+    assert Analysis(p).quotient_theme() == ThemeClass(3, 5, 3, 5)
+    assert Analysis(p).subtheme() == ThemeClass(3, 5, 3, 5)
 
 
 @pytest.mark.parametrize("text, steps", [
@@ -418,13 +471,36 @@ def _outcome(ask):
 
 @settings(max_examples=60, deadline=None)
 @given(principal_sparse())
+@example(parse_fresco("fresco: (5 | 1) (6 | 1) (7 | 1) (8 | 1) (9 | 1)"))
+def test_each_interval_is_read_once_per_analysis(p):
+    # alpha reads 1..k when the Analysis is built; semi-simplicity and
+    # the theme classes take that value and read only the shorter ones
+    seen = []
+    read = Analysis._interval_alpha
+
+    def counted(self, i, j):
+        seen.append((i, j))
+        return read(self, i, j)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Analysis, "_interval_alpha", counted)
+        an = Analysis(p)
+        for ask in (an.shown_alpha, an.alpha, an.semisimple, an.subtheme,
+                    an.quotient_theme, an.semisimple):
+            _outcome(ask)
+    assert seen[0] == (1, p.rank)
+    assert len(seen) == len(set(seen))
+
+
+@settings(max_examples=60, deadline=None)
+@given(principal_sparse())
 def test_tower_reads_every_interval_as_its_own_chain(p):
     # step t of the chain of i..j is step t of tower j on factors >= i
     an = Analysis(p)
     for i in range(1, p.rank):
         for j in range(i + 1, p.rank + 1):
             assert _outcome(lambda: an._interval_alpha(i, j)) == \
-                _outcome(lambda: alpha_invariant(sub_quotient(p, i, j)))
+                _outcome(lambda: Analysis(sub_quotient(p, i, j)).alpha())
 
 
 def copy_reduce_step(p):
@@ -618,7 +694,7 @@ def test_not_in_f0_names_the_input_factors(text, steps, pair, factors):
     # after s steps the last reduced factor stands for input factors
     # k - s..k, every earlier one for the input factor of its index
     with pytest.raises(NotInF0) as err:
-        alpha_invariant(parse_fresco(text))
+        Analysis(parse_fresco(text)).alpha()
     message = str(err.value)
     assert message.startswith("adjacent sub-quotient %d does not split "
                               "after %d reduction step(s)" % (pair, steps))
@@ -700,10 +776,10 @@ def test_analysis_keeps_the_rank2_asymmetry():
 def test_analysis_views_agree():
     p = pres((3, unit(0, 1)), (3, unit()), (3, unit()))
     an = Analysis(p)
-    assert an.shown_alpha() == (alpha_invariant(p), None) == (1, None)
+    assert an.shown_alpha() == (Analysis(p).alpha(), None) == (1, None)
     assert an.semisimple() is is_semisimple(p) is False
-    assert an.subtheme() == subtheme_class(p)
-    assert an.quotient_theme() == quotient_theme_class(p)
+    assert an.subtheme() == Analysis(p).subtheme()
+    assert an.quotient_theme() == Analysis(p).quotient_theme()
 
 
 def test_dual_twist_frozen():

@@ -9,7 +9,7 @@ that nothing in src/ refers to is dead code, and so is a public method
 that src/ never reads and the benchmark's tracer does not wrap.  The
 layers import downwards only: the engine core (series, algebra, linalg,
 fresco, alpha) knows nothing of xi, the oracle, the parser or the
-command line.
+command line.  README's library example runs as written.
 """
 
 import ast
@@ -20,6 +20,8 @@ import pytest
 import frescos
 
 SRC = os.path.dirname(os.path.abspath(frescos.__file__))
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
 
 
 def _trees():
@@ -156,20 +158,18 @@ def test_every_private_helper_is_referenced():
 
 
 # exports that nothing in src/ refers to: the library form of the
-# paper's claims, its one-shot views of an Analysis, and the parsers
+# paper's claims, the rank-2 classification among them, and the parsers
 LIBRARY = {
     "__version__",
-    "alpha_invariant",
     "bernstein",
+    "classify_rank2",
     "dual_twist_rank2",
     "parse_fresco",
     "parse_series",
     "parse_xi",
-    "quotient_theme_class",
     "rank3_alpha_formula",
     "sub_quotient",
     "submodule_analysis",
-    "subtheme_class",
     "to_json",
     "twist",
 }
@@ -213,3 +213,24 @@ def test_every_public_method_is_read_in_src_or_traced():
         and (cls.name, node.name) not in allowed
     ]
     assert orphans == []
+
+
+def test_readme_library_example_runs():
+    # each line 'expr  # value' of the example must show value, so a
+    # README that names a function src/ no longer has fails here
+    with open(README) as fh:
+        section = fh.read().split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    scope = {}
+    shown = 0
+    for stmt in ast.parse(block).body:
+        want = lines[stmt.end_lineno - 1].partition("  # ")[2]
+        if isinstance(stmt, ast.Expr) and want:
+            got = eval(compile(ast.Expression(stmt.value), "README", "eval"),
+                       scope)
+            assert repr(got) == want, ast.unparse(stmt)
+            shown += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), scope)
+    assert shown >= 5

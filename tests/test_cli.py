@@ -429,7 +429,7 @@ def test_verify_renders_each_failing_check(monkeypatch, label):
                         minimal_annihilator)
     if label == "lambdas":
         monkeypatch.setattr(cli_module, "_bernstein_invariants",
-                            lambda ann, lam, bound: [lam] * ann.degree)
+                            lambda ann, lam: [lam] * ann.degree)
     if label == "generator:NotAGenerator":
         def regenerate_presentation(model, g):
             raise NotAGenerator("coordinate 2 has no constant term")
@@ -525,6 +525,26 @@ def test_json_expansion_takes_depth_from_order(shift, literal):
     assert rep["depth"] == 32
     assert run_json(["xi", "--seed", "1", "--order", "32", literal]) == \
         (code, [rep])
+
+
+def test_json_unit_takes_order_from_order():
+    # the unit payloads give no order, so --order sets it, as for a
+    # literal; verify then has series known to the depth it compares at
+    payload = '{"factors": [{"lambda": "3", "unit": {"coeffs": ["1"]}}, ' \
+        '{"lambda": "4", "unit": {"coeffs": ["1"]%s}}]}'
+    argv = ["--order", "20", "--seed", "1"]
+    code, (rep,) = run_json(["analyze"] + argv + [payload % ""])
+    assert code == EXIT_OK
+    assert rep["alpha"] == "0"
+    assert rep["diagnostics"]["unit_orders"] == [20, 20]
+    assert run_json(["analyze"] + argv + ["fresco: (3 | 1) (4 | 1)"]) == \
+        (code, [rep])
+    code, (rep,) = run_json(["verify"] + argv + [payload % ""])
+    assert code == EXIT_OK
+    assert rep["counts"] == {"pass": 1, "fail": 0}
+    # an order in the payload still wins
+    code, (rep,) = run_json(["analyze"] + argv + [payload % ', "order": 5'])
+    assert rep["diagnostics"]["unit_orders"] == [20, 5]
 
 
 def test_verify_counts_do_not_move_with_depth():

@@ -681,7 +681,7 @@ def test_oracle_annihilator_gives_back_the_presentation(literal):
     model = AdaptedModel(p, order=WITNESS_DEPTH)
     ann = minimal_annihilator(rep, rep.embed(e_vector(model, k)))
     lam = p.lambdas[0] + 1 - ceil(p.lambdas[0])
-    q = presentation_from_annihilator(ann, lam, WITNESS_DEPTH)
+    q = presentation_from_annihilator(ann, lam)
     assert q.lambdas == p.lambdas
     order = min(u.order for u in q.units)
     got = monicize(expand_factor_form(q.factors, order))
@@ -933,14 +933,14 @@ def test_the_peel_forms_each_product_once(monkeypatch):
 def test_presentation_from_annihilator_refuses_what_it_cannot_peel():
     p = pres(("7/2", unit(2)), ("9/2", unit()))
     ann = monicize(expand_factor_form(p.factors, 12))
-    assert presentation_from_annihilator(ann, rat("1/2"), 12).lambdas == \
+    assert presentation_from_annihilator(ann, rat("1/2")).lambdas == \
         p.lambdas
     # two peels need order 1 + 2 + 1 = 4
     short = monicize(expand_factor_form(p.factors, 3))
     with pytest.raises(NotMonogenicAtTruncation, match="need 4"):
-        presentation_from_annihilator(short, rat("1/2"), 12)
+        presentation_from_annihilator(short, rat("1/2"))
     with pytest.raises(SemanticError, match="monic"):
-        presentation_from_annihilator(ann * SeriesB([2], 12), rat("1/2"), 12)
+        presentation_from_annihilator(ann * SeriesB([2], 12), rat("1/2"))
     with pytest.raises(SemanticError, match="monic"):
         presentation_from_annihilator(monicize(ann.from_series(unit())),
-                                      rat("1/2"), 12)
+                                      rat("1/2"))

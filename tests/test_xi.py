@@ -753,12 +753,14 @@ def test_bernstein_roots_are_the_invariants(lam, steps, rhos):
     lambdas = [lam + r - j + n for j, n in enumerate(steps, start=1)]
     units = [SeriesB([1, rho], 8) for rho in rhos[:r]]
     ann = monicize(expand_factor_form(list(zip(lambdas, units)), 8))
-    got = _bernstein_invariants(ann, lam, 12)
+    got = _bernstein_invariants(ann, lam)
     assert sorted(got) == sorted(l + j for j, l in enumerate(lambdas, 1))
     # the search only moves up, which presentation_from_annihilator uses
     assert got == sorted(got)
-    with pytest.raises(NotMonogenicAtTruncation):
-        _bernstein_invariants(ann, lam, int(min(got) - lam - r) - 1)
+    # another class holds no root: the search stops past the roots' mean
+    with pytest.raises(NotMonogenicAtTruncation,
+                       match="no right root in the exponent class"):
+        _bernstein_invariants(ann, lam / 2)
 
 
 # --- one component: the rank and the filtration from Xi ---
