@@ -96,8 +96,8 @@ def _require_primitive(p):
 
 def _require_positive_steps(p):
     _require_primitive(p)
-    for j, pj in enumerate(p.p_values(), start=1):
-        if pj.denominator != 1 or pj < 0:
+    for j, pj in enumerate(p._p_values, start=1):
+        if pj < 0:
             raise SemanticError(
                 "p_%d = %s: factors are not in principal order" % (j, pj)
             )
@@ -107,24 +107,23 @@ def _require_positive_steps(p):
 
 def _chain_order(p):
     """p(E) + k - 2, the order the alpha chain of p works at."""
-    return int(sum(p.p_values())) + p.rank - 2
+    return sum(p._p_values) + p.rank - 2
 
 
 def _step_coeff(p, i, j, t, tower, q):
-    """b^(p_q) of S_q in tower, the alpha chain of p's factors i..j after
-    t reduction steps.  Each step loses one order and the last rank-2
-    step is p(E), so every such read has room once each unit of p is
-    known to _chain_order(p), the order the chain works at."""
-    unit, step = tower.factors[q - 1][1], tower.p_values()[q - 1]
-    try:
-        return unit.coeff(int(step))
-    except CoefficientBeyondOrder:
+    """Numerator of b^(p_q) of S_q in tower, the alpha chain of p's factors
+    i..j after t reduction steps.  Each step loses one order and the last
+    rank-2 step is p(E), so every such read has room once each unit of p
+    is known to _chain_order(p), the order the chain works at."""
+    unit, step = tower.factors[q - 1][1], tower._p_values[q - 1]
+    if step > unit.order:
         need = _chain_order(p)
         raise CoefficientBeyondOrder(
             "alpha of factors %d..%d reads b^%s of S_%d after %d reduction "
             "step(s), known to order %d; every alpha read has room with "
             "units known to order %d (--order %d for a literal)"
-            % (i, j, step, q, t, unit.order, need, need)) from None
+            % (i, j, step, q, t, unit.order, need, need))
+    return unit.nums[step]
 
 
 def classify_rank2(p):
@@ -168,7 +167,7 @@ def alpha_reduce_step(p):
     order = _model_order(min(_chain_order(p), min(u.order for u in p.units)))
     n = order - 1
     units = [u.truncate(order) for u in p.units[: k - 1]]
-    steps = p.p_values()
+    steps = p._p_values
     s = units[k - 2]
     try:
         x = solve_resonant_ode(steps[k - 2] - 1, SeriesB._lowest(
@@ -205,7 +204,7 @@ def rank3_alpha_formula(p):
     if p.rank != 3:
         raise WrongRank("closed formula is rank 3 only, got %d" % p.rank)
     _require_positive_steps(p)
-    p1, p2 = (int(x) for x in p.p_values())
+    p1, p2 = p._p_values
     s1, s2 = p.units[0], p.units[1]
     if s1.coeff(p1) != 0:
         raise ResonantObstruction(
@@ -266,7 +265,7 @@ class Analysis:
         p = self.presentation
         for t in range(j - i - 1):
             tower = self._reduced(j, t)
-            steps = tower.p_values()
+            steps = tower._p_values
             for q in range(i, j - t):
                 if _step_coeff(p, i, j, t, tower, q):
                     raise NotInF0(
@@ -275,7 +274,9 @@ class Analysis:
                         "b^%s coefficient; the pair stands for input "
                         "factors %d..%d" % (q, t, q, steps[q - 1], q,
                                             q + 1 if q + 1 < j - t else j))
-        return _step_coeff(p, i, j, j - i - 1, self._reduced(j, j - i - 1), i)
+        tower = self._reduced(j, j - i - 1)
+        return Fraction(_step_coeff(p, i, j, j - i - 1, tower, i),
+                        tower.factors[i - 1][1].den)
 
     def alpha(self):
         """The alpha invariant; raises what the reduction chain raised."""
@@ -292,7 +293,7 @@ class Analysis:
         p = self.presentation
         if p.rank != 2:
             return self.alpha(), None
-        if p.p_values()[0] == 0:
+        if p._p_values[0] == 0:
             return Fraction(1), True
         a = self.alpha()
         return a, a != 0
@@ -310,7 +311,7 @@ class Analysis:
         _require_primitive(p)
         if not p.is_principal():
             raise SemanticError("semi-simplicity test needs principal order")
-        return 0 not in p.p_values() and self._split(1, p.rank)
+        return 0 not in p._p_values and self._split(1, p.rank)
 
     def _split(self, i, j):
         """Whether the sub-quotient of factors i..j splits, once per i..j;
@@ -342,7 +343,7 @@ class Analysis:
         """
         a = self._theme_alpha("subtheme")
         p = self.presentation
-        total = sum(p.p_values())
+        total = sum(p._p_values)
         return ThemeClass(p.lambdas[0], p.lambdas[-1] + p.rank - 2, total, a)
 
     def quotient_theme(self):
@@ -354,9 +355,8 @@ class Analysis:
         a = self._theme_alpha("quotient theme")
         p = self.presentation
         k = p.rank
-        steps = p.p_values()
-        num = Fraction(1)
-        den = Fraction(1)
+        steps = p._p_values
+        num = den = 1
         for i in range(k - 2):
             num *= sum(steps[: i + 1])
             den *= sum(steps[i + 1:])

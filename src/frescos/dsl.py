@@ -7,15 +7,16 @@ Three literal forms are understood:
   expansion     s^(3/2) * log^2 * [1 + 2s] @ v1
 
 plus a JSON mirror of each.  A literal is tokenized once, in one pass
-(a number is a run of decimal digits), and its grammar reads that
-token list; one signed-sum loop serves every sum.  Syntax errors name
-a line and column, derived from the offset of the token at fault.
+(a number is a run of decimal digits, a coefficient an integer pair),
+and its grammar reads that token list; one signed-sum loop serves every
+sum.  Syntax errors name a line and column, from the token at fault.
 Object-level checks live in the constructors: Presentation checks its
 factors, XiExpansion its components, shifts and truncation window.
 """
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .errors import DslSyntaxError, MixedPrimitiveClasses, SemanticError
 from .fresco import Presentation
@@ -94,14 +95,14 @@ class _Parser:
         raise DslSyntaxError(message, *_where(self.text, offset))
 
 
-def _unsigned_rational(p):
-    num = int(p.expect("int", "a number")[1])
-    if p.accept("/"):
-        tok = p.expect("int", "a denominator")
-        if not int(tok[1]):
-            p.fail("zero denominator", tok)
-        return Fraction(num, int(tok[1]))
-    return Fraction(num)
+def _unsigned_rational(p, sign):
+    num = sign * int(p.expect("int", "a number")[1])
+    if not p.accept("/"):
+        return num, 1
+    tok = p.expect("int", "a denominator")
+    if not int(tok[1]):
+        p.fail("zero denominator", tok)
+    return num, int(tok[1])
 
 
 def _signed_rational(p):
@@ -109,7 +110,7 @@ def _signed_rational(p):
     while p.peek()[0] in "+-":
         if p.next()[0] == "-":
             sign = -sign
-    return sign * _unsigned_rational(p)
+    return Fraction(*_unsigned_rational(p, sign))
 
 
 def _signs(p):
@@ -133,13 +134,13 @@ def _literal(p, tag, grammar, what):
 
 
 def _poly_terms(p, var):
-    """Sum of +-c var^e summands into an exponent -> coefficient dict."""
+    """Sum of +-c var^e summands into an exponent -> (num, den) dict."""
     out = {}
     for sign in _signs(p):
-        coeff = Fraction(sign)
+        num, den = sign, 1
         bare = p.peek()[0] != "int"
         if not bare:
-            coeff *= _unsigned_rational(p)
+            num, den = _unsigned_rational(p, sign)
             p.accept("*")
         exp = 0
         if p.accept(var):
@@ -147,7 +148,8 @@ def _poly_terms(p, var):
                 else 1
         elif bare:
             p.fail("expected a coefficient or %r" % var)
-        out[exp] = out.get(exp, 0) + coeff
+        n0, d0 = out.get(exp, (0, 1))
+        out[exp] = n0 * den + num * d0, d0 * den
     return out
 
 
@@ -159,8 +161,9 @@ def _series_from_terms(terms, order, where):
         raise SemanticError(
             "%s has a b^%d term past the working order %d" % (where, top, order)
         )
-    coeffs = [terms.get(i, Fraction(0)) for i in range(top + 1)]
-    return SeriesB(coeffs, order)
+    den = lcm(*[d for _, d in terms.values()])
+    pairs = [terms.get(e, (0, 1)) for e in range(order + 1)]
+    return SeriesB._lowest([n * (den // d) for n, d in pairs], den, order)
 
 
 def parse_series(text, order=None):
@@ -208,9 +211,9 @@ def _summands(p):
     terms = {}
     top_comp = 1
     for sign in _signs(p):
-        coeff = Fraction(sign)
+        num, den = sign, 1
         if p.peek()[0] == "int":
-            coeff *= _unsigned_rational(p)
+            num, den = _unsigned_rational(p, sign)
             p.expect("*", "'*' after the coefficient")
         if not p.accept("s"):
             p.fail("expected an s power")
@@ -226,7 +229,7 @@ def _summands(p):
                 "exponent %s leaves the class of %s" % (e, lam)
             )
         logpow = 0
-        poly = {0: Fraction(1)}
+        poly = {0: (1, 1)}
         while p.accept("*"):
             if p.accept("log"):
                 logpow = int(p.expect("int", "a log power")[1]) \
@@ -246,9 +249,9 @@ def _summands(p):
             if comp < 1:
                 p.fail("component indices start at 1", tok)
         top_comp = max(top_comp, comp)
-        for t, c in poly.items():
+        for t, (n, d) in poly.items():
             key = (comp, m0 + t, logpow)
-            terms[key] = terms.get(key, 0) + coeff * c
+            terms[key] = terms.get(key, 0) + Fraction(num * n, den * d)
     return lam, terms, top_comp
 
 
@@ -316,16 +319,12 @@ def print_xi(x):
     if not x.terms:
         return "0 * s^(%s)" % rat_str(x.lam - 1)
     parts = []
-    for (comp, m, j) in sorted(x.terms):
-        c = x.terms[(comp, m, j)]
+    for (comp, m, j), c in sorted(x.terms.items()):
         body = _xi_body(x, comp, m, j)
         mag = abs(c)
         if mag != 1:
             body = "%s * %s" % (rat_str(mag), body)
-        if not parts:
-            parts.append(body if c > 0 else "- " + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
+        parts.append(("- " if c < 0 else "+ " if parts else "") + body)
     return " ".join(parts)
 
 
@@ -336,14 +335,18 @@ def series_to_json(s):
     return {"order": s.order, "coeffs": [rat_str(c) for c in s.coeffs]}
 
 
-def series_from_json(d, order=None):
+def series_from_json(d, order=None, where="series payload"):
     if not isinstance(d, dict) or \
             not isinstance(d.get("coeffs"), (list, tuple)):
         raise SemanticError("series payload needs a 'coeffs' list")
+    bound = "its stated order" if "order" in d else "the working order"
     order = d.get("order", order)
     try:
-        return SeriesB([rat(c) for c in d["coeffs"]],
-                       None if order is None else _json_int(order, "order"))
+        cs = [rat(c) for c in d["coeffs"]]
+        if order is not None and 0 <= _json_int(order, "order") < len(cs) - 1:
+            raise SemanticError("%s has a b^%d term past %s %d"
+                                % (where, len(cs) - 1, bound, order))
+        return SeriesB(cs, order)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SemanticError("bad series payload: %s" % exc)
 
@@ -361,11 +364,11 @@ def fresco_from_json(d, order=None):
     if not isinstance(d, dict) or not isinstance(d.get("factors"), list):
         raise SemanticError("presentation payload needs a 'factors' list")
     factors = []
-    for f in d["factors"]:
+    for i, f in enumerate(d["factors"], 1):
         if not isinstance(f, dict) or "lambda" not in f or "unit" not in f:
             raise SemanticError("each factor needs 'lambda' and 'unit'")
         factors.append((_json_rat(f["lambda"], "exponent"),
-                        series_from_json(f["unit"], order)))
+                        series_from_json(f["unit"], order, "unit %d" % i)))
     return Presentation(factors)
 
 

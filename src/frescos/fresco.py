@@ -19,7 +19,7 @@ reads the l_j off its Bernstein roots and peels one S_j at a time.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .algebra import (
@@ -70,9 +70,12 @@ class Presentation:
                 raise NonUnitSeries(
                     "unit at position %d must have constant term 1" % j
                 )
-        # a presentation is immutable, so its steps are computed once
+        # immutable, so the steps are computed once: ints where integral
         ls = self.lambdas
-        self._p_values = tuple(ls[j + 1] - ls[j] + 1 for j in range(k - 1))
+        self._p_values = tuple(
+            q + 1 if a.denominator == b.denominator and not r else b - a + 1
+            for a, b in zip(ls, ls[1:])
+            for q, r in [divmod(b.numerator - a.numerator, a.denominator)])
 
     @property
     def rank(self):
@@ -87,8 +90,8 @@ class Presentation:
         return tuple(u for _, u in self.factors)
 
     def p_values(self):
-        """p_j = l_{j+1} - l_j + 1 for j = 1..k-1."""
-        return self._p_values
+        """p_j = l_{j+1} - l_j + 1 for j = 1..k-1, as Fractions."""
+        return tuple(map(Fraction, self._p_values))
 
     def mu(self):
         return sum(self.lambdas, Fraction(0))
@@ -100,11 +103,11 @@ class Presentation:
 
     def is_primitive(self):
         """One class mod 1: every step p_j = l_(j+1) - l_j + 1 integral."""
-        return all(p.denominator == 1 for p in self._p_values)
+        return all(type(p) is int for p in self._p_values)
 
     def is_principal(self):
         """l_j + j non decreasing, i.e. every p_j >= 0 an integer."""
-        return all(p >= 0 and p.denominator == 1 for p in self.p_values())
+        return all(type(p) is int and p >= 0 for p in self._p_values)
 
     def __eq__(self, other):
         if not isinstance(other, Presentation):
@@ -368,34 +371,38 @@ def _bernstein_invariants(ann, lam):
     degree r sends the generator of the rank-1 module a e = mu b e to
     P(mu) b^r e with P(mu) = sum_m h_m (mu+r-m)...(mu+r-1).  For
     (a - l_1 b)...(a - l_r b) it is prod_j (mu - l_j - j + r), so the
-    invariants l_j + j are the roots of P plus r.  Its roots lam + n,
-    n = 0, 1, ..., are divided out synthetically one at a time.  The d
-    roots left sum to minus P's second coefficient; once d (lam + n)
-    passes that sum they cannot all lie at lam + n or above, so the
-    search refuses there.
+    invariants l_j + j are the roots of P plus r.  On integers, P is held
+    as D P (D the lcm of the denominators it reads); for lam = a/q a root
+    lam + n = t/q, t = a + n q, is found by integer Horner on q^d P(t/q)
+    and divided out by (q x - t), exactly by Gauss's lemma.  The d roots
+    left sum to -P_1 / P_0; once d t P_0 > -P_1 q, i.e. d (lam + n)
+    passes that sum, they cannot all lie at lam + n or above: refused.
     """
-    # P nested: Q_r = 1, Q_m = h_m + (mu+r-1-m) Q_(m+1), P = Q_0; the
-    # coefficients are kept highest power first
+    # D P nested: Q_r = D, Q_m = D h_m + (mu+r-1-m) Q_(m+1), D P = Q_0;
+    # the coefficients are kept highest power first
     r = ann.degree
-    poly = [Fraction(1)]
+    den = lcm(*[ann.coeff_series(m).den for m in range(r)])
+    poly = [den]
     for m in range(r - 1, -1, -1):
-        shift = r - 1 - m
+        shift, h = r - 1 - m, ann.coeff_series(m)
         poly = [x + shift * y for x, y in zip(poly + [0], [0] + poly)]
-        poly[-1] += ann.coeff_series(m).coeff(r - m)
+        # coeff raises CoefficientBeyondOrder past the known order
+        poly[-1] += h.nums[r - m] * (den // h.den) if r - m <= h.order \
+            else h.coeff(r - m)
     invariants = []
-    n = 0
+    t, q = lam.numerator, lam.denominator
     while len(invariants) < r:
-        mu = lam + n
-        if (len(poly) - 1) * mu > -poly[1]:
+        if (len(poly) - 1) * t * poly[0] > -poly[1] * q:
             raise NotMonogenicAtTruncation(
                 "initial form has no right root in the exponent class"
             )
-        horner = list(accumulate(poly, lambda acc, c: acc * mu + c))
+        horner = list(accumulate([c * q ** i for i, c in enumerate(poly)],
+                                 lambda acc, c: acc * t + c))
         if horner[-1]:
-            n += 1
+            t += q
         else:
-            poly = horner[:-1]
-            invariants.append(mu + r)
+            poly = [h // q ** i for i, h in enumerate(horner[:-1], 1)]
+            invariants.append(Fraction(t, q) + r)
     return invariants
 
 
@@ -443,18 +450,19 @@ def _peel_unit(ann, mu, k):
         if acc and not dn:
             raise NotMonogenicAtTruncation(
                 "unit peel at exponent %s is obstructed in slot %d" % (mu, n))
-        t = Fraction(-acc, dn or 1)
-        if t.denominator != 1:
-            nums = [x * t.denominator for x in nums]
-            s = [[x * t.denominator for x in sm] for sm in s]
-            den *= t.denominator
-        nums.append(t.numerator)
-        if t.numerator:
+        g = (gcd(acc, dn) if dn > 0 else -gcd(acc, dn)) or 1
+        tn, td = -acc // g, (dn or 1) // g
+        if td != 1:
+            nums = [x * td for x in nums]
+            s = [[x * td for x in sm] for sm in s]
+            den *= td
+        nums.append(tn)
+        if tn:
             for sm, ts in zip(s, terms):
                 for j, x in ts:
                     if n + j >= len(sm):
                         break
-                    sm[n + j] += t.numerator * x
+                    sm[n + j] += tn * x
     unit = SeriesB._make(tuple(nums), den, tmax)
     if not tmax and deg:
         raise OrderUnderflow(_UNDERFLOW)

@@ -11,8 +11,9 @@ a zero series has den == 1.  So equality and hashing are exact, and
 every operation runs on integers: a sum on one lcm of the two
 denominators (none when they agree), a negation or a shift with no
 gcd, a product, a rational scale, a derivative or a truncation with
-one content gcd for the whole result.  Fractions appear only at the
-edges: coeff(n), constant(), the read-only coeffs view and the display.
+one content gcd for the whole result; the constructors, too, are integer,
+and the display takes one gcd per term.  Only coeff(n), constant() and
+the read-only coeffs view build Fractions.
 A monomial operand (1, or the -lambda b slot of a linear factor)
 rescales and shifts the other one; otherwise the products of the
 nonzero pairs with i + j <= n are summed.
@@ -81,6 +82,13 @@ def rat(x):
     return Fraction(x)
 
 
+def _known(order):
+    """order itself, refused when negative."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return order
+
+
 def rat_str(x):
     """Canonical string for a rational: '3', '-5/2'."""
     return str(rat(x))
@@ -97,9 +105,7 @@ class SeriesB:
             order = len(cs) - 1
             if order < 0:
                 raise ValueError("need at least one coefficient or an order")
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(cs) > order + 1:
+        if len(cs) > _known(order) + 1:
             raise ValueError("more coefficients than the stated order allows")
         # over the lcm of lowest-terms denominators the content is 1;
         # shorter lists mean the remaining known coefficients are zero
@@ -132,11 +138,11 @@ class SeriesB:
 
     @classmethod
     def zero(cls, order=DEFAULT_ORDER):
-        return cls([], order)
+        return cls._make((0,) * (_known(order) + 1), 1, order)
 
     @classmethod
     def one(cls, order=DEFAULT_ORDER):
-        return cls([1], order)
+        return cls._make((1,) + (0,) * _known(order), 1, order)
 
     @classmethod
     def monomial(cls, coeff, exp, order=DEFAULT_ORDER):
@@ -145,7 +151,9 @@ class SeriesB:
             raise ValueError("negative monomial exponent")
         if exp > order:
             raise ValueError("monomial exponent past the stated order")
-        return cls([0] * exp + [coeff], order)
+        c = rat(coeff)
+        return cls._make((0,) * exp + (c.numerator,) + (0,) * (order - exp),
+                         c.denominator, order)
 
     # --- access ---
 
@@ -243,9 +251,7 @@ class SeriesB:
             raise CoefficientBeyondOrder(
                 "cannot extend order %d to %d" % (self.order, order)
             )
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if order == self.order:
+        if _known(order) == self.order:
             return self
         return SeriesB._lowest(self.nums[: order + 1], self.den, order)
 
@@ -366,13 +372,14 @@ def _quotient(x, s):
 
 
 def format_series(s):
-    """Render like '1 + 3b^2 - 1/2b^5'."""
+    """Render like '1 + 3b^2 - 1/2b^5', one gcd per nonzero coefficient."""
     parts = []
     for i, x in enumerate(s.nums):
         if x:
-            mag = Fraction(abs(x), s.den)
-            body = str(mag) if i == 0 else (
-                ("" if mag == 1 else str(mag)) + ("b" if i == 1 else "b^%d" % i))
+            g = gcd(x, s.den)
+            mag = ("%d/%d" % (abs(x) // g, s.den // g)).removesuffix("/1")
+            body = mag if i == 0 else (
+                ("" if mag == "1" else mag) + ("b" if i == 1 else "b^%d" % i))
             sign = ("-" if x < 0 else "") if not parts else ("- " if x < 0 else "+ ")
             parts.append(sign + body)
     return " ".join(parts) or "0"

@@ -115,7 +115,8 @@ def reference_classify_rank2(p):
         )
     if step == 0:
         return Rank2Class(lam1, lam2, step, Fraction(1), True)
-    alpha = alpha_module._step_coeff(p, 1, 2, 0, p, 1)
+    alpha = Fraction(alpha_module._step_coeff(p, 1, 2, 0, p, 1),
+                     p.units[0].den)
     return Rank2Class(lam1, lam2, step, alpha, alpha != 0)
 
 
@@ -819,3 +820,34 @@ def test_alpha_does_not_depend_on_the_generator():
                     % (codim, alpha))
     # g generates E, so its presentation is one of E's
     assert Analysis(regenerate_presentation(model, g)).alpha() == alpha
+
+
+@pytest.mark.parametrize("literal", [
+    "fresco: (3 | 1) (4 | 1)",                               # alpha 0
+    "fresco: (3 | 1 + 2b^2) (4 | 1)",
+    "fresco: (3 | 1 + 2b) (3 | 1)",                          # p_1 = 1
+    "fresco: (3 | 1) (2 | 1)",                               # p_1 = 0
+    "fresco: (5/2 | 1 + 3b^2) (7/2 | 1)",
+    "fresco: (5/2 | 1) (7/2 | 1)",                           # alpha 0
+    "fresco: (5 | 1) (6 | 1) (7 | 1)",                       # alpha 0
+    "fresco: (7/2 | 1 - 3b^3) (9/2 | 1) (9/2 | 1)",
+    "fresco: (10/3 | 1 + 3/2b^4) (10/3 | 1 + 3b^2) (16/3 | 1 - 1/2b^5)",
+    "fresco: (9/2 | 1 + 4b^5) (9/2 | 1 - 2b^6) (9/2 | 1 + 3b^6) (13/2 | 1)",
+])
+def test_public_values_keep_their_types(literal):
+    # the steps are ints inside a Presentation and the alpha chain tests
+    # numerators, but what a caller reads is a Fraction, alpha 0 included
+    p = parse_fresco(literal, 20)
+    an = Analysis(p)
+    values = [*p.p_values(), *p.bernstein_roots(), p.mu(), *p.lambdas,
+              *an.shown_alpha()[:1]]
+    if p.p_values()[0]:
+        values.append(an.alpha())
+    if p.rank == 2:
+        c = classify_rank2(p)
+        values += [c.lam1, c.lam2, c.p, c.alpha]
+    if p.p_values()[0] and an.alpha():
+        for t in (an.subtheme(), an.quotient_theme()):
+            values += [t.low, t.high, t.p, t.parameter]
+    assert all(type(v) is Fraction for v in values), values
+    assert len(values) >= 3 * p.rank

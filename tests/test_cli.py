@@ -547,6 +547,28 @@ def test_json_unit_takes_order_from_order():
     assert rep["diagnostics"]["unit_orders"] == [20, 5]
 
 
+def test_json_unit_past_the_order_names_the_unit_and_the_order():
+    # an orderless unit longer than the working order gets the literal's
+    # refusal; a unit past the order it states names that order
+    payload = '{"factors": [{"lambda": "3", "unit": {"coeffs": ' \
+        '["1","0","0","0","0","0","1"]%s}}, ' \
+        '{"lambda": "4", "unit": {"coeffs": ["1"]}}]}'
+    argv = ["analyze", "--order", "4", "--seed", "1"]
+    literal = run_json(argv + ["fresco: (3 | 1 + b^6) (4 | 1)"])
+    for extra, message in [
+            ("", "unit 1 has a b^6 term past the working order 4"),
+            (', "order": 5', "unit 1 has a b^6 term past its stated order 5")]:
+        code, (rep,) = run_json(argv + [payload % extra])
+        assert code == EXIT_DOMAIN
+        assert (rep["error"], rep["message"]) == ("SemanticError", message)
+        if not extra:
+            assert (code, rep["error"], rep["message"]) == \
+                (literal[0], literal[1][0]["error"], literal[1][0]["message"])
+    # a negative stated order keeps the series payload's own refusal
+    code, (rep,) = run_json(argv + [payload % ', "order": -1'])
+    assert rep["message"] == "bad series payload: order must be nonnegative"
+
+
 def test_verify_counts_do_not_move_with_depth():
     # six seeded random presentations, drawn alike at both depths
     got = []

@@ -1,10 +1,12 @@
 """Input format coverage: grammar instances, error positions, round-trips."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import frescos.dsl as dsl
 from frescos.dsl import (
     fresco_from_json,
     fresco_to_json,
@@ -22,6 +24,7 @@ from frescos.dsl import (
 )
 from frescos.errors import (
     DslSyntaxError,
+    EngineError,
     MixedPrimitiveClasses,
     NonUnitSeries,
     NotGeometric,
@@ -29,7 +32,8 @@ from frescos.errors import (
 )
 from frescos.fresco import Presentation
 from frescos.series import DEFAULT_ORDER, SeriesB, format_series
-from frescos.xi import XiExpansion
+from frescos.xi import XiExpansion, xi_exponent_split
+from test_cli import mutated_literals
 
 F = Fraction
 
@@ -305,3 +309,236 @@ def test_xi_round_trip(x):
 @given(units(9))
 def test_series_round_trip(s):
     assert parse_series(format_series(s), order=s.order) == s
+
+
+# --- the Fraction parser as the reference of the integer one ---
+#
+# The readers below are the parser as it was when every coefficient was
+# a Fraction; reference_parse swaps them into the dsl module, so its
+# unchanged grammar (_factors, _fresco, _xi, parse_dsl) runs on them.
+
+
+def reference_unsigned_rational(p):
+    num = int(p.expect("int", "a number")[1])
+    if p.accept("/"):
+        tok = p.expect("int", "a denominator")
+        if not int(tok[1]):
+            p.fail("zero denominator", tok)
+        return Fraction(num, int(tok[1]))
+    return Fraction(num)
+
+
+def reference_signed_rational(p):
+    sign = 1
+    while p.peek()[0] in "+-":
+        if p.next()[0] == "-":
+            sign = -sign
+    return sign * reference_unsigned_rational(p)
+
+
+def reference_poly_terms(p, var):
+    out = {}
+    for sign in dsl._signs(p):
+        coeff = Fraction(sign)
+        bare = p.peek()[0] != "int"
+        if not bare:
+            coeff *= reference_unsigned_rational(p)
+            p.accept("*")
+        exp = 0
+        if p.accept(var):
+            exp = int(p.expect("int", "an exponent")[1]) if p.accept("^") \
+                else 1
+        elif bare:
+            p.fail("expected a coefficient or %r" % var)
+        out[exp] = out.get(exp, 0) + coeff
+    return out
+
+
+def reference_series_from_terms(terms, order, where):
+    top = max(terms)
+    if order is None:
+        order = max(top, DEFAULT_ORDER)
+    elif top > order:
+        raise SemanticError(
+            "%s has a b^%d term past the working order %d" % (where, top, order)
+        )
+    coeffs = [terms.get(i, Fraction(0)) for i in range(top + 1)]
+    return SeriesB(coeffs, order)
+
+
+def reference_summands(p):
+    lam = None
+    terms = {}
+    top_comp = 1
+    for sign in dsl._signs(p):
+        coeff = Fraction(sign)
+        if p.peek()[0] == "int":
+            coeff *= reference_unsigned_rational(p)
+            p.expect("*", "'*' after the coefficient")
+        if not p.accept("s"):
+            p.fail("expected an s power")
+        p.expect("^")
+        p.expect("(")
+        e = reference_signed_rational(p)
+        p.expect(")")
+        lam_here, m0 = xi_exponent_split(e)
+        if lam is None:
+            lam = lam_here
+        elif lam != lam_here:
+            raise MixedPrimitiveClasses(
+                "exponent %s leaves the class of %s" % (e, lam)
+            )
+        logpow = 0
+        poly = {0: Fraction(1)}
+        while p.accept("*"):
+            if p.accept("log"):
+                logpow = int(p.expect("int", "a log power")[1]) \
+                    if p.accept("^") else 1
+            elif p.accept("["):
+                poly = reference_poly_terms(p, "s")
+                p.expect("]")
+            else:
+                p.fail("expected 'log' or a '[...]' shift polynomial")
+        comp = 1
+        if p.accept("@"):
+            tok = p.expect("name", "a component like v1")
+            if tok[1] != "v":
+                p.fail("components are written v1, v2, ...", tok)
+            tok = p.expect("int", "a component index")
+            comp = int(tok[1])
+            if comp < 1:
+                p.fail("component indices start at 1", tok)
+        top_comp = max(top_comp, comp)
+        for t, c in poly.items():
+            key = (comp, m0 + t, logpow)
+            terms[key] = terms.get(key, 0) + coeff * c
+    return lam, terms, top_comp
+
+
+def parsed_or_error(parse, *args):
+    """What parse returns, with the steps and stored form of each unit of
+    a presentation, or the error's class and message (which ends with
+    the line and column of a syntax error)."""
+    try:
+        got = parse(*args)
+    except EngineError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), \
+            getattr(exc, "column", None)
+    if isinstance(got, SeriesB):
+        return got, got.nums, got.den, got.order
+    if isinstance(got, Presentation):
+        return got, got.p_values(), \
+            [(u.nums, u.den, u.order) for u in got.units]
+    return got, sorted(got.terms.items())
+
+
+def reference_parse(parse, *args):
+    """parse(*args) with the Fraction readers in place of the integer ones."""
+    with mock.patch.multiple(
+            dsl, _unsigned_rational=reference_unsigned_rational,
+            _signed_rational=reference_signed_rational,
+            _poly_terms=reference_poly_terms,
+            _series_from_terms=reference_series_from_terms,
+            _summands=reference_summands):
+        return parsed_or_error(parse, *args)
+
+
+DIGITS = "0123456789"
+# Arabic-Indic, Devanagari and fullwidth digits are decimal digits too
+UNICODE_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668"
+                  "\u0669", "\u0966\u0967\u0968\u0969\u096a\u096b\u096c"
+                  "\u096d\u096e\u096f", "\uff10\uff11\uff12\uff13\uff14"
+                  "\uff15\uff16\uff17\uff18\uff19")
+
+
+@st.composite
+def numerals(draw, low=0):
+    """A decimal numeral of up to 60 digits, at times in another script."""
+    n = draw(st.integers(low, 10 ** 6) | st.integers(low, 10 ** 60))
+    text = str(n)
+    if draw(st.integers(0, 5)) == 0:
+        text = text.translate(str.maketrans(
+            DIGITS, draw(st.sampled_from(UNICODE_DIGITS))))
+    return text
+
+
+@st.composite
+def rationals_text(draw):
+    """n or n/d, at times with a zero denominator."""
+    num = draw(numerals())
+    if draw(st.booleans()):
+        return num
+    return "%s/%s" % (num, draw(numerals(low=int(draw(st.integers(0, 7)) > 0))))
+
+
+@st.composite
+def sums_text(draw, var="b", lead=""):
+    """A signed sum of c var^e summands after lead: sign runs (--b), bare
+    var, var^0, exponents from a small set so they repeat, and at times a
+    summand taken back (1 + b - b) so that an exponent sums to zero."""
+    parts = [lead] if lead else []
+    for i in range(draw(st.integers(1, 5))):
+        signs = draw(st.sampled_from(("", "", "", "+", "-", "- ", "--")))
+        if (i or lead) and not signs:
+            signs = draw(st.sampled_from(("+", "-")))
+        coeff = draw(st.none() | rationals_text())
+        star = draw(st.sampled_from(("", "", "*"))) if coeff else ""
+        exp = draw(st.sampled_from((None, 0, 1, 1, 2, 3, 5) if not lead
+                                   else (None, 1, 1, 2, 3, 5, 5)))
+        power = "" if exp is None else draw(st.sampled_from(
+            (var, "%s^%d" % (var, exp)) if exp == 1 else ("%s^%d" % (var, exp),)))
+        if coeff is None and not power:
+            power = var
+        body = (coeff or "") + star + power
+        parts.append(signs + " " + body)
+        if draw(st.integers(0, 4)) == 0:
+            parts.append("- " + body if signs in ("", "+") else "+ " + body)
+    return " ".join(parts)
+
+
+@st.composite
+def fresco_texts(draw):
+    """A presentation literal: optional tag, one to four factors, signed
+    exponents (mostly geometric) and generated units, most of them
+    1 + a sum."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(("", "", "", "+", "-", "--")))
+        lam = draw(st.sampled_from(("5", "7/2", "9/3", "13/4", "6"))
+                   | rationals_text())
+        unit = draw(sums_text(lead=draw(st.sampled_from(("1", "1", "")))))
+        factors.append("(%s%s | %s)" % (sign, lam, unit))
+    return draw(st.sampled_from(("", "fresco: ", "fresco:"))) + \
+        " ".join(factors)
+
+
+@settings(max_examples=200, deadline=None)
+@example("1 + b - b", None)
+@example("b + b + 1/2b", 3)
+@example("1 + b^0 - 1", 2)
+@example("--b", 4)
+@example("\u0663/\u0664 + \uff12b^\u0663", None)
+@example("1/0 + b", 4)
+@example("1 + b^9", 8)
+@given(sums_text(), st.none() | st.integers(0, 12))
+def test_series_literals_parse_as_the_fraction_reference(text, order):
+    assert parsed_or_error(parse_series, text, order) == \
+        reference_parse(parse_series, text, order)
+
+
+@settings(max_examples=200, deadline=None)
+@example("fresco: (3 | 1 + b - b) (4 | 1)", None)
+@example("(--5/2 | 1 + 3b^2 + b^2) (7/2 | 1/2 + 1/2)", 6)
+@example("(5 | " + "9" * 60 + "/" + "7" * 60 + "b^2 + 1)", None)
+@given(fresco_texts(), st.none() | st.integers(0, 12))
+def test_fresco_literals_parse_as_the_fraction_reference(text, order):
+    assert parsed_or_error(parse_fresco, text, order) == \
+        reference_parse(parse_fresco, text, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_literals(), st.none() | st.integers(4, 10))
+def test_mutated_literals_fail_as_the_fraction_reference(text, order):
+    # the same object, or the same error class, message, line and column
+    assert parsed_or_error(parse_dsl, text, order) == \
+        reference_parse(parse_dsl, text, order)

@@ -944,3 +944,72 @@ def test_presentation_from_annihilator_refuses_what_it_cannot_peel():
     with pytest.raises(SemanticError, match="monic"):
         presentation_from_annihilator(monicize(ann.from_series(unit())),
                                       rat("1/2"))
+
+
+def reference_bernstein_invariants(ann, lam):
+    """_bernstein_invariants as it was: P and its Horner values on
+    Fractions, each root divided out by x - mu."""
+    r = ann.degree
+    poly = [Fraction(1)]
+    for m in range(r - 1, -1, -1):
+        shift = r - 1 - m
+        poly = [x + shift * y for x, y in zip(poly + [0], [0] + poly)]
+        poly[-1] += ann.coeff_series(m).coeff(r - m)
+    invariants = []
+    n = 0
+    while len(invariants) < r:
+        mu = lam + n
+        if (len(poly) - 1) * mu > -poly[1]:
+            raise NotMonogenicAtTruncation(
+                "initial form has no right root in the exponent class"
+            )
+        horner = list(accumulate(poly, lambda acc, c: acc * mu + c))
+        if horner[-1]:
+            n += 1
+        else:
+            poly = horner[:-1]
+            invariants.append(mu + r)
+    return invariants
+
+
+def invariants_or_error(f, ann, lam):
+    """The invariants with their types, or the error's class and message."""
+    try:
+        got = f(ann, lam)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return [(type(x), x) for x in got]
+
+
+@st.composite
+def bernstein_cases(draw):
+    """The monic expansion of a random primitive presentation of rank
+    1-5 in a class lam, known to order 1-8 (at times below the degree,
+    so a read is past the order), read at lam, or at times perturbed so
+    that the search refuses: one homogeneous coefficient moved, or
+    another class read."""
+    r = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3),
+                                Fraction(2, 5), Fraction(5, 7), Fraction(1))))
+    lambdas = [lam + r - j + draw(st.integers(0, 4)) for j in range(1, r + 1)]
+    order = draw(st.integers(1, 8))
+    units = [SeriesB([1] + draw(st.lists(st.just(0) | unrelated,
+                                         min_size=order, max_size=order)),
+                     order) for _ in range(r)]
+    bump = None
+    if draw(st.integers(0, 2)) == 0:
+        m = draw(st.integers(0, r - 1))
+        if r - m <= order:
+            bump = (m, r - m, draw(unrelated))
+    ann, _, _ = peel_case(lambdas, units, bump)
+    return ann, draw(st.sampled_from((lam, lam, lam, lam / 2, lam + 1,
+                                      Fraction(1, 11))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bernstein_cases())
+def test_bernstein_invariants_are_the_fraction_reference(case):
+    # equal Fractions, or the same error class and message: a read past
+    # the order, or a search that finds no root in the class
+    assert invariants_or_error(fresco_module._bernstein_invariants, *case) \
+        == invariants_or_error(reference_bernstein_invariants, *case)

@@ -12,7 +12,7 @@ from frescos.errors import (
     InversionOfNonUnit,
     ResonantObstruction,
 )
-from frescos.series import SeriesB, rat, solve_resonant_ode
+from frescos.series import SeriesB, format_series, rat, solve_resonant_ode
 
 
 def S(*coeffs, order=None):
@@ -100,6 +100,52 @@ def test_monomial_refuses_negative_exponent():
     with pytest.raises(ValueError):
         SeriesB.monomial(3, -2, 5)
     assert SeriesB.monomial(3, 0, 5) == S(3, order=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40),
+       st.sampled_from([0, 1, -1, 7, Fraction(-3, 4), Fraction(10, 4), "5/6",
+                        Fraction(2 ** 70 + 1, 3 ** 50)]))
+def test_integer_constructors_are_the_general_one(order, exp, c):
+    # zero, one and monomial build their numerators directly: the stored
+    # form of the general constructor, and its refusals
+    assert (SeriesB.zero(order).nums, SeriesB.zero(order).den) == \
+        (S(order=order).nums, 1)
+    assert at_rest(SeriesB.zero(order)) and at_rest(SeriesB.one(order))
+    assert SeriesB.one(order) == S(1, order=order)
+    if exp <= order:
+        m = SeriesB.monomial(c, exp, order)
+        assert at_rest(m)
+        assert m == S(*[0] * exp, c, order=order)
+    else:
+        with pytest.raises(ValueError, match="past the stated order"):
+            SeriesB.monomial(c, exp, order)
+
+
+@pytest.mark.parametrize("build", [SeriesB.zero, SeriesB.one,
+                                   lambda order: S(order=order)])
+def test_a_negative_order_is_refused(build):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        build(-1)
+
+
+@pytest.mark.parametrize("coeff", [0.5, True, 1.0])
+def test_monomial_refuses_floats_and_bools(coeff):
+    with pytest.raises(TypeError):
+        SeriesB.monomial(coeff, 1, 4)
+
+
+def reference_format_series(s):
+    """format_series as it was, one Fraction per printed coefficient."""
+    parts = []
+    for i, x in enumerate(s.nums):
+        if x:
+            mag = Fraction(abs(x), s.den)
+            body = str(mag) if i == 0 else (
+                ("" if mag == 1 else str(mag)) + ("b" if i == 1 else "b^%d" % i))
+            sign = ("-" if x < 0 else "") if not parts else ("- " if x < 0 else "+ ")
+            parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 # --- the scaled-integer kernel against a schoolbook reference ---
@@ -428,3 +474,12 @@ def test_inverse_of_structured_and_inflated_units_matches_schoolbook():
         inv = s.invert()
         assert list(inv.coeffs) == schoolbook_inverse(s)
         assert in_lowest_terms(inv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_series(max_order=30, big_dense_order=20), st.integers(1, 10 ** 20))
+def test_format_series_is_the_fraction_reference(s, d):
+    # den > 1 and negative numerators: s itself, and s over a further d
+    # (which also makes numerators of 1 whose denominators are not)
+    for x in (s, s * Fraction(1, d), -s):
+        assert format_series(x) == reference_format_series(x)
