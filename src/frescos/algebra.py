@@ -91,9 +91,6 @@ class AbElement:
             return SeriesB.zero(self.coeffs[0].order)
         return self.coeffs[m]
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     # --- ring operations ---
 
     def _zip(self, other):

@@ -218,7 +218,7 @@ def _random_generator(model, rng):
         if j == k - 1 and cs[0] == 0:
             cs[0] = Fraction(1)
         coords.append(SeriesB(cs, order))
-    return model.element(coords)
+    return [s * c for s, c in zip(model.sub, coords)]
 
 
 def _oracle_check_one(p, M, rng):
@@ -249,13 +249,12 @@ def _oracle_check_one(p, M, rng):
     # each expansion is built to the order it is compared at
     want = monic_expansion(p.factors, M - k)
     model = AdaptedModel(p, order=M)
-    e_k = model.element([SeriesB.zero(M)] * (k - 1) + [model.sub[k - 1]])
+    e_k = [SeriesB.zero(M)] * (k - 1) + [model.sub[k - 1]]
     ann = minimal_annihilator(rep, rep.embed(e_k))
     if not ann.same_upto(want, M - k):
         fails.append("annihilator")
     g = _random_generator(model, rng)
     try:
-        g = model.element([s * c for s, c in zip(model.sub, g.coords)])
         q = regenerate_presentation(model, g)
         ann_g = minimal_annihilator(rep, rep.embed(g))
         # regenerated units carry reduced orders, so compare where both

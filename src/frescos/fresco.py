@@ -207,52 +207,15 @@ def _drift(h, c, n, rest):
     return SeriesB._lowest(total, den, n)
 
 
-class ModuleElement:
-    """Element of an adapted model: coordinate series against f_1..f_k."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = list(coords)
-        n = min(c.order for c in coords)
-        self.coords = tuple(c if c.order == n else c.truncate(n) for c in coords)
-
-    @property
-    def order(self):
-        return self.coords[0].order
-
-    @property
-    def rank(self):
-        return len(self.coords)
-
-    def coord(self, j):
-        """1-based coordinate against f_j."""
-        return self.coords[j - 1]
-
-    def scale(self, s):
-        return ModuleElement([s * c for c in self.coords])
-
-    def __add__(self, other):
-        return ModuleElement([x + y for x, y in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        return ModuleElement([x - y for x, y in zip(self.coords, other.coords)])
-
-    def is_zero(self):
-        return all(c.valuation() is None for c in self.coords)
-
-    def __repr__(self):
-        return "ModuleElement(%s)" % ", ".join(str(c) for c in self.coords)
-
-
 class AdaptedModel:
     """The concrete C[[b]]-module attached to a presentation.
 
-    Coordinates are series known to the model's order >= 1, against
+    An element is the sequence of its f-coordinates, series against
     f_j = S_j^-1 e_j; an element with e-coordinates G_j has
     f-coordinates S_j G_j.  The first m basis vectors span the
-    submodule F_m, which a maps to itself, so apply_a acts on an element
-    of any F_m given by its m coordinates.
+    submodule F_m, which a maps to itself, so an element of F_m has m
+    coordinates and apply_a keeps it in F_m.  The actions work to the
+    least order of x and the model's order >= 1, and return tuples.
     """
 
     def __init__(self, presentation, order):
@@ -264,43 +227,43 @@ class AdaptedModel:
     def rank(self):
         return self.presentation.rank
 
-    def element(self, coords):
-        if len(coords) != self.rank:
-            raise ValueError("expected %d coordinates" % self.rank)
-        return ModuleElement(coords)
+    def _fits(self, x):
+        """Refuse an element with no coordinates or more than the rank."""
+        if not 0 < len(x) <= self.rank:
+            raise ValueError("element has %d coordinates, model rank is %d"
+                             % (len(x), self.rank))
 
     def apply_a(self, x, lam=0):
         """(a - lam b) x in one pass: coordinate j is the sum
         b^2 H_j' + (l_j - lam) b H_j + S_j H_{j+1} over one denominator,
-        with no term for a zero H.  x lies in F_m for m = x.rank
-        coordinates, and so does the result.
+        with no term for a zero H.
         """
+        self._fits(x)
         lam = rat(lam)
-        n = min(self.order, x.order)
-        out = []
-        for j, (l, h, nxt) in enumerate(zip(self.presentation.lambdas,
-                                            x.coords, x.coords[1:] + (None,))):
-            rest = self.sub[j] * nxt if nxt else None
-            out.append(_drift(h, l - lam, n, rest))
-        return ModuleElement(out)
+        n = min(self.order, *(c.order for c in x))
+        return tuple(
+            _drift(h, l - lam, n, self.sub[j] * nxt if nxt else None)
+            for j, (l, h, nxt) in enumerate(zip(self.presentation.lambdas,
+                                                x, (*x[1:], None))))
 
     def apply_b(self, x):
-        return ModuleElement([c.shift(1) for c in x.coords])
+        self._fits(x)
+        return tuple(c.shift(1) for c in x)
 
     def apply_op(self, u, x):
-        """Act by a normal form sum a^m c_m(b): each term is a^m (c_m x)."""
-        out = None
+        """Act by a normal form sum a^m c_m(b): each term is a^m (c_m x),
+        summed onto zeros at the least order of x."""
+        self._fits(x)
+        out = [SeriesB.zero(min(c.order for c in x))] * len(x)
         for m in range(u.degree + 1):
             c = u.coeff_series(m)
             if c.valuation() is None:
                 continue
-            t = x.scale(c)
+            t = [c * h for h in x]
             for _ in range(m):
                 t = self.apply_a(t)
-            out = t if out is None else out + t
-        if out is None:
-            return x.scale(SeriesB.zero(x.order))
-        return out
+            out = [y + z for y, z in zip(out, t)]
+        return tuple(out)
 
 
 def regenerate_presentation(model, g):
@@ -315,11 +278,9 @@ def regenerate_presentation(model, g):
     H_m / Sigma_m, is the constant H_m(0).  A vanishing constant term
     H_m(0) means g fails to generate and raises NotAGenerator.
     """
-    coords = [c.truncate(min(c.order, model.order)) for c in g.coords]
+    model._fits(g)
+    coords = [c.truncate(min(c.order, model.order)) for c in g]
     k = len(coords)
-    if k > model.rank:
-        raise ValueError("generator has %d coordinates, model rank is %d"
-                         % (k, model.rank))
     lambdas = model.presentation.lambdas[:k]
     new_units = [None] * k
     for m in range(k, 0, -1):
@@ -331,14 +292,12 @@ def regenerate_presentation(model, g):
         new_units[m - 1] = sigma
         if m == 1:
             break
-        x = ModuleElement([c / sigma for c in coords[:m - 1]]
-                          + [SeriesB([c0], hm.order)])
-        y = model.apply_a(x, lambdas[m - 1])
-        top = y.coord(m)
-        if top.valuation() is not None:
+        y = model.apply_a([c / sigma for c in coords[:m - 1]]
+                          + [SeriesB([c0], hm.order)], lambdas[m - 1])
+        if y[m - 1].valuation() is not None:
             raise AssertionError("stage %d residue should vanish, got %s"
-                                 % (m, top))
-        coords = list(y.coords[: m - 1])
+                                 % (m, y[m - 1]))
+        coords = list(y[:m - 1])
     order = min(u.order for u in new_units)
     return Presentation(
         [(lam, u.truncate(order)) for lam, u in zip(lambdas, new_units)]

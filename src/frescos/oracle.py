@@ -77,14 +77,15 @@ class TruncatedRep:
         coordinate H_j against f_j fills b^m f_j, m < M.  An element of
         F_m has m <= k coordinates; more than k would be misplaced and
         ones known below order M zero-filled, so both are refused."""
-        if x.rank > self.k:
+        if len(x) > self.k:
             raise ValueError("element has %d coordinates, rank is %d"
-                             % (x.rank, self.k))
-        if x.order < self.M:
+                             % (len(x), self.k))
+        order = min(c.order for c in x)
+        if order < self.M:
             raise OrderUnderflow(
-                "series known to order %d, need %d" % (x.order, self.M))
+                "series known to order %d, need %d" % (order, self.M))
         out = {}
-        for j, c in enumerate(x.coords, start=1):
+        for j, c in enumerate(x, start=1):
             for m, v in enumerate(c.nums[: self.M]):
                 if v:
                     out[self.idx(j, m)] = Fraction(v, c.den)

@@ -115,7 +115,7 @@ def rand_generator(model, rng):
         if j == k - 1:
             cs[0] = F(1)
         coords.append(SeriesB(cs, order))
-    return model.element(coords)
+    return coords
 
 
 # --- exact nullspace, for the uniqueness criterion ---

@@ -136,7 +136,7 @@ def left_divide(u, p):
     top_inv = top.invert()
     q = AbElement([SeriesB.zero(top.order)])
     r = u
-    while r.degree >= d and not r.is_zero():
+    while r.degree >= d and any(r.coeffs):
         m = r.degree
         t = r.coeff_series(m) * top_inv
         if not any(t.nums):

@@ -31,13 +31,12 @@ from frescos.errors import (
     SemanticError,
     WrongRank,
 )
-from frescos.fresco import (AdaptedModel, ModuleElement, Presentation,
+from frescos.fresco import (AdaptedModel, Presentation,
                             regenerate_presentation, sub_quotient, twist)
 from frescos.cli import _random_generator, main
 from frescos.oracle import submodule_analysis, truncate_rep
 from frescos.series import SeriesB, rat, solve_resonant_ode
-from test_fresco import (EBasisModel, count_inversions, f_coords,
-                         reference_regenerate)
+from test_fresco import EBasisModel, count_inversions, reference_regenerate
 
 ORDER = 20
 
@@ -342,8 +341,7 @@ def rank2_with_generator(draw):
 def test_rank2_class_is_generator_independent(arg):
     p, u, v = arg
     model = AdaptedModel(p, order=ORDER)
-    g = model.element([v, u])
-    q = regenerate_presentation(model, g)
+    q = regenerate_presentation(model, [v, u])
     a, b = classify_rank2(p), classify_rank2(q)
     assert (a.lam1, a.lam2, a.p) == (b.lam1, b.lam2, b.p)
     assert a.alpha == b.alpha
@@ -528,15 +526,15 @@ def copy_reduce_step(p):
         raise NotInF0(
             "unit S_%d obstructs the reduction: %s" % (k - 1, exc)
         ) from exc
-    e_tilde = ModuleElement([SeriesB.zero(x.order)] * (k - 2) + [
-        x * s.invert().truncate(x.order), SeriesB.one(x.order)])
+    e_tilde = [SeriesB.zero(x.order)] * (k - 2) + [
+        x * s.invert().truncate(x.order), SeriesB.one(x.order)]
     g = model.apply_a(model.apply_a(e_tilde, lam[k - 1]), lam[k - 2])
     for j in (k, k - 1):
-        if g.coord(j).valuation() is not None:
+        if g[j - 1].valuation() is not None:
             raise AssertionError(
                 "coordinate %d should vanish after the reduction" % j
             )
-    reduced = reference_regenerate(model, ModuleElement(g.coords[: k - 2]))
+    reduced = reference_regenerate(model, g[: k - 2])
     tail_order = min(u.order for u in reduced.units)
     return Presentation(
         list(reduced.factors) + [(lam[k - 1] + 1, SeriesB.one(tail_order))]
@@ -581,15 +579,14 @@ def model_reduce_step(p):
         raise NotInF0(
             "unit S_%d obstructs the reduction: %s" % (k - 1, exc)
         ) from exc
-    e_tilde = ModuleElement([SeriesB.zero(x.order)] * (k - 2)
-                            + [x, SeriesB.one(x.order)])
+    e_tilde = [SeriesB.zero(x.order)] * (k - 2) + [x, SeriesB.one(x.order)]
     g = model.apply_a(model.apply_a(e_tilde, lam[k - 1]), lam[k - 2])
     for j in (k, k - 1):
-        if g.coord(j).valuation() is not None:
+        if g[j - 1].valuation() is not None:
             raise AssertionError(
                 "coordinate %d should vanish after the reduction" % j
             )
-    reduced = regenerate_presentation(model, ModuleElement(g.coords[: k - 2]))
+    reduced = regenerate_presentation(model, g[: k - 2])
     tail_order = min(u.order for u in reduced.units)
     return Presentation(
         list(reduced.factors) + [(lam[k - 1] + 1, SeriesB.one(tail_order))]
@@ -809,9 +806,9 @@ ALPHA_WITNESS = ("fresco: (8 | 1 + 3/2b^4 + b^11) (9 | 1 - b^4) (11 | 1 + b) "
 def test_alpha_does_not_depend_on_the_generator():
     p = parse_fresco(ALPHA_WITNESS, order=48)
     model = AdaptedModel(p, order=48)
-    # g is drawn on e_1..e_k; the model and the oracle take its
-    # f-coordinates S_j G_j
-    g = f_coords(model, _random_generator(model, random.Random(0)))
+    # g is drawn on e_1..e_k and handed over by its f-coordinates
+    # S_j G_j, which the model and the oracle take
+    g = _random_generator(model, random.Random(0))
     rep = truncate_rep(p, 48)
     codim = submodule_analysis(rep, [rep.embed(g)])["codim"]
     alpha = Analysis(p).alpha()

@@ -86,7 +86,7 @@ def test_alpha_reduces_without_the_module_model():
     imported = {a.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     names = set(_referenced_names(tree))
-    for name in ("AdaptedModel", "ModuleElement", "regenerate_presentation"):
+    for name in ("AdaptedModel", "regenerate_presentation"):
         assert name not in imported | names, name
 
 

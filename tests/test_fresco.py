@@ -31,7 +31,6 @@ from frescos.errors import (
 )
 from frescos.fresco import (
     AdaptedModel,
-    ModuleElement,
     Presentation,
     bernstein,
     fundamental_invariants,
@@ -65,20 +64,25 @@ def pres(*pairs):
 
 
 def basis(model, j):
-    """f_j of an adapted model as a module element."""
+    """f_j of an adapted model, by its f-coordinates."""
     n = model.order
-    return ModuleElement([SeriesB.one(n) if i == j else SeriesB.zero(n)
-                          for i in range(1, model.rank + 1)])
+    return tuple(SeriesB.one(n) if i == j else SeriesB.zero(n)
+                 for i in range(1, model.rank + 1))
 
 
 def e_vector(model, j):
-    """e_j = S_j f_j of an adapted model as a module element."""
-    return basis(model, j).scale(model.sub[j - 1])
+    """e_j = S_j f_j of an adapted model, by its f-coordinates."""
+    return tuple(model.sub[j - 1] * c for c in basis(model, j))
 
 
 def f_coords(model, g):
     """The f-coordinates S_j G_j of an element with e-coordinates G_j."""
-    return ModuleElement([s * c for s, c in zip(model.sub, g.coords)])
+    return tuple(s * c for s, c in zip(model.sub, g))
+
+
+def minus(x, y):
+    """x - y, coordinate by coordinate."""
+    return tuple(u - v for u, v in zip(x, y))
 
 
 class EBasisModel:
@@ -109,11 +113,11 @@ class EBasisModel:
         """(a - lam b) x: coordinate j is (d_j - lam b) G_j + b^2 G_j'
         + S_{j+1} G_{j+1} over one denominator."""
         lam = rat(lam)
-        n, q = min(self.order, x.order), lam.denominator
+        n, q = min(self.order, *(c.order for c in x)), lam.denominator
         # b^2 G' - lam b G has (i - lam) g_i at b^(i+1): weights over q
         drift = [i * q - lam.numerator for i in range(n)]
         out = []
-        for j, (g, h) in enumerate(zip(x.coords, x.coords[1:] + (None,))):
+        for j, (g, h) in enumerate(zip(x, (*x[1:], None))):
             parts = []
             if any(g.nums):
                 d = self.diag[j] * g
@@ -128,13 +132,13 @@ class EBasisModel:
                 f = den // d
                 total = [t + f * y for t, y in zip(total, nums)]
             out.append(SeriesB._lowest(total, den, n))
-        return ModuleElement(out)
+        return tuple(out)
 
 
 def reference_regenerate(model, g):
     """regenerate_presentation on an EBasisModel, g against e_1..e_k:
     Sigma_m = S_m G_m / G_m(0) at each stage m = k..1."""
-    coords = list(g.coords)
+    coords = list(g)
     k = len(coords)
     lambdas = model.presentation.lambdas[:k]
     new_units = [None] * k
@@ -148,11 +152,10 @@ def reference_regenerate(model, g):
         if m == 1:
             break
         t = sigma.invert()
-        y = model.apply_a(ModuleElement([t * c for c in coords]),
-                          lambdas[m - 1])
-        if y.coord(m).valuation() is not None:
+        y = model.apply_a([t * c for c in coords], lambdas[m - 1])
+        if y[m - 1].valuation() is not None:
             raise AssertionError("stage %d residue should vanish" % m)
-        coords = list(y.coords[: m - 1])
+        coords = list(y[: m - 1])
     order = min(u.order for u in new_units)
     return Presentation(
         [(lam, u.truncate(order)) for lam, u in zip(lambdas, new_units)]
@@ -336,11 +339,12 @@ def test_model_chain_relations():
     m = AdaptedModel(p, order=16)
     for j in range(p.rank, 0, -1):
         x = basis(m, j)
-        y = m.apply_a(x) - m.apply_b(x).scale(SeriesB([p.lambdas[j - 1]], 16))
+        lam = SeriesB([p.lambdas[j - 1]], 16)
+        y = minus(m.apply_a(x), [lam * c for c in m.apply_b(x)])
         expect = (e_vector(m, j - 1) if j > 1
-                  else ModuleElement([SeriesB.zero(16)] * p.rank))
-        for i in range(1, p.rank + 1):
-            assert y.coord(i).same_upto(expect.coord(i), 12)
+                  else [SeriesB.zero(16)] * p.rank)
+        for got, want in zip(y, expect, strict=True):
+            assert got.same_upto(want, 12)
 
 
 def test_presentation_annihilates_generator():
@@ -349,7 +353,7 @@ def test_presentation_annihilates_generator():
     n = 14
     m = AdaptedModel(p, order=n)
     y = m.apply_op(monic_expansion(p.factors, n), e_vector(m, p.rank))
-    assert y.is_zero()
+    assert len(y) == p.rank and not any(y)
 
 
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -358,11 +362,11 @@ def test_presentation_annihilates_generator():
 def test_model_commutation(cs):
     p = std()
     m = AdaptedModel(p, order=12)
-    x = m.element([SeriesB([1] + cs, 12), SeriesB(cs, 12)])
-    lhs = m.apply_a(m.apply_b(x)) - m.apply_b(m.apply_a(x))
+    x = [SeriesB([1] + cs, 12), SeriesB(cs, 12)]
+    lhs = minus(m.apply_a(m.apply_b(x)), m.apply_b(m.apply_a(x)))
     rhs = m.apply_b(m.apply_b(x))
-    for j in (1, 2):
-        assert lhs.coord(j).same_upto(rhs.coord(j), 11)
+    for j in (0, 1):
+        assert lhs[j].same_upto(rhs[j], 11)
 
 
 def _minus_lam_b(m, x, lam):
@@ -370,16 +374,16 @@ def _minus_lam_b(m, x, lam):
 
     a x has coordinate b^2 H_j' + l_j b H_j + S_j H_(j+1), known to the
     lesser of the model's and x's orders."""
-    n = min(m.order, x.order)
+    order = min(c.order for c in x)
+    n = min(m.order, order)
     out = []
-    for j in range(1, x.rank + 1):
-        h = x.coord(j)
-        acc = h.derive().shift(2) + (h * m.presentation.lambdas[j - 1]).shift(1)
-        if j < x.rank:
-            acc = acc + m.sub[j - 1] * x.coord(j + 1)
+    for j, h in enumerate(x):
+        acc = h.derive().shift(2) + (h * m.presentation.lambdas[j]).shift(1)
+        if j + 1 < len(x):
+            acc = acc + m.sub[j] * x[j + 1]
         out.append(acc.truncate(n))
-    ax = ModuleElement(out)
-    return ax - m.apply_b(x).scale(SeriesB.monomial(lam, 0, x.order))
+    lam_b = [SeriesB.monomial(lam, 0, order) * c for c in m.apply_b(x)]
+    return minus(out, lam_b)
 
 
 @st.composite
@@ -400,15 +404,15 @@ def model_and_element(draw):
         cs = draw(st.lists(coeff, max_size=n + 1 - v)) if v <= n else []
         coords.append(SeriesB([0] * v + cs, n))
     lam = draw(st.fractions(min_value=-5, max_value=5, max_denominator=3))
-    return m, ModuleElement(coords), lam
+    return m, tuple(coords), lam
 
 
 @settings(max_examples=150, deadline=None)
 @given(model_and_element())
 def test_fused_apply_a_matches_a_minus_lam_b(arg):
     m, x, lam = arg
-    assert m.apply_a(x, lam).coords == _minus_lam_b(m, x, lam).coords
-    assert m.apply_a(x).coords == _minus_lam_b(m, x, 0).coords
+    assert m.apply_a(x, lam) == _minus_lam_b(m, x, lam)
+    assert m.apply_a(x) == _minus_lam_b(m, x, 0)
 
 
 @st.composite
@@ -436,7 +440,7 @@ def model_and_e_coords(draw):
     lam = draw(st.one_of(
         st.integers(-5, 5),
         st.fractions(min_value=-5, max_value=5, max_denominator=3)))
-    return p, order, ModuleElement(coords), lam
+    return p, order, tuple(coords), lam
 
 
 def _outcome(f, *args):
@@ -454,10 +458,68 @@ def test_f_basis_model_matches_the_e_basis_reference(arg):
     p, order, g, lam = arg
     m, ref = AdaptedModel(p, order), EBasisModel(p, order)
     h = f_coords(m, g)
-    assert m.apply_a(h, lam).coords == f_coords(m, ref.apply_a(g, lam)).coords
+    assert m.apply_a(h, lam) == f_coords(m, ref.apply_a(g, lam))
     # == also compares every unit's known order
     assert _outcome(regenerate_presentation, m, h) == \
         _outcome(reference_regenerate, ref, g)
+
+
+@st.composite
+def model_and_uneven_element(draw):
+    """A model of rank 2-4, an element of some F_m, m >= 2, whose
+    coordinates are known to unequal orders, an operator to act by and
+    a lam."""
+    k = draw(st.integers(2, 4))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    p = Presentation([
+        (k + draw(st.fractions(min_value=0, max_value=3, max_denominator=2)),
+         SeriesB([1] + draw(st.lists(coeff, max_size=4)), ORDER))
+        for _ in range(k)])
+    m = AdaptedModel(p, order=draw(st.integers(1, 16)))
+    orders = draw(st.lists(st.integers(0, 18), min_size=2, max_size=k)
+                  .filter(lambda os: len(set(os)) > 1))
+    x = tuple(SeriesB(draw(st.lists(coeff, max_size=n + 1)), n)
+              for n in orders)
+    n = draw(st.integers(0, 18))
+    u = AbElement([SeriesB(draw(st.lists(coeff, max_size=min(n + 1, 4))), n)
+                   for _ in range(draw(st.integers(1, 3)))])
+    lam = draw(st.fractions(min_value=-5, max_value=5, max_denominator=3))
+    return m, x, u, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_and_uneven_element(), st.integers(4, 12))
+def test_unequal_orders_act_as_the_least_order(arg, depth):
+    # no reader of an element needs its coordinates at one order: each
+    # gives on x what it gives on x cut to its least order
+    m, x, u, lam = arg
+    n = min(c.order for c in x)
+    cut = tuple(c.truncate(n) for c in x)
+    assert m.apply_a(x, lam) == m.apply_a(cut, lam)
+    assert tuple(c.truncate(n + 1) for c in m.apply_b(x)) == m.apply_b(cut)
+    assert m.apply_op(u, x) == m.apply_op(u, cut)
+    assert _outcome(regenerate_presentation, m, x) == \
+        _outcome(regenerate_presentation, m, cut)
+    rep = truncate_rep(m.presentation, depth)
+    assert _outcome(rep.embed, x) == _outcome(rep.embed, cut)
+
+
+@pytest.mark.parametrize("act", [
+    lambda m, x: m.apply_a(x),
+    lambda m, x: m.apply_b(x),
+    lambda m, x: m.apply_op(AbElement.linear(1, 8), x),
+    lambda m, x: regenerate_presentation(m, x),
+], ids=["apply_a", "apply_b", "apply_op", "regenerate"])
+@pytest.mark.parametrize("n", [0, 3])
+def test_model_refuses_no_coordinates_or_more_than_the_rank(act, n):
+    # a stray third coordinate H_3 would add S_2 H_3 to coordinate 2 of
+    # a x, and b x would keep it; no coordinates has no least order
+    m = AdaptedModel(parse_fresco("fresco: (5/2 | 1 + 3b^2) (7/2 | 1)",
+                                  order=8), order=8)
+    x = [SeriesB.zero(8), SeriesB([0, 1], 8), SeriesB.one(8)][:n]
+    with pytest.raises(ValueError,
+                       match="%d coordinates, model rank is 2" % n):
+        act(m, x)
 
 
 def count_inversions(monkeypatch):
@@ -477,14 +539,14 @@ def test_model_inverts_nothing(monkeypatch):
     p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
     calls = count_inversions(monkeypatch)
     m = AdaptedModel(p, order=16)
-    m.apply_a(m.element([unit(2), unit(0, 1), unit(-1)]), "1/2")
+    m.apply_a([unit(2), unit(0, 1), unit(-1)], "1/2")
     assert calls == []
 
 
 def test_regenerate_cuts_g_to_the_model_order():
     # the unit is read off g only as far as the model knows S
     m = AdaptedModel(pres(("3", unit(1, -1))), order=8)
-    q = regenerate_presentation(m, m.element([SeriesB([2, 1, 0, 3], 16)]))
+    q = regenerate_presentation(m, [SeriesB([2, 1, 0, 3], 16)])
     assert q.units[0].order == 8
     assert q.units[0] == SeriesB([1, Fraction(1, 2), 0, Fraction(3, 2)], 8)
 
@@ -493,8 +555,8 @@ def test_apply_a_at_order_0_reads_the_next_constant():
     # b has no constant term, so (a - lam b) x at b^0 is
     # S_j(0) H_{j+1}(0) = H_{j+1}(0)
     m = AdaptedModel(std(), order=12)
-    x = ModuleElement([SeriesB([2], 0), SeriesB([3], 0)])
-    assert m.apply_a(x, 5).coords == (SeriesB([3], 0), SeriesB([0], 0))
+    x = [SeriesB([2], 0), SeriesB([3], 0)]
+    assert m.apply_a(x, 5) == (SeriesB([3], 0), SeriesB([0], 0))
 
 
 def test_regenerate_identity_on_ek():
@@ -510,7 +572,7 @@ def test_regenerate_frozen_example():
     lam1, lam2 = rat("3"), rat("4")
     p = pres((lam1, unit()), (lam2, unit()))
     m = AdaptedModel(p, order=16)
-    g = m.element([SeriesB.zero(16), SeriesB([1, 1], 16)])
+    g = [SeriesB.zero(16), SeriesB([1, 1], 16)]
     q = regenerate_presentation(m, g)
     assert q.lambdas == (lam1, lam2)
     assert q.units[0].same_upto(SeriesB.one(16), q.units[0].order)
@@ -525,19 +587,19 @@ def test_model_needs_positive_order():
 def test_apply_a_acts_on_a_prefix_span():
     p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
     m = AdaptedModel(p, order=16)
-    x = m.element([SeriesB([1, 2], 16), SeriesB([3, 0, 1], 16), SeriesB.zero(16)])
+    x = [SeriesB([1, 2], 16), SeriesB([3, 0, 1], 16), SeriesB.zero(16)]
     whole = m.apply_a(x)
-    prefix = m.apply_a(ModuleElement(x.coords[:2]))
-    assert prefix.rank == 2
-    assert whole.coord(3).valuation() is None
-    for j in (1, 2):
-        assert prefix.coord(j).same_upto(whole.coord(j), 16)
+    prefix = m.apply_a(x[:2])
+    assert len(prefix) == 2
+    assert whole[2].valuation() is None
+    for j in (0, 1):
+        assert prefix[j].same_upto(whole[j], 16)
 
 
 def test_regenerate_reads_a_prefix_span():
     p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
     m = AdaptedModel(p, order=18)
-    q = regenerate_presentation(m, ModuleElement(e_vector(m, 2).coords[:2]))
+    q = regenerate_presentation(m, e_vector(m, 2)[:2])
     assert q.lambdas == p.lambdas[:2]
     for old, new in zip(p.units, q.units):
         assert old.same_upto(new, new.order)
@@ -546,7 +608,7 @@ def test_regenerate_reads_a_prefix_span():
 def test_regenerate_rejects_nongenerator():
     p = pres(("3", unit()), ("4", unit()))
     m = AdaptedModel(p, order=16)
-    g = m.element([SeriesB.zero(16), SeriesB.monomial(1, 1, 16)])
+    g = [SeriesB.zero(16), SeriesB.monomial(1, 1, 16)]
     with pytest.raises(NotAGenerator):
         regenerate_presentation(m, g)
 
@@ -556,8 +618,7 @@ def test_regeneration_divides_only_what_the_next_stage_reads(monkeypatch):
     # quotient is the constant H_m(0), so rank 3 makes 2 + 1 divisions
     p = pres(("3", unit(1, -1)), ("3", unit(0, 2)), ("4", unit(5)))
     m = AdaptedModel(p, order=18)
-    g = ModuleElement([unit(2, order=18), unit(0, 1, order=18),
-                       SeriesB([3, 1, 0, 2], 18)])
+    g = [unit(2, order=18), unit(0, 1, order=18), SeriesB([3, 1, 0, 2], 18)]
     want = reference_regenerate(EBasisModel(p, 18), g)
     calls = []
     real = SeriesB.__truediv__

@@ -14,7 +14,7 @@ from frescos.cli import _oracle_check_one
 from frescos.dsl import parse_dsl
 from frescos.errors import (DegenerateTruncation, OrderUnderflow,
                             TruncationTooSmall)
-from frescos.fresco import AdaptedModel, ModuleElement, Presentation
+from frescos.fresco import AdaptedModel, Presentation
 from frescos.linalg import Solver, axpy, certified_rank, integral, matvec
 from frescos.oracle import (
     TruncatedRep,
@@ -27,7 +27,7 @@ from frescos.oracle import (
 from frescos.series import SeriesB, rat
 import frescos.oracle as oracle_module
 from test_algebra import expand_factor_form, monicize
-from test_fresco import EBasisModel, e_vector
+from test_fresco import EBasisModel, basis, e_vector
 
 M = 12
 
@@ -42,17 +42,10 @@ def pres(*pairs, order=M):
     )
 
 
-def basis(model, j):
-    """f_j of an adapted model as a module element."""
-    n = model.order
-    return ModuleElement([SeriesB.one(n) if i == j else SeriesB.zero(n)
-                          for i in range(1, model.rank + 1)])
-
-
 def e_coords(model, x):
     """The e-coordinates H_j / S_j of an adapted-model element, which
     has coordinates H_j against f_j = S_j^-1 e_j: what embed takes."""
-    return ModuleElement([c * s.invert() for s, c in zip(model.sub, x.coords)])
+    return [c * s.invert() for s, c in zip(model.sub, x)]
 
 
 def e_generator(rep, p):
@@ -519,11 +512,11 @@ def test_embed_round_trip():
     p = std3()
     rep = truncate_rep(p, M)
     model = AdaptedModel(p, order=M)
-    x = model.element([
+    x = [
         SeriesB([2, 0, 1], M),
         SeriesB.zero(M),
         SeriesB([0, 0, 0, 5], M),
-    ])
+    ]
     vec = rep.embed(x)
     assert vec[rep.idx(1, 0)] == 2
     assert vec[rep.idx(1, 2)] == 1
@@ -604,9 +597,8 @@ def _columns_from_model(p):
     cols = {}
     for j in range(1, p.rank + 1):
         for m in range(M):
-            x = model.element([SeriesB.monomial(1, m, M) if i == j
-                               else SeriesB.zero(M)
-                               for i in range(1, p.rank + 1)])
+            x = [SeriesB.monomial(1, m, M) if i == j else SeriesB.zero(M)
+                 for i in range(1, p.rank + 1)]
             cols[rep.idx(j, m)] = rep.embed(model.apply_a(x))
     return cols
 
@@ -728,18 +720,17 @@ def test_f_basis_annihilators_match_the_e_basis_reference(p, data):
 def test_embed_refuses_more_coordinates_than_the_rank():
     # b^2 f_3 of a rank-3 element would land on b^3 f_1 of a rank 2 rep
     rep = truncate_rep(std2(), M)
-    x = ModuleElement([SeriesB.zero(M), SeriesB.zero(M),
-                       SeriesB.monomial(1, 2, M)])
+    x = [SeriesB.zero(M), SeriesB.zero(M), SeriesB.monomial(1, 2, M)]
     with pytest.raises(ValueError):
         rep.embed(x)
-    assert rep.embed(ModuleElement([SeriesB.one(M)])) == {0: 1}
+    assert rep.embed([SeriesB.one(M)]) == {0: 1}
 
 
 def test_embed_refuses_coordinates_known_below_the_depth():
     # zero-filled to depth 8, an element known to order 3 would get an
     # annihilator known to order 6
     rep = truncate_rep(std2(), 8)
-    x = ModuleElement([SeriesB.zero(3), SeriesB.one(3)])
+    x = [SeriesB.zero(3), SeriesB.one(3)]
     with pytest.raises(OrderUnderflow):
         rep.embed(x)
 
