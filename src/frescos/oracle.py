@@ -75,9 +75,9 @@ class TruncatedRep:
     def embed(self, x):
         """Coordinates of an adapted-model element on this basis: its
         coordinate H_j against f_j fills b^m f_j, m < M.  An element of
-        F_m has m <= k coordinates; more than k would be misplaced and
-        ones known below order M zero-filled, so both are refused."""
-        if len(x) > self.k:
+        F_m has 1 <= m <= k coordinates; none or more than k, and ones
+        known below order M, which would be zero-filled, are refused."""
+        if not 0 < len(x) <= self.k:
             raise ValueError("element has %d coordinates, rank is %d"
                              % (len(x), self.k))
         order = min(c.order for c in x)

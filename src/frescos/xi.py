@@ -23,11 +23,7 @@ from itertools import accumulate
 from math import lcm
 
 from .algebra import AbElement
-from .errors import (
-    NotMonogenicAtTruncation,
-    SemanticError,
-    TruncationTooSmall,
-)
+from .errors import NotMonogenicAtTruncation, SemanticError
 from .fresco import presentation_from_annihilator
 from .linalg import (Echelon, Solver, axpy, closure, coordinates, integral,
                      matvec, normal_order, solve_levels)
@@ -310,23 +306,12 @@ def _annihilator_depth(phi, r):
 
 
 def xi_generate_module(phi):
-    """The module generated by phi under a and b, with its rank.
-
-    Depth < J + 3, J the top log power, is refused up front, naming the
-    depth the annihilator of that rank needs (_annihilator_depth, J + 3
-    or more); from J + 3 on, that solve refuses a short window itself.
-    """
+    """The module generated by phi under a and b: its rank and log
+    filtration are exact at any depth, and only the zero expansion is
+    refused; _annihilator_from_span refuses a window too short for it."""
     if phi.is_zero():
         raise SemanticError("the zero expansion generates nothing")
-    span = XiSpan(phi)
-    top = max(j for (_, _, j) in phi.terms)
-    if top + 3 > phi.depth:
-        raise TruncationTooSmall(
-            "log^%d generates rank at least %d, which depth %d cannot "
-            "certify; the bound needs --order %d or more"
-            % (top, top + 1, phi.depth, _annihilator_depth(phi, span.rank))
-        )
-    return span
+    return XiSpan(phi)
 
 
 def xi_log_filtration(span):
@@ -385,7 +370,9 @@ def _annihilator_from_span(span):
     # a column (e, W, U): W = sum_m U_m(b) W_m of lowest level e, where
     # U holds the b^t coefficient of U_m at t r + m
     cols = [(vlo + m, w[m], {m: 1}) for m in range(r)]
-    while True:
+    # a pass that does not break raises one column's lowest level, and a
+    # level at depth is refused: at most r depth + 1 passes
+    for _ in range(r * depth + 1):
         cols.sort(key=lambda col: col[0])
         leads = [{i - e * K: x for i, x in W.items() if i < (e + 1) * K}
                  for e, W, _ in cols]
@@ -403,6 +390,9 @@ def _annihilator_from_span(span):
                 "annihilator of degree %d is undetermined at depth %d"
                 % (r, depth))
         cols[h] = (min(W) // K, W, U)
+    else:
+        raise AssertionError("annihilator column reduction: no level rose "
+                             "in %d passes" % (r * depth + 1))
     shifts = [e - vlo for e, _, _ in cols]
     top = max(depth - 1 - vlo, ordc + max(shifts))
     got = solve_levels(block, [coordinates(W, K, e, e + top + 1)

@@ -29,14 +29,11 @@ from frescos.cli import (
     main,
 )
 from frescos.dsl import parse_fresco, print_fresco
-from frescos.errors import (
-    DegenerateTruncation,
-    NotAGenerator,
-    TruncationTooSmall,
-)
+from frescos.errors import DegenerateTruncation, NotAGenerator
 from frescos.fresco import twist
 from frescos.oracle import minimal_annihilator, truncate_rep
 from frescos.xi import XiExpansion, xi_generate_module, xi_log_filtration
+from test_xi import StuckSolver
 
 RAT = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -360,18 +357,27 @@ def test_a_log_power_past_the_window_is_refused_at_once():
     code, (rep,) = run_json(["xi", "--seed", "1", "s^(1/2) * log^1000"])
     assert time.perf_counter() - start < 1
     assert code == EXIT_DOMAIN
-    assert rep["error"] == "TruncationTooSmall"
+    assert rep["error"] == "NotMonogenicAtTruncation"
     assert "--order 502504" in rep["message"]
 
 
 @pytest.mark.parametrize("logpow", range(6, 11))
 def test_log_powers_around_the_window_edge(logpow):
-    # log^J needs rank J + 1 certified, so depth J + 3; from J = 6 on,
-    # order 8 ends in TruncationTooSmall, refused early or not
+    # log^J has rank J + 1, and its annihilator needs more than order 8
+    # from J = 6 on: the annihilator's room check refuses the window
     literal = "s^(1/2) * log^%d + s^(3/2)" % logpow
     code, (rep,) = run_json(["xi", "--seed", "1", "--order", "8", literal])
     assert code == EXIT_DOMAIN
-    assert rep["error"] == "TruncationTooSmall"
+    assert rep["error"] == "NotMonogenicAtTruncation"
+
+
+def test_a_column_reduction_that_raises_no_level_is_internal(monkeypatch):
+    # the pass bound turns a reduction that would loop into exit 4
+    monkeypatch.setattr("frescos.xi.Solver", StuckSolver)
+    code, (rep,) = run_json(["xi", "--seed", "1", "s^(1/2) * log"])
+    assert code == EXIT_INTERNAL
+    assert rep["error"] == "InternalError"
+    assert rep["message"].startswith("annihilator column reduction")
 
 
 _FUZZ_SEEDS = (

@@ -726,6 +726,14 @@ def test_embed_refuses_more_coordinates_than_the_rank():
     assert rep.embed([SeriesB.one(M)]) == {0: 1}
 
 
+def test_embed_refuses_no_coordinates():
+    # an element has a least order only if it has a coordinate
+    rep = truncate_rep(std2(), M)
+    with pytest.raises(ValueError,
+                       match="^element has 0 coordinates, rank is 2$"):
+        rep.embed([])
+
+
 def test_embed_refuses_coordinates_known_below_the_depth():
     # zero-filled to depth 8, an element known to order 3 would get an
     # annihilator known to order 6

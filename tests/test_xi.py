@@ -17,11 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from frescos.algebra import AbElement
 from frescos.alpha import classify_rank2, is_semisimple
-from frescos.errors import (
-    NotMonogenicAtTruncation,
-    SemanticError,
-    TruncationTooSmall,
-)
+from frescos.errors import EngineError, NotMonogenicAtTruncation, SemanticError
 from frescos.fresco import (
     _bernstein_invariants,
     _peel_unit,
@@ -296,21 +292,22 @@ def test_span_closed_under_word(x, word):
 
 
 def test_generation_needs_depth():
-    # log^J needs depth J + 3 whatever the components, and the refusal
-    # names the depth the annihilator of the module's rank needs,
+    # the span is exact at any depth, even below J + 3; the annihilator
+    # refuses a short window, naming the depth the module's rank needs,
     # r + vhi + (vhi - vlo) + 1 + r(r+1)/2: 15 for rank r = J + 1 = 4 at
     # shift 0, and 5 + 1 + 1 + 1 + 15 = 23 for the rank-5 pair below
-    with pytest.raises(TruncationTooSmall, match="--order 15 or more$"):
-        xi_generate_module(term("1/2", 0, 3, depth=5))
-    phi = XiExpansion("1/2", 5, 2, {(1, 0, 3): 1, (2, 1, 0): 1})
-    with pytest.raises(TruncationTooSmall, match="--order 23 or more$"):
-        xi_generate_module(phi)
-    # from J + 3 on the rank needs no depth; the annihilator names 23
-    span = xi_generate_module(XiExpansion("1/2", 8, 2, phi.terms))
-    assert span.rank == 5
+    span = xi_generate_module(term("1/2", 0, 3, depth=5))
+    assert xi_log_filtration(span) == {"ranks": (1, 2, 3, 4), "d": 4}
     with pytest.raises(NotMonogenicAtTruncation,
-                       match="rerun with --order 23$"):
+                       match="rerun with --order 15$"):
         model_from_xi(span)
+    phi = XiExpansion("1/2", 5, 2, {(1, 0, 3): 1, (2, 1, 0): 1})
+    for depth in (5, 8):
+        span = xi_generate_module(XiExpansion("1/2", depth, 2, phi.terms))
+        assert span.rank == 5
+        with pytest.raises(NotMonogenicAtTruncation,
+                           match="rerun with --order 23$"):
+            model_from_xi(span)
     assert model_from_xi(xi_generate_module(
         XiExpansion("1/2", 23, 2, phi.terms))).rank == 5
 
@@ -319,16 +316,9 @@ def test_certified_rank_does_not_move_with_the_depth():
     # linalg.certified_rank looks only at where the profile last grew,
     # so a closure stopped before a late chain starts would certify too
     # small a rank; one component takes its rank from Xi instead
-    ranks = {}
-    for depth in range(6, 17):
-        try:
-            span = xi_generate_module(
-                parse_xi("-s^(1/2) * log + s^(7/2) * log^2", depth))
-        except TruncationTooSmall:
-            continue
-        ranks[depth] = span.rank
-    if not ranks:
-        pytest.fail("no depth from 6 to 16 certifies a rank")
+    ranks = {depth: xi_generate_module(
+                 parse_xi("-s^(1/2) * log + s^(7/2) * log^2", depth)).rank
+             for depth in range(6, 17)}
     assert len(set(ranks.values())) == 1, ranks
 
 
@@ -342,6 +332,29 @@ def test_understated_rank_is_rejected():
     span = XiSpan(term("1/2", 0, 1))
     span.rank = 1
     with pytest.raises(NotMonogenicAtTruncation):
+        _annihilator_from_span(span)
+
+
+class StuckSolver:
+    """A Solver under which the column reduction raises no level: every
+    column depends on the ones before it, and the combination is the
+    column itself."""
+    pivots = []
+
+    def __init__(self, rows, K):
+        pass
+
+    def __call__(self, row):
+        return [], 1
+
+
+def test_column_reduction_that_raises_no_level_fails_fast(monkeypatch):
+    # such a reduction would loop for ever; r depth + 1 passes bound the
+    # loop, 2 * 16 + 1 here
+    monkeypatch.setattr(xi_module, "Solver", StuckSolver)
+    span = xi_generate_module(term("1/2", 0, 1))
+    with pytest.raises(AssertionError, match="^annihilator column "
+                       "reduction: no level rose in 33 passes$"):
         _annihilator_from_span(span)
 
 
@@ -637,7 +650,7 @@ def test_level_solve_is_the_chain_solve(case):
         terms[(comp, m, j)] = terms.get((comp, m, j), 0) + c
     try:
         span = xi_generate_module(XiExpansion(lam, 40, ncomp, terms))
-    except (SemanticError, TruncationTooSmall):
+    except SemanticError:
         return
     r = span.rank
     need = xi_module._annihilator_depth(span.source, r)
@@ -699,6 +712,36 @@ def test_no_logs_means_semisimple(phi):
     p = model_from_xi(span)
     d = xi_log_filtration(span)["d"]
     assert (d == 1) == is_semisimple(p)
+
+
+@st.composite
+def class_expansions(draw):
+    """1-4 terms on 1-3 components at depth 48: shifts 0-4, log powers
+    0-3, a class representative of denominator 1-6."""
+    q = draw(st.integers(1, 6))
+    lam = F(draw(st.integers(1, q)), q)
+    ncomp = draw(st.integers(1, 3))
+    entry = st.tuples(st.integers(1, ncomp), st.integers(0, 4),
+                      st.integers(0, 3),
+                      st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(3)]))
+    return XiExpansion(lam, 48, ncomp, {
+        (c, m, j): co for c, m, j, co in draw(st.lists(entry, min_size=1,
+                                                       max_size=4))})
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_expansions())
+def test_semisimple_is_a_log_free_span(phi):
+    # where an expansion's report carries semisimple, it is d == 1: the
+    # module splits into rank-1 pieces exactly when no log is needed
+    if phi.is_zero():
+        return
+    span = xi_generate_module(phi)
+    try:
+        ss = is_semisimple(model_from_xi(span))
+    except EngineError:
+        return
+    assert ss == (xi_log_filtration(span)["d"] == 1)
 
 
 # --- the peel against division ---
@@ -988,7 +1031,7 @@ def report_outcome(phi):
     try:
         span = xi_generate_module(phi)
         p = model_from_xi(span)
-    except (TruncationTooSmall, NotMonogenicAtTruncation) as err:
+    except NotMonogenicAtTruncation as err:
         return int(re.search(r"--order (\d+)", str(err)).group(1))
     return span.rank, p.lambdas, xi_log_filtration(span)
 
@@ -1022,6 +1065,23 @@ def test_several_component_refusal_names_the_order_that_works():
     rank, lambdas, filt = report_outcome(parse_xi(literal, 22))
     assert rank == len(lambdas) == 4
     assert filt == {"ranks": (2, 3, 4), "d": 3}
+
+
+@settings(max_examples=40, deadline=None)
+@example(parse_xi("s^(1/2) * log^3", 40))
+@given(component_expansions(40))
+def test_log_filtration_does_not_move_with_the_depth(phi):
+    # the span is exact at any depth from 4 up, below J + 3 too: at
+    # depth 5 s^(1/2) log^3 has the ranks and d of depth 40
+    if phi.is_zero():
+        return
+    want = xi_log_filtration(xi_generate_module(phi))
+    top = max(j for (_, _, j) in phi.terms)
+    vhi = max(m for (_, m, _) in phi.terms)
+    for depth in range(max(4, vhi + 1), top + 4):
+        span = xi_generate_module(
+            XiExpansion(phi.lam, depth, phi.ncomp, phi.terms))
+        assert xi_log_filtration(span) == want
 
 
 # --- the integer peel against the peel on Fractions ---
