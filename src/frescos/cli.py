@@ -25,13 +25,14 @@ from .algebra import (
     monic_expansion,
 )
 from .alpha import Analysis, is_semisimple
-from .dsl import parse_dsl, print_fresco, print_xi
 from .errors import EngineError, NotMonogenicAtTruncation, SemanticError
 from .fresco import (AdaptedModel, Presentation, _bernstein_invariants,
                      fundamental_invariants, regenerate_presentation)
-from .oracle import closure_rank, minimal_annihilator, truncate_rep
 from .series import DEFAULT_ORDER, SeriesB, rat_str
-from .xi import XiExpansion, model_from_xi, xi_generate_module, xi_log_filtration
+
+# The parser, xi and the oracle are imported where a command first
+# needs them, so identities never loads them; alpha stays here, as the
+# benchmark's tracer reads cli.is_semisimple right after the import.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,6 +86,7 @@ def build_parser():
 
 
 def _presentation_block(p):
+    from .dsl import print_fresco
     return {
         "input": print_fresco(p),
         "rank": p.rank,
@@ -139,6 +141,8 @@ def analyze_presentation(p):
 
 
 def analyze_expansion(x):
+    from .dsl import print_fresco, print_xi
+    from .xi import model_from_xi, xi_generate_module, xi_log_filtration
     span = xi_generate_module(x)
     p = model_from_xi(span)
     filt = xi_log_filtration(span)
@@ -169,10 +173,11 @@ def _want_presentation(obj, command):
 def run_one(command, obj):
     """Dispatch one parsed input; returns the report body."""
     if command == "analyze":
-        if isinstance(obj, XiExpansion):
-            return analyze_expansion(obj)
-        return analyze_presentation(obj)
+        if isinstance(obj, Presentation):
+            return analyze_presentation(obj)
+        return analyze_expansion(obj)
     if command in ("alpha", "ss", "subtheme"):
+        from .dsl import print_fresco
         an = Analysis(_want_presentation(obj, command))
         rep = {"input": print_fresco(an.presentation)}
         if command == "alpha":
@@ -184,7 +189,7 @@ def run_one(command, obj):
             rep["semisimple"] = an.semisimple()
         return rep
     if command == "xi":
-        if not isinstance(obj, XiExpansion):
+        if isinstance(obj, Presentation):
             raise SemanticError("xi expects an expansion literal")
         return analyze_expansion(obj)
     raise AssertionError("unhandled command %r" % command)
@@ -241,6 +246,7 @@ def _oracle_check_one(p, M, rng):
     below are of vectors with a level-0 entry, so degree d <= k needs
     depth d + 2 <= k + 2, and a depth too small is named once.
     """
+    from .oracle import closure_rank, minimal_annihilator, truncate_rep
     fails = []
     k = p.rank
     rep = truncate_rep(p, M)
@@ -278,6 +284,7 @@ def _oracle_check_one(p, M, rng):
 
 
 def run_verify(ns, inputs):
+    from .dsl import parse_dsl, print_fresco
     rng = random.Random(ns.seed)
     M = ns.oracle_depth
     # the oracle truncates units down to M, so they must be born at least
@@ -392,6 +399,7 @@ def main(argv=None, stdin=None, stdout=None):
 
 
 def _run_line(ns, text):
+    from .dsl import parse_dsl
     obj = parse_dsl(text, order=ns.order)
     return run_one(ns.command, obj), EXIT_OK
 

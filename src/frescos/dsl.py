@@ -21,7 +21,9 @@ from math import lcm
 from .errors import DslSyntaxError, MixedPrimitiveClasses, SemanticError
 from .fresco import Presentation
 from .series import DEFAULT_ORDER, SeriesB, format_series, rat, rat_str
-from .xi import XiExpansion, xi_exponent_split
+
+# xi is imported by the expansion branches alone, so parsing a
+# presentation never loads it.
 
 _PUNCT = "()[]|@^*+-:/"
 
@@ -207,6 +209,7 @@ def parse_fresco(text, order=None):
 
 def _summands(p):
     """(lam, terms, top component) of the summands of an expansion."""
+    from .xi import xi_exponent_split
     lam = None
     terms = {}
     top_comp = 1
@@ -256,6 +259,7 @@ def _summands(p):
 
 
 def _xi(p, depth):
+    from .xi import XiExpansion
     lam, terms, top_comp = _literal(p, "xi", _summands, "the expansion")
     return XiExpansion(lam, depth, top_comp, terms)
 
@@ -402,6 +406,7 @@ def xi_from_json(d, depth=DEFAULT_ORDER):
     if not isinstance(d, dict) or "lambda" not in d or \
             not isinstance(d.get("terms"), (list, tuple)):
         raise SemanticError("expansion payload needs 'lambda' and 'terms'")
+    from .xi import XiExpansion
     lam = _json_rat(d["lambda"], "class representative")
     depth = _json_int(d.get("depth", depth), "depth")
     if depth < 4:
@@ -424,6 +429,7 @@ def to_json(obj):
     """JSON mirror of either input kind."""
     if isinstance(obj, Presentation):
         return fresco_to_json(obj)
+    from .xi import XiExpansion
     if isinstance(obj, XiExpansion):
         return xi_to_json(obj)
     raise TypeError("no JSON form for %r" % type(obj).__name__)

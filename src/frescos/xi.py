@@ -234,10 +234,17 @@ def _log_ranks(phi):
     ech = Echelon()
     for vec in shifts.values():
         # N moves (comp, j) to j (comp, j - 1), one block of k later, here
-        # on the stored primitive row; an image in the span ends the chain
-        while (lead := ech.insert(vec)) is not None:
+        # on the stored primitive row; an image in the span ends the chain.
+        # Each new lead is a block past the last and below (top + 1) k,
+        # so at most top + 1 inserts succeed
+        for _ in range(top + 2):
+            if (lead := ech.insert(vec)) is None:
+                break
             vec = {i + k: (top - i // k) * x
                    for i, x in ech.pivots[lead].items() if i < top * k}
+        else:
+            raise AssertionError("log ranks: the N-chain of a shift ran "
+                                 "past its %d log powers" % (top + 1))
     count = Counter(top - lead // k for lead in ech.pivots)
     return tuple(accumulate(count[j] for j in range(top + 1)))
 

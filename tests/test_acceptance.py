@@ -2,9 +2,12 @@
 
 Run with -v to get the one-line pass/fail ledger, one criterion per
 line.  All randomness comes from fixed seeds so a failure replays; the
-truncations are series order 32, oracle depth 32, ranks up to 4.
+truncations are series order 32, oracle depth 32, ranks up to 4, except
+in criterion 11, which runs the command line on ranks 6 to 10.
 """
 
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from frescos.alpha import (
     is_semisimple,
     rank3_alpha_formula,
 )
+from frescos.cli import main
 from frescos.fresco import (
     AdaptedModel,
     Presentation,
@@ -387,3 +391,69 @@ def test_criterion_10_principal_line_uniqueness():
         expected = 1 if classify_rank2(p).theme else 2
         assert projected_rank(rep, quot, M - 4) == expected
         assert projected_rank(rep, quot, M - 6) == expected
+
+
+def high_rank_literal(rng, k):
+    """A principal rank-k literal in F0, with steps 1 to 3 and sparse units.
+
+    A unit term at a sum of consecutive steps would keep a nested rank-2
+    sub-quotient from splitting, so the units avoid those exponents, but
+    S_1 may carry the sum of all steps, which carries alpha.
+    """
+    steps = [rng.randint(1, 3) for _ in range(k - 1)]
+    lambdas = [k - 1 + F(rng.randint(1, 6), rng.choice((1, 2, 3)))]
+    for p in steps:
+        lambdas.append(lambdas[-1] + p - 1)
+    sums = {sum(steps[i:j]) for i in range(k) for j in range(i + 1, k)}
+    total = sum(steps)
+    units = []
+    for t in range(k):
+        exps = {e for e in (rng.randint(1, 6) for _ in range(rng.randint(0, 3)))
+                if e not in sums}
+        if t == 0 and rng.random() < 0.5:
+            exps.add(total)
+        coeffs = [F(rng.randint(1, 4), rng.choice((1, 2, 3)))
+                  * rng.choice((1, -1)) for _ in exps]
+        units.append("1" + "".join(
+            " %s %s b^%d" % ("+" if c > 0 else "-", abs(c), e)
+            for c, e in zip(coeffs, sorted(exps))))
+    return "fresco: " + " ".join(
+        "(%s | %s)" % (lam, u) for lam, u in zip(lambdas, units))
+
+
+def cli_json(argv):
+    out = io.StringIO()
+    code = main(argv + ["--format", "json"], stdout=out)
+    return code, json.loads(out.getvalue())
+
+
+def _shown(rep):
+    """The invariants of an analyze report, and the class of each refusal."""
+    shown = {key: rep.get(key) for key in (
+        "alpha", "semisimple", "theme", "subtheme", "quotient_theme",
+        "bernstein_roots", "error")}
+    shown["refusals"] = {key: why.split(":")[0]
+                         for key, why in rep.get("diagnostics", {}).items()
+                         if key.endswith("_unavailable")}
+    return shown
+
+
+def test_criterion_11_high_ranks_stable_in_order():
+    """Ranks 6 to 10: the invariants do not move from order 60 to 120.
+
+    Three literals at each rank; each report at order 60 shows the same
+    invariants and refusal classes as at order 120, and the oracle
+    agrees with the engine on every literal at depth 32.
+    """
+    rng = random.Random(111)
+    for k in range(6, 11):
+        for _ in range(3):
+            text = high_rank_literal(rng, k)
+            low, high = (cli_json(["analyze", "--seed", "0", "--order", str(n),
+                                   text]) for n in (60, 120))
+            assert low[0] == high[0]
+            assert _shown(low[1]) == _shown(high[1]), text
+            assert low[1]["rank"] == k
+            code, rep = cli_json(["verify", "--seed", "1", "--oracle-depth",
+                                  "32", text])
+            assert (code, rep["counts"]) == (0, {"pass": 1, "fail": 0}), text

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import frescos.cli as cli_module
+import frescos.oracle as oracle_module
 from frescos.algebra import AbElement
 from frescos.cli import (
     EXIT_DOMAIN,
@@ -33,7 +34,7 @@ from frescos.errors import DegenerateTruncation, NotAGenerator
 from frescos.fresco import twist
 from frescos.oracle import minimal_annihilator, truncate_rep
 from frescos.xi import XiExpansion, xi_generate_module, xi_log_filtration
-from test_xi import StuckSolver
+from test_xi import EndlessEchelon, StuckSolver
 
 RAT = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -380,6 +381,15 @@ def test_a_column_reduction_that_raises_no_level_is_internal(monkeypatch):
     assert rep["message"].startswith("annihilator column reduction")
 
 
+def test_an_n_chain_that_never_ends_is_internal(monkeypatch):
+    # the insert bound turns a log-rank chain that would loop into exit 4
+    monkeypatch.setattr("frescos.xi.Echelon", EndlessEchelon)
+    code, (rep,) = run_json(["xi", "--seed", "1", "s^(1/2) * log^2"])
+    assert code == EXIT_INTERNAL
+    assert rep["error"] == "InternalError"
+    assert rep["message"].startswith("log ranks: the N-chain")
+
+
 _FUZZ_SEEDS = (
     "fresco: (5/2 | 1 + 3b^2) (7/2 | 1)",
     "fresco: (4 | 1) (5 | 1) (6 | 1 + b^4) (7 | 1)",
@@ -421,8 +431,9 @@ def test_mutated_literals_end_in_a_report(command, text):
 def test_verify_renders_each_failing_check(monkeypatch, label):
     # one oracle comparison at a time is made to disagree: the first
     # annihilator call serves the basis generator, the second a random
-    # one; an engine error while regenerating is labelled with its class
-    real = cli_module.minimal_annihilator
+    # one; an engine error while regenerating is labelled with its class.
+    # verify imports the oracle's functions when it runs: patch them there
+    real = oracle_module.minimal_annihilator
     calls = []
 
     def minimal_annihilator(rep, x):
@@ -431,7 +442,7 @@ def test_verify_renders_each_failing_check(monkeypatch, label):
             return AbElement.linear(0, rep.M)
         return real(rep, x)
 
-    monkeypatch.setattr(cli_module, "minimal_annihilator",
+    monkeypatch.setattr(oracle_module, "minimal_annihilator",
                         minimal_annihilator)
     if label == "lambdas":
         monkeypatch.setattr(cli_module, "_bernstein_invariants",
@@ -464,8 +475,8 @@ def test_verify_renders_each_failing_check(monkeypatch, label):
 def test_verify_lambdas_sees_an_oracle_one_step_off(monkeypatch, literal):
     # the regenerated presentation copies the input's exponents, so only
     # the oracle's annihilator can refute them
-    real = cli_module.truncate_rep
-    monkeypatch.setattr(cli_module, "truncate_rep",
+    real = oracle_module.truncate_rep
+    monkeypatch.setattr(oracle_module, "truncate_rep",
                         lambda p, M: real(twist(p, 1), M))
     code, (rep,) = run_json(["verify", "--seed", "1", "--order", "12",
                              "--oracle-depth", "12", literal])

@@ -358,6 +358,24 @@ def test_column_reduction_that_raises_no_level_fails_fast(monkeypatch):
         _annihilator_from_span(span)
 
 
+class EndlessEchelon(Echelon):
+    """An Echelon under which no N-image ever lies in the span: every
+    insert stores a fresh pivot."""
+
+    def insert(self, vec):
+        lead = len(self.pivots)
+        self.pivots[lead] = {lead: 1}
+        return lead
+
+
+def test_an_n_chain_that_never_ends_fails_fast(monkeypatch):
+    # such a chain would loop for ever; top + 2 inserts bound it, 4 here
+    monkeypatch.setattr(xi_module, "Echelon", EndlessEchelon)
+    with pytest.raises(AssertionError, match="^log ranks: the N-chain of a "
+                       "shift ran past its 3 log powers$"):
+        xi_generate_module(term("1/2", 0, 2))
+
+
 def test_rows_are_the_generating_pivots():
     phi = XiExpansion("1/2", DEPTH, 2, {(1, 0, 1): 1, (2, 1, 0): "2/3"})
     span = xi_generate_module(phi)
